@@ -38,11 +38,13 @@ from .harness import (
     MODES,
     ExperimentConfig,
     ExperimentReport,
+    Problem,
     RunRow,
     compare_reports,
     config_from_dict,
     parse_assumption,
     rank_sum,
+    resolve,
     run_experiment,
     write_report,
 )
@@ -65,6 +67,7 @@ from .search import (
     encode_inputs,
     falsify,
     propose,
+    simulation_grid,
 )
 from .signals import (
     ControlPoints,
@@ -117,6 +120,7 @@ __all__ = [
     "TestCase",
     "RunResult",
     "encode_inputs",
+    "simulation_grid",
     "propose",
     "falsify",
     # catalog
@@ -126,6 +130,8 @@ __all__ = [
     # harness
     "MODES",
     "ExperimentConfig",
+    "Problem",
+    "resolve",
     "RunRow",
     "ExperimentReport",
     "parse_assumption",

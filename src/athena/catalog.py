@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .fitness import ManualFitnessExpr, parse_manual
 from .models import PlantModel, builtin
-from .search import Assumption, PortAssumption
+from .search import Assumption, PortAssumption, simulation_grid
 from .signals import InterpolationKind, TimeGrid
-from .stl import Formula, formula_horizon, parse
+from .stl import Formula, parse
 
 __all__ = ["CatalogEntry", "catalog", "catalog_ids"]
 
@@ -39,15 +39,8 @@ class CatalogEntry:
     def make_plant(self) -> PlantModel:
         return builtin(self.plant_name)
 
-    @property
-    def horizon(self) -> float:
-        """Simulation horizon: the plant's usual span, stretched if the
-        requirement needs a longer trace."""
-        plant_h = builtin(self.plant_name).default_horizon or 0.0
-        return max(plant_h, formula_horizon(self.formula))
-
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.horizon, self.step)
+        return simulation_grid(self.make_plant(), self.formula, self.step)
 
 
 def _at_box() -> Assumption:

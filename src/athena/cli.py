@@ -20,11 +20,11 @@ import numpy as np
 from .harness import (
     MODES,
     ExperimentConfig,
-    _fitness_for,
-    _resolve,
     compare_reports,
     config_from_dict,
+    json_float,
     parse_assumption,
+    resolve,
     run_experiment,
     write_report,
 )
@@ -125,26 +125,27 @@ def _falsify_config(args) -> ExperimentConfig:
 
 def cmd_falsify(args) -> int:
     cfg = _falsify_config(args)
-    res = _resolve(cfg)
-    fitness_cfg = _fitness_for(cfg, res)
-    result = falsify(res.plant, res.assumption, fitness_cfg, cfg.search, res.grid)
+    problem = resolve(cfg)
+    result = falsify(
+        problem.plant, problem.assumption, problem.fitness, cfg.search, problem.grid
+    )
     payload = {
         "outcome": "failure-found" if result.found else "no-failure-found",
         "entry": cfg.entry,
-        "plant": res.plant.name,
-        "formula": str(res.formula),
+        "plant": problem.plant.name,
+        "formula": str(problem.fitness.formula),
         "mode": cfg.mode,
         "p": cfg.effective_p,
         "seed": args.seed,
         "budget": args.max_iters,
         "iterations_used": result.iterations_used,
-        "best_combined": result.best_combined,
-        "best_robustness": result.best_robustness,
+        "best_combined": json_float(result.best_combined),
+        "best_robustness": json_float(result.best_robustness),
         "testcase": None,
     }
     if result.found:
         tc = result.failure
-        controls = res.assumption.control_points(tc.vector, res.grid)
+        controls = problem.assumption.control_points(tc.vector, problem.grid)
         payload["testcase"] = {
             "iteration": tc.iteration,
             "robustness": tc.robustness,
@@ -160,7 +161,8 @@ def cmd_falsify(args) -> int:
     with open(args.out + ".json", "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if result.found:
-        trace = Trace(res.grid, {p: s.values for p, s in result.failure.inputs.items()})
+        inputs = result.failure.inputs
+        trace = Trace(problem.grid, {p: s.values for p, s in inputs.items()})
         _write_trace_csv(args.out + ".inputs.csv", trace)
         print(
             f"failure found at iteration {result.failure.iteration} "

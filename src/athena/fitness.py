@@ -4,7 +4,7 @@ The automatic fitness is the requirement's robustness scaled into [-1, 1].
 The manual fitness is an arithmetic expression over trace statistics that
 encodes domain knowledge about where failures hide. The combined value
 p*automatic + (1-p)*manual is what the search minimizes; the search stops
-as soon as the raw robustness goes negative.
+as soon as the raw robustness falls below `SearchConfig.threshold`.
 
 Manual expressions have a textual form used in config files, e.g.
 
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .errors import ParseError
 from .signals import (
@@ -80,16 +78,6 @@ class Const(ManualFitnessExpr):
         return f"{self.value:g}"
 
 
-def _channel_values(expr: AtomExpr, trace: Trace) -> np.ndarray:
-    acc = np.zeros(trace.grid.n_samples)
-    for name, coeff in expr.terms:
-        acc = acc + coeff * trace.channel(name)
-    acc = acc + expr.const
-    if expr.absolute:
-        acc = np.abs(acc)
-    return acc
-
-
 @dataclass(frozen=True)
 class WindowStat(ManualFitnessExpr):
     """A statistic of a channel expression over a closed time window."""
@@ -99,7 +87,7 @@ class WindowStat(ManualFitnessExpr):
     window: tuple[float, float]
 
     def evaluate(self, trace, controls=None):
-        sig = Signal(trace.grid, _channel_values(self.channel, trace))
+        sig = Signal(trace.grid, self.channel.values(trace))
         return window_stat(sig, self.stat, self.window)
 
     def __str__(self):
@@ -329,16 +317,13 @@ class FitnessAssessment:
 
 @dataclass(frozen=True)
 class FitnessValue:
-    """Scores of one trace: the two parts, their mix, and the stop flag.
-
-    `robustness` is the raw (unscaled) requirement robustness the stop flag
-    is defined on.
+    """Scores of one trace: the two parts, their mix, and the raw
+    (unscaled) requirement robustness the search's stop rule reads.
     """
 
     automatic: float
     manual: float
     combined: float
-    stop: bool
     robustness: float
 
 
@@ -392,6 +377,5 @@ def assess(
         automatic=fa,
         manual=fm,
         combined=combined,
-        stop=rho < 0.0,
         robustness=rho,
     )

@@ -22,15 +22,18 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .catalog import catalog
-from .fitness import FitnessAssessment, ManualFitnessExpr, parse_manual
+from .fitness import FitnessAssessment, parse_manual
 from .models import PlantModel, builtin
-from .search import Assumption, PortAssumption, SearchConfig, falsify
+from .search import Assumption, PortAssumption, SearchConfig, falsify, simulation_grid
 from .signals import InterpolationKind, TimeGrid
-from .stl import Formula, formula_horizon, parse
+from .stl import parse
 
 __all__ = [
     "MODES",
     "ExperimentConfig",
+    "Problem",
+    "resolve",
+    "json_float",
     "RunRow",
     "ExperimentReport",
     "parse_assumption",
@@ -159,48 +162,42 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class _Resolved:
+class Problem:
+    """A resolved falsification problem: what `falsify` needs besides the
+    search constants."""
+
     plant: PlantModel
-    formula: Formula
-    manual: ManualFitnessExpr | None
     assumption: Assumption
-    auto_scale: float
     grid: TimeGrid
+    fitness: FitnessAssessment
 
 
-def _resolve(cfg: ExperimentConfig) -> _Resolved:
+def resolve(cfg: ExperimentConfig) -> Problem:
+    """Build the problem an experiment config names, from its catalog
+    entry or its inline pieces."""
     if cfg.entry is not None:
         e = catalog(cfg.entry)
-        return _Resolved(
-            plant=e.make_plant(),
-            formula=e.formula,
-            manual=e.manual,
-            assumption=e.assumption,
-            auto_scale=e.auto_scale,
-            grid=e.grid(),
-        )
-    formula = parse(cfg.formula_text)
-    manual = parse_manual(cfg.manual_text) if cfg.manual_text is not None else None
-    step = cfg.step if cfg.step is not None else 0.05
-    end = max(cfg.plant.default_horizon or 0.0, formula_horizon(formula))
-    return _Resolved(
-        plant=cfg.plant,
+        plant, formula, manual = e.make_plant(), e.formula, e.manual
+        assumption, auto_scale, step = e.assumption, e.auto_scale, e.step
+    else:
+        plant, formula = cfg.plant, parse(cfg.formula_text)
+        manual = parse_manual(cfg.manual_text) if cfg.manual_text is not None else None
+        assumption, auto_scale = cfg.assumption, cfg.auto_scale
+        step = cfg.step if cfg.step is not None else 0.05
+    fitness = FitnessAssessment(
         formula=formula,
         manual=manual,
-        assumption=cfg.assumption,
-        auto_scale=cfg.auto_scale,
-        grid=TimeGrid(end, step),
-    )
-
-
-def _fitness_for(cfg: ExperimentConfig, res: _Resolved) -> FitnessAssessment:
-    return FitnessAssessment(
-        formula=res.formula,
-        manual=res.manual,
         p=cfg.effective_p,
-        auto_scale=res.auto_scale,
+        auto_scale=auto_scale,
         p_schedule=cfg.p_schedule,
     )
+    return Problem(plant, assumption, simulation_grid(plant, formula, step), fitness)
+
+
+def json_float(x: float | None) -> float | None:
+    """The value itself when finite, else None, so reports stay valid JSON
+    (a run whose every simulation diverged has best robustness inf)."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -221,16 +218,18 @@ class RunRow:
             "seed": self.seed,
             "found": self.found,
             "iterations": self.iterations,
-            "best_robustness": self.best_robustness,
-            "best_combined": self.best_combined,
+            "best_robustness": json_float(self.best_robustness),
+            "best_combined": json_float(self.best_combined),
             "error": self.error,
         }
 
 
 def _run_one(args) -> RunRow:
-    res, fitness_cfg, search_cfg, index = args
+    problem, search_cfg, index = args
     try:
-        result = falsify(res.plant, res.assumption, fitness_cfg, search_cfg, res.grid)
+        result = falsify(
+            problem.plant, problem.assumption, problem.fitness, search_cfg, problem.grid
+        )
     except Exception as exc:
         return RunRow(
             index=index,
@@ -329,9 +328,12 @@ def _default_jobs() -> int:
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"ATHENA_JOBS must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def run_experiment(
@@ -347,12 +349,11 @@ def run_experiment(
     in its row and the batch continues. When `cfg.out` is set the JSON
     report and per-run CSV are written there.
     """
-    res = _resolve(cfg)
-    fitness_cfg = _fitness_for(cfg, res)
+    problem = resolve(cfg)
     if jobs is None:
         jobs = _default_jobs()
     payloads = [
-        (res, fitness_cfg, dataclasses.replace(cfg.search, seed=cfg.base_seed + i), i)
+        (problem, dataclasses.replace(cfg.search, seed=cfg.base_seed + i), i)
         for i in range(cfg.repetitions)
     ]
     start = time.perf_counter()
@@ -362,15 +363,16 @@ def run_experiment(
     else:
         rows = tuple(_run_one(payload) for payload in payloads)
     wall = time.perf_counter() - start
+    fitness = problem.fitness
     report = ExperimentReport(
         entry=cfg.entry,
-        plant_name=res.plant.name,
-        formula_text=str(res.formula),
-        manual_text=str(res.manual) if res.manual is not None else None,
+        plant_name=problem.plant.name,
+        formula_text=str(fitness.formula),
+        manual_text=str(fitness.manual) if fitness.manual is not None else None,
         mode=cfg.mode,
         p=cfg.effective_p,
         p_schedule=cfg.p_schedule,
-        auto_scale=res.auto_scale,
+        auto_scale=fitness.auto_scale,
         repetitions=cfg.repetitions,
         base_seed=cfg.base_seed,
         budget=cfg.search.max_iterations,

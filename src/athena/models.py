@@ -4,8 +4,9 @@ A plant maps input signals to an output trace. The built-in plants are a
 five-car platoon ("chasing_cars"), a reduced automatic transmission
 ("at_lite") and an identity plant ("passthrough"). Simulation is classic
 RK4 at the grid step; input values at the half-step stages are the average
-of the two adjacent samples. Plants with purely linear dynamics or scalar
-state provide equivalent fast paths used by the search loop.
+of the two adjacent samples. Each built-in plant writes its dynamics once,
+in `fast_sim`; user-defined plants may instead give a derivative and run
+on the generic integrator.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ class PortSpec:
 class PlantModel:
     """Deterministic plant with continuous state and an output map.
 
-    Subclasses define `port_spec`, `state_dim`, `initial_state`,
-    `derivative(state, u)` and `output(state, u)`. Discrete transitions
-    (mode switches, clamps) go in `post_step`, applied once after every
-    integration step. `fast_sim` may return the full output matrix to
-    bypass the generic integrator; it must agree with the generic path.
+    Subclasses define `port_spec` and one of two dynamics paths:
+
+    - `fast_sim(u, grid)` returns the full (samples, outputs) matrix. The
+      built-in plants define only this path, so each one's dynamics are
+      written once.
+    - `state_dim`, `initial_state`, `derivative(state, u)` and
+      `output(state, u)`, with discrete transitions (mode switches, clamps)
+      in `post_step`, applied once after every integration step. When
+      `fast_sim` returns None, `simulate` integrates these with the generic
+      RK4. This path stays for user-defined plants, which
+      `ExperimentConfig(plant=...)` accepts.
     """
 
     name: str = "plant"
@@ -120,7 +127,6 @@ def simulate(
     model: PlantModel,
     inputs: dict[str, Signal],
     grid: TimeGrid,
-    fast: bool = True,
 ) -> SimResult:
     """Integrate the plant over the grid and return outputs plus inputs.
 
@@ -149,7 +155,7 @@ def simulate(
     else:
         u = np.zeros((n, 0))
 
-    out = model.fast_sim(u, grid) if fast else None
+    out = model.fast_sim(u, grid)
     if out is None:
         states = _march(model, u, grid)
         out = np.empty((n, len(spec.outputs)))
@@ -169,14 +175,7 @@ class Passthrough(PlantModel):
 
     name = "passthrough"
     port_spec = PortSpec(inputs=("x",), outputs=("y",))
-    state_dim = 0
     default_horizon = None
-
-    def derivative(self, state, u):
-        return state
-
-    def output(self, state, u):
-        return u[:1]
 
     def fast_sim(self, u, grid):
         return u[:, :1].copy()
@@ -193,7 +192,6 @@ class ChasingCars(PlantModel):
 
     name = "chasing_cars"
     port_spec = PortSpec(inputs=("throttle", "brake"), outputs=("y1", "y2", "y3", "y4", "y5"))
-    state_dim = 10
     default_horizon = 100.0
 
     ACCEL_GAIN = 5.0
@@ -210,25 +208,6 @@ class ChasingCars(PlantModel):
     def __init__(self):
         self._x0 = np.array([40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5)
         self._ops_cache: dict[float, tuple[np.ndarray, ...]] = {}
-
-    def initial_state(self):
-        return self._x0.copy()
-
-    def derivative(self, state, u):
-        pos = state[:5]
-        vel = state[5:]
-        dv = np.empty(5)
-        dv[0] = self.ACCEL_GAIN * u[0] - self.BRAKE_GAIN * u[1] - self.DRAG * vel[0]
-        for k in range(1, 5):
-            dv[k] = (
-                self.SPRING * ((pos[k - 1] - pos[k]) - self.REST_GAP)
-                - self.DAMPING * vel[k]
-                + self.DAMPING * vel[k - 1]
-            )
-        return np.concatenate([vel, dv])
-
-    def output(self, state, u):
-        return state[list(self._OUT_COLS)]
 
     def _system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Continuous dynamics as x' = A x + B u + d."""
@@ -250,8 +229,8 @@ class ChasingCars(PlantModel):
     def _step_ops(self, dt: float):
         """RK4 step as an affine map x+ = P x + Q0 u0 + Qm um + Q1 u1 + r.
 
-        Exact for linear dynamics, so this is the generic integrator's step
-        in closed form, not an approximation of it.
+        Exact for linear dynamics: this is the RK4 step in closed form, not
+        an approximation of it.
         """
         ops = self._ops_cache.get(dt)
         if ops is not None:
@@ -297,7 +276,6 @@ class AutoTransmissionLite(PlantModel):
 
     name = "at_lite"
     port_spec = PortSpec(inputs=("Throttle", "Brake"), outputs=("Speed", "RPM", "Gear"))
-    state_dim = 2
     default_horizon = 50.0
 
     GEAR_RATIO = (4.0, 2.5, 1.6, 1.0)
@@ -305,37 +283,8 @@ class AutoTransmissionLite(PlantModel):
     UPSHIFT = (15.0, 30.0, 50.0)
     DOWNSHIFT = (12.0, 25.0, 45.0)
 
-    def initial_state(self):
-        return np.array([0.0, 1.0])
-
-    def _accel(self, speed: float, gear: int, throttle: float, brake: float) -> float:
-        tf = throttle / 100.0
-        bf = brake / 325.0
-        return 0.9 * tf * self.TORQUE_RATIO[gear - 1] - 0.35 * bf * 3.25 - 0.02 * speed
-
-    def derivative(self, state, u):
-        gear = int(round(state[1]))
-        return np.array([self._accel(state[0], gear, u[0], u[1]), 0.0])
-
-    def output(self, state, u):
-        speed = state[0]
-        gear = int(round(state[1]))
-        rpm = speed * self.GEAR_RATIO[gear - 1] * 40.0 + 600.0 * (u[0] / 100.0)
-        return np.array([speed, rpm, float(gear)])
-
-    def post_step(self, state):
-        speed = state[0]
-        gear = int(round(state[1]))
-        if speed < 0.0:
-            speed = 0.0
-        if gear < 4 and speed > self.UPSHIFT[gear - 1]:
-            gear += 1
-        elif gear > 1 and speed < self.DOWNSHIFT[gear - 2]:
-            gear -= 1
-        return np.array([speed, float(gear)])
-
     def fast_sim(self, u, grid):
-        # scalar loop mirroring the generic path arithmetic exactly
+        # scalar RK4 on speed; the gear is held through the step
         dt = grid.step
         n = grid.n_samples
         th = u[:, 0].tolist()

@@ -27,7 +27,7 @@ from .signals import (
     interpolate,
     uniform_control_times,
 )
-from .stl import formula_horizon
+from .stl import Formula, formula_horizon
 
 __all__ = [
     "PortAssumption",
@@ -36,6 +36,7 @@ __all__ = [
     "TestCase",
     "RunResult",
     "encode_inputs",
+    "simulation_grid",
     "propose",
     "falsify",
 ]
@@ -118,13 +119,20 @@ class Assumption:
 
 
 def encode_inputs(
-    assumption: Assumption, vector, grid: TimeGrid
+    assumption: Assumption, controls: Mapping[str, ControlPoints], grid: TimeGrid
 ) -> dict[str, Signal]:
-    """Decode a parameter vector into one interpolated signal per port."""
-    cps = assumption.control_points(vector, grid)
+    """Interpolate the control points that `Assumption.control_points`
+    decoded from a parameter vector into one signal per port."""
     return {
-        p.port: interpolate(cps[p.port], p.kind, grid) for p in assumption.ports
+        p.port: interpolate(controls[p.port], p.kind, grid) for p in assumption.ports
     }
+
+
+def simulation_grid(plant: PlantModel, formula: Formula, step: float) -> TimeGrid:
+    """Grid a problem is simulated on: the plant's usual span, stretched if
+    the requirement needs a longer trace."""
+    end = max(plant.default_horizon or 0.0, formula_horizon(formula))
+    return TimeGrid(end, step)
 
 
 def propose(
@@ -269,14 +277,15 @@ def falsify(
         inputs: dict[str, Signal] | None = None
         rho = math.inf
         try:
-            inputs = encode_inputs(assumption, candidate, grid)
+            controls = assumption.control_points(candidate, grid)
+            inputs = encode_inputs(assumption, controls, grid)
             sim = simulate(plant, inputs, grid)
             value = assess(
                 fitness_cfg,
                 sim.trace,
                 iteration=i,
                 max_iterations=search_cfg.max_iterations,
-                controls=assumption.control_points(candidate, grid),
+                controls=controls,
             )
             fa, fm, f = value.automatic, value.manual, value.combined
             rho = value.robustness

@@ -42,6 +42,16 @@ class AtomExpr:
     def channels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
+    def values(self, trace: Trace) -> np.ndarray:
+        """The expression at every sample of the trace."""
+        acc = np.zeros(trace.grid.n_samples)
+        for name, coeff in self.terms:
+            acc = acc + coeff * trace.channel(name)
+        acc = acc + self.const
+        if self.absolute:
+            acc = np.abs(acc)
+        return acc
+
     def __str__(self) -> str:
         parts = []
         for name, coeff in self.terms:

@@ -18,7 +18,6 @@ from ..errors import HorizonError
 from ..signals import TIME_TOL
 from .nodes import (
     And,
-    AtomExpr,
     Eventually,
     Formula,
     Globally,
@@ -67,73 +66,46 @@ def _sliding(arr: np.ndarray, k_lo: int, k_hi: int, out_len: int, take_min: bool
     return full[start : start + out_len]
 
 
-def _atom_values(expr: AtomExpr, trace: Trace) -> np.ndarray:
-    acc = np.zeros(trace.grid.n_samples)
-    for name, coeff in expr.terms:
-        acc = acc + coeff * trace.channel(name)
-    acc = acc + expr.const
-    if expr.absolute:
-        acc = np.abs(acc)
-    return acc
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _rho(f: Formula, trace: Trace) -> np.ndarray:
-    """Robustness of f at every sample index where it is defined."""
+def _margin(f: Predicate, e: np.ndarray) -> np.ndarray:
+    if f.cmp in ("<", "<="):
+        return f.bound - e
+    return e - f.bound
+
+
+def _holds(f: Predicate, e: np.ndarray) -> np.ndarray:
+    return _COMPARE[f.cmp](e, f.bound).astype(np.uint8)
+
+
+def _complement(x: np.ndarray) -> np.ndarray:
+    return 1 - x
+
+
+def _walk(f: Formula, trace: Trace, leaf, neg) -> np.ndarray:
+    """Value of f at every sample index where it is defined.
+
+    `leaf(predicate, values)` scores a predicate and `neg` negates; And and
+    Or are minimum and maximum, and Implies is maximum(neg(left), right).
+    On 0/1 arrays minimum and maximum are boolean and/or, so the same walk
+    gives robustness (margin, -x) and satisfaction (comparison, 1 - x).
+    """
     if isinstance(f, Predicate):
-        e = _atom_values(f.expr, trace)
-        if f.cmp in ("<", "<="):
-            return f.bound - e
-        return e - f.bound
+        return leaf(f, f.expr.values(trace))
     if isinstance(f, Not):
-        return -_rho(f.child, trace)
+        return neg(_walk(f.child, trace, leaf, neg))
     if isinstance(f, (And, Or, Implies)):
-        left = _rho(f.left, trace)
-        right = _rho(f.right, trace)
+        left = _walk(f.left, trace, leaf, neg)
+        right = _walk(f.right, trace, leaf, neg)
         n = min(len(left), len(right))
         if isinstance(f, And):
             return np.minimum(left[:n], right[:n])
         if isinstance(f, Or):
             return np.maximum(left[:n], right[:n])
-        return np.maximum(-left[:n], right[:n])
+        return np.maximum(neg(left[:n]), right[:n])
     if isinstance(f, (Globally, Eventually)):
-        child = _rho(f.child, trace)
-        k_lo, k_hi = _window_offsets(f.a, f.b, trace.grid.step)
-        out_len = len(child) - k_hi
-        if out_len < 1:
-            raise HorizonError(
-                f"trace end {trace.grid.end:g}s is too short for {f}"
-                f" (needs {formula_horizon(f):g}s)"
-            )
-        return _sliding(child, k_lo, k_hi, out_len, take_min=isinstance(f, Globally))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _sat(f: Formula, trace: Trace) -> np.ndarray:
-    """Boolean satisfaction (uint8) of f at every defined sample index."""
-    if isinstance(f, Predicate):
-        e = _atom_values(f.expr, trace)
-        if f.cmp == "<":
-            res = e < f.bound
-        elif f.cmp == "<=":
-            res = e <= f.bound
-        elif f.cmp == ">":
-            res = e > f.bound
-        else:
-            res = e >= f.bound
-        return res.astype(np.uint8)
-    if isinstance(f, Not):
-        return 1 - _sat(f.child, trace)
-    if isinstance(f, (And, Or, Implies)):
-        left = _sat(f.left, trace)
-        right = _sat(f.right, trace)
-        n = min(len(left), len(right))
-        if isinstance(f, And):
-            return left[:n] & right[:n]
-        if isinstance(f, Or):
-            return left[:n] | right[:n]
-        return (1 - left[:n]) | right[:n]
-    if isinstance(f, (Globally, Eventually)):
-        child = _sat(f.child, trace)
+        child = _walk(f.child, trace, leaf, neg)
         k_lo, k_hi = _window_offsets(f.a, f.b, trace.grid.step)
         out_len = len(child) - k_hi
         if out_len < 1:
@@ -151,9 +123,9 @@ def robustness(f: Formula, trace: Trace) -> float:
     Positive means satisfied, negative violated; magnitude is the margin in
     the units of the predicate expressions.
     """
-    return float(_rho(f, trace)[0])
+    return float(_walk(f, trace, _margin, np.negative)[0])
 
 
 def satisfied(f: Formula, trace: Trace) -> bool:
     """Classical boolean semantics at time 0 (strict comparators exact)."""
-    return bool(_sat(f, trace)[0])
+    return bool(_walk(f, trace, _holds, _complement)[0])

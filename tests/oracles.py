@@ -3,7 +3,8 @@
 Everything here is deliberately written in plain scalar Python (no shared
 code with the package paths it checks): a coefficient-form monotone-cubic
 evaluator, a naive recursive robustness evaluator, a straightforward RK4
-integrator, and a brute-force rank-sum enumerator.
+integrator, a scalar reduced-transmission model, and a brute-force rank-sum
+enumerator.
 """
 
 from __future__ import annotations
@@ -213,6 +214,46 @@ def reference_rk4(deriv, y0, t_end, dt, input_fn):
         ]
         states.append(list(y))
     return states
+
+
+def at_lite_reference(model, throttle, brake, dt):
+    """Reduced transmission on sampled inputs; returns (speed, rpm, gear).
+
+    Each step is an RK4 step of the speed ODE in the current gear, then a
+    clamp of speed at 0, then at most one gear shift by the hysteresis
+    thresholds. Constants come from the model; the arithmetic does not.
+    """
+
+    def accel(speed, gear, th, br):
+        return (
+            0.9 * (th / 100.0) * model.TORQUE_RATIO[gear - 1]
+            - 0.35 * (br / 325.0) * 3.25
+            - 0.02 * speed
+        )
+
+    speed, gear = 0.0, 1
+    speeds, gears = [speed], [gear]
+    for i in range(len(throttle) - 1):
+        th0, th1 = throttle[i], throttle[i + 1]
+        br0, br1 = brake[i], brake[i + 1]
+        thm, brm = 0.5 * (th0 + th1), 0.5 * (br0 + br1)
+        k1 = accel(speed, gear, th0, br0)
+        k2 = accel(speed + 0.5 * dt * k1, gear, thm, brm)
+        k3 = accel(speed + 0.5 * dt * k2, gear, thm, brm)
+        k4 = accel(speed + dt * k3, gear, th1, br1)
+        speed = speed + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        speed = max(speed, 0.0)
+        if gear < 4 and speed > model.UPSHIFT[gear - 1]:
+            gear += 1
+        elif gear > 1 and speed < model.DOWNSHIFT[gear - 2]:
+            gear -= 1
+        speeds.append(speed)
+        gears.append(gear)
+    rpm = [
+        s * model.GEAR_RATIO[g - 1] * 40.0 + 600.0 * (th / 100.0)
+        for s, g, th in zip(speeds, gears, throttle)
+    ]
+    return speeds, rpm, [float(g) for g in gears]
 
 
 # --- rank-sum enumeration ---------------------------------------------------

@@ -92,8 +92,8 @@ def test_criterion_2_combination_identities():
         e = entries[k % len(entries)]
         grid = e.grid()
         vector = rng.uniform(e.assumption.lower, e.assumption.upper)
-        inputs = encode_inputs(e.assumption, vector, grid)
         controls = e.assumption.control_points(vector, grid)
+        inputs = encode_inputs(e.assumption, controls, grid)
         trace = simulate(plants[e.id], inputs, grid).trace
 
         def value_at(p):

@@ -98,7 +98,9 @@ class TestEntriesRun:
         entry = catalog(entry_id)
         grid = entry.grid()
         vector = np.zeros(entry.assumption.dim)
-        inputs = encode_inputs(entry.assumption, vector, grid)
+        inputs = encode_inputs(
+            entry.assumption, entry.assumption.control_points(vector, grid), grid
+        )
         sim = simulate(entry.make_plant(), inputs, grid)
         cfg = FitnessAssessment(
             formula=entry.formula,

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+import athena.cli
 from athena.cli import cli
+from test_harness import Runaway, reject_constant
 
 
 def write_trace_csv(path, times, columns):
@@ -110,6 +112,19 @@ class TestFalsify:
         assert payload["best_robustness"] > 0.0
         assert payload["iterations_used"] == 15
         assert not (tmp_path / "nff.inputs.csv").exists()
+
+    def test_all_diverged_payload_is_valid_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(athena.cli, "builtin", lambda name: Runaway())
+        out = str(tmp_path / "runaway")
+        rc = cli(["falsify", "--plant", "runaway", "--formula", "G[0,2] (v < 10)",
+                  "--assumption", "u:const:0,1:1", "--step", "0.01",
+                  "--max-iters", "3", "--out", out])
+        assert rc == 1
+        capsys.readouterr()
+        text = (tmp_path / "runaway.json").read_text()
+        payload = json.loads(text, parse_constant=reject_constant)
+        assert payload["best_robustness"] is None
+        assert payload["best_combined"] == 1.0
 
     def test_inline_needs_plant_formula_assumption(self, capsys):
         rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,1] (x < 2)"])
@@ -249,6 +264,12 @@ class TestBenchAndCompare:
         rc = cli(["bench", "--config", config_path, "--modes", "turbo"])
         assert rc == 2
         assert "unknown mode" in capsys.readouterr().err
+
+    def test_bench_bad_jobs_env_exits_2(self, config_path, monkeypatch, capsys):
+        monkeypatch.setenv("ATHENA_JOBS", "abc")
+        rc = cli(["bench", "--config", config_path, "--reps", "1"])
+        assert rc == 2
+        assert "ATHENA_JOBS" in capsys.readouterr().err
 
     def test_bench_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Tests for fitness assessment: manual expressions, combination, stop flag."""
+"""Tests for fitness assessment: manual expressions, combination, robustness sign."""
 
 import math
 
@@ -306,14 +306,14 @@ class TestAssessment:
     def test_violation_sets_stop(self):
         trace = const_trace(GRID20, Speed=130.0)
         value = assess(self.cfg(), trace)
-        assert value.stop
+        assert value.robustness < 0.0
         assert value.robustness == -10.0
         assert value.automatic == -10.0 / 120.0
 
     def test_near_miss_does_not_stop(self):
         trace = const_trace(GRID20, Speed=119.9)
         value = assess(self.cfg(), trace)
-        assert not value.stop
+        assert value.robustness > 0.0
         assert value.automatic == pytest.approx(0.1 / 120.0, rel=1e-9)
         assert value.automatic == pytest.approx(0.000833333, rel=1e-5)
 
@@ -321,7 +321,6 @@ class TestAssessment:
         trace = const_trace(GRID20, Speed=120.0)
         value = assess(self.cfg(), trace)
         assert value.robustness == 0.0
-        assert not value.stop
 
     def test_stop_implies_violation(self):
         rng = np.random.default_rng(3)
@@ -330,7 +329,7 @@ class TestAssessment:
                 GRID20, {"Speed": rng.uniform(60.0, 180.0, GRID20.n_samples)}
             )
             value = assess(self.cfg(), trace)
-            if value.stop:
+            if value.robustness < 0.0:
                 assert not satisfied(self.F_SPEED, trace)
             else:
                 assert satisfied(self.F_SPEED, trace)

@@ -3,21 +3,24 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from athena.catalog import catalog, catalog_ids
 from athena.harness import (
     ExperimentConfig,
     compare_reports,
     config_from_dict,
     parse_assumption,
     rank_sum,
+    resolve,
     run_experiment,
     write_report,
 )
-from athena.models import Passthrough
+from athena.models import Passthrough, PlantModel, PortSpec
 from athena.search import SearchConfig
 from athena.signals import InterpolationKind
 from oracles import rank_sum_brute
@@ -36,6 +39,27 @@ def fast_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+class Runaway(PlantModel):
+    """v' = v^2 from v=1, whatever the input: every simulation diverges."""
+
+    name = "runaway"
+    port_spec = PortSpec(inputs=("u",), outputs=("v",))
+    state_dim = 1
+
+    def initial_state(self):
+        return np.array([1.0])
+
+    def derivative(self, state, u):
+        return state * state
+
+    def output(self, state, u):
+        return state.copy()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 class TestRankSum:
@@ -245,6 +269,40 @@ class TestRunExperiment:
         payload = report.to_dict(timing=False)
         assert payload["p_schedule"] == [1.0, 0.0]
 
+    def test_bad_jobs_env_rejected(self, monkeypatch):
+        for raw in ("abc", "0", "-2", "1.5"):
+            monkeypatch.setenv("ATHENA_JOBS", raw)
+            with pytest.raises(ValueError, match="ATHENA_JOBS"):
+                run_experiment(fast_config(repetitions=1))
+
+    def test_jobs_env_read(self, monkeypatch):
+        monkeypatch.setenv("ATHENA_JOBS", " 1 ")
+        assert len(run_experiment(fast_config(repetitions=2)).rows) == 2
+
+
+class TestResolve:
+    def test_problem_holds_fitness_once(self):
+        problem = resolve(fast_config(mode="automatic", auto_scale=2.0))
+        assert problem.fitness.p == 1.0
+        assert problem.fitness.auto_scale == 2.0
+        assert str(problem.fitness.formula) == "G[0,10] (x < 0.5)"
+        assert problem.grid.end == 10.0 and problem.grid.step == 0.05
+
+    @pytest.mark.parametrize("entry_id", catalog_ids())
+    def test_inline_matches_catalog_grid(self, entry_id):
+        e = catalog(entry_id)
+        inline = ExperimentConfig(
+            plant=e.make_plant(),
+            formula_text=e.formula_text,
+            manual_text=e.manual_text,
+            assumption=e.assumption,
+            auto_scale=e.auto_scale,
+            step=e.step,
+        )
+        grid = resolve(ExperimentConfig(entry=entry_id)).grid
+        assert resolve(inline).grid == grid
+        assert e.grid() == grid
+
 
 class TestReportFiles:
     def test_write_and_reread(self, tmp_path):
@@ -253,19 +311,19 @@ class TestReportFiles:
         json_path, csv_path = write_report(
             report, str(tmp_path / "exp"), timestamp=False
         )
-        payload = json.loads(open(json_path).read())
+        payload = json.loads(Path(json_path).read_text())
         assert payload["percentage"] == report.percentage
         assert payload["found"] == report.found
         assert len(payload["runs"]) == 6
         assert "timestamp" not in payload
         assert "wall_clock_seconds" not in payload
-        header = open(csv_path).readline().strip()
+        header = Path(csv_path).read_text().splitlines()[0]
         assert header == "run,seed,found,iterations,best_robustness,best_combined,error"
 
     def test_timestamp_fields_present_by_default(self, tmp_path):
         report = run_experiment(fast_config(repetitions=2))
         json_path, _ = write_report(report, str(tmp_path / "exp"))
-        payload = json.loads(open(json_path).read())
+        payload = json.loads(Path(json_path).read_text())
         assert "timestamp" in payload
         assert payload["wall_clock_seconds"] >= 0.0
 
@@ -273,13 +331,14 @@ class TestReportFiles:
         cfg = fast_config()
         write_report(run_experiment(cfg), str(tmp_path / "a"), timestamp=False)
         write_report(run_experiment(cfg), str(tmp_path / "b"), timestamp=False)
-        assert open(tmp_path / "a.json", "rb").read() == open(tmp_path / "b.json", "rb").read()
-        assert open(tmp_path / "a.runs.csv", "rb").read() == open(tmp_path / "b.runs.csv", "rb").read()
+        for name in ("json", "runs.csv"):
+            a = (tmp_path / f"a.{name}").read_bytes()
+            assert a == (tmp_path / f"b.{name}").read_bytes()
 
     def test_csv_floats_roundtrip(self, tmp_path):
         report = run_experiment(fast_config())
         _, csv_path = write_report(report, str(tmp_path / "exp"), timestamp=False)
-        lines = open(csv_path).read().splitlines()[1:]
+        lines = Path(csv_path).read_text().splitlines()[1:]
         for row, line in zip(report.rows, lines):
             cells = line.split(",")
             assert float(cells[4]) == row.best_robustness
@@ -289,6 +348,26 @@ class TestReportFiles:
         run_experiment(cfg, timestamp=False)
         assert (tmp_path / "auto.json").exists()
         assert (tmp_path / "auto.runs.csv").exists()
+
+    def test_all_diverged_report_is_valid_json(self, tmp_path):
+        cfg = fast_config(
+            plant=Runaway(),
+            formula_text="G[0,2] (v < 10)",
+            assumption=parse_assumption("u:const:0,1:1"),
+            step=0.01,
+            repetitions=2,
+            search=SearchConfig(max_iterations=3),
+            out=str(tmp_path / "runaway"),
+        )
+        report = run_experiment(cfg, timestamp=False)
+        assert all(math.isinf(row.best_robustness) for row in report.rows)
+        text = (tmp_path / "runaway.json").read_text()
+        payload = json.loads(text, parse_constant=reject_constant)
+        for row in payload["runs"]:
+            assert row["error"] is None
+            assert row["iterations"] == 3
+            assert row["best_robustness"] is None
+            assert row["best_combined"] == 1.0
 
     def test_percentage_consistency(self, tmp_path):
         report = run_experiment(fast_config(repetitions=10))

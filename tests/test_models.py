@@ -13,7 +13,7 @@ from athena.models import (
 )
 from athena.signals import ControlPoints, InterpolationKind, Signal, TimeGrid, interpolate
 
-from oracles import reference_rk4
+from oracles import at_lite_reference, reference_rk4
 
 
 def const_inputs(model, grid, values):
@@ -159,12 +159,19 @@ class TestChasingCars:
             "throttle": interpolate(cp_t, InterpolationKind.PCHIP, grid),
             "brake": interpolate(cp_b, InterpolationKind.LINEAR, grid),
         }
-        fast = simulate(cc, sigs, grid, fast=True)
-        slow = simulate(cc, sigs, grid, fast=False)
-        for name in cc.port_spec.outputs:
-            assert np.allclose(
-                fast.trace.channel(name), slow.trace.channel(name), rtol=0, atol=1e-9
-            )
+        fast = simulate(cc, sigs, grid)
+        samples = list(zip(sigs["throttle"].values, sigs["brake"].values))
+        ref_states = reference_rk4(
+            cc_reference_deriv(cc),
+            [40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5,
+            grid.end,
+            grid.step,
+            lambda t: samples[round(t / grid.step)],
+        )
+        ref = np.array(ref_states)
+        for j, name in enumerate(("y5", "y4", "y3", "y2", "y1")):
+            got = fast.trace.channel(name)
+            assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
 
     def test_determinism_bit_identical(self):
         grid = TimeGrid(100.0, 0.01)
@@ -247,13 +254,13 @@ class TestAutoTransmissionLite:
                 ControlPoints([0.0, 20.0], [0.0, 120.0]), InterpolationKind.LINEAR, grid
             ),
         }
-        fast = simulate(at, sigs, grid, fast=True)
-        slow = simulate(at, sigs, grid, fast=False)
-        assert np.array_equal(fast.trace.channel("Gear"), slow.trace.channel("Gear"))
-        for name in ("Speed", "RPM"):
-            assert np.allclose(
-                fast.trace.channel(name), slow.trace.channel(name), rtol=0, atol=1e-12
-            )
+        fast = simulate(at, sigs, grid)
+        speed, rpm, gear = at_lite_reference(
+            at, sigs["Throttle"].values.tolist(), sigs["Brake"].values.tolist(), grid.step
+        )
+        assert np.array_equal(fast.trace.channel("Gear"), gear)
+        for name, ref in (("Speed", speed), ("RPM", rpm)):
+            assert np.allclose(fast.trace.channel(name), ref, rtol=0, atol=1e-12)
 
     def test_hysteresis_dwell(self):
         # throttle pulse pushes past 15 mph then coasts back below 12

@@ -103,7 +103,7 @@ class TestEncodeInputs:
         )
         rng = np.random.default_rng(11)
         vec = rng.uniform(0.0, 1.0, 10)
-        got = encode_inputs(a, vec, grid)
+        got = encode_inputs(a, a.control_points(vec, grid), grid)
         assert set(got) == {"throttle", "brake"}
         want_throttle = interpolate(
             ControlPoints(uniform_control_times(grid, 7), vec[:7]), PCHIP, grid
@@ -122,24 +122,24 @@ class TestEncodeInputs:
                 PortAssumption("Brake", PCHIP, 0.0, 325.0, 3),
             )
         )
-        got = encode_inputs(a, np.zeros(10), grid)
+        got = encode_inputs(a, a.control_points(np.zeros(10), grid), grid)
         assert np.all(got["Throttle"].values == 0.0)
         assert np.all(got["Brake"].values == 0.0)
 
     def test_single_constant_point(self):
         a = box(lo=0.0, hi=10.0, n=1, kind=CONST)
-        got = encode_inputs(a, [5.0], GRID10)
+        got = encode_inputs(a, a.control_points([5.0], GRID10), GRID10)
         assert np.all(got["x"].values == 5.0)
 
     def test_length_mismatch(self):
         a = box(n=3, kind=LINEAR)
         with pytest.raises(ValueError):
-            encode_inputs(a, [0.1, 0.2], GRID10)
+            encode_inputs(a, a.control_points([0.1, 0.2], GRID10), GRID10)
 
     def test_out_of_range_value(self):
         a = box(n=1, kind=CONST)
         with pytest.raises(ValueError):
-            encode_inputs(a, [1.5], GRID10)
+            encode_inputs(a, a.control_points([1.5], GRID10), GRID10)
 
     def test_control_points_round_trip(self):
         a = box(n=4, kind=LINEAR, lo=-2.0, hi=2.0)
@@ -238,7 +238,7 @@ class TestFalsify:
     def test_failure_replays_bitwise(self):
         result = self.analytic_run(11)
         tc = result.failure
-        inputs = encode_inputs(box(), tc.vector, GRID10)
+        inputs = encode_inputs(box(), box().control_points(tc.vector, GRID10), GRID10)
         sim = simulate(Passthrough(), inputs, GRID10)
         formula = parse("G[0,10] (x < 0.5)")
         rho = robustness(formula, sim.trace)
