@@ -1,0 +1,49 @@
+"""Micro-benchmarks of the per-simulation kernels, outside the tier-1 suite.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
+
+Each case times one call on the grid a catalog entry or the passthrough
+workload uses, with fixed random inputs.
+"""
+
+import numpy as np
+import pytest
+
+from athena.catalog import catalog
+from athena.models import AutoTransmissionLite, ChasingCars, Passthrough, simulate
+from athena.search import simulation_grid
+from athena.signals import Signal
+from athena.stl import parse, robustness
+
+PASSTHROUGH_FORMULA = (
+    "G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1))) and G[0,100] (F[0,20] (y <= 2))"
+)
+
+
+def random_inputs(grid, lo, hi, seed=0):
+    return np.random.default_rng(seed).uniform(lo, hi, (grid.n_samples, 2))
+
+
+@pytest.mark.parametrize(
+    "model, entry, hi",
+    [(ChasingCars, "CC1", (1.0, 1.0)), (AutoTransmissionLite, "AT1", (100.0, 325.0))],
+    ids=["chasing_cars-CC1", "at_lite-AT1"],
+)
+def test_fast_sim(benchmark, model, entry, hi):
+    plant = model()
+    grid = catalog(entry).grid()
+    u = random_inputs(grid, (0.0, 0.0), hi)
+    out = benchmark(plant.fast_sim, u, grid)
+    assert out.shape[0] == grid.n_samples
+
+
+def test_robustness_passthrough_spec(benchmark):
+    plant = Passthrough()
+    formula = parse(PASSTHROUGH_FORMULA)
+    grid = simulation_grid(plant, formula, 0.01)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, grid.n_samples)
+    trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
+    rho = benchmark(robustness, formula, trace)
+    assert np.isfinite(rho)

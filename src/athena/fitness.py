@@ -32,8 +32,7 @@ from .signals import (
     steepest_slope,
     window_stat,
 )
-from .stl import AtomExpr, Formula, Trace, robustness
-from .stl.parser import _Parser
+from .stl import AtomExpr, Formula, FormulaParser, Trace, robustness
 
 __all__ = [
     "ManualFitnessExpr",
@@ -207,7 +206,7 @@ _SLOPE_NAMES = {
 }
 
 
-class _ManualParser(_Parser):
+class _ManualParser(FormulaParser):
     """Arithmetic over fitness terms, reusing the formula tokenizer."""
 
     def manual(self) -> ManualFitnessExpr:

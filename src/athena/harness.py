@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .catalog import catalog
 from .fitness import FitnessAssessment, parse_manual
@@ -349,9 +348,11 @@ def run_experiment(
     in its row and the batch continues. When `cfg.out` is set the JSON
     report and per-run CSV are written there.
     """
-    problem = resolve(cfg)
     if jobs is None:
         jobs = _default_jobs()
+    elif jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    problem = resolve(cfg)
     payloads = [
         (problem, dataclasses.replace(cfg.search, seed=cfg.base_seed + i), i)
         for i in range(cfg.repetitions)
@@ -466,6 +467,18 @@ def _normal_p(pooled: np.ndarray, u_a: float, n1: int, n2: int) -> float:
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given the mean rank of their group. Ranks
+    are integers or halves, so they are exact in float."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_sum(group_a: Sequence[float], group_b: Sequence[float]) -> tuple[float, float]:
     """Two-sided Mann-Whitney rank-sum test with midrank ties.
 
@@ -482,7 +495,7 @@ def rank_sum(group_a: Sequence[float], group_b: Sequence[float]) -> tuple[float,
         raise ValueError("rank_sum groups must be finite")
     n1, n2 = int(a.size), int(b.size)
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled, method="average")
+    ranks = _midranks(pooled)
     r_a = float(ranks[:n1].sum())
     u_a = r_a - n1 * (n1 + 1) / 2.0
     if n1 >= 8 and n2 >= 8:

@@ -12,7 +12,7 @@ from .nodes import (
     Eventually,
     Trace,
 )
-from .parser import parse
+from .parser import FormulaParser, parse
 from .semantics import formula_horizon, robustness, satisfied
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Globally",
     "Eventually",
     "Trace",
+    "FormulaParser",
     "parse",
     "formula_horizon",
     "robustness",

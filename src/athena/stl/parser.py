@@ -82,7 +82,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
+class FormulaParser:
+    """Token cursor over one text plus the grammar's recursive-descent rules.
+
+    The manual-fitness language subclasses it to reuse the tokenizer and the
+    channel-expression rule.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -235,7 +241,7 @@ def parse(text: str) -> Formula:
     """Parse a requirement string into a Formula AST."""
     if not text or not text.strip():
         raise ParseError("empty formula", 0)
-    parser = _Parser(text)
+    parser = FormulaParser(text)
     node = parser.formula()
     trailing = parser.peek()
     if trailing.kind != "EOF":
@@ -247,7 +253,7 @@ def parse_channel_expr(text: str) -> AtomExpr:
     """Parse a bare channel combination like "y5 - y4" (no comparator)."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(text)
+    parser = FormulaParser(text)
     expr = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "EOF":

@@ -3,8 +3,8 @@
 Everything here is deliberately written in plain scalar Python (no shared
 code with the package paths it checks): a coefficient-form monotone-cubic
 evaluator, a naive recursive robustness evaluator, a straightforward RK4
-integrator, a scalar reduced-transmission model, and a brute-force rank-sum
-enumerator.
+integrator, a step-by-step affine recurrence, a scalar reduced-transmission
+model, and a brute-force rank-sum enumerator.
 """
 
 from __future__ import annotations
@@ -213,6 +213,17 @@ def reference_rk4(deriv, y0, t_end, dt, input_fn):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
         states.append(list(y))
+    return states
+
+
+def affine_recurrence(P, forcing, x0):
+    """States of x[k+1] = P x[k] + forcing[k] from x[0] = x0, one step at a
+    time; returns the list of all len(forcing) + 1 states."""
+    x = [float(v) for v in x0]
+    states = [list(x)]
+    for f in forcing:
+        x = [sum(p * v for p, v in zip(row, x)) + float(fk) for row, fk in zip(P, f)]
+        states.append(x)
     return states
 
 

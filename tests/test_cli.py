@@ -271,6 +271,12 @@ class TestBenchAndCompare:
         assert rc == 2
         assert "ATHENA_JOBS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_nonpositive_jobs_exits_2(self, config_path, capsys, jobs):
+        rc = cli(["bench", "--config", config_path, "--reps", "1", "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be a positive integer" in capsys.readouterr().err
+
     def test_bench_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -127,6 +127,19 @@ class TestRankSum:
         assert u == pytest.approx(float(ref.statistic), abs=1e-9)
         assert p == pytest.approx(float(ref.pvalue), abs=1e-9)
 
+    def test_normal_path_tie_heavy_matches_enumeration(self):
+        # both groups >= 8 take the normal branch; U still comes from the
+        # midranks, which the enumeration oracle computes independently
+        a = [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 1.0]
+        b = [2.0, 3.0, 3.0, 3.0, 1.0, 3.0, 2.0, 3.0, 3.0]
+        u, p = rank_sum(a, b)
+        u_ref, _ = rank_sum_brute(a, b)
+        assert u == pytest.approx(u_ref, abs=1e-12)
+        ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided",
+                                       method="asymptotic")
+        assert u == pytest.approx(float(ref.statistic), abs=1e-12)
+        assert p == pytest.approx(float(ref.pvalue), abs=1e-9)
+
     def test_all_equal_normal_path(self):
         u, p = rank_sum([5.0] * 9, [5.0] * 9)
         assert p == 1.0
@@ -274,6 +287,11 @@ class TestRunExperiment:
             monkeypatch.setenv("ATHENA_JOBS", raw)
             with pytest.raises(ValueError, match="ATHENA_JOBS"):
                 run_experiment(fast_config(repetitions=1))
+
+    def test_nonpositive_jobs_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be a positive integer"):
+                run_experiment(fast_config(repetitions=1), jobs=jobs)
 
     def test_jobs_env_read(self, monkeypatch):
         monkeypatch.setenv("ATHENA_JOBS", " 1 ")

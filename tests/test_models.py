@@ -13,7 +13,7 @@ from athena.models import (
 )
 from athena.signals import ControlPoints, InterpolationKind, Signal, TimeGrid, interpolate
 
-from oracles import at_lite_reference, reference_rk4
+from oracles import affine_recurrence, at_lite_reference, reference_rk4
 
 
 def const_inputs(model, grid, values):
@@ -172,6 +172,24 @@ class TestChasingCars:
         for j, name in enumerate(("y5", "y4", "y3", "y2", "y1")):
             got = fast.trace.channel(name)
             assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, step",
+        [(2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (2001, 0.05), (2301, 0.05),
+         (10001, 0.01)],
+    )
+    def test_blocked_scan_matches_sequential(self, n, step):
+        # n - 1 = 1, 2 (prime), 20, 25 (a square), the CC1 and CC4 grids, step 0.01
+        cc = ChasingCars()
+        grid = TimeGrid((n - 1) * step, step)
+        assert grid.n_samples == n
+        u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
+        Pt, Q, r, _ = cc._step_ops(step, 1)
+        forcing = np.hstack([u[:-1], 0.5 * (u[:-1] + u[1:]), u[1:]]) @ Q + r
+        ref = np.array(affine_recurrence(Pt.T.tolist(), forcing.tolist(), cc._x0))
+        got = cc.fast_sim(u, grid)
+        assert got.shape == (n, 5)
+        assert np.allclose(got, ref[:, [4, 3, 2, 1, 0]], rtol=0, atol=1e-9)
 
     def test_determinism_bit_identical(self):
         grid = TimeGrid(100.0, 0.01)
