@@ -4,16 +4,19 @@ Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
 
-Each case times one call on the grid a catalog entry or the passthrough
-workload uses, with fixed random inputs.
+Each kernel case times one call on the grid a catalog entry or the
+passthrough workload uses, with fixed random inputs. The end-to-end cases
+time one seeded `falsify` run on a catalog entry with a fixed budget, and
+check its outcome, so a change that alters the search trajectory fails.
 """
 
 import numpy as np
 import pytest
 
 from athena.catalog import catalog
+from athena.harness import ExperimentConfig, resolve
 from athena.models import AutoTransmissionLite, ChasingCars, Passthrough, simulate
-from athena.search import simulation_grid
+from athena.search import SearchConfig, falsify, simulation_grid
 from athena.signals import Signal
 from athena.stl import parse, robustness
 
@@ -47,3 +50,19 @@ def test_robustness_passthrough_spec(benchmark):
     trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
     rho = benchmark(robustness, formula, trace)
     assert np.isfinite(rho)
+
+
+# (entry, seed, budget, found, iterations used); AT2 is never falsified,
+# so it spends the whole budget
+@pytest.mark.parametrize(
+    "entry, seed, budget, found, iterations",
+    [("CC1", 0, 300, True, 73), ("AT2", 0, 60, False, 60)],
+    ids=["CC1", "AT2"],
+)
+def test_falsify(benchmark, entry, seed, budget, found, iterations):
+    problem = resolve(ExperimentConfig(entry=entry))
+    search = SearchConfig(max_iterations=budget, seed=seed)
+    result = benchmark(
+        falsify, problem.plant, problem.assumption, problem.fitness, search, problem.grid
+    )
+    assert (result.found, result.iterations_used) == (found, iterations)

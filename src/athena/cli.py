@@ -161,8 +161,7 @@ def cmd_falsify(args) -> int:
     with open(args.out + ".json", "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if result.found:
-        inputs = result.failure.inputs
-        trace = Trace(problem.grid, {p: s.values for p, s in inputs.items()})
+        trace = Trace(problem.grid, result.failure.inputs)
         _write_trace_csv(args.out + ".inputs.csv", trace)
         print(
             f"failure found at iteration {result.failure.iteration} "
@@ -222,16 +221,14 @@ def cmd_robustness(args) -> int:
 
 def cmd_simulate(args) -> int:
     plant = builtin(args.plant)
-    names, data = _read_csv_columns(args.inputs)
-    csv_times = data[:, 0]
-    _grid_of(csv_times, args.inputs)
-    end = args.horizon if args.horizon is not None else float(csv_times[-1])
-    step = args.dt if args.dt is not None else float(csv_times[1] - csv_times[0])
+    source = _read_trace(args.inputs)
+    end = args.horizon if args.horizon is not None else source.grid.end
+    step = args.dt if args.dt is not None else source.grid.step
     grid = TimeGrid(end, step)
-    inputs = {}
-    for k, name in enumerate(names):
-        values = np.interp(grid.times(), csv_times, data[:, k + 1])
-        inputs[name] = Signal(grid, values)
+    inputs = {
+        name: Signal(grid, np.interp(grid.times(), source.grid.times(), values))
+        for name, values in source.channels.items()
+    }
     result = simulate(plant, inputs, grid)
     if args.out is not None:
         _write_trace_csv(args.out, result.trace)

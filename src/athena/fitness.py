@@ -25,7 +25,6 @@ from typing import Mapping
 from .errors import ParseError
 from .signals import (
     ControlPoints,
-    Signal,
     SlopeDirection,
     WindowStatKind,
     scale as scale_value,
@@ -86,8 +85,7 @@ class WindowStat(ManualFitnessExpr):
     window: tuple[float, float]
 
     def evaluate(self, trace, controls=None):
-        sig = Signal(trace.grid, self.channel.values(trace))
-        return window_stat(sig, self.stat, self.window)
+        return window_stat(self.channel.values(trace), trace.grid, self.stat, self.window)
 
     def __str__(self):
         a, b = self.window

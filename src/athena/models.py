@@ -5,8 +5,8 @@ five-car platoon ("chasing_cars"), a reduced automatic transmission
 ("at_lite") and an identity plant ("passthrough"). Simulation is classic
 RK4 at the grid step; input values at the half-step stages are the average
 of the two adjacent samples. Each built-in plant writes its dynamics once,
-in `fast_sim`; user-defined plants may instead give a derivative and run
-on the generic integrator.
+in `fast_sim`; user-defined plants may instead give a derivative and
+inherit the default `fast_sim`, the generic integrator.
 """
 
 from __future__ import annotations
@@ -57,17 +57,17 @@ class PortSpec:
 class PlantModel:
     """Deterministic plant with continuous state and an output map.
 
-    Subclasses define `port_spec` and one of two dynamics paths:
+    `simulate` calls `fast_sim(u, grid)`, which returns the full (samples,
+    outputs) matrix. Subclasses define `port_spec` and either:
 
-    - `fast_sim(u, grid)` returns the full (samples, outputs) matrix. The
-      built-in plants define only this path, so each one's dynamics are
-      written once.
+    - their own `fast_sim`. The built-in plants do this, so each one's
+      dynamics are written once; or
     - `state_dim`, `initial_state`, `derivative(state, u)` and
       `output(state, u)`, with discrete transitions (mode switches, clamps)
-      in `post_step`, applied once after every integration step. When
-      `fast_sim` returns None, `simulate` integrates these with the generic
-      RK4. This path stays for user-defined plants, which
-      `ExperimentConfig(plant=...)` accepts.
+      in `post_step`, applied once after every integration step. The
+      default `fast_sim` integrates these with the generic RK4. This path
+      is for user-defined plants, which `ExperimentConfig(plant=...)`
+      accepts.
     """
 
     name: str = "plant"
@@ -87,8 +87,13 @@ class PlantModel:
     def post_step(self, state: np.ndarray) -> np.ndarray:
         return state
 
-    def fast_sim(self, u: np.ndarray, grid: TimeGrid) -> np.ndarray | None:
-        return None
+    def fast_sim(self, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
+        """Generic RK4 of `derivative`, then `output` at every sample."""
+        states = _march(self, u, grid)
+        out = np.empty((grid.n_samples, len(self.port_spec.outputs)))
+        for i in range(grid.n_samples):
+            out[i] = self.output(states[i], u[i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -150,24 +155,14 @@ def simulate(
         if inputs[name].grid != grid:
             raise ValueError(f"input {name!r} is not sampled on the simulation grid")
 
-    n = grid.n_samples
     if spec.inputs:
         u = np.column_stack([inputs[name].values for name in spec.inputs])
     else:
-        u = np.zeros((n, 0))
+        u = np.zeros((grid.n_samples, 0))
 
     out = model.fast_sim(u, grid)
-    if out is None:
-        states = _march(model, u, grid)
-        out = np.empty((n, len(spec.outputs)))
-        for i in range(n):
-            out[i] = model.output(states[i], u[i])
-
-    channels: dict[str, np.ndarray] = {}
-    for j, name in enumerate(spec.outputs):
-        channels[name] = out[:, j]
-    for name in spec.inputs:
-        channels[name] = inputs[name].values
+    channels: dict[str, np.ndarray | Signal] = dict(zip(spec.outputs, out.T))
+    channels.update((name, inputs[name]) for name in spec.inputs)
     return SimResult(Trace(grid, channels))
 
 
@@ -179,7 +174,7 @@ class Passthrough(PlantModel):
     default_horizon = None
 
     def fast_sim(self, u, grid):
-        return u[:, :1].copy()
+        return u[:, :1]
 
 
 class ChasingCars(PlantModel):
@@ -318,6 +313,7 @@ class AutoTransmissionLite(PlantModel):
         gears = [0] * n
         s = 0.0
         g = 1
+        ninf = -math.inf
         for i in range(n):
             speeds[i] = s
             gears[i] = g
@@ -338,15 +334,17 @@ class AutoTransmissionLite(PlantModel):
             y4 = s + dt * k3
             k4 = 0.9 * (t1 / 100.0) * tq - 0.35 * (b1 / 325.0) * 3.25 - 0.02 * y4
             s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not math.isfinite(s):
-                raise DivergenceError((i + 1) * dt)
-            if s < 0.0:
+            # -inf is left unclamped for the divergence check after the loop
+            if s < 0.0 and s != ninf:
                 s = 0.0
             if g < 4 and s > up[g - 1]:
                 g += 1
             elif g > 1 and s < down[g - 2]:
                 g -= 1
         speed_arr = np.array(speeds)
+        finite = np.isfinite(speed_arr)
+        if not finite.all():
+            raise DivergenceError(int(np.argmin(finite)) * dt)
         gear_idx = np.array(gears)
         ratio = np.array(self.GEAR_RATIO)[gear_idx - 1]
         rpm = speed_arr * ratio * 40.0 + 600.0 * (u[:, 0] / 100.0)

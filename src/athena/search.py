@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -92,20 +93,24 @@ class Assumption:
             start += p.n
         return tuple(out)
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.repeat([p.lo for p in self.ports], [p.n for p in self.ports])
+        lo = np.repeat([p.lo for p in self.ports], [p.n for p in self.ports])
+        lo.setflags(write=False)
+        return lo
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.repeat([p.hi for p in self.ports], [p.n for p in self.ports])
+        hi = np.repeat([p.hi for p in self.ports], [p.n for p in self.ports])
+        hi.setflags(write=False)
+        return hi
 
     def validate_vector(self, vector) -> np.ndarray:
         v = np.asarray(vector, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"parameter vector needs shape ({self.dim},), got {v.shape}")
-        lo, hi = self.lower, self.upper
-        if np.any(v < lo) or np.any(v > hi):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not np.all((v >= self.lower) & (v <= self.upper)):
             raise ValueError("parameter vector leaves the assumption box")
         return v
 

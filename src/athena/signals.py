@@ -261,22 +261,24 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     idx = np.rint(cp.times / grid.step).astype(int)
     near = (idx >= 0) & (idx < grid.n_samples)
     near &= np.abs(cp.times - idx * grid.step) <= TIME_TOL
-    out = np.array(out, dtype=float)
     out[idx[near]] = cp.values[near]
     return Signal(grid, out)
 
 
-def window_stat(s: Signal, stat: WindowStatKind, window: tuple[float, float]) -> float:
-    """Statistic over the samples with time in [a, b], ends inclusive."""
+def window_stat(
+    values: np.ndarray, grid: TimeGrid, stat: WindowStatKind, window: tuple[float, float]
+) -> float:
+    """Statistic of `values`, one per grid sample, over the samples with time
+    in [a, b], ends inclusive."""
     a, b = window
     if not (0.0 <= a < b):
         raise ValueError(f"window must satisfy 0 <= a < b, got [{a}, {b}]")
-    if b > s.grid.end + TIME_TOL:
-        raise ValueError(f"window end {b} exceeds grid end {s.grid.end}")
-    lo, hi = s.grid.index_window(a, b)
+    if b > grid.end + TIME_TOL:
+        raise ValueError(f"window end {b} exceeds grid end {grid.end}")
+    lo, hi = grid.index_window(a, b)
     if lo > hi:
         raise ValueError(f"window [{a}, {b}] contains no grid samples")
-    chunk = s.values[lo : hi + 1]
+    chunk = values[lo : hi + 1]
     if stat is WindowStatKind.MIN:
         return float(chunk.min())
     if stat is WindowStatKind.MAX:

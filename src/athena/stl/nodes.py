@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..signals import TimeGrid
+from ..signals import Signal, TimeGrid
 
 __all__ = [
     "AtomExpr",
@@ -165,23 +165,26 @@ class Eventually(Formula):
 
 
 class Trace:
-    """Named channels sampled on a common grid."""
+    """Named channels sampled on a common grid.
+
+    Each channel is checked by building it as a `Signal` on the grid, which
+    makes a finite read-only copy. A channel that already is a `Signal` on
+    the same grid is stored as it is, without a second copy.
+    """
 
     __slots__ = ("grid", "channels")
 
-    def __init__(self, grid: TimeGrid, channels: Mapping[str, np.ndarray]):
+    def __init__(self, grid: TimeGrid, channels: Mapping[str, np.ndarray | Signal]):
         store: dict[str, np.ndarray] = {}
         for name, values in channels.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1 or len(arr) != grid.n_samples:
-                raise ValueError(
-                    f"channel {name!r} needs {grid.n_samples} samples, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"channel {name!r} has non-finite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            store[name] = arr
+            try:
+                if not isinstance(values, Signal):
+                    values = Signal(grid, values)
+                elif values.grid != grid:
+                    raise ValueError("not sampled on the trace grid")
+            except ValueError as exc:
+                raise ValueError(f"channel {name!r}: {exc}") from None
+            store[name] = values.values
         self.grid = grid
         self.channels = MappingProxyType(store)
 

@@ -30,7 +30,7 @@ from .nodes import (
     Predicate,
 )
 
-__all__ = ["parse", "parse_channel_expr"]
+__all__ = ["parse"]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -247,15 +247,3 @@ def parse(text: str) -> Formula:
     if trailing.kind != "EOF":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.offset)
     return node
-
-
-def parse_channel_expr(text: str) -> AtomExpr:
-    """Parse a bare channel combination like "y5 - y4" (no comparator)."""
-    if not text or not text.strip():
-        raise ParseError("empty expression", 0)
-    parser = FormulaParser(text)
-    expr = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.offset)
-    return expr

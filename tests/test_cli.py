@@ -159,6 +159,14 @@ class TestRobustness:
         assert rc == 2
         capsys.readouterr()
 
+    def test_nan_cell_exits_2_naming_channel(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_trace_csv(path, [0.0, 0.5, 1.0], {"Speed": [1.0, math.nan, 1.0]})
+        rc = cli(["robustness", "--formula", "G[0,1] (Speed < 120)",
+                  "--trace", str(path)])
+        assert rc == 2
+        assert "channel 'Speed'" in capsys.readouterr().err
+
     def test_missing_channel_exits_2(self, flat_speed_csv, capsys):
         rc = cli(["robustness", "--formula", "G[0,20] (RPM < 120)",
                   "--trace", flat_speed_csv])
@@ -202,6 +210,15 @@ class TestSimulate:
         rc = cli(["simulate", "--plant", "nope", "--inputs", sine_csv])
         assert rc == 2
         assert "unknown plant" in capsys.readouterr().err
+
+    def test_nan_cell_exits_2_naming_channel(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_trace_csv(path, [0.0, 0.5, 1.0, 1.5], {"x": [0.0, 1.0, math.nan, 3.0]})
+        # the coarser grid skips the NaN row; the cell is rejected anyway
+        rc = cli(["simulate", "--plant", "passthrough", "--inputs", str(path),
+                  "--dt", "1.5"])
+        assert rc == 2
+        assert "channel 'x'" in capsys.readouterr().err
 
     def test_non_uniform_times_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"

@@ -113,6 +113,27 @@ class TestDivergence:
         assert 0.9 <= exc.value.time <= 2.0
 
 
+class GenericCars(PlantModel):
+    """The platoon as a user-defined plant: a derivative and an output map,
+    with the `fast_sim` inherited from PlantModel."""
+
+    name = "generic_cars"
+    port_spec = ChasingCars.port_spec
+    state_dim = 10
+
+    def __init__(self):
+        self._deriv = cc_reference_deriv(ChasingCars)
+
+    def initial_state(self):
+        return np.array([40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5)
+
+    def derivative(self, state, u):
+        return np.array(self._deriv(state, u))
+
+    def output(self, state, u):
+        return state[[4, 3, 2, 1, 0]]
+
+
 def cc_reference_deriv(model):
     K, C, gap = model.SPRING, model.DAMPING, model.REST_GAP
 
@@ -125,6 +146,29 @@ def cc_reference_deriv(model):
         return list(vel) + dv
 
     return deriv
+
+
+def assert_matches_cc_reference(plant):
+    grid = TimeGrid(10.0, 0.05)
+    cp_t = ControlPoints([0.0, 4.0, 10.0], [0.2, 1.0, 0.0])
+    cp_b = ControlPoints([0.0, 10.0], [0.0, 0.6])
+    sigs = {
+        "throttle": interpolate(cp_t, InterpolationKind.PCHIP, grid),
+        "brake": interpolate(cp_b, InterpolationKind.LINEAR, grid),
+    }
+    fast = simulate(plant, sigs, grid)
+    samples = list(zip(sigs["throttle"].values, sigs["brake"].values))
+    ref_states = reference_rk4(
+        cc_reference_deriv(ChasingCars),
+        [40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5,
+        grid.end,
+        grid.step,
+        lambda t: samples[round(t / grid.step)],
+    )
+    ref = np.array(ref_states)
+    for j, name in enumerate(("y5", "y4", "y3", "y2", "y1")):
+        got = fast.trace.channel(name)
+        assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
 
 
 class TestChasingCars:
@@ -151,27 +195,10 @@ class TestChasingCars:
             assert np.allclose(res.trace.channel(name), ref[:, j], rtol=0, atol=1e-4)
 
     def test_fast_matches_generic(self):
-        grid = TimeGrid(10.0, 0.05)
-        cc = builtin("chasing_cars")
-        cp_t = ControlPoints([0.0, 4.0, 10.0], [0.2, 1.0, 0.0])
-        cp_b = ControlPoints([0.0, 10.0], [0.0, 0.6])
-        sigs = {
-            "throttle": interpolate(cp_t, InterpolationKind.PCHIP, grid),
-            "brake": interpolate(cp_b, InterpolationKind.LINEAR, grid),
-        }
-        fast = simulate(cc, sigs, grid)
-        samples = list(zip(sigs["throttle"].values, sigs["brake"].values))
-        ref_states = reference_rk4(
-            cc_reference_deriv(cc),
-            [40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5,
-            grid.end,
-            grid.step,
-            lambda t: samples[round(t / grid.step)],
-        )
-        ref = np.array(ref_states)
-        for j, name in enumerate(("y5", "y4", "y3", "y2", "y1")):
-            got = fast.trace.channel(name)
-            assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
+        assert_matches_cc_reference(builtin("chasing_cars"))
+
+    def test_user_plant_inherits_generic_fast_sim(self):
+        assert_matches_cc_reference(GenericCars())
 
     @pytest.mark.parametrize(
         "n, step",
@@ -279,6 +306,24 @@ class TestAutoTransmissionLite:
         assert np.array_equal(fast.trace.channel("Gear"), gear)
         for name, ref in (("Speed", speed), ("RPM", rpm)):
             assert np.allclose(fast.trace.channel(name), ref, rtol=0, atol=1e-12)
+
+    # Times recorded from the per-step check this replaced, which raised at
+    # the first step whose speed was non-finite.
+    @pytest.mark.parametrize(
+        "grid, throttle, brake, time",
+        [
+            (TimeGrid(50.0, 1.0), 8.9e307, 0.0, 32.0),
+            (TimeGrid(50.0, 0.05), 8.9e307, 0.0, 34.4),
+            # one step to -inf, which the clamp at 0 must not hide
+            (TimeGrid(5000.0, 1000.0), 0.0, 1e308, 1000.0),
+        ],
+    )
+    def test_divergence_time(self, grid, throttle, brake, time):
+        at = builtin("at_lite")
+        sigs = const_inputs(at, grid, {"Throttle": throttle, "Brake": brake})
+        with pytest.raises(DivergenceError) as exc:
+            simulate(at, sigs, grid)
+        assert exc.value.time == time
 
     def test_hysteresis_dwell(self):
         # throttle pulse pushes past 15 mph then coasts back below 12

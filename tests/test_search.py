@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from athena.catalog import catalog
 from athena.errors import HorizonError, PortMismatchError
 from athena.fitness import FitnessAssessment, parse_manual
 from athena.models import PlantModel, PortSpec, Passthrough, simulate
@@ -88,6 +89,8 @@ class TestAssumption:
             a.validate_vector([0.5, 0.5])
         with pytest.raises(ValueError):
             a.validate_vector([0.5, 1.5, 0.5])
+        with pytest.raises(ValueError):
+            a.validate_vector([0.5, np.nan, 0.5])
         got = a.validate_vector([0.0, 0.5, 1.0])
         assert got.dtype == float
 
@@ -170,6 +173,13 @@ class TestPropose:
         cool = np.std([propose(current, a, 0.5, rng) - current for _ in range(2000)])
         assert 0.09 < hot < 0.11
         assert 0.045 < cool < 0.055
+
+    def test_nan_current_rejected(self):
+        a = catalog("CC1").assumption
+        current = np.full(a.dim, 0.5)
+        current[0] = np.nan
+        with pytest.raises(ValueError, match="assumption box"):
+            propose(current, a, 1.0, np.random.default_rng(0))
 
     def test_clamped_to_box(self):
         a = box(n=3, kind=LINEAR)

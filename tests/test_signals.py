@@ -194,31 +194,31 @@ class TestInterpolate:
 class TestWindowStat:
     def test_mean_of_constant(self):
         s = make_signal(10.0, 1.0, [5.0] * 11)
-        assert window_stat(s, WindowStatKind.MEAN, (0.0, 10.0)) == 5.0
+        assert window_stat(s.values, s.grid, WindowStatKind.MEAN, (0.0, 10.0)) == 5.0
 
     def test_min_monotone(self):
         s = make_signal(10.0, 1.0, list(range(11)))
-        assert window_stat(s, WindowStatKind.MIN, (3.0, 7.0)) == 3.0
+        assert window_stat(s.values, s.grid, WindowStatKind.MIN, (3.0, 7.0)) == 3.0
 
     def test_peak_to_peak(self):
         s = make_signal(10.0, 1.0, list(range(11)))
-        assert window_stat(s, WindowStatKind.PEAK_TO_PEAK, (2.0, 8.0)) == 6.0
+        assert window_stat(s.values, s.grid, WindowStatKind.PEAK_TO_PEAK, (2.0, 8.0)) == 6.0
 
     def test_inclusive_ends(self):
         s = make_signal(10.0, 1.0, list(range(11)))
-        assert window_stat(s, WindowStatKind.MAX, (0.0, 10.0)) == 10.0
+        assert window_stat(s.values, s.grid, WindowStatKind.MAX, (0.0, 10.0)) == 10.0
 
     def test_bad_window(self):
         s = make_signal(10.0, 1.0, list(range(11)))
         with pytest.raises(ValueError):
-            window_stat(s, WindowStatKind.MIN, (5.0, 5.0))
+            window_stat(s.values, s.grid, WindowStatKind.MIN, (5.0, 5.0))
         with pytest.raises(ValueError):
-            window_stat(s, WindowStatKind.MIN, (0.0, 11.0))
+            window_stat(s.values, s.grid, WindowStatKind.MIN, (0.0, 11.0))
 
     def test_empty_window(self):
         s = make_signal(10.0, 1.0, list(range(11)))
         with pytest.raises(ValueError):
-            window_stat(s, WindowStatKind.MIN, (3.2, 3.8))
+            window_stat(s.values, s.grid, WindowStatKind.MIN, (3.2, 3.8))
 
 
 class TestSteepestSlope:

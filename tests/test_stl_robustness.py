@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from athena.errors import HorizonError, MissingChannelError
-from athena.signals import TimeGrid
+from athena.signals import Signal, TimeGrid
 from athena.stl import (
     Eventually,
     Globally,
@@ -131,6 +131,38 @@ class TestWindows:
         tr = const_trace(1.0)
         with pytest.raises(MissingChannelError):
             robustness(parse("G[0,5] (z > 0)"), tr)
+
+
+class TestTrace:
+    def test_signal_stored_without_copy(self):
+        sig = Signal(GRID, np.arange(GRID.n_samples, dtype=float))
+        trace = Trace(GRID, {"x": sig})
+        assert trace.channel("x") is sig.values
+
+    def test_signal_on_other_grid_rejected(self):
+        other = TimeGrid(20.0, 1.0)
+        assert other.n_samples == GRID.n_samples
+        sig = Signal(other, np.zeros(other.n_samples))
+        with pytest.raises(ValueError, match="channel 'x'"):
+            Trace(GRID, {"x": sig})
+
+    def test_array_is_checked_copied_and_read_only(self):
+        vals = np.zeros(GRID.n_samples)
+        trace = Trace(GRID, {"x": vals})
+        vals[0] = 1.0
+        assert trace.channel("x")[0] == 0.0
+        assert not trace.channel("x").flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_names_channel(self, bad):
+        vals = np.zeros(GRID.n_samples)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="channel 'y'.*finite"):
+            Trace(GRID, {"x": np.zeros(GRID.n_samples), "y": vals})
+
+    def test_wrong_length_names_channel(self):
+        with pytest.raises(ValueError, match="channel 'x'.*samples"):
+            Trace(GRID, {"x": np.zeros(GRID.n_samples - 1)})
 
 
 class TestHorizon:
