@@ -186,6 +186,7 @@ def cmd_bench(args) -> int:
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
+    errored = False
     for mode in modes:
         one = dict(raw)
         one["mode"] = mode
@@ -203,13 +204,21 @@ def cmd_bench(args) -> int:
         stats = report.iteration_stats()
         if stats is not None:
             line += f", iterations mean {stats['mean']:.1f} range [{stats['min']}, {stats['max']}]"
+        line += (
+            f", {report.simulations / report.wall_clock:.0f} sims/s"
+            f", {report.errored} errored"
+        )
         if out_base is not None:
             json_path, _ = write_report(
                 report, f"{out_base}-{mode}", timestamp=not args.no_timestamp
             )
             line += f" -> {json_path}"
         print(line)
-    return 0
+        first = next((row for row in report.rows if row.error is not None), None)
+        if first is not None:
+            errored = True
+            print(f"error: {mode}: run {first.index} failed: {first.error}", file=sys.stderr)
+    return 2 if errored else 0
 
 
 def cmd_robustness(args) -> int:

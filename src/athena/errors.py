@@ -50,11 +50,12 @@ class PortMismatchError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """Simulation produced a non-finite state value.
+    """Simulation produced a non-finite state or output value.
 
-    `time` is the first grid time at which the state was non-finite.
+    `time` is the first grid time at which the state was non-finite, or,
+    when the state stays finite, an output.
     """
 
     def __init__(self, time: float):
-        super().__init__(f"simulation diverged (non-finite state) at t={time:g}s")
+        super().__init__(f"simulation diverged (non-finite value) at t={time:g}s")
         self.time = time

@@ -229,7 +229,9 @@ def _run_one(args) -> RunRow:
         result = falsify(
             problem.plant, problem.assumption, problem.fitness, search_cfg, problem.grid
         )
-    except Exception as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
+        # a problem the config or the plant's domain caused becomes an error
+        # row; a programming error (TypeError, AttributeError, ...) propagates
         return RunRow(
             index=index,
             seed=search_cfg.seed,
@@ -276,6 +278,15 @@ class ExperimentReport:
     @property
     def percentage(self) -> float:
         return 100.0 * self.found / self.repetitions
+
+    @property
+    def errored(self) -> int:
+        return sum(1 for row in self.rows if row.error is not None)
+
+    @property
+    def simulations(self) -> int:
+        """Simulations run in all rows; one iteration is one simulation."""
+        return sum(row.iterations for row in self.rows)
 
     def iteration_stats(self) -> dict | None:
         """Mean/min/max/stddev of iterations, failure-revealing runs only."""

@@ -137,7 +137,8 @@ def simulate(
     """Integrate the plant over the grid and return outputs plus inputs.
 
     Inputs must cover exactly the plant's input ports and share the grid.
-    Raises DivergenceError naming the first time the state went non-finite.
+    Raises DivergenceError naming the first time the state (or, if the state
+    stays finite, an output) went non-finite.
     """
     spec = model.port_spec
     given = set(inputs)
@@ -289,6 +290,17 @@ class AutoTransmissionLite(PlantModel):
     Inputs Throttle in [0,100] and Brake in [0,325]; outputs Speed (mph),
     RPM and Gear. The gear shifts at most once per integration step, after
     the step; speed is clamped at 0 so braking cannot reverse the car.
+
+    The speed derivative in gear g is d_g(t) - 0.02 * speed, where the input
+    term d_g = 0.9 * (Throttle / 100) * torque_g - 0.35 * (Brake / 325) * 3.25
+    does not depend on the state. `fast_sim` computes d_g with numpy at the
+    sample times and at the step midpoints, once per simulation and per gear,
+    from the sample where the run first enters that gear. The Python loop
+    keeps only the state-dependent RK4 arithmetic and the shift test. The
+    result is bit-identical to evaluating each stage in full: elementwise
+    float64 numpy rounds exactly as Python floats do, and every operation
+    keeps its order. The step is deliberately not folded into a closed form
+    p * speed + q, which would round differently.
     """
 
     name = "at_lite"
@@ -300,55 +312,82 @@ class AutoTransmissionLite(PlantModel):
     UPSHIFT = (15.0, 30.0, 50.0)
     DOWNSHIFT = (12.0, 25.0, 45.0)
 
+    # Python floats overflow silently and numpy must too, so that an
+    # overflow surfaces as DivergenceError and not as a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def fast_sim(self, u, grid):
         # scalar RK4 on speed; the gear is held through the step
         dt = grid.step
         n = grid.n_samples
-        th = u[:, 0].tolist()
-        br = u[:, 1].tolist()
-        torque = self.TORQUE_RATIO
-        up = self.UPSHIFT
-        down = self.DOWNSHIFT
-        speeds = [0.0] * n
-        gears = [0] * n
-        s = 0.0
-        g = 1
+        th = u[:, 0]
+        br = u[:, 1]
+        thrust = 0.9 * (th / 100.0)
+        thrust_mid = 0.9 * (0.5 * (th[:-1] + th[1:]) / 100.0)
+        drag = 0.35 * (br / 325.0) * 3.25
+        drag_mid = 0.35 * (0.5 * (br[:-1] + br[1:]) / 325.0) * 3.25
+        terms = [None] * 4
+
+        def gear_terms(g, i):
+            # d_g at the samples and at the midpoints, from sample i on: a
+            # gear is only ever re-entered later, so the head is never read
+            if terms[g - 1] is None:
+                tq = self.TORQUE_RATIO[g - 1]
+                terms[g - 1] = (
+                    [None] * i + (thrust[i:] * tq - drag[i:]).tolist(),
+                    [None] * i + (thrust_mid[i:] * tq - drag_mid[i:]).tolist(),
+                )
+            return terms[g - 1]
+
+        # speed bounds that shift out of each gear; none below 1 or above 4
+        up = self.UPSHIFT + (math.inf,)
+        down = (-math.inf,) + self.DOWNSHIFT
+        h = 0.5 * dt
+        w = dt / 6.0
         ninf = -math.inf
-        for i in range(n):
-            speeds[i] = s
-            gears[i] = g
-            if i == n - 1:
-                break
-            t0 = th[i]
-            t1 = th[i + 1]
-            tm = 0.5 * (t0 + t1)
-            b0 = br[i]
-            b1 = br[i + 1]
-            bm = 0.5 * (b0 + b1)
-            tq = torque[g - 1]
-            k1 = 0.9 * (t0 / 100.0) * tq - 0.35 * (b0 / 325.0) * 3.25 - 0.02 * s
-            y2 = s + (0.5 * dt) * k1
-            k2 = 0.9 * (tm / 100.0) * tq - 0.35 * (bm / 325.0) * 3.25 - 0.02 * y2
-            y3 = s + (0.5 * dt) * k2
-            k3 = 0.9 * (tm / 100.0) * tq - 0.35 * (bm / 325.0) * 3.25 - 0.02 * y3
-            y4 = s + dt * k3
-            k4 = 0.9 * (t1 / 100.0) * tq - 0.35 * (b1 / 325.0) * 3.25 - 0.02 * y4
-            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        speeds = [0.0] * n
+        # (first sample, gear) of each stretch between shifts
+        shifts = [(0, 1)]
+        g = 1
+        d, dm = gear_terms(g, 0)
+        hi = up[0]
+        lo = down[0]
+        s = 0.0
+        d1 = d[0]
+        for i in range(1, n):
+            d0 = d1
+            d1 = d[i]
+            m = dm[i - 1]
+            k1 = d0 - 0.02 * s
+            k2 = m - 0.02 * (s + h * k1)
+            k3 = m - 0.02 * (s + h * k2)
+            k4 = d1 - 0.02 * (s + dt * k3)
+            s = s + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # -inf is left unclamped for the divergence check after the loop
             if s < 0.0 and s != ninf:
                 s = 0.0
-            if g < 4 and s > up[g - 1]:
+            speeds[i] = s
+            if s > hi:
                 g += 1
-            elif g > 1 and s < down[g - 2]:
+            elif s < lo:
                 g -= 1
-        speed_arr = np.array(speeds)
-        finite = np.isfinite(speed_arr)
-        if not finite.all():
-            raise DivergenceError(int(np.argmin(finite)) * dt)
-        gear_idx = np.array(gears)
-        ratio = np.array(self.GEAR_RATIO)[gear_idx - 1]
-        rpm = speed_arr * ratio * 40.0 + 600.0 * (u[:, 0] / 100.0)
-        return np.column_stack([speed_arr, rpm, gear_idx.astype(float)])
+            else:
+                continue
+            shifts.append((i, g))
+            d, dm = gear_terms(g, i)
+            d1 = d[i]
+            hi = up[g - 1]
+            lo = down[g - 1]
+        starts, held = zip(*shifts)
+        gear = np.repeat(held, np.diff(starts + (n,)))
+        speed = np.fromiter(speeds, float, n)
+        rpm = speed * np.array(self.GEAR_RATIO)[gear - 1] * 40.0 + 600.0 * (th / 100.0)
+        # a non-finite Speed (the state) is reported first; RPM can overflow
+        # on its own, from a huge throttle while Speed stays finite
+        for channel in (speed, rpm):
+            finite = np.isfinite(channel)
+            if not finite.all():
+                raise DivergenceError(int(np.argmin(finite)) * dt)
+        return np.column_stack([speed, rpm, gear.astype(float)])
 
 
 _BUILTINS = {

@@ -277,6 +277,33 @@ class TestBenchAndCompare:
         with open(a + "-athena.json", "rb") as fh, open(b + "-athena.json", "rb") as gh:
             assert fh.read() == gh.read()
 
+    def test_bench_summary_counts_sims_and_errors(self, config_path, capsys):
+        rc = cli(["bench", "--config", config_path, "--reps", "3"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        line = captured.out.strip()
+        assert "sims/s" in line
+        assert line.endswith(", 0 errored")
+        assert captured.err == ""
+
+    def test_bench_errored_runs_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "plant": "chasing_cars",
+            "formula": "G[0,10] (y9 < 40)",
+            "assumption": "throttle:pchip:0,1:7;brake:pchip:0,1:3",
+            "repetitions": 2,
+            "search": {"max_iterations": 5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli(["bench", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "0/2 failure-revealing" in captured.out
+        assert captured.out.strip().endswith(", 2 errored")
+        assert "MissingChannelError" in captured.err
+        assert "y9" in captured.err
+
     def test_bench_unknown_mode_exits_2(self, config_path, capsys):
         rc = cli(["bench", "--config", config_path, "--modes", "turbo"])
         assert rc == 2

@@ -20,7 +20,7 @@ from athena.harness import (
     run_experiment,
     write_report,
 )
-from athena.models import Passthrough, PlantModel, PortSpec
+from athena.models import Passthrough, PlantModel, PortSpec, builtin
 from athena.search import SearchConfig
 from athena.signals import InterpolationKind
 from oracles import rank_sum_brute
@@ -56,6 +56,13 @@ class Runaway(PlantModel):
 
     def output(self, state, u):
         return state.copy()
+
+
+class BrokenPlant(Passthrough):
+    """A user plant with a programming error in its dynamics."""
+
+    def fast_sim(self, u, grid):
+        raise TypeError("bug in a user plant")
 
 
 def reject_constant(name):
@@ -269,6 +276,29 @@ class TestRunExperiment:
             assert row.error is not None
             assert "PortMismatchError" in row.error
             assert row.best_robustness is None
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(TypeError, match="bug in a user plant"):
+            run_experiment(fast_config(plant=BrokenPlant(), repetitions=2))
+
+    def test_at_lite_rpm_overflow_scored_as_diverged(self):
+        # every throttle in the box overflows RPM; each simulation diverges
+        # and the search moves on, so no row errors and nothing warns
+        cfg = ExperimentConfig(
+            plant=builtin("at_lite"),
+            formula_text="G[0,10] (RPM < 4750)",
+            assumption=parse_assumption(
+                "Throttle:const:2e307,3e307:1;Brake:const:0,325:1"
+            ),
+            repetitions=2,
+            search=SearchConfig(max_iterations=5),
+        )
+        report = run_experiment(cfg)
+        for row in report.rows:
+            assert row.error is None
+            assert not row.found
+            assert row.iterations == 5
+            assert row.best_robustness == math.inf
 
     def test_modes_align_by_seed(self):
         auto = run_experiment(fast_config(mode="automatic"))

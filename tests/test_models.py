@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from athena.catalog import catalog
 from athena.errors import DivergenceError, PortMismatchError
 from athena.models import (
     AutoTransmissionLite,
@@ -11,6 +12,7 @@ from athena.models import (
     builtin,
     simulate,
 )
+from athena.search import encode_inputs
 from athena.signals import ControlPoints, InterpolationKind, Signal, TimeGrid, interpolate
 
 from oracles import affine_recurrence, at_lite_reference, reference_rk4
@@ -307,6 +309,37 @@ class TestAutoTransmissionLite:
         for name, ref in (("Speed", speed), ("RPM", rpm)):
             assert np.allclose(fast.trace.channel(name), ref, rtol=0, atol=1e-12)
 
+    def test_fast_sim_bit_equal_to_reference(self):
+        at = builtin("at_lite")
+        rng = np.random.default_rng(2024)
+        cases = []
+        for entry in ("AT1", "AT2"):
+            box, grid = catalog(entry).assumption, catalog(entry).grid()
+            cases += [(box, grid, rng.uniform(box.lower, box.upper)) for _ in range(12)]
+        # brake-heavy, on the AT2 box: a little throttle and hard braking, so
+        # speed hits the clamp at 0
+        for _ in range(6):
+            v = rng.uniform(box.lower, box.upper)
+            v[:7] = rng.uniform(0.0, 5.0, 7)
+            v[7:] = rng.uniform(100.0, 325.0, 3)
+            cases.append((box, grid, v))
+        # full throttle, then full brake: up to gear 4 and down again
+        cases.append((box, grid, np.array([100.0] * 2 + [0.0] * 5 + [325.0] * 3)))
+        top_gear = downshifts = clamps = 0
+        for box, grid, v in cases:
+            sigs = encode_inputs(box, box.control_points(v, grid), grid)
+            th, br = sigs["Throttle"].values, sigs["Brake"].values
+            out = at.fast_sim(np.column_stack([th, br]), grid)
+            speed, rpm, gear = at_lite_reference(at, th.tolist(), br.tolist(), grid.step)
+            assert np.array_equal(out[:, 0], speed)
+            assert np.array_equal(out[:, 1], rpm)
+            assert np.array_equal(out[:, 2], gear)
+            top_gear += 4.0 in gear
+            downshifts += bool(np.any(np.diff(gear) < 0))
+            clamps += bool(np.any(out[1:, 0] == 0.0))
+        # between them the cases take every branch of the step
+        assert top_gear and downshifts and clamps
+
     # Times recorded from the per-step check this replaced, which raised at
     # the first step whose speed was non-finite.
     @pytest.mark.parametrize(
@@ -316,6 +349,11 @@ class TestAutoTransmissionLite:
             (TimeGrid(50.0, 0.05), 8.9e307, 0.0, 34.4),
             # one step to -inf, which the clamp at 0 must not hide
             (TimeGrid(5000.0, 1000.0), 0.0, 1e308, 1000.0),
+            # RPM overflows while Speed stays finite, at once from the
+            # throttle term or later as speed grows; the time is the first
+            # sample with a non-finite RPM
+            (TimeGrid(50.0, 0.1), 3e307, 0.0, 0.0),
+            (TimeGrid(50.0, 0.1), 1e307, 0.0, 3.6),
         ],
     )
     def test_divergence_time(self, grid, throttle, brake, time):
