@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
 
 Each kernel case times one call on the grid a catalog entry or the
-passthrough workload uses, with fixed random inputs. The end-to-end cases
+passthrough workload uses, with fixed random inputs. The interpolation
+cases time one `interpolate` call on a warm plan, for one input port of
+AT2, of CC1 and of the passthrough workload. The end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
 """
@@ -14,10 +16,10 @@ import numpy as np
 import pytest
 
 from athena.catalog import catalog
-from athena.harness import ExperimentConfig, resolve
+from athena.harness import ExperimentConfig, parse_assumption, resolve
 from athena.models import AutoTransmissionLite, ChasingCars, Passthrough, simulate
 from athena.search import SearchConfig, falsify, simulation_grid
-from athena.signals import Signal
+from athena.signals import ControlPoints, Signal, interpolate, uniform_control_times
 from athena.stl import parse, robustness
 
 PASSTHROUGH_FORMULA = (
@@ -50,6 +52,26 @@ def test_robustness_passthrough_spec(benchmark):
     trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
     rho = benchmark(robustness, formula, trace)
     assert np.isfinite(rho)
+
+
+def _port_and_grid(case):
+    if case == "passthrough-x":
+        grid = simulation_grid(Passthrough(), parse(PASSTHROUGH_FORMULA), 0.01)
+        return parse_assumption("x:linear:0,1:9").ports[0], grid
+    entry, name = case.split("-")
+    problem = resolve(ExperimentConfig(entry=entry))
+    port = next(p for p in problem.assumption.ports if p.port == name)
+    return port, problem.grid
+
+
+@pytest.mark.parametrize("case", ["AT2-Throttle", "CC1-throttle", "passthrough-x"])
+def test_interpolate(benchmark, case):
+    port, grid = _port_and_grid(case)
+    values = np.random.default_rng(0).uniform(port.lo, port.hi, port.n)
+    cp = ControlPoints(uniform_control_times(grid, port.n), values)
+    interpolate(cp, port.kind, grid)  # builds the plan outside the timing
+    signal = benchmark(interpolate, cp, port.kind, grid)
+    assert len(signal.values) == grid.n_samples
 
 
 # (entry, seed, budget, found, iterations used); AT2 is never falsified,

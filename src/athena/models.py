@@ -91,8 +91,13 @@ class PlantModel:
         """Generic RK4 of `derivative`, then `output` at every sample."""
         states = _march(self, u, grid)
         out = np.empty((grid.n_samples, len(self.port_spec.outputs)))
-        for i in range(grid.n_samples):
-            out[i] = self.output(states[i], u[i])
+        # an output that overflows while the state stays finite diverges too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(grid.n_samples):
+                out[i] = self.output(states[i], u[i])
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(int(np.argmin(finite)) * grid.step)
         return out
 
 

@@ -10,6 +10,7 @@ fitness combinators.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,38 +174,54 @@ class SlopeDirection(enum.Enum):
     NEGATIVE = "negative"
 
 
+# Number of interpolation plans, and of control-time arrays, kept per
+# process; a run uses one per input port, so this bounds only long-lived
+# processes that interpolate on many grids.
+PLAN_CACHE_SIZE = 32
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def uniform_control_times(grid: TimeGrid, n: int) -> np.ndarray:
-    """n control times evenly spaced over [0, grid.end]; n=1 gives [0]."""
+    """n control times evenly spaced over [0, grid.end]; n=1 gives [0].
+
+    The result is a read-only array cached per (grid, n), at most
+    PLAN_CACHE_SIZE of them (8 * n bytes each).
+    """
     if n < 1:
         raise ValueError(f"control-point count must be >= 1, got {n}")
     if n == 1:
-        return np.zeros(1)
-    return np.linspace(0.0, grid.end, n)
+        return _read_only(np.zeros(1))
+    return _read_only(np.linspace(0.0, grid.end, n))
 
 
-def _pchip_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pchip_slopes(h: tuple[float, ...], v: list[float]) -> list[float]:
     """Fritsch-Carlson monotone slopes at each control point.
 
     Interior slopes are the weighted harmonic mean of adjacent secants
     (zero on sign change or at local extrema); endpoint slopes use the
-    non-centered three-point formula clamped for monotonicity.
+    non-centered three-point formula clamped for monotonicity. Python
+    floats give the same IEEE results as numpy float64, and `/` and `*`
+    overflow silently: a near-zero secant makes w/d infinite, and the
+    infinite denominator gives the correct limit slope of 0.
     """
-    h = np.diff(t)
-    d = np.diff(v) / h
-    n = len(t)
-    if n == 2:
-        return np.array([d[0], d[0]])
-    m = np.zeros(n)
-    # near-zero secants can overflow w/d; the inf denominator gives the
-    # correct limit slope of 0
-    with np.errstate(over="ignore"):
-        for k in range(1, n - 1):
-            if d[k - 1] == 0.0 or d[k] == 0.0 or (d[k - 1] > 0) != (d[k] > 0):
-                m[k] = 0.0
-            else:
-                w1 = 2.0 * h[k] + h[k - 1]
-                w2 = h[k] + 2.0 * h[k - 1]
-                m[k] = (w1 + w2) / (w1 / d[k - 1] + w2 / d[k])
+    d = [(v[k + 1] - v[k]) / h[k] for k in range(len(h))]
+    if len(d) == 1:
+        return [d[0], d[0]]
+    m = [0.0] * len(v)
+    for k in range(1, len(v) - 1):
+        d0, d1 = d[k - 1], d[k]
+        if d0 != 0.0 and d1 != 0.0 and (d0 > 0) == (d1 > 0):
+            w1 = 2.0 * h[k] + h[k - 1]
+            w2 = h[k] + 2.0 * h[k - 1]
+            den = w1 / d0 + w2 / d1
+            # two infinite secants give a signed zero, which numpy divides
+            # into a signed infinity where Python raises
+            m[k] = (w1 + w2) / den if den else math.copysign(math.inf, den)
     m[0] = _edge_slope(h[0], h[1], d[0], d[1])
     m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
     return m
@@ -212,25 +229,118 @@ def _pchip_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(m) != np.sign(d0):
+    if _sign(m) != _sign(d0):
         return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(m) > 3.0 * abs(d0):
+    if _sign(d0) != _sign(d1) and abs(m) > 3.0 * abs(d0):
         return 3.0 * d0
     return m
 
 
-def _eval_pchip(t: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = _pchip_slopes(t, v)
-    seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+class _HeldPlan:
+    """Constant and piecewise-constant kinds: each sample takes the value of
+    one control point, the exact hits included."""
+
+    def __init__(self, held: np.ndarray):
+        self.held = _read_only(held)
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        return values[self.held]
+
+
+class _LinearPlan:
+    """Linear kind, in np.interp's arithmetic: slope * (x - t[seg]) + v[seg],
+    with the control value itself at a control time, outside the control
+    times and at the exact hits."""
+
+    def __init__(self, seg, dx, widths, hits, points):
+        self.seg = _read_only(seg)
+        self.dx = _read_only(dx)
+        self.widths = _read_only(widths)
+        self.hits = _read_only(hits)
+        self.points = _read_only(points)
+
+    # np.interp never warns: a slope that overflows stays inf, and inf times
+    # the zero offset at a control time is overwritten by the control value
+    @np.errstate(over="ignore", invalid="ignore")
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        slope = np.diff(values) / self.widths
+        out = slope[self.seg] * self.dx + values[self.seg]
+        out[self.hits] = values[self.points]
+        return out
+
+
+class _PchipPlan:
+    """Monotone cubic kind: the Hermite basis of every sample, with the
+    segment width already multiplied into the two slope terms."""
+
+    def __init__(self, widths, seg, h00, h10h, h01, h11h, hits, points):
+        self.widths = widths
+        self.seg = _read_only(seg)
+        self.seg1 = _read_only(seg + 1)
+        self.h00 = _read_only(h00)
+        self.h10h = _read_only(h10h)
+        self.h01 = _read_only(h01)
+        self.h11h = _read_only(h11h)
+        self.hits = _read_only(hits)
+        self.points = _read_only(points)
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        m = np.array(_pchip_slopes(self.widths, values.tolist()))
+        seg, seg1 = self.seg, self.seg1
+        out = (
+            self.h00 * values[seg]
+            + self.h10h * m[seg]
+            + self.h01 * values[seg1]
+            + self.h11h * m[seg1]
+        )
+        out[self.hits] = values[self.points]
+        return out
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(
+    kind: InterpolationKind, grid: TimeGrid, times: tuple[float, ...]
+) -> _HeldPlan | _LinearPlan | _PchipPlan:
+    t = np.array(times)
+    n = len(t)
+    x = grid.times()
+    # Exactness at control times that coincide with grid samples, immune to
+    # last-ulp differences between the two time constructions.
+    idx = np.rint(t / grid.step).astype(int)
+    near = (idx >= 0) & (idx < grid.n_samples)
+    near &= np.abs(t - idx * grid.step) <= TIME_TOL
+    if kind in (InterpolationKind.CONSTANT, InterpolationKind.PIECEWISE_CONSTANT):
+        held = np.clip(np.searchsorted(t, x + TIME_TOL, side="right") - 1, 0, n - 1)
+        held[idx[near]] = np.flatnonzero(near)
+        return _HeldPlan(held)
+    seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, n - 2)
+    if kind is InterpolationKind.LINEAR:
+        # np.interp takes the control value at a control time, before the
+        # first one and from the last one on; the exact hits override it
+        source = np.where(t[seg] == x, seg, -1)
+        source[x < t[0]] = 0
+        source[x >= t[-1]] = n - 1
+        source[idx[near]] = np.flatnonzero(near)
+        hits = np.flatnonzero(source >= 0)
+        return _LinearPlan(seg, x - t[seg], np.diff(t), hits, source[hits])
     h = t[seg + 1] - t[seg]
     s = (x - t[seg]) / h
     s2 = s * s
     s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00 * v[seg] + h10 * h * m[seg] + h01 * v[seg + 1] + h11 * h * m[seg + 1]
+    return _PchipPlan(
+        tuple(np.diff(t).tolist()),
+        seg,
+        2.0 * s3 - 3.0 * s2 + 1.0,
+        (s3 - 2.0 * s2 + s) * h,
+        -2.0 * s3 + 3.0 * s2,
+        (s3 - s2) * h,
+        idx[near],
+        np.flatnonzero(near),
+    )
 
 
 def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> Signal:
@@ -239,6 +349,15 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     Control times must start at 0 and (for more than one point) end at
     grid.end. Any control time landing on a grid sample yields the control
     value exactly.
+
+    Everything that depends only on the control times is a plan, cached
+    per (kind, grid, control times) for the most recent PLAN_CACHE_SIZE
+    keys: the segment of every sample, its Hermite basis (pchip) or offset
+    into the segment (linear), the held control point (constant kinds) and
+    the exact hits, all read-only. A pchip plan, the largest, holds six
+    arrays of 8 bytes per sample, so the cache holds at most
+    PLAN_CACHE_SIZE * 48 * n_samples bytes (18 MB on a 12001-sample grid).
+    Each call computes the slopes from `cp.values` and gathers.
     """
     n = len(cp)
     kind.check_arity(n)
@@ -246,23 +365,8 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         raise ValueError(
             f"control times must span [0, {grid.end}], last is {cp.times[-1]}"
         )
-    x = grid.times()
-    if kind is InterpolationKind.CONSTANT:
-        out = np.full(grid.n_samples, cp.values[0])
-    elif kind is InterpolationKind.PIECEWISE_CONSTANT:
-        idx = np.searchsorted(cp.times, x + TIME_TOL, side="right") - 1
-        out = cp.values[np.clip(idx, 0, n - 1)]
-    elif kind is InterpolationKind.LINEAR:
-        out = np.interp(x, cp.times, cp.values)
-    else:
-        out = _eval_pchip(cp.times, cp.values, x)
-    # Exactness at control times that coincide with grid samples, immune to
-    # last-ulp differences between the two time constructions.
-    idx = np.rint(cp.times / grid.step).astype(int)
-    near = (idx >= 0) & (idx < grid.n_samples)
-    near &= np.abs(cp.times - idx * grid.step) <= TIME_TOL
-    out[idx[near]] = cp.values[near]
-    return Signal(grid, out)
+    plan = _plan(kind, grid, tuple(cp.times.tolist()))
+    return Signal(grid, plan.sample(cp.values))
 
 
 def window_stat(

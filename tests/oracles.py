@@ -1,16 +1,23 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here is deliberately written in plain scalar Python (no shared
-code with the package paths it checks): a coefficient-form monotone-cubic
-evaluator, a naive recursive robustness evaluator, a straightforward RK4
-integrator, a step-by-step affine recurrence, a scalar reduced-transmission
-model, and a brute-force rank-sum enumerator.
+Everything here shares no code with the package paths it checks. Most of
+it is deliberately written in plain scalar Python: a coefficient-form
+monotone-cubic evaluator, a naive recursive robustness evaluator, a
+straightforward RK4 integrator, a step-by-step affine recurrence, a scalar
+reduced-transmission model, and a brute-force rank-sum enumerator. The one
+numpy reference, `interpolate_reference`, is the per-call interpolation
+that the cached plans of `signals.interpolate` replaced, kept so the plans
+can be required to match it bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from athena.signals import TIME_TOL, InterpolationKind
 
 from athena.stl.nodes import (
     And,
@@ -83,6 +90,74 @@ def pchip_oracle(times, values, xs):
         c3 = (m[k] + m[k + 1] - 2.0 * d) / (h * h)
         u = x - t[k]
         out.append(v[k] + u * (m[k] + u * (c2 + u * c3)))
+    return out
+
+
+def _ref_pchip_slopes(t, v):
+    h = np.diff(t)
+    d = np.diff(v) / h
+    n = len(t)
+    if n == 2:
+        return np.array([d[0], d[0]])
+    m = np.zeros(n)
+    # near-zero secants can overflow w/d; the inf denominator gives the
+    # correct limit slope of 0
+    with np.errstate(over="ignore"):
+        for k in range(1, n - 1):
+            if d[k - 1] == 0.0 or d[k] == 0.0 or (d[k - 1] > 0) != (d[k] > 0):
+                m[k] = 0.0
+            else:
+                w1 = 2.0 * h[k] + h[k - 1]
+                w2 = h[k] + 2.0 * h[k - 1]
+                m[k] = (w1 + w2) / (w1 / d[k - 1] + w2 / d[k])
+    m[0] = _ref_edge_slope(h[0], h[1], d[0], d[1])
+    m[-1] = _ref_edge_slope(h[-1], h[-2], d[-1], d[-2])
+    return m
+
+
+def _ref_edge_slope(h0, h1, d0, d1):
+    m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    if np.sign(m) != np.sign(d0):
+        return 0.0
+    if np.sign(d0) != np.sign(d1) and abs(m) > 3.0 * abs(d0):
+        return 3.0 * d0
+    return m
+
+
+def _ref_eval_pchip(t, v, x):
+    m = _ref_pchip_slopes(t, v)
+    seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    h = t[seg + 1] - t[seg]
+    s = (x - t[seg]) / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return h00 * v[seg] + h10 * h * m[seg] + h01 * v[seg + 1] + h11 * h * m[seg + 1]
+
+
+def interpolate_reference(cp, kind, grid):
+    """Samples of the interpolant of `cp` on `grid`, recomputing everything
+    per call: numpy-scalar Fritsch-Carlson slopes, a `searchsorted` segment
+    index, np.interp for linear, then the exact-hit patch. Arity and span
+    checks are left to the caller."""
+    n = len(cp)
+    x = grid.times()
+    if kind is InterpolationKind.CONSTANT:
+        out = np.full(grid.n_samples, cp.values[0])
+    elif kind is InterpolationKind.PIECEWISE_CONSTANT:
+        idx = np.searchsorted(cp.times, x + TIME_TOL, side="right") - 1
+        out = cp.values[np.clip(idx, 0, n - 1)]
+    elif kind is InterpolationKind.LINEAR:
+        out = np.interp(x, cp.times, cp.values)
+    else:
+        out = _ref_eval_pchip(cp.times, cp.values, x)
+    idx = np.rint(cp.times / grid.step).astype(int)
+    near = (idx >= 0) & (idx < grid.n_samples)
+    near &= np.abs(cp.times - idx * grid.step) <= TIME_TOL
+    out[idx[near]] = cp.values[near]
     return out
 
 

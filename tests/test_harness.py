@@ -58,6 +58,21 @@ class Runaway(PlantModel):
         return state.copy()
 
 
+class OutputOverflow(PlantModel):
+    """s' = u + 1 from s=0: the state stays finite, the output s * 1e309
+    does not once s > 0."""
+
+    name = "output_overflow"
+    port_spec = PortSpec(inputs=("u",), outputs=("y",))
+    state_dim = 1
+
+    def derivative(self, state, u):
+        return u + 1.0
+
+    def output(self, state, u):
+        return state * 1e308 * 10
+
+
 class BrokenPlant(Passthrough):
     """A user plant with a programming error in its dynamics."""
 
@@ -298,6 +313,24 @@ class TestRunExperiment:
             assert row.error is None
             assert not row.found
             assert row.iterations == 5
+            assert row.best_robustness == math.inf
+
+    def test_generic_output_overflow_scored_as_diverged(self):
+        # a user plant on the generic RK4 whose output overflows while its
+        # state stays finite: every simulation diverges, no row errors
+        cfg = ExperimentConfig(
+            plant=OutputOverflow(),
+            formula_text="G[0,1] (y < 10)",
+            assumption=parse_assumption("u:const:0,1:1"),
+            step=0.25,
+            repetitions=2,
+            search=SearchConfig(max_iterations=4),
+        )
+        report = run_experiment(cfg)
+        for row in report.rows:
+            assert row.error is None
+            assert not row.found
+            assert row.iterations == 4
             assert row.best_robustness == math.inf
 
     def test_modes_align_by_seed(self):

@@ -107,12 +107,34 @@ class BlowUp(PlantModel):
         return state.copy()
 
 
+class OutputOverflow(PlantModel):
+    """s' = 1 from s=0: the state stays finite, the output s * 1e309 does
+    not once s > 0."""
+
+    name = "output_overflow"
+    port_spec = PortSpec(inputs=(), outputs=("y",))
+    state_dim = 1
+
+    def derivative(self, state, u):
+        return np.ones(1)
+
+    def output(self, state, u):
+        return state * 1e308 * 10
+
+
 class TestDivergence:
     def test_error_names_time(self):
         grid = TimeGrid(2.0, 0.01)
         with pytest.raises(DivergenceError) as exc:
             simulate(BlowUp(), {}, grid)
         assert 0.9 <= exc.value.time <= 2.0
+
+    def test_output_overflow_names_first_row(self):
+        # the output at t=0 is 0; from the first step on it overflows to inf
+        grid = TimeGrid(1.0, 0.25)
+        with pytest.raises(DivergenceError) as exc:
+            simulate(OutputOverflow(), {}, grid)
+        assert exc.value.time == 0.25
 
 
 class GenericCars(PlantModel):

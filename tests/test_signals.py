@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from athena import signals
 from athena.signals import (
+    PLAN_CACHE_SIZE,
     ControlPoints,
     InterpolationKind,
     Signal,
@@ -17,7 +19,7 @@ from athena.signals import (
     window_stat,
 )
 
-from oracles import pchip_oracle
+from oracles import interpolate_reference, pchip_oracle
 
 
 def make_signal(end, step, values):
@@ -91,6 +93,13 @@ class TestUniformControlTimes:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             uniform_control_times(TimeGrid(10.0, 1.0), 0)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_cached_read_only(self, n):
+        g = TimeGrid(50.0, 0.05)
+        times = uniform_control_times(g, n)
+        assert uniform_control_times(TimeGrid(50.0, 0.05), n) is times
+        assert not times.flags.writeable
 
 
 class TestInterpolate:
@@ -189,6 +198,143 @@ class TestInterpolate:
         g = TimeGrid(10.0, 1.0)
         with pytest.raises(ValueError):
             interpolate(ControlPoints([0.0, 9.0], [1.0, 2.0]), InterpolationKind.LINEAR, g)
+
+
+# (end, step); on the last two grids even few uniform control times fall
+# between samples
+ORACLE_GRIDS = [(10.0, 1.0), (10.0, 0.125), (50.0, 0.05), (100.0, 0.05), (7.3, 0.1), (3.0, 0.5)]
+
+
+def value_sets(rng, n):
+    """Flat, tied (rounded), sign-changing and random control values."""
+    yield np.full(n, 2.5)
+    yield np.round(rng.uniform(0.0, 3.0, n))
+    yield np.where(np.arange(n) % 2 == 0, -1.0, 1.0) * rng.uniform(0.5, 2.0, n)
+    yield rng.uniform(-5.0, 5.0, n)
+    yield rng.uniform(0.0, 325.0, n)
+
+
+def time_sets(rng, grid, n):
+    """Uniform control times, and sorted random ones spanning the grid."""
+    yield uniform_control_times(grid, n)
+    if n > 2:
+        inner = np.sort(rng.choice(np.arange(1, 1000), n - 2, replace=False))
+        yield np.concatenate([[0.0], inner * grid.end / 1000.0, [grid.end]])
+
+
+class TestInterpolateMatchesReference:
+    """The cached plans give exactly the per-call interpolation they replaced."""
+
+    @pytest.mark.parametrize("end, step", ORACLE_GRIDS)
+    @pytest.mark.parametrize("kind", list(InterpolationKind), ids=lambda k: k.value)
+    def test_bit_equal(self, kind, end, step):
+        grid = TimeGrid(end, step)
+        rng = np.random.default_rng(ORACLE_GRIDS.index((end, step)))
+        for n in range(kind.min_points, 2 if kind is InterpolationKind.CONSTANT else 10):
+            for times in time_sets(rng, grid, n):
+                for values in value_sets(rng, n):
+                    cp = ControlPoints(times, values)
+                    got = interpolate(cp, kind, grid).values
+                    assert np.array_equal(got, interpolate_reference(cp, kind, grid)), (
+                        n,
+                        times,
+                        values,
+                    )
+
+    @pytest.mark.parametrize("kind", [InterpolationKind.PCHIP, InterpolationKind.LINEAR])
+    def test_near_zero_secants(self, kind):
+        # w / d overflows to inf for secants near 1e-311; the interior slope
+        # is then 0, as the numpy-scalar reference computes it
+        grid = TimeGrid(10.0, 0.125)
+        for values in ([0.0, 1e-310, 3e-310], [0.0, 1e-310, 3e-310, 4e-310, 1.0]):
+            cp = ControlPoints(uniform_control_times(grid, len(values)), values)
+            got = interpolate(cp, kind, grid).values
+            assert np.array_equal(got, interpolate_reference(cp, kind, grid))
+        assert signals._pchip_slopes((5.0, 5.0), [0.0, 1e-310, 3e-310])[1] == 0.0
+
+
+    @pytest.mark.parametrize(
+        "kind",
+        [InterpolationKind.LINEAR, InterpolationKind.PCHIP, InterpolationKind.PIECEWISE_CONSTANT],
+        ids=lambda k: k.value,
+    )
+    def test_first_control_time_after_grid_start(self, kind):
+        # a first control time within TIME_TOL of 0 but past several samples
+        # of a fine grid: np.interp holds the first value before it
+        grid = TimeGrid(1e-8, 1e-10)
+        cp = ControlPoints([5e-10, 4e-9, 1e-8], [1.0, 3.0, 2.0])
+        got = interpolate(cp, kind, grid).values
+        assert np.array_equal(got, interpolate_reference(cp, kind, grid))
+
+    def test_pconst_exact_hit_past_held_index(self):
+        # 0.6000000010000001 is within TIME_TOL of sample 6 (6 * 0.1), yet
+        # sample 6's time plus TIME_TOL is below it, so only the exact-hit
+        # rule gives sample 6 the control value
+        grid = TimeGrid(7.3, 0.1)
+        cp = ControlPoints([0.0, 0.6000000010000001, 7.3], [1.0, 2.0, 3.0])
+        kind = InterpolationKind.PIECEWISE_CONSTANT
+        got = interpolate(cp, kind, grid).values
+        assert got[6] == 2.0
+        assert np.array_equal(got, interpolate_reference(cp, kind, grid))
+
+    def test_linear_slope_overflow_stays_silent(self):
+        # the first slope overflows to inf; every sample is a control time or
+        # lies past one, so np.interp gives finite values and no warning
+        grid = TimeGrid(1.0, 0.25)
+        cp = ControlPoints([0.0, 0.25, 1.0], [-1e308, 1e308, 1e308])
+        got = interpolate(cp, InterpolationKind.LINEAR, grid).values
+        assert np.array_equal(got, interpolate_reference(cp, InterpolationKind.LINEAR, grid))
+
+    def test_pchip_two_infinite_secants(self):
+        # both secants overflow, so the interior slope is inf as numpy
+        # computes it; every sample is a control time, so the output is finite
+        grid = TimeGrid(1.0, 0.5)
+        cp = ControlPoints([0.0, 0.5, 1.0], [-1e308, 0.0, 1e308])
+        with np.errstate(all="ignore"):
+            got = interpolate(cp, InterpolationKind.PCHIP, grid).values
+            want = interpolate_reference(cp, InterpolationKind.PCHIP, grid)
+        assert np.array_equal(got, want)
+        assert signals._pchip_slopes((0.5, 0.5), [-1e308, 0.0, 1e308])[1] == np.inf
+
+
+class TestInterpolationPlans:
+    @pytest.mark.parametrize("kind", list(InterpolationKind), ids=lambda k: k.value)
+    def test_plan_arrays_read_only(self, kind):
+        grid = TimeGrid(10.0, 0.5)
+        n = 1 if kind is InterpolationKind.CONSTANT else 4
+        plan = signals._plan(kind, grid, tuple(uniform_control_times(grid, n).tolist()))
+        arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert not a.flags.writeable
+
+    def test_same_times_different_values_do_not_interfere(self):
+        grid = TimeGrid(10.0, 0.25)
+        times = uniform_control_times(grid, 5)
+        first = ControlPoints(times, [0.0, 1.0, 0.5, 2.0, 1.0])
+        second = ControlPoints(times, [3.0, -1.0, 4.0, 4.0, 0.0])
+        kind = InterpolationKind.PCHIP
+        a = interpolate(first, kind, grid)
+        kept = a.values.copy()
+        b = interpolate(second, kind, grid)
+        assert np.array_equal(a.values, kept)
+        assert np.array_equal(a.values, interpolate_reference(first, kind, grid))
+        assert np.array_equal(b.values, interpolate_reference(second, kind, grid))
+        assert np.array_equal(interpolate(first, kind, grid).values, kept)
+
+    def test_cache_bound_is_fixed(self):
+        assert isinstance(PLAN_CACHE_SIZE, int) and PLAN_CACHE_SIZE > 0
+        assert signals._plan.cache_info().maxsize == PLAN_CACHE_SIZE
+        assert uniform_control_times.cache_info().maxsize == PLAN_CACHE_SIZE
+        for n in range(2, PLAN_CACHE_SIZE + 10):
+            grid = TimeGrid(float(n), 1.0)
+            interpolate(
+                ControlPoints(uniform_control_times(grid, n), np.arange(n, dtype=float)),
+                InterpolationKind.LINEAR,
+                grid,
+            )
+        assert signals._plan.cache_info().currsize == PLAN_CACHE_SIZE
+        assert uniform_control_times.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 class TestWindowStat:
