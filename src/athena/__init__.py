@@ -77,7 +77,7 @@ from .signals import (
     interpolate,
     uniform_control_times,
 )
-from .stl import Trace, formula_horizon, parse, robustness, satisfied
+from .stl import Trace, formula_horizon, formula_samples, parse, robustness, satisfied
 
 __version__ = "0.1.0"
 
@@ -94,6 +94,7 @@ __all__ = [
     "Trace",
     "parse",
     "formula_horizon",
+    "formula_samples",
     "robustness",
     "satisfied",
     # models

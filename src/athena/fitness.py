@@ -26,12 +26,14 @@ from .errors import ParseError
 from .signals import (
     ControlPoints,
     SlopeDirection,
+    TimeGrid,
     WindowStatKind,
     scale as scale_value,
     steepest_slope,
+    window_samples,
     window_stat,
 )
-from .stl import AtomExpr, Formula, FormulaParser, Trace, robustness
+from .stl import AtomExpr, Formula, FormulaParser, Trace, formula_samples, robustness
 
 __all__ = [
     "ManualFitnessExpr",
@@ -271,6 +273,21 @@ class _ManualParser(FormulaParser):
         return node
 
 
+def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid) -> int:
+    """Leading samples of a trace on `grid` that `expr` reads."""
+    if isinstance(expr, WindowStat):
+        return window_samples(expr.window, grid)
+    if isinstance(expr, (Const, SteepestSlope)):
+        # a slope term reads control points, not the trace
+        return 0
+    if isinstance(expr, (Scale, TargetDistance, Neg)):
+        return _samples_read(expr.child, grid)
+    if isinstance(expr, (Add, Sub, Mul)):
+        return max(_samples_read(expr.left, grid), _samples_read(expr.right, grid))
+    # a node type defined elsewhere may read any sample
+    return grid.n_samples
+
+
 def parse_manual(text: str) -> ManualFitnessExpr:
     """Parse the textual manual-fitness syntax into an expression tree."""
     if not text or not text.strip():
@@ -310,6 +327,21 @@ class FitnessAssessment:
         if max_iterations <= 1:
             return a
         return a + (b - a) * iteration / (max_iterations - 1)
+
+    def samples_read(self, grid: TimeGrid) -> int:
+        """Leading samples of a trace on `grid` that `assess` reads.
+
+        The most of what the formula reads (`formula_samples`) and what
+        each manual window reads (`window_samples`), at least 2 (the
+        shortest grid) and at most all of `grid`. On the first that many
+        samples of a trace, `assess` returns what it returns on the whole
+        trace: robustness at t=0 and the window statistics read no later
+        sample.
+        """
+        n = formula_samples(self.formula, grid.step)
+        if self.manual is not None:
+            n = max(n, _samples_read(self.manual, grid))
+        return min(max(n, 2), grid.n_samples)
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,11 @@ def json_float(x: float | None) -> float | None:
 
 @dataclass(frozen=True)
 class RunRow:
-    """Summary of one seeded run inside an experiment."""
+    """Summary of one seeded run inside an experiment.
+
+    `iterations` counts the simulations the run made; an errored run counts
+    those made before its error.
+    """
 
     index: int
     seed: int
@@ -231,12 +235,13 @@ def _run_one(args) -> RunRow:
         )
     except (ValueError, KeyError, ArithmeticError) as exc:
         # a problem the config or the plant's domain caused becomes an error
-        # row; a programming error (TypeError, AttributeError, ...) propagates
+        # row that keeps the simulations run before it; a programming error
+        # (TypeError, AttributeError, ...) propagates
         return RunRow(
             index=index,
             seed=search_cfg.seed,
             found=False,
-            iterations=0,
+            iterations=getattr(exc, "simulations", 0),
             best_robustness=None,
             best_combined=None,
             error=f"{type(exc).__name__}: {exc}",

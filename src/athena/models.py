@@ -142,8 +142,11 @@ def simulate(
     """Integrate the plant over the grid and return outputs plus inputs.
 
     Inputs must cover exactly the plant's input ports and share the grid.
-    Raises DivergenceError naming the first time the state (or, if the state
-    stays finite, an output) went non-finite.
+    Every sample of `grid` is simulated. `falsify` passes the prefix of the
+    problem's grid that its score reads, so a divergence after that prefix
+    is not seen there; called on the whole grid, as when a test case is
+    replayed, it is. Raises DivergenceError naming the first time the state
+    (or, if the state stays finite, an output) went non-finite.
     """
     spec = model.port_spec
     given = set(inputs)

@@ -4,8 +4,9 @@ An Assumption fixes, per input port, the interpolation kind, the value
 range, and the number of control points. The search space is the flat
 vector of all control values (control times stay evenly spaced), so a
 candidate is a point in an axis-aligned box. Each iteration decodes the
-vector into input signals, simulates the plant, scores the trace, and
-stops at the first requirement violation.
+vector into input signals, simulates the plant over the part of the grid
+the score reads, scores the trace, and stops at the first requirement
+violation.
 """
 
 from __future__ import annotations
@@ -242,6 +243,18 @@ def falsify(
     sweeps the box uniformly until some draw sets a record worth
     exploiting. A diverged simulation scores worst-possible and the search
     moves on.
+
+    Each candidate is encoded on the whole `grid`, and a `TestCase` holds
+    those inputs. The plant is simulated only over the leading samples the
+    score reads (`FitnessAssessment.samples_read`), on read-only prefix
+    views of the inputs (`Signal.prefix`); when the score reads every
+    sample, the inputs and `grid` pass as they are. The score is the one
+    the whole trace would give. A plant that diverges only after that
+    prefix is therefore scored normally, not as diverged: no part of the
+    score reads those samples.
+
+    An exception raised inside an iteration carries `simulations`, the
+    number of simulations run before it, diverged ones included.
     """
     names = tuple(p.port for p in assumption.ports)
     if names != plant.port_spec.inputs:
@@ -254,6 +267,10 @@ def falsify(
         raise HorizonError(
             f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
         )
+    n_read = fitness_cfg.samples_read(grid)
+    sim_grid = grid
+    if n_read < grid.n_samples:
+        sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
 
     rng = np.random.default_rng(search_cfg.seed)
     lo, hi = assumption.lower, assumption.upper
@@ -281,10 +298,18 @@ def falsify(
         diverged = False
         inputs: dict[str, Signal] | None = None
         rho = math.inf
+        # every earlier iteration ran one simulation, a diverged one included
+        simulations = i
         try:
             controls = assumption.control_points(candidate, grid)
             inputs = encode_inputs(assumption, controls, grid)
-            sim = simulate(plant, inputs, grid)
+            sim_inputs = inputs
+            if sim_grid is not grid:
+                sim_inputs = {
+                    name: signal.prefix(sim_grid) for name, signal in inputs.items()
+                }
+            sim = simulate(plant, sim_inputs, sim_grid)
+            simulations += 1
             value = assess(
                 fitness_cfg,
                 sim.trace,
@@ -297,6 +322,9 @@ def falsify(
         except DivergenceError:
             diverged = True
             fa, fm, f = 1.0, 1.0, 1.0
+        except Exception as exc:
+            exc.simulations = simulations
+            raise
 
         history.append((fa, fm, f))
         if observer is not None:

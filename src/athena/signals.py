@@ -14,6 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "SlopeDirection",
     "uniform_control_times",
     "interpolate",
+    "window_samples",
     "window_stat",
     "steepest_slope",
     "scale",
@@ -102,6 +104,32 @@ class Signal:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    def prefix(self, grid: TimeGrid) -> "Signal":
+        """The first `grid.n_samples` samples, as a signal on `grid`, a
+        shorter grid with the same step.
+
+        The values are a read-only view of this signal's: they were checked
+        when it was built, so they are neither checked nor copied again.
+        """
+        if grid.step != self.grid.step or grid.n_samples >= self.grid.n_samples:
+            raise ValueError(
+                f"a prefix needs a shorter grid with step {self.grid.step}, got "
+                f"{grid.n_samples} samples at step {grid.step}"
+            )
+        return _adopt(grid, self.values[: grid.n_samples])
+
+
+def _adopt(grid: TimeGrid, values: np.ndarray) -> Signal:
+    """A Signal that holds `values` as they are, without a check or a copy.
+
+    The caller has checked `values` against `grid` and made them read-only,
+    and nothing else writes to them.
+    """
+    signal = object.__new__(Signal)
+    object.__setattr__(signal, "grid", grid)
+    object.__setattr__(signal, "values", values)
+    return signal
+
 
 @dataclass(frozen=True)
 class ControlPoints:
@@ -138,12 +166,7 @@ class InterpolationKind(enum.Enum):
 
     @property
     def min_points(self) -> int:
-        return {
-            InterpolationKind.PCHIP: 2,
-            InterpolationKind.LINEAR: 2,
-            InterpolationKind.PIECEWISE_CONSTANT: 1,
-            InterpolationKind.CONSTANT: 1,
-        }[self]
+        return _MIN_POINTS[self]
 
     def check_arity(self, n: int) -> None:
         if self is InterpolationKind.CONSTANT and n != 1:
@@ -160,6 +183,16 @@ class InterpolationKind(enum.Enum):
                 f"unknown interpolation kind {text!r}; expected one of "
                 f"{', '.join(k.value for k in cls)}"
             ) from None
+
+
+_MIN_POINTS = MappingProxyType(
+    {
+        InterpolationKind.PCHIP: 2,
+        InterpolationKind.LINEAR: 2,
+        InterpolationKind.PIECEWISE_CONSTANT: 1,
+        InterpolationKind.CONSTANT: 1,
+    }
+)
 
 
 class WindowStatKind(enum.Enum):
@@ -357,7 +390,9 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     the exact hits, all read-only. A pchip plan, the largest, holds six
     arrays of 8 bytes per sample, so the cache holds at most
     PLAN_CACHE_SIZE * 48 * n_samples bytes (18 MB on a 12001-sample grid).
-    Each call computes the slopes from `cp.values` and gathers.
+    Each call computes the slopes from `cp.values` and gathers into a
+    fresh array, which the returned signal holds read-only, without a
+    copy, once its values are checked finite.
     """
     n = len(cp)
     kind.check_arity(n)
@@ -366,7 +401,27 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
             f"control times must span [0, {grid.end}], last is {cp.times[-1]}"
         )
     plan = _plan(kind, grid, tuple(cp.times.tolist()))
-    return Signal(grid, plan.sample(cp.values))
+    out = plan.sample(cp.values)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("signal values must be finite")
+    return _adopt(grid, _read_only(out))
+
+
+def window_samples(window: tuple[float, float], grid: TimeGrid) -> int:
+    """Leading samples of `grid` that `window_stat` reads over `window`.
+
+    That is up to the window's last sample (the end `index_window` gives),
+    and one sample more when the window ends between two samples, so that
+    on the prefix the window end still lies inside the grid. A window that
+    ends past the grid gets the whole grid, where `window_stat` raises.
+    """
+    b = window[1]
+    if not b <= grid.end + TIME_TOL:
+        return grid.n_samples
+    k = max(math.floor((b + TIME_TOL) / grid.step), 0)
+    if b > k * grid.step + TIME_TOL:
+        k += 1
+    return min(k + 1, grid.n_samples)
 
 
 def window_stat(

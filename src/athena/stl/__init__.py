@@ -13,7 +13,7 @@ from .nodes import (
     Trace,
 )
 from .parser import FormulaParser, parse
-from .semantics import formula_horizon, robustness, satisfied
+from .semantics import formula_horizon, formula_samples, robustness, satisfied
 
 __all__ = [
     "AtomExpr",
@@ -29,6 +29,7 @@ __all__ = [
     "FormulaParser",
     "parse",
     "formula_horizon",
+    "formula_samples",
     "robustness",
     "satisfied",
 ]

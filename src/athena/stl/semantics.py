@@ -28,7 +28,7 @@ from .nodes import (
     Trace,
 )
 
-__all__ = ["robustness", "satisfied", "formula_horizon"]
+__all__ = ["robustness", "satisfied", "formula_horizon", "formula_samples"]
 
 
 def formula_horizon(f: Formula) -> float:
@@ -41,6 +41,29 @@ def formula_horizon(f: Formula) -> float:
         return max(formula_horizon(f.left), formula_horizon(f.right))
     if isinstance(f, (Globally, Eventually)):
         return f.b + formula_horizon(f.child)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def formula_samples(f: Formula, step: float) -> int:
+    """Leading samples of a trace at `step` that robustness at t=0 reads.
+
+    One plus the largest sum of window ends, in samples, along any path from
+    the root to a predicate, by the window arithmetic `_walk` uses: on a
+    trace one sample shorter, the deepest temporal operator raises
+    HorizonError. A formula with no temporal operator reads 1 sample.
+    """
+    return 1 + _reach(f, step)
+
+
+def _reach(f: Formula, step: float) -> int:
+    if isinstance(f, Predicate):
+        return 0
+    if isinstance(f, Not):
+        return _reach(f.child, step)
+    if isinstance(f, (And, Or, Implies)):
+        return max(_reach(f.left, step), _reach(f.right, step))
+    if isinstance(f, (Globally, Eventually)):
+        return _window_offsets(f.a, f.b, step)[1] + _reach(f.child, step)
     raise TypeError(f"not a formula node: {f!r}")
 
 

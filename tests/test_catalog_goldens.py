@@ -29,13 +29,13 @@ BUDGET = 60
 RTOL = 1e-6
 
 
-def outcomes(entry: str, mode: str) -> list[dict]:
+def outcomes(entry: str, mode: str, budget: int = BUDGET) -> list[dict]:
     cfg = ExperimentConfig(
         entry=entry,
         mode=mode,
         repetitions=SEEDS,
         base_seed=0,
-        search=SearchConfig(max_iterations=BUDGET),
+        search=SearchConfig(max_iterations=budget),
     )
     rows = run_experiment(cfg, jobs=1).rows
     assert all(row.error is None for row in rows), [row.error for row in rows]
@@ -62,18 +62,16 @@ def goldens() -> dict:
     return json.loads(GOLDENS.read_text())
 
 
-def test_goldens_cover_catalog(goldens):
-    assert goldens["budget"] == BUDGET
+def check_covers_catalog(goldens: dict, budget: int) -> None:
+    assert goldens["budget"] == budget
     assert sorted(goldens["outcomes"]) == sorted(
         f"{entry}/{mode}" for entry in catalog_ids() for mode in MODES
     )
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("entry", catalog_ids())
-def test_outcomes_match_goldens(goldens, entry, mode):
+def check_outcomes(goldens: dict, entry: str, mode: str) -> None:
     want = goldens["outcomes"][f"{entry}/{mode}"]
-    got = outcomes(entry, mode)
+    got = outcomes(entry, mode, goldens["budget"])
     assert len(got) == len(want) == SEEDS
     for g, w in zip(got, want):
         assert (g["seed"], g["found"], g["iterations"]) == (
@@ -85,15 +83,29 @@ def test_outcomes_match_goldens(goldens, entry, mode):
             assert _close(g[key], w[key]), (entry, mode, key, g[key], w[key])
 
 
-if __name__ == "__main__":
-    GOLDENS.parent.mkdir(exist_ok=True)
+def record(path: Path, budget: int) -> None:
+    path.parent.mkdir(exist_ok=True)
     table = {
-        f"{entry}/{mode}": outcomes(entry, mode)
+        f"{entry}/{mode}": outcomes(entry, mode, budget)
         for entry in catalog_ids()
         for mode in MODES
     }
-    GOLDENS.write_text(
-        json.dumps({"seeds": SEEDS, "budget": BUDGET, "outcomes": table}, indent=1)
+    path.write_text(
+        json.dumps({"seeds": SEEDS, "budget": budget, "outcomes": table}, indent=1)
         + "\n"
     )
-    print(f"wrote {len(table)} entry/mode outcomes to {GOLDENS}")
+    print(f"wrote {len(table)} entry/mode outcomes to {path}")
+
+
+def test_goldens_cover_catalog(goldens):
+    check_covers_catalog(goldens, BUDGET)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("entry", catalog_ids())
+def test_outcomes_match_goldens(goldens, entry, mode):
+    check_outcomes(goldens, entry, mode)
+
+
+if __name__ == "__main__":
+    record(GOLDENS, BUDGET)

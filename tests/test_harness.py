@@ -80,6 +80,19 @@ class BrokenPlant(Passthrough):
         raise TypeError("bug in a user plant")
 
 
+class FailsOnThirdCall(Passthrough):
+    """A user plant whose domain ends on its third simulation."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def fast_sim(self, u, grid):
+        self.calls += 1
+        if self.calls == 3:
+            raise ValueError("input outside the plant's domain")
+        return super().fast_sim(u, grid)
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -291,6 +304,40 @@ class TestRunExperiment:
             assert row.error is not None
             assert "PortMismatchError" in row.error
             assert row.best_robustness is None
+
+    def test_errored_rows_count_the_simulations_run(self):
+        # every run simulates once, then the formula names a missing channel
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y9 < 40)",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+            repetitions=2,
+            search=SearchConfig(max_iterations=5),
+        )
+        report = run_experiment(cfg, jobs=1)
+        assert report.errored == 2
+        for row in report.rows:
+            assert row.iterations == 1
+            assert row.error.startswith("MissingChannelError: ")
+            assert "y9" in row.error
+        assert report.simulations == 2
+        assert [r["iterations"] for r in report.to_dict()["runs"]] == [1, 1]
+
+    def test_error_mid_run_counts_the_simulations_before_it(self):
+        cfg = fast_config(
+            plant=FailsOnThirdCall(),
+            formula_text="G[0,10] (x < 2)",
+            repetitions=1,
+        )
+        (row,) = run_experiment(cfg, jobs=1).rows
+        assert row.error == "ValueError: input outside the plant's domain"
+        assert row.iterations == 2
+
+    def test_error_before_any_simulation_counts_none(self):
+        cfg = fast_config(assumption=parse_assumption("z:const:0,1:1"), repetitions=2)
+        report = run_experiment(cfg, jobs=1)
+        assert [row.iterations for row in report.rows] == [0, 0]
+        assert report.simulations == 0
 
     def test_programming_error_propagates(self):
         with pytest.raises(TypeError, match="bug in a user plant"):

@@ -1,0 +1,293 @@
+"""Tests for simulating only the leading samples of the trace the score reads.
+
+`FitnessAssessment.samples_read` counts the samples robustness at t=0 and
+the manual windows read; `falsify` simulates that prefix of the grid. The
+score must be the one the whole trace gives, and the count must be minimal.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from athena.catalog import catalog, catalog_ids
+from athena.errors import DivergenceError, HorizonError
+from athena.fitness import FitnessAssessment, assess, parse_manual
+from athena.harness import MODES, ExperimentConfig, parse_assumption, resolve, run_experiment
+from athena.models import Passthrough, PlantModel, PortSpec, simulate
+from athena import search
+from athena.search import SearchConfig, encode_inputs, falsify
+from athena.signals import (
+    TIME_TOL,
+    Signal,
+    TimeGrid,
+    WindowStatKind,
+    window_samples,
+    window_stat,
+)
+from athena.stl import Trace, formula_samples, parse, robustness
+
+# the tolerance of the chasing_cars oracle tests: its blocked scan picks its
+# block size from the sample count, so a shorter run rounds differently
+CC_ATOL = 1e-9
+
+# every channel the formulas below name
+CHANNELS = ("x", "Speed", "RPM", "y1", "y2", "y3", "y4", "y5")
+
+
+def prefix_grid(grid: TimeGrid, n: int) -> TimeGrid:
+    return TimeGrid((n - 1) * grid.step, grid.step)
+
+
+def prefix_trace(trace: Trace, n: int) -> Trace:
+    grid = prefix_grid(trace.grid, n)
+    return Trace(grid, {k: v[:n] for k, v in trace.channels.items()})
+
+
+def simulate_prefix(plant, inputs, grid, n):
+    """Simulate the first n samples of `inputs`, as `falsify` does."""
+    if n == grid.n_samples:
+        return simulate(plant, inputs, grid).trace
+    short = prefix_grid(grid, n)
+    return simulate(plant, {k: s.prefix(short) for k, s in inputs.items()}, short).trace
+
+
+def candidates(problem, count, seed):
+    rng = np.random.default_rng(seed)
+    a = problem.assumption
+    for _ in range(count):
+        controls = a.control_points(rng.uniform(a.lower, a.upper), problem.grid)
+        yield controls, encode_inputs(a, controls, problem.grid)
+
+
+class TestCatalogPrefix:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("entry", catalog_ids())
+    def test_prefix_score_equals_full_score(self, entry, mode):
+        problem = resolve(ExperimentConfig(entry=entry, mode=mode))
+        grid = problem.grid
+        n = problem.fitness.samples_read(grid)
+        for controls, inputs in candidates(problem, 4, seed=len(entry)):
+            full = simulate(problem.plant, inputs, grid).trace
+            part = simulate_prefix(problem.plant, inputs, grid, n)
+            want = assess(problem.fitness, full, controls=controls)
+            got = assess(problem.fitness, part, controls=controls)
+            if problem.plant.name == "at_lite" or n == grid.n_samples:
+                assert got == want
+            else:
+                for field in ("automatic", "manual", "combined", "robustness"):
+                    assert math.isclose(
+                        getattr(got, field), getattr(want, field), rel_tol=0, abs_tol=CC_ATOL
+                    )
+
+    @pytest.mark.parametrize(
+        "entry, n", [("AT1", 501), ("AT2", 501), ("AT6a", 661), ("AT6b", 661), ("AT6c", 661)]
+    )
+    def test_at_lite_prefix_outputs_bit_identical(self, entry, n):
+        problem = resolve(ExperimentConfig(entry=entry))
+        grid = problem.grid
+        assert problem.fitness.samples_read(grid) == n < grid.n_samples
+        for _, inputs in candidates(problem, 4, seed=7):
+            full = simulate(problem.plant, inputs, grid).trace
+            part = simulate_prefix(problem.plant, inputs, grid, n)
+            for name in problem.plant.port_spec.outputs:
+                assert np.array_equal(part.channel(name), full.channel(name)[:n])
+
+    @pytest.mark.parametrize("entry", ["CC1", "CC2", "CC3", "CC4", "CC5"])
+    def test_cc_entries_read_the_whole_grid(self, entry):
+        problem = resolve(ExperimentConfig(entry=entry))
+        assert problem.fitness.samples_read(problem.grid) == problem.grid.n_samples
+
+    def test_ccx_reads_half_the_grid(self):
+        problem = resolve(ExperimentConfig(entry="CCx"))
+        assert problem.grid.n_samples == 2001
+        assert problem.fitness.samples_read(problem.grid) == 1001
+
+
+class TestMinimalCount:
+    @pytest.mark.parametrize(
+        "text",
+        [catalog(e).formula_text for e in catalog_ids()]
+        + [
+            "F[0.3,2.7] (x > 0)",
+            "not (G[1,3] (x < 1) or F[0,0.25] (x > 2))",
+            "G[0,1] (F[0.5,1.5] (x > 0)) -> F[0,3.05] (x < 1)",
+        ],
+    )
+    @pytest.mark.parametrize("step", [0.05, 0.1, 0.25])
+    def test_one_sample_shorter_raises(self, text, step):
+        formula = parse(text)
+        n = formula_samples(formula, step)
+        full = _const_trace(dict.fromkeys(CHANNELS, 0.0), TimeGrid((n + 10) * step, step))
+        assert robustness(formula, prefix_trace(full, n)) == robustness(formula, full)
+        with pytest.raises(HorizonError):
+            robustness(formula, prefix_trace(full, n - 1))
+
+    def test_count_is_window_ends_along_the_deepest_path(self):
+        f = parse("G[0,2] (F[0,1] (x > 0)) and F[0,4] (x > 0)")
+        assert formula_samples(f, 0.5) == 1 + max(4 + 2, 8)
+
+    def test_formula_part_sets_the_count(self):
+        fit = FitnessAssessment(
+            parse("G[0,10] (x < 1)"), manual=parse_manual("mean(x,[0,5])")
+        )
+        assert fit.samples_read(TimeGrid(50.0, 0.05)) == 201
+
+    def test_no_temporal_operator_reads_two_samples(self):
+        f = parse("x < 1")
+        assert formula_samples(f, 0.05) == 1
+        assert FitnessAssessment(f).samples_read(TimeGrid(10.0, 0.05)) == 2
+
+    def test_slope_terms_read_no_samples(self):
+        fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("slope_up(x,[0,10])"))
+        assert fit.samples_read(TimeGrid(10.0, 0.05)) == 2
+
+    def test_capped_at_the_grid(self):
+        fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,60])"))
+        assert fit.samples_read(TimeGrid(50.0, 0.05)) == 1001
+
+
+class TestWindowBoundaries:
+    GRID = TimeGrid(10.0, 0.05)
+
+    @pytest.mark.parametrize(
+        "b, n",
+        [
+            (0.5, 11),  # on a sample
+            (0.52, 12),  # between samples: the prefix must reach past b
+            (0.5 + 5e-10, 11),  # within TIME_TOL past a sample
+            (0.5 - 5e-10, 11),  # within TIME_TOL before a sample
+            (0.5 + 2e-9, 12),  # just outside TIME_TOL
+            (0.55 - 2e-9, 12),
+            (10.0, 201),  # the grid end
+            (10.0 + 5e-10, 201),
+            (10.3, 201),  # past the grid end: all of it, where window_stat raises
+            (math.inf, 201),
+        ],
+    )
+    def test_window_samples(self, b, n):
+        assert window_samples((0.0, b), self.GRID) == n
+
+    @pytest.mark.parametrize("b", [0.5, 0.52, 0.5 + 5e-10, 0.5 - 5e-10, 0.5 + 2e-9, 3.33])
+    @pytest.mark.parametrize("stat", list(WindowStatKind))
+    def test_window_stat_same_on_prefix(self, b, stat):
+        values = np.random.default_rng(3).normal(size=self.GRID.n_samples)
+        n = window_samples((0.0, b), self.GRID)
+        short = prefix_grid(self.GRID, n)
+        want = window_stat(values, self.GRID, stat, (0.2, b))
+        assert window_stat(values[:n], short, stat, (0.2, b)) == want
+        with pytest.raises(ValueError, match="exceeds grid end"):
+            window_stat(values[: n - 1], prefix_grid(self.GRID, n - 1), stat, (0.2, b))
+
+    @pytest.mark.parametrize("b", [0.52, 0.5 + 5e-10, 0.5 - 5e-10, 0.5 + 2e-9])
+    def test_formula_window_with_tolerance(self, b):
+        f = parse(f"G[0,{b!r}] (x < 1)")
+        k_hi = math.floor((b + TIME_TOL) / 0.05)
+        assert formula_samples(f, 0.05) == 1 + k_hi
+        full = _const_trace({"x": 0.0}, self.GRID)
+        with pytest.raises(HorizonError):
+            robustness(f, prefix_trace(full, k_hi))
+
+
+class LateBlowUp(PlantModel):
+    """y = x, plus an unstable internal state that overflows at about 7.9 s
+    on a 0.1 s grid."""
+
+    name = "late_blow_up"
+    port_spec = PortSpec(inputs=("x",), outputs=("y",))
+    state_dim = 1
+    default_horizon = 10.0
+
+    def initial_state(self):
+        return np.ones(1)
+
+    def derivative(self, state, u):
+        return 200.0 * state
+
+    def output(self, state, u):
+        return u[:1]
+
+
+class TestFalsifyPrefix:
+    def test_simulates_the_prefix_and_keeps_full_inputs(self, monkeypatch):
+        problem = resolve(ExperimentConfig(entry="AT1"))
+        seen = []
+
+        def spy(plant, inputs, grid):
+            seen.append((grid, {k: s.grid for k, s in inputs.items()}))
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        result = falsify(
+            problem.plant,
+            problem.assumption,
+            problem.fitness,
+            SearchConfig(max_iterations=300, seed=0),
+            problem.grid,
+        )
+        assert result.found
+        assert len(seen) == result.iterations_used
+        for grid, input_grids in seen:
+            assert grid.n_samples == 501 and grid.step == problem.grid.step
+            assert set(input_grids.values()) == {grid}
+        for signal in result.failure.inputs.values():
+            assert signal.grid == problem.grid
+
+    def test_whole_grid_passed_as_it_is(self, monkeypatch):
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        seen = []
+
+        def spy(plant, inputs, grid):
+            seen.append(grid is problem.grid)
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        falsify(
+            problem.plant,
+            problem.assumption,
+            problem.fitness,
+            SearchConfig(max_iterations=5, seed=0),
+            problem.grid,
+        )
+        assert seen == [True] * 5
+
+    def test_divergence_after_prefix_is_scored_normally(self):
+        plant = LateBlowUp()
+        grid = TimeGrid(10.0, 0.1)
+        x = Signal(grid, np.full(grid.n_samples, 0.2))
+        with pytest.raises(DivergenceError):
+            simulate(plant, {"x": x}, grid)
+        fit = FitnessAssessment(parse("G[0,1] (y < 0.5)"), p=1.0)
+        assert fit.samples_read(grid) == 11
+        seen = []
+        result = falsify(
+            plant,
+            parse_assumption("x:const:0,1:1"),
+            fit,
+            SearchConfig(max_iterations=40, seed=1),
+            grid,
+            observer=lambda i, v, f: seen.append((float(v[0]), f)),
+        )
+        # a diverged simulation would score 1.0; these are 0.5 - x
+        for x0, f in seen:
+            assert f == pytest.approx(0.5 - x0)
+        assert result.found
+        assert result.failure.robustness < 0
+
+    def test_manual_window_past_grid_end_same_error_row(self):
+        cfg = ExperimentConfig(
+            plant=Passthrough(),
+            formula_text="G[0,10] (x < 2)",
+            manual_text="mean(x,[0,12])",
+            assumption=parse_assumption("x:const:0,1:1"),
+            repetitions=2,
+            search=SearchConfig(max_iterations=5),
+        )
+        rows = run_experiment(cfg, jobs=1).rows
+        for row in rows:
+            assert row.error == "ValueError: window end 12.0 exceeds grid end 10.0"
+            assert row.iterations == 1
+
+
+def _const_trace(channels: dict[str, float], grid: TimeGrid) -> Trace:
+    return Trace(grid, {k: np.full(grid.n_samples, v) for k, v in channels.items()})

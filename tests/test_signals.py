@@ -74,6 +74,24 @@ class TestControlPoints:
             ControlPoints([0.0, 5.0], [1.0, float("nan")])
 
 
+class TestSignalPrefix:
+    def test_read_only_view_of_the_first_samples(self):
+        s = make_signal(1.0, 0.1, np.arange(11.0))
+        short = TimeGrid(0.5, 0.1)
+        p = s.prefix(short)
+        assert p.grid == short
+        assert np.array_equal(p.values, np.arange(6.0))
+        assert np.shares_memory(p.values, s.values)
+        assert not p.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "grid", [TimeGrid(0.5, 0.05), TimeGrid(1.0, 0.1), TimeGrid(2.0, 0.1)]
+    )
+    def test_needs_a_shorter_grid_with_the_same_step(self, grid):
+        with pytest.raises(ValueError, match="prefix"):
+            make_signal(1.0, 0.1, np.zeros(11)).prefix(grid)
+
+
 class TestUniformControlTimes:
     def test_five_over_hundred(self):
         g = TimeGrid(100.0, 0.5)
@@ -103,6 +121,31 @@ class TestUniformControlTimes:
 
 
 class TestInterpolate:
+    def test_min_points(self):
+        assert {k: k.min_points for k in InterpolationKind} == {
+            InterpolationKind.PCHIP: 2,
+            InterpolationKind.LINEAR: 2,
+            InterpolationKind.PIECEWISE_CONSTANT: 1,
+            InterpolationKind.CONSTANT: 1,
+        }
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    def test_output_read_only_and_owned(self, kind):
+        g = TimeGrid(10.0, 1.0)
+        n = 1 if kind is InterpolationKind.CONSTANT else 3
+        cp = ControlPoints(uniform_control_times(g, n), np.arange(1.0, n + 1))
+        a = interpolate(cp, kind, g)
+        b = interpolate(cp, kind, g)
+        assert not a.values.flags.writeable
+        assert not np.shares_memory(a.values, b.values)
+        assert not np.shares_memory(a.values, cp.values)
+
+    def test_non_finite_output_rejected(self):
+        # the secant of two opposite huge values overflows to -inf
+        cp = ControlPoints([0.0, 10.0], [1.7e308, -1.7e308])
+        with pytest.raises(ValueError, match="finite"):
+            interpolate(cp, InterpolationKind.LINEAR, TimeGrid(10.0, 1.0))
+
     def test_constant_replication(self):
         g = TimeGrid(10.0, 1.0)
         s = interpolate(ControlPoints([0.0], [5.0]), InterpolationKind.CONSTANT, g)
