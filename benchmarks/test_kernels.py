@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
 
 Each kernel case times one call on the grid a catalog entry or the
-passthrough workload uses, with fixed random inputs. The interpolation
+passthrough workload uses, with fixed random inputs. The `-prefix` case
+uses the leading samples of the grid that `falsify` simulates, those the
+score reads from the plant's outputs. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
 AT2, of CC1 and of the passthrough workload. The end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
@@ -19,7 +21,13 @@ from athena.catalog import catalog
 from athena.harness import ExperimentConfig, parse_assumption, resolve
 from athena.models import AutoTransmissionLite, ChasingCars, Passthrough, simulate
 from athena.search import SearchConfig, falsify, simulation_grid
-from athena.signals import ControlPoints, Signal, interpolate, uniform_control_times
+from athena.signals import (
+    ControlPoints,
+    Signal,
+    TimeGrid,
+    interpolate,
+    uniform_control_times,
+)
 from athena.stl import parse, robustness
 
 PASSTHROUGH_FORMULA = (
@@ -32,13 +40,22 @@ def random_inputs(grid, lo, hi, seed=0):
 
 
 @pytest.mark.parametrize(
-    "model, entry, hi",
-    [(ChasingCars, "CC1", (1.0, 1.0)), (AutoTransmissionLite, "AT1", (100.0, 325.0))],
-    ids=["chasing_cars-CC1", "at_lite-AT1"],
+    "model, entry, hi, prefix",
+    [
+        (ChasingCars, "CC1", (1.0, 1.0), False),
+        (AutoTransmissionLite, "AT1", (100.0, 325.0), False),
+        (AutoTransmissionLite, "AT2", (100.0, 325.0), True),
+    ],
+    ids=["chasing_cars-CC1", "at_lite-AT1", "at_lite-AT2-prefix"],
 )
-def test_fast_sim(benchmark, model, entry, hi):
+def test_fast_sim(benchmark, model, entry, hi, prefix):
     plant = model()
     grid = catalog(entry).grid()
+    if prefix:
+        # the leading samples falsify simulates: those the score reads
+        fitness = resolve(ExperimentConfig(entry=entry)).fitness
+        n = fitness.samples_read(grid, plant.port_spec.inputs)
+        grid = TimeGrid((n - 1) * grid.step, grid.step)
     u = random_inputs(grid, (0.0, 0.0), hi)
     out = benchmark(plant.fast_sim, u, grid)
     assert out.shape[0] == grid.n_samples

@@ -19,8 +19,8 @@ distance-to-target, numeric constants, and + - * arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Collection, Mapping
 
 from .errors import ParseError
 from .signals import (
@@ -59,11 +59,19 @@ Controls = Mapping[str, ControlPoints]
 
 
 class ManualFitnessExpr:
-    """Base class for manual-fitness expression nodes."""
+    """Base class for manual-fitness expression nodes.
+
+    `evaluate` scores a trace. `controls` are the control points the
+    inputs were interpolated from. `inputs`, when given, holds the encoded
+    inputs on the whole grid while `trace` covers only its simulated
+    prefix (see `WindowStat`).
+    """
 
     __slots__ = ()
 
-    def evaluate(self, trace: Trace, controls: Controls | None = None) -> float:
+    def evaluate(
+        self, trace: Trace, controls: Controls | None = None, inputs: Trace | None = None
+    ) -> float:
         raise NotImplementedError
 
 
@@ -71,7 +79,7 @@ class ManualFitnessExpr:
 class Const(ManualFitnessExpr):
     value: float
 
-    def evaluate(self, trace, controls=None):
+    def evaluate(self, trace, controls=None, inputs=None):
         return self.value
 
     def __str__(self):
@@ -80,13 +88,26 @@ class Const(ManualFitnessExpr):
 
 @dataclass(frozen=True)
 class WindowStat(ManualFitnessExpr):
-    """A statistic of a channel expression over a closed time window."""
+    """A statistic of a channel expression over a closed time window.
+
+    `on_inputs` marks a window whose channels are all plant inputs
+    (`FitnessAssessment.reading_inputs`). Given the encoded inputs on the
+    whole grid, such a window reads them, not the trace: the search
+    encodes them before it simulates, so the plant is simulated only as
+    far as the windows over its outputs reach. The window reads the same
+    samples either way, so the value is the same. A plant that diverges
+    after that output prefix is scored normally, since no window reads
+    those samples of its outputs.
+    """
 
     channel: AtomExpr
     stat: WindowStatKind
     window: tuple[float, float]
+    on_inputs: bool = False
 
-    def evaluate(self, trace, controls=None):
+    def evaluate(self, trace, controls=None, inputs=None):
+        if self.on_inputs and inputs is not None:
+            trace = inputs
         return window_stat(self.channel.values(trace), trace.grid, self.stat, self.window)
 
     def __str__(self):
@@ -102,7 +123,7 @@ class SteepestSlope(ManualFitnessExpr):
     direction: SlopeDirection
     window: tuple[float, float]
 
-    def evaluate(self, trace, controls=None):
+    def evaluate(self, trace, controls=None, inputs=None):
         if controls is None or self.port not in controls:
             raise ValueError(
                 f"slope term needs the control points of input {self.port!r}"
@@ -123,8 +144,8 @@ class Scale(ManualFitnessExpr):
     lo: float
     hi: float
 
-    def evaluate(self, trace, controls=None):
-        return scale_value(self.child.evaluate(trace, controls), (self.lo, self.hi))
+    def evaluate(self, trace, controls=None, inputs=None):
+        return scale_value(self.child.evaluate(trace, controls, inputs), (self.lo, self.hi))
 
     def __str__(self):
         return f"scale({self.child},[{self.lo:g},{self.hi:g}])"
@@ -137,8 +158,8 @@ class TargetDistance(ManualFitnessExpr):
     child: ManualFitnessExpr
     target: float
 
-    def evaluate(self, trace, controls=None):
-        return abs(self.child.evaluate(trace, controls) - self.target)
+    def evaluate(self, trace, controls=None, inputs=None):
+        return abs(self.child.evaluate(trace, controls, inputs) - self.target)
 
     def __str__(self):
         return f"dist({self.child},{self.target:g})"
@@ -148,8 +169,8 @@ class TargetDistance(ManualFitnessExpr):
 class Neg(ManualFitnessExpr):
     child: ManualFitnessExpr
 
-    def evaluate(self, trace, controls=None):
-        return -self.child.evaluate(trace, controls)
+    def evaluate(self, trace, controls=None, inputs=None):
+        return -self.child.evaluate(trace, controls, inputs)
 
     def __str__(self):
         if isinstance(self.child, (Add, Sub, Mul)):
@@ -168,8 +189,9 @@ class Add(ManualFitnessExpr):
     left: ManualFitnessExpr
     right: ManualFitnessExpr
 
-    def evaluate(self, trace, controls=None):
-        return self.left.evaluate(trace, controls) + self.right.evaluate(trace, controls)
+    def evaluate(self, trace, controls=None, inputs=None):
+        left = self.left.evaluate(trace, controls, inputs)
+        return left + self.right.evaluate(trace, controls, inputs)
 
     def __str__(self):
         return f"{self.left} + {_paren(self.right)}"
@@ -180,8 +202,9 @@ class Sub(ManualFitnessExpr):
     left: ManualFitnessExpr
     right: ManualFitnessExpr
 
-    def evaluate(self, trace, controls=None):
-        return self.left.evaluate(trace, controls) - self.right.evaluate(trace, controls)
+    def evaluate(self, trace, controls=None, inputs=None):
+        left = self.left.evaluate(trace, controls, inputs)
+        return left - self.right.evaluate(trace, controls, inputs)
 
     def __str__(self):
         return f"{self.left} - {_paren(self.right)}"
@@ -192,8 +215,9 @@ class Mul(ManualFitnessExpr):
     left: ManualFitnessExpr
     right: ManualFitnessExpr
 
-    def evaluate(self, trace, controls=None):
-        return self.left.evaluate(trace, controls) * self.right.evaluate(trace, controls)
+    def evaluate(self, trace, controls=None, inputs=None):
+        left = self.left.evaluate(trace, controls, inputs)
+        return left * self.right.evaluate(trace, controls, inputs)
 
     def __str__(self):
         return f"{_paren(self.left)} * {_paren(self.right)}"
@@ -273,10 +297,27 @@ class _ManualParser(FormulaParser):
         return node
 
 
+def _reading_inputs(expr: ManualFitnessExpr, inputs: frozenset[str]) -> ManualFitnessExpr:
+    """`expr` with each window marked `on_inputs` when all its channels are
+    in `inputs`."""
+    if isinstance(expr, WindowStat):
+        return replace(expr, on_inputs=set(expr.channel.channels()) <= inputs)
+    if isinstance(expr, (Scale, TargetDistance, Neg)):
+        return replace(expr, child=_reading_inputs(expr.child, inputs))
+    if isinstance(expr, (Add, Sub, Mul)):
+        return replace(
+            expr,
+            left=_reading_inputs(expr.left, inputs),
+            right=_reading_inputs(expr.right, inputs),
+        )
+    return expr
+
+
 def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid) -> int:
     """Leading samples of a trace on `grid` that `expr` reads."""
     if isinstance(expr, WindowStat):
-        return window_samples(expr.window, grid)
+        # a window over inputs reads the encoded inputs, not the trace
+        return 0 if expr.on_inputs else window_samples(expr.window, grid)
     if isinstance(expr, (Const, SteepestSlope)):
         # a slope term reads control points, not the trace
         return 0
@@ -328,19 +369,34 @@ class FitnessAssessment:
             return a
         return a + (b - a) * iteration / (max_iterations - 1)
 
-    def samples_read(self, grid: TimeGrid) -> int:
-        """Leading samples of a trace on `grid` that `assess` reads.
+    def reading_inputs(self, inputs: Collection[str]) -> FitnessAssessment:
+        """This assessment with each manual window whose channels all are
+        in `inputs`, the plant's input names, marked `WindowStat.on_inputs`.
+        """
+        if self.manual is None:
+            return self
+        return replace(self, manual=_reading_inputs(self.manual, frozenset(inputs)))
+
+    def samples_read(self, grid: TimeGrid, inputs: Collection[str]) -> int:
+        """Leading samples of a trace on `grid` that `assess` reads, for a
+        plant whose input names are `inputs`.
 
         The most of what the formula reads (`formula_samples`) and what
-        each manual window reads (`window_samples`), at least 2 (the
-        shortest grid) and at most all of `grid`. On the first that many
-        samples of a trace, `assess` returns what it returns on the whole
-        trace: robustness at t=0 and the window statistics read no later
-        sample.
+        each manual window over a plant output reads (`window_samples`), at
+        least 2 (the shortest grid) and at most all of `grid`. A window
+        over inputs only reads none: `reading_inputs` marks it to read the
+        encoded inputs on the whole grid. A formula predicate counts even
+        when it names only inputs. On the first that many samples of a
+        trace, with those inputs, `assess` returns what it returns on the
+        whole trace: robustness at t=0 and the window statistics read no
+        later sample of the plant's outputs. So `falsify` simulates only
+        those samples, and scores a plant that diverges after them
+        normally.
         """
         n = formula_samples(self.formula, grid.step)
         if self.manual is not None:
-            n = max(n, _samples_read(self.manual, grid))
+            manual = _reading_inputs(self.manual, frozenset(inputs))
+            n = max(n, _samples_read(manual, grid))
         return min(max(n, 2), grid.n_samples)
 
 
@@ -368,12 +424,15 @@ def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:
 
 
 def manual_fitness(
-    expr: ManualFitnessExpr | None, trace: Trace, controls: Controls | None = None
+    expr: ManualFitnessExpr | None,
+    trace: Trace,
+    controls: Controls | None = None,
+    inputs: Trace | None = None,
 ) -> float:
     """Evaluate a manual expression on a trace (0.0 when no expression)."""
     if expr is None:
         return 0.0
-    return expr.evaluate(trace, controls)
+    return expr.evaluate(trace, controls, inputs)
 
 
 def athena_combine(fa: float, fm: float, p_effective: float) -> float:
@@ -391,15 +450,21 @@ def assess(
     iteration: int = 0,
     max_iterations: int = 1,
     controls: Controls | None = None,
+    inputs: Trace | None = None,
 ) -> FitnessValue:
-    """Score one trace at a given search iteration."""
+    """Score one trace at a given search iteration.
+
+    `trace` may be the leading `samples_read` samples of the grid; then
+    `inputs` holds the encoded inputs on the whole grid, which the windows
+    marked by `FitnessAssessment.reading_inputs` read.
+    """
     if not 0 <= iteration < max_iterations:
         raise ValueError(
             f"iteration {iteration} outside [0, {max_iterations})"
         )
     rho = robustness(cfg.formula, trace)
     fa = _clamp_unit(rho / cfg.auto_scale)
-    fm = manual_fitness(cfg.manual, trace, controls)
+    fm = manual_fitness(cfg.manual, trace, controls, inputs)
     p_eff = cfg.p_effective(iteration, max_iterations)
     combined = athena_combine(fa, fm, p_eff)
     return FitnessValue(

@@ -329,6 +329,8 @@ class ExperimentReport:
             },
             "found": self.found,
             "percentage": self.percentage,
+            "errored": self.errored,
+            "simulations": self.simulations,
             "iteration_stats": self.iteration_stats(),
             "runs": [row.to_dict() for row in self.rows],
         }

@@ -143,7 +143,8 @@ def simulate(
 
     Inputs must cover exactly the plant's input ports and share the grid.
     Every sample of `grid` is simulated. `falsify` passes the prefix of the
-    problem's grid that its score reads, so a divergence after that prefix
+    problem's grid that its score reads from the plant's outputs, so a
+    divergence after that prefix
     is not seen there; called on the whole grid, as when a test case is
     replayed, it is. Raises DivergenceError naming the first time the state
     (or, if the state stays finite, an output) went non-finite.

@@ -29,7 +29,7 @@ from .signals import (
     interpolate,
     uniform_control_times,
 )
-from .stl import Formula, formula_horizon
+from .stl import Formula, Trace, formula_horizon
 
 __all__ = [
     "PortAssumption",
@@ -136,9 +136,10 @@ def encode_inputs(
 
 def simulation_grid(plant: PlantModel, formula: Formula, step: float) -> TimeGrid:
     """Grid a problem is simulated on: the plant's usual span, stretched if
-    the requirement needs a longer trace."""
+    the requirement needs a longer trace. An end between two samples is
+    rounded up to the next sample (`TimeGrid.reaching`)."""
     end = max(plant.default_horizon or 0.0, formula_horizon(formula))
-    return TimeGrid(end, step)
+    return TimeGrid.reaching(end, step)
 
 
 def propose(
@@ -246,12 +247,15 @@ def falsify(
 
     Each candidate is encoded on the whole `grid`, and a `TestCase` holds
     those inputs. The plant is simulated only over the leading samples the
-    score reads (`FitnessAssessment.samples_read`), on read-only prefix
-    views of the inputs (`Signal.prefix`); when the score reads every
-    sample, the inputs and `grid` pass as they are. The score is the one
-    the whole trace would give. A plant that diverges only after that
-    prefix is therefore scored normally, not as diverged: no part of the
-    score reads those samples.
+    score reads from its outputs (`FitnessAssessment.samples_read`), on
+    read-only prefix views of the inputs (`Signal.prefix`); when the score
+    reads every sample, the inputs and `grid` pass as they are. A manual
+    window whose channels are all plant inputs reads the encoded inputs on
+    the whole grid instead of the simulated trace, so it does not lengthen
+    the prefix; which windows those are is worked out once per run. The
+    score is the one the whole trace would give. A plant that diverges
+    only after the prefix is therefore scored normally, not as diverged:
+    no part of the score reads those samples of its outputs.
 
     An exception raised inside an iteration carries `simulations`, the
     number of simulations run before it, diverged ones included.
@@ -267,10 +271,12 @@ def falsify(
         raise HorizonError(
             f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
         )
-    n_read = fitness_cfg.samples_read(grid)
+    n_read = fitness_cfg.samples_read(grid, names)
     sim_grid = grid
     if n_read < grid.n_samples:
         sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
+        # windows over inputs only then read the encoded full-grid inputs
+        fitness_cfg = fitness_cfg.reading_inputs(names)
 
     rng = np.random.default_rng(search_cfg.seed)
     lo, hi = assumption.lower, assumption.upper
@@ -304,10 +310,12 @@ def falsify(
             controls = assumption.control_points(candidate, grid)
             inputs = encode_inputs(assumption, controls, grid)
             sim_inputs = inputs
+            full_inputs = None
             if sim_grid is not grid:
                 sim_inputs = {
                     name: signal.prefix(sim_grid) for name, signal in inputs.items()
                 }
+                full_inputs = Trace(grid, inputs)
             sim = simulate(plant, sim_inputs, sim_grid)
             simulations += 1
             value = assess(
@@ -316,6 +324,7 @@ def falsify(
                 iteration=i,
                 max_iterations=search_cfg.max_iterations,
                 controls=controls,
+                inputs=full_inputs,
             )
             fa, fm, f = value.automatic, value.manual, value.combined
             rho = value.robustness

@@ -38,6 +38,13 @@ __all__ = [
 TIME_TOL = 1e-9
 
 
+def _whole_steps(ratio: float) -> bool:
+    """Whether an end `ratio` steps long is a whole number, at least 1, of
+    steps, up to float rounding."""
+    nearest = round(ratio)
+    return nearest >= 1 and abs(ratio - nearest) <= 1e-9 * max(1.0, abs(ratio))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid over [0, end] with spacing `step`."""
@@ -53,12 +60,19 @@ class TimeGrid:
             raise ValueError(f"grid end must be positive and finite, got {self.end}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
-        ratio = self.end / self.step
-        nearest = round(ratio)
-        if nearest < 1 or abs(ratio - nearest) > 1e-9 * max(1.0, abs(ratio)):
+        if not _whole_steps(self.end / self.step):
             raise ValueError(
                 f"grid end {self.end} is not a whole number of steps of {self.step}"
             )
+
+    @classmethod
+    def reaching(cls, end: float, step: float) -> "TimeGrid":
+        """The grid at `step` that ends at `end`, or at the first sample
+        after `end` when `end` is not a whole number of steps."""
+        ratio = end / step if step > 0.0 else math.nan
+        if math.isfinite(ratio) and ratio > 0.0 and not _whole_steps(ratio):
+            end = math.ceil(ratio) * step
+        return cls(end, step)
 
     @property
     def n_samples(self) -> int:

@@ -432,6 +432,15 @@ class TestResolve:
         assert e.grid() == grid
 
 
+    def test_horizon_between_samples_rounds_the_grid_up(self):
+        cfg = fast_config(formula_text="G[0,10.02] (x < 2)", repetitions=2)
+        grid = resolve(cfg).grid
+        assert grid.step == 0.05 and grid.n_samples == 202
+        assert grid.end == pytest.approx(10.05, abs=1e-12)
+        for row in run_experiment(cfg, jobs=1).rows:
+            assert row.error is None and row.iterations == 40
+
+
 class TestReportFiles:
     def test_write_and_reread(self, tmp_path):
         cfg = fast_config()
@@ -462,6 +471,21 @@ class TestReportFiles:
         for name in ("json", "runs.csv"):
             a = (tmp_path / f"a.{name}").read_bytes()
             assert a == (tmp_path / f"b.{name}").read_bytes()
+
+    def test_errored_and_simulations_written(self, tmp_path):
+        # every run simulates once, then the formula names a missing channel
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y9 < 40)",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+            repetitions=3,
+        )
+        for name in ("a", "b"):
+            write_report(run_experiment(cfg, jobs=1), str(tmp_path / name), timestamp=False)
+        payload = json.loads((tmp_path / "a.json").read_text())
+        assert payload["errored"] == cfg.repetitions
+        assert payload["simulations"] == cfg.repetitions
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_csv_floats_roundtrip(self, tmp_path):
         report = run_experiment(fast_config())

@@ -1,8 +1,10 @@
 """Tests for simulating only the leading samples of the trace the score reads.
 
 `FitnessAssessment.samples_read` counts the samples robustness at t=0 and
-the manual windows read; `falsify` simulates that prefix of the grid. The
-score must be the one the whole trace gives, and the count must be minimal.
+the manual windows over plant outputs read; `falsify` simulates that prefix
+of the grid. A manual window over plant inputs only reads the encoded
+inputs on the whole grid instead. The score must be the one the whole
+trace gives, and the count must be minimal.
 """
 
 import math
@@ -11,10 +13,10 @@ import numpy as np
 import pytest
 
 from athena.catalog import catalog, catalog_ids
-from athena.errors import DivergenceError, HorizonError
+from athena.errors import DivergenceError, HorizonError, MissingChannelError
 from athena.fitness import FitnessAssessment, assess, parse_manual
 from athena.harness import MODES, ExperimentConfig, parse_assumption, resolve, run_experiment
-from athena.models import Passthrough, PlantModel, PortSpec, simulate
+from athena.models import Passthrough, PlantModel, PortSpec, builtin, simulate
 from athena import search
 from athena.search import SearchConfig, encode_inputs, falsify
 from athena.signals import (
@@ -52,6 +54,19 @@ def simulate_prefix(plant, inputs, grid, n):
     return simulate(plant, {k: s.prefix(short) for k, s in inputs.items()}, short).trace
 
 
+def score_prefix(fitness, plant, inputs, controls, grid, n):
+    """Score the first n samples with the full-grid inputs, as `falsify` does."""
+    trace = simulate_prefix(plant, inputs, grid, n)
+    if n == grid.n_samples:
+        return assess(fitness, trace, controls=controls)
+    fitness = fitness.reading_inputs(plant.port_spec.inputs)
+    return assess(fitness, trace, controls=controls, inputs=Trace(grid, inputs))
+
+
+def samples_read(problem):
+    return problem.fitness.samples_read(problem.grid, problem.plant.port_spec.inputs)
+
+
 def candidates(problem, count, seed):
     rng = np.random.default_rng(seed)
     a = problem.assumption
@@ -66,12 +81,11 @@ class TestCatalogPrefix:
     def test_prefix_score_equals_full_score(self, entry, mode):
         problem = resolve(ExperimentConfig(entry=entry, mode=mode))
         grid = problem.grid
-        n = problem.fitness.samples_read(grid)
+        n = samples_read(problem)
         for controls, inputs in candidates(problem, 4, seed=len(entry)):
             full = simulate(problem.plant, inputs, grid).trace
-            part = simulate_prefix(problem.plant, inputs, grid, n)
             want = assess(problem.fitness, full, controls=controls)
-            got = assess(problem.fitness, part, controls=controls)
+            got = score_prefix(problem.fitness, problem.plant, inputs, controls, grid, n)
             if problem.plant.name == "at_lite" or n == grid.n_samples:
                 assert got == want
             else:
@@ -84,24 +98,38 @@ class TestCatalogPrefix:
         "entry, n", [("AT1", 501), ("AT2", 501), ("AT6a", 661), ("AT6b", 661), ("AT6c", 661)]
     )
     def test_at_lite_prefix_outputs_bit_identical(self, entry, n):
+        # n is what the score would read if its manual windows read the
+        # trace; falsify simulates the shorter prefix read from the outputs
         problem = resolve(ExperimentConfig(entry=entry))
         grid = problem.grid
-        assert problem.fitness.samples_read(grid) == n < grid.n_samples
+        assert problem.fitness.samples_read(grid, ()) == n < grid.n_samples
         for _, inputs in candidates(problem, 4, seed=7):
             full = simulate(problem.plant, inputs, grid).trace
-            part = simulate_prefix(problem.plant, inputs, grid, n)
-            for name in problem.plant.port_spec.outputs:
-                assert np.array_equal(part.channel(name), full.channel(name)[:n])
+            for k in (samples_read(problem), n):
+                part = simulate_prefix(problem.plant, inputs, grid, k)
+                for name in problem.plant.port_spec.outputs:
+                    assert np.array_equal(part.channel(name), full.channel(name)[:k])
+
+    @pytest.mark.parametrize(
+        "entry, n",
+        [("AT1", 401), ("AT2", 201), ("AT6a", 601), ("AT6b", 601), ("AT6c", 601)]
+        + [(e, None) for e in ("CC1", "CC2", "CC3", "CC4", "CC5")]
+        + [("CCx", 1001)],
+    )
+    def test_samples_simulated(self, entry, n):
+        # None: all of the grid
+        problem = resolve(ExperimentConfig(entry=entry))
+        assert samples_read(problem) == (n or problem.grid.n_samples)
 
     @pytest.mark.parametrize("entry", ["CC1", "CC2", "CC3", "CC4", "CC5"])
     def test_cc_entries_read_the_whole_grid(self, entry):
         problem = resolve(ExperimentConfig(entry=entry))
-        assert problem.fitness.samples_read(problem.grid) == problem.grid.n_samples
+        assert samples_read(problem) == problem.grid.n_samples
 
     def test_ccx_reads_half_the_grid(self):
         problem = resolve(ExperimentConfig(entry="CCx"))
         assert problem.grid.n_samples == 2001
-        assert problem.fitness.samples_read(problem.grid) == 1001
+        assert samples_read(problem) == 1001
 
 
 class TestMinimalCount:
@@ -131,20 +159,20 @@ class TestMinimalCount:
         fit = FitnessAssessment(
             parse("G[0,10] (x < 1)"), manual=parse_manual("mean(x,[0,5])")
         )
-        assert fit.samples_read(TimeGrid(50.0, 0.05)) == 201
+        assert fit.samples_read(TimeGrid(50.0, 0.05), ()) == 201
 
     def test_no_temporal_operator_reads_two_samples(self):
         f = parse("x < 1")
         assert formula_samples(f, 0.05) == 1
-        assert FitnessAssessment(f).samples_read(TimeGrid(10.0, 0.05)) == 2
+        assert FitnessAssessment(f).samples_read(TimeGrid(10.0, 0.05), ()) == 2
 
     def test_slope_terms_read_no_samples(self):
         fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("slope_up(x,[0,10])"))
-        assert fit.samples_read(TimeGrid(10.0, 0.05)) == 2
+        assert fit.samples_read(TimeGrid(10.0, 0.05), ()) == 2
 
     def test_capped_at_the_grid(self):
         fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,60])"))
-        assert fit.samples_read(TimeGrid(50.0, 0.05)) == 1001
+        assert fit.samples_read(TimeGrid(50.0, 0.05), ()) == 1001
 
 
 class TestWindowBoundaries:
@@ -189,6 +217,79 @@ class TestWindowBoundaries:
             robustness(f, prefix_trace(full, k_hi))
 
 
+class TestInputWindows:
+    AT1 = "G[0,20] (Speed < 120)"
+
+    def at1(self, manual):
+        return FitnessAssessment(parse(self.AT1), manual=parse_manual(manual))
+
+    def test_input_only_windows_read_no_samples(self):
+        fit = self.at1("max(Brake,[0,25]) - min(Throttle,[0,17])")
+        grid = resolve(ExperimentConfig(entry="AT1")).grid
+        assert fit.samples_read(grid, ("Throttle", "Brake")) == 401
+        # without input names every window reads the trace
+        assert fit.samples_read(grid, ()) == 501
+
+    @pytest.mark.parametrize("manual", ["mean(Speed - Throttle,[0,25])", "max(RPM,[0,25])"])
+    def test_window_naming_an_output_extends_the_prefix(self, manual):
+        problem = resolve(ExperimentConfig(entry="AT1"))
+        fit = self.at1(manual)
+        grid = problem.grid
+        n = fit.samples_read(grid, problem.plant.port_spec.inputs)
+        assert n == 501
+        for controls, inputs in candidates(problem, 4, seed=5):
+            full = simulate(problem.plant, inputs, grid).trace
+            want = assess(fit, full, controls=controls)
+            assert score_prefix(fit, problem.plant, inputs, controls, grid, n) == want
+
+    def test_only_marked_windows_read_the_inputs(self):
+        fit = self.at1("mean(Speed - Throttle,[0,25]) + max(Brake,[0,25])")
+        marked = fit.reading_inputs(("Throttle", "Brake")).manual
+        assert (marked.left.on_inputs, marked.right.on_inputs) == (False, True)
+        assert fit.reading_inputs(()).manual == fit.manual
+
+    def test_input_window_past_the_prefix_reads_the_full_grid_input(self):
+        problem = resolve(ExperimentConfig(entry="AT2"))
+        grid = problem.grid
+        n = samples_read(problem)
+        assert n == 201
+        fit = problem.fitness.reading_inputs(problem.plant.port_spec.inputs)
+        window = fit.manual.left.child
+        assert str(window) == "mean(Brake,[0,25])" and window.on_inputs
+        ((_, inputs),) = candidates(problem, 1, seed=2)
+        part = simulate_prefix(problem.plant, inputs, grid, n)
+        want = window_stat(inputs["Brake"].values, grid, WindowStatKind.MEAN, (0.0, 25.0))
+        assert window.evaluate(part, inputs=Trace(grid, inputs)) == want
+        # on the prefix trace alone the window would pass the grid end
+        with pytest.raises(ValueError, match="exceeds grid end"):
+            window.evaluate(part)
+
+    def test_window_naming_an_unknown_channel_is_an_error_row(self):
+        cfg = ExperimentConfig(
+            plant=builtin("at_lite"),
+            formula_text="G[0,10] (RPM < 4750)",
+            manual_text="mean(Gear9,[0,25]) - mean(Throttle,[0,8])",
+            assumption=catalog("AT2").assumption,
+            repetitions=2,
+            search=SearchConfig(max_iterations=5),
+        )
+        problem = resolve(cfg)
+        assert samples_read(problem) == 501
+        with pytest.raises(MissingChannelError):
+            falsify(
+                problem.plant,
+                problem.assumption,
+                problem.fitness,
+                cfg.search,
+                problem.grid,
+            )
+        rows = run_experiment(cfg, jobs=1).rows
+        for row in rows:
+            assert row.error.startswith("MissingChannelError: ")
+            assert "Gear9" in row.error
+            assert row.iterations == 1
+
+
 class LateBlowUp(PlantModel):
     """y = x, plus an unstable internal state that overflows at about 7.9 s
     on a 0.1 s grid."""
@@ -228,7 +329,7 @@ class TestFalsifyPrefix:
         assert result.found
         assert len(seen) == result.iterations_used
         for grid, input_grids in seen:
-            assert grid.n_samples == 501 and grid.step == problem.grid.step
+            assert grid.n_samples == 401 and grid.step == problem.grid.step
             assert set(input_grids.values()) == {grid}
         for signal in result.failure.inputs.values():
             assert signal.grid == problem.grid
@@ -258,7 +359,7 @@ class TestFalsifyPrefix:
         with pytest.raises(DivergenceError):
             simulate(plant, {"x": x}, grid)
         fit = FitnessAssessment(parse("G[0,1] (y < 0.5)"), p=1.0)
-        assert fit.samples_read(grid) == 11
+        assert fit.samples_read(grid, plant.port_spec.inputs) == 11
         seen = []
         result = falsify(
             plant,

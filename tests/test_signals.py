@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,25 @@ class TestTimeGrid:
     def test_bad_bounds(self, end, step):
         with pytest.raises(ValueError):
             TimeGrid(end, step)
+
+    @pytest.mark.parametrize("end, step", [(10.0, 0.05), (100.0, 0.01), (0.3, 0.1)])
+    def test_reaching_keeps_a_whole_step_end(self, end, step):
+        assert TimeGrid.reaching(end, step) == TimeGrid(end, step)
+
+    @pytest.mark.parametrize(
+        "end, step, n", [(10.02, 0.05, 202), (10.0001, 0.05, 202), (0.01, 0.05, 2), (3.5, 1.0, 5)]
+    )
+    def test_reaching_rounds_up_to_the_next_sample(self, end, step, n):
+        grid = TimeGrid.reaching(end, step)
+        assert grid.n_samples == n and grid.step == step
+        assert end < grid.end < end + step
+
+    @pytest.mark.parametrize(
+        "end, step", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5), (math.inf, 1.0)]
+    )
+    def test_reaching_bad_bounds(self, end, step):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            TimeGrid.reaching(end, step)
 
     def test_inexact_step_within_tolerance(self):
         g = TimeGrid(100.0, 0.01)
