@@ -7,7 +7,9 @@ Run from the repository root:
 Each kernel case times one call on the grid a catalog entry or the
 passthrough workload uses, with fixed random inputs. The `-prefix` case
 uses the leading samples of the grid that `falsify` simulates, those the
-score reads from the plant's outputs. The interpolation
+score reads from the plant's outputs. The `-build` case times building the
+chasing_cars operators for the CC1 grid from a cleared cache, the cost
+the first simulation on a grid pays. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
 AT2, of CC1 and of the passthrough workload. The end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
@@ -19,7 +21,13 @@ import pytest
 
 from athena.catalog import catalog
 from athena.harness import ExperimentConfig, parse_assumption, resolve
-from athena.models import AutoTransmissionLite, ChasingCars, Passthrough, simulate
+from athena.models import (
+    AutoTransmissionLite,
+    ChasingCars,
+    Passthrough,
+    _platoon_operators,
+    simulate,
+)
 from athena.search import SearchConfig, falsify, simulation_grid
 from athena.signals import (
     ControlPoints,
@@ -59,6 +67,18 @@ def test_fast_sim(benchmark, model, entry, hi, prefix):
     u = random_inputs(grid, (0.0, 0.0), hi)
     out = benchmark(plant.fast_sim, u, grid)
     assert out.shape[0] == grid.n_samples
+
+
+@pytest.mark.parametrize("entry", ["CC1"], ids=["chasing_cars-CC1-build"])
+def test_operator_build(benchmark, entry):
+    grid = catalog(entry).grid()
+
+    def cold():
+        _platoon_operators.cache_clear()
+        return (ChasingCars, grid.step, grid.n_samples), {}
+
+    L, *_ = benchmark.pedantic(_platoon_operators, setup=cold, rounds=50)
+    assert L > 1
 
 
 def test_robustness_passthrough_spec(benchmark):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from athena.models import (
     Passthrough,
     PlantModel,
     PortSpec,
+    _platoon_operators,
     builtin,
     simulate,
 )
@@ -226,21 +229,62 @@ class TestChasingCars:
 
     @pytest.mark.parametrize(
         "n, step",
-        [(2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (2001, 0.05), (2301, 0.05),
-         (10001, 0.01)],
+        [(2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (1001, 0.05), (1998, 0.05),
+         (2001, 0.05), (2301, 0.05), (10001, 0.01)],
     )
     def test_blocked_scan_matches_sequential(self, n, step):
-        # n - 1 = 1, 2 (prime), 20, 25 (a square), the CC1 and CC4 grids, step 0.01
+        # n - 1 = 1 (one step), 2 (prime), 20, 25 (a square), the CCx prefix,
+        # 1997 (prime: the last chunk is partial), the CC1 and CC4 grids,
+        # step 0.01
         cc = ChasingCars()
         grid = TimeGrid((n - 1) * step, step)
         assert grid.n_samples == n
         u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
-        Pt, Q, r, _ = cc._step_ops(step, 1)
+        Pt, Q, r = cc._step_ops(step)
         forcing = np.hstack([u[:-1], 0.5 * (u[:-1] + u[1:]), u[1:]]) @ Q + r
         ref = np.array(affine_recurrence(Pt.T.tolist(), forcing.tolist(), cc._x0))
         got = cc.fast_sim(u, grid)
         assert got.shape == (n, 5)
         assert np.allclose(got, ref[:, [4, 3, 2, 1, 0]], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("throttle, time", [(1e307, 2.85), (1e305, 45.9)])
+    def test_overflow_raises_divergence_without_warning(self, throttle, time):
+        # the sequential recurrence first overflows at the same samples
+        grid = TimeGrid(100.0, 0.05)
+        cc = builtin("chasing_cars")
+        sigs = const_inputs(cc, grid, {"throttle": throttle, "brake": 0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                simulate(cc, sigs, grid)
+        assert exc.value.time == pytest.approx(time, abs=1e-9)
+
+    def test_instances_share_one_operator_build(self):
+        grid = TimeGrid(3.3, 0.05)
+        u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
+        before = _platoon_operators.cache_info()
+        a = builtin("chasing_cars").fast_sim(u, grid)
+        b = builtin("chasing_cars").fast_sim(u, grid)
+        after = _platoon_operators.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 1
+        assert np.array_equal(a, b)
+
+    def test_operators_are_read_only(self):
+        L, *operators = _platoon_operators(ChasingCars, 0.05, 2001)
+        assert L > 1
+        for a in operators + [ChasingCars._x0]:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_input_left_unwritten(self, writeable):
+        grid = TimeGrid(10.0, 0.05)
+        u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
+        want = u.copy()
+        u.setflags(write=writeable)
+        out = builtin("chasing_cars").fast_sim(u, grid)
+        assert out.shape == (grid.n_samples, 5)
+        assert np.array_equal(u, want)
 
     def test_determinism_bit_identical(self):
         grid = TimeGrid(100.0, 0.01)

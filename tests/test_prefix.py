@@ -29,8 +29,8 @@ from athena.signals import (
 )
 from athena.stl import Trace, formula_samples, parse, robustness
 
-# the tolerance of the chasing_cars oracle tests: its blocked scan picks its
-# block size from the sample count, so a shorter run rounds differently
+# the tolerance of the chasing_cars oracle tests: its matmuls pick their
+# chunk length from the sample count, so a shorter run rounds differently
 CC_ATOL = 1e-9
 
 # every channel the formulas below name
