@@ -11,7 +11,11 @@ score reads from the plant's outputs. The `-build` case times building the
 chasing_cars operators for the CC1 grid from a cleared cache, the cost
 the first simulation on a grid pays. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
-AT2, of CC1 and of the passthrough workload. The end-to-end cases
+AT2, of CC1 and of the passthrough workload. The scoring cases time
+robustness of the passthrough, CC1 and AT2 formulas and the passthrough
+manual fitness, each on the trace `falsify` scores for one random
+candidate (the passthrough robustness case on a random input). The
+end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
 """
@@ -20,6 +24,7 @@ import numpy as np
 import pytest
 
 from athena.catalog import catalog
+from athena.fitness import manual_fitness
 from athena.harness import ExperimentConfig, parse_assumption, resolve
 from athena.models import (
     AutoTransmissionLite,
@@ -28,7 +33,7 @@ from athena.models import (
     _platoon_operators,
     simulate,
 )
-from athena.search import SearchConfig, falsify, simulation_grid
+from athena.search import SearchConfig, encode_inputs, falsify, simulation_grid
 from athena.signals import (
     ControlPoints,
     Signal,
@@ -36,10 +41,14 @@ from athena.signals import (
     interpolate,
     uniform_control_times,
 )
-from athena.stl import parse, robustness
+from athena.stl import Trace, parse, robustness
 
 PASSTHROUGH_FORMULA = (
     "G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1))) and G[0,100] (F[0,20] (y <= 2))"
+)
+PASSTHROUGH_MANUAL = (
+    "scale(mean(y,[0,60]),[0,1]) - scale(ptp(x,[30,120]),[0,1])"
+    " + 0.5 * scale(max(y - x,[10,90]),[0,1]) - 0.1 * slope_up(x,[0,120])"
 )
 
 
@@ -89,6 +98,46 @@ def test_robustness_passthrough_spec(benchmark):
     trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
     rho = benchmark(robustness, formula, trace)
     assert np.isfinite(rho)
+
+
+def _scored_trace(problem, seed=0):
+    """The trace falsify scores for one random candidate: the leading
+    samples the score reads from the plant's outputs, with the fitness
+    marked as falsify marks it, and the controls and full-grid inputs."""
+    a, grid, plant = problem.assumption, problem.grid, problem.plant
+    vector = np.random.default_rng(seed).uniform(a.lower, a.upper)
+    controls = a.control_points(vector, grid)
+    inputs = encode_inputs(a, controls, grid)
+    n = problem.fitness.samples_read(grid, plant.port_spec.inputs)
+    if n == grid.n_samples:
+        return problem.fitness, simulate(plant, inputs, grid).trace, controls, None
+    short = TimeGrid((n - 1) * grid.step, grid.step)
+    part = {name: signal.prefix(short) for name, signal in inputs.items()}
+    fitness = problem.fitness.reading_inputs(plant.port_spec.inputs)
+    return fitness, simulate(plant, part, short).trace, controls, Trace(grid, inputs)
+
+
+@pytest.mark.parametrize("entry", ["CC1", "AT2"])
+def test_robustness_catalog(benchmark, entry):
+    fitness, trace, _, _ = _scored_trace(resolve(ExperimentConfig(entry=entry)))
+    rho = benchmark(robustness, fitness.formula, trace)
+    assert np.isfinite(rho)
+
+
+def test_manual_fitness_passthrough_spec(benchmark):
+    problem = resolve(
+        ExperimentConfig(
+            plant=Passthrough(),
+            formula_text=PASSTHROUGH_FORMULA,
+            manual_text=PASSTHROUGH_MANUAL,
+            assumption=parse_assumption("x:linear:0,1:9"),
+            auto_scale=2.0,
+            step=0.01,
+        )
+    )
+    fitness, trace, controls, inputs = _scored_trace(problem)
+    fm = benchmark(manual_fitness, fitness.manual, trace, controls, inputs)
+    assert np.isfinite(fm)
 
 
 def _port_and_grid(case):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Collection, Mapping
+from typing import Collection, Iterator, Mapping
 
 from .errors import ParseError
 from .signals import (
@@ -31,7 +31,7 @@ from .signals import (
     scale as scale_value,
     steepest_slope,
     window_samples,
-    window_stat,
+    window_span,
 )
 from .stl import AtomExpr, Formula, FormulaParser, Trace, formula_samples, robustness
 
@@ -98,6 +98,8 @@ class WindowStat(ManualFitnessExpr):
     samples either way, so the value is the same. A plant that diverges
     after that output prefix is scored normally, since no window reads
     those samples of its outputs.
+
+    The channel expression is evaluated only over the window's samples.
     """
 
     channel: AtomExpr
@@ -108,7 +110,8 @@ class WindowStat(ManualFitnessExpr):
     def evaluate(self, trace, controls=None, inputs=None):
         if self.on_inputs and inputs is not None:
             trace = inputs
-        return window_stat(self.channel.values(trace), trace.grid, self.stat, self.window)
+        lo, hi = window_span(self.window, trace.grid)
+        return self.stat.of(self.channel.values(trace, lo, hi + 1))
 
     def __str__(self):
         a, b = self.window
@@ -313,6 +316,17 @@ def _reading_inputs(expr: ManualFitnessExpr, inputs: frozenset[str]) -> ManualFi
     return expr
 
 
+def _windows(expr: ManualFitnessExpr) -> Iterator[WindowStat]:
+    """The window statistics in `expr`, in source order."""
+    if isinstance(expr, WindowStat):
+        yield expr
+    elif isinstance(expr, (Scale, TargetDistance, Neg)):
+        yield from _windows(expr.child)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        yield from _windows(expr.left)
+        yield from _windows(expr.right)
+
+
 def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid) -> int:
     """Leading samples of a trace on `grid` that `expr` reads."""
     if isinstance(expr, WindowStat):
@@ -376,6 +390,18 @@ class FitnessAssessment:
         if self.manual is None:
             return self
         return replace(self, manual=_reading_inputs(self.manual, frozenset(inputs)))
+
+    def check_windows(self, grid: TimeGrid) -> None:
+        """Raise the ValueError that scoring a trace on `grid` would raise
+        for the first manual window that ends past the grid, holds no grid
+        sample, or is empty, by resolving each window's sample range.
+
+        `falsify` calls this before its first simulation. A window that
+        fits the whole grid also fits the prefix `samples_read` gives.
+        """
+        if self.manual is not None:
+            for window in _windows(self.manual):
+                window_span(window.window, grid)
 
     def samples_read(self, grid: TimeGrid, inputs: Collection[str]) -> int:
         """Leading samples of a trace on `grid` that `assess` reads, for a

@@ -171,9 +171,8 @@ def simulate(
         u = np.zeros((grid.n_samples, 0))
 
     out = model.fast_sim(u, grid)
-    channels: dict[str, np.ndarray | Signal] = dict(zip(spec.outputs, out.T))
-    channels.update((name, inputs[name]) for name in spec.inputs)
-    return SimResult(Trace(grid, channels))
+    signals = {name: inputs[name] for name in spec.inputs}
+    return SimResult(Trace.from_block(grid, spec.outputs, out, signals))
 
 
 class Passthrough(PlantModel):

@@ -257,8 +257,10 @@ def falsify(
     only after the prefix is therefore scored normally, not as diverged:
     no part of the score reads those samples of its outputs.
 
-    An exception raised inside an iteration carries `simulations`, the
-    number of simulations run before it, diverged ones included.
+    A manual window that ends past `grid` or holds none of its samples
+    raises ValueError before the first simulation. An exception raised
+    inside an iteration carries `simulations`, the number of simulations
+    run before it, diverged ones included.
     """
     names = tuple(p.port for p in assumption.ports)
     if names != plant.port_spec.inputs:
@@ -271,6 +273,7 @@ def falsify(
         raise HorizonError(
             f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
         )
+    fitness_cfg.check_windows(grid)
     n_read = fitness_cfg.samples_read(grid, names)
     sim_grid = grid
     if n_read < grid.n_samples:

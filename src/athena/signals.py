@@ -29,6 +29,7 @@ __all__ = [
     "uniform_control_times",
     "interpolate",
     "window_samples",
+    "window_span",
     "window_stat",
     "steepest_slope",
     "scale",
@@ -214,6 +215,16 @@ class WindowStatKind(enum.Enum):
     MAX = "max"
     MEAN = "mean"
     PEAK_TO_PEAK = "ptp"
+
+    def of(self, chunk: np.ndarray) -> float:
+        """The statistic of the samples in `chunk`."""
+        if self is WindowStatKind.MIN:
+            return float(chunk.min())
+        if self is WindowStatKind.MAX:
+            return float(chunk.max())
+        if self is WindowStatKind.MEAN:
+            return float(chunk.mean())
+        return float(chunk.max() - chunk.min())
 
 
 class SlopeDirection(enum.Enum):
@@ -438,11 +449,13 @@ def window_samples(window: tuple[float, float], grid: TimeGrid) -> int:
     return min(k + 1, grid.n_samples)
 
 
-def window_stat(
-    values: np.ndarray, grid: TimeGrid, stat: WindowStatKind, window: tuple[float, float]
-) -> float:
-    """Statistic of `values`, one per grid sample, over the samples with time
-    in [a, b], ends inclusive."""
+def window_span(window: tuple[float, float], grid: TimeGrid) -> tuple[int, int]:
+    """Inclusive sample-index range of `grid` that `window_stat` reads over
+    `window`, the samples with time in [a, b].
+
+    Raises ValueError for a window that is empty or reversed, ends past
+    the grid, or holds no grid sample.
+    """
     a, b = window
     if not (0.0 <= a < b):
         raise ValueError(f"window must satisfy 0 <= a < b, got [{a}, {b}]")
@@ -451,14 +464,16 @@ def window_stat(
     lo, hi = grid.index_window(a, b)
     if lo > hi:
         raise ValueError(f"window [{a}, {b}] contains no grid samples")
-    chunk = values[lo : hi + 1]
-    if stat is WindowStatKind.MIN:
-        return float(chunk.min())
-    if stat is WindowStatKind.MAX:
-        return float(chunk.max())
-    if stat is WindowStatKind.MEAN:
-        return float(chunk.mean())
-    return float(chunk.max() - chunk.min())
+    return lo, hi
+
+
+def window_stat(
+    values: np.ndarray, grid: TimeGrid, stat: WindowStatKind, window: tuple[float, float]
+) -> float:
+    """Statistic of `values`, one per grid sample, over the samples with time
+    in [a, b], ends inclusive."""
+    lo, hi = window_span(window, grid)
+    return stat.of(values[lo : hi + 1])
 
 
 def steepest_slope(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -42,11 +43,24 @@ class AtomExpr:
     def channels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def values(self, trace: Trace) -> np.ndarray:
-        """The expression at every sample of the trace."""
-        acc = np.zeros(trace.grid.n_samples)
+    def values(self, trace: Trace, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The expression at samples start .. stop - 1 of the trace (every
+        sample by default).
+
+        The sum starts from the first term, and a coefficient of 1 is not
+        multiplied. That is bitwise the sum from a zero seed, 0 + t1 + ...
+        + const: the seed changes only a -0.0 sum to +0.0, and so does
+        adding any const but -0.0. With no terms or a -0.0 const the zero
+        seed is kept.
+        """
+        acc = None
+        negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
+        if not self.terms or negative_zero:
+            acc = np.zeros(trace.grid.n_samples)[start:stop]
         for name, coeff in self.terms:
-            acc = acc + coeff * trace.channel(name)
+            column = trace.channel(name)[start:stop]
+            term = column if coeff == 1.0 else coeff * column
+            acc = term if acc is None else acc + term
         acc = acc + self.const
         if self.absolute:
             acc = np.abs(acc)
@@ -169,7 +183,8 @@ class Trace:
 
     Each channel is checked by building it as a `Signal` on the grid, which
     makes a finite read-only copy. A channel that already is a `Signal` on
-    the same grid is stored as it is, without a second copy.
+    the same grid is stored as it is, without a second copy. `from_block`
+    checks and copies a plant's whole output block at once instead.
     """
 
     __slots__ = ("grid", "channels")
@@ -187,6 +202,30 @@ class Trace:
             store[name] = values.values
         self.grid = grid
         self.channels = MappingProxyType(store)
+
+    @classmethod
+    def from_block(
+        cls,
+        grid: TimeGrid,
+        names: tuple[str, ...],
+        block: np.ndarray,
+        signals: Mapping[str, Signal],
+    ) -> Trace:
+        """A trace of the columns of `block`, a (samples, len(names))
+        array, named in order, followed by `signals`.
+
+        One finiteness pass checks the whole block, and one copy turns it
+        into read-only rows, each channel a view of one. Where the block
+        fails the check, its columns are checked one by one as the
+        constructor checks them, so the error names the first bad channel.
+        """
+        if block.shape != (grid.n_samples, len(names)) or not np.isfinite(block).all():
+            return cls(grid, {**dict(zip(names, block.T)), **signals})
+        rows = np.array(block.T, dtype=float, order="C")
+        rows.setflags(write=False)
+        trace = cls(grid, signals)
+        trace.channels = MappingProxyType({**dict(zip(names, rows)), **trace.channels})
+        return trace
 
     def channel(self, name: str) -> np.ndarray:
         from ..errors import MissingChannelError

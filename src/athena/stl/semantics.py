@@ -2,17 +2,27 @@
 
 Discrete-grid semantics evaluated at time 0. Temporal operators select the
 grid samples u with t+a <= u <= t+b (ends inclusive, TIME_TOL slack); min
-and max over those samples give Globally and Eventually. Robustness is
-computed bottom-up as one array per subformula, trimmed to the prefix of
-sample indices whose full window fits inside the trace.
+and max over those samples give Globally and Eventually.
+
+A formula is evaluated through its plan, built once per (formula, step) by
+one walk of the tree and cached. The plan holds each temporal node's
+sample offsets (k_lo, k_hi) and the number of leading output samples its
+parent reads, `need`: the root reads 1, and the child of a temporal node
+reads need + k_hi. A predicate evaluates its expression on that prefix
+only. A temporal node read at one sample is a single min or max over
+child[k_lo : k_hi + 1]; any other runs a sliding min or max that yields
+exactly `need` samples, in about log2 of the window's length passes of
+elementwise numpy minimum or maximum. No sample is computed that the
+value at t=0 does not read, and every value is one of the trace's
+margins, so the result equals a walk over the whole trace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ..errors import HorizonError
 from ..signals import TIME_TOL
@@ -29,6 +39,9 @@ from .nodes import (
 )
 
 __all__ = ["robustness", "satisfied", "formula_horizon", "formula_samples"]
+
+# Number of plans kept per process, one per (formula, step); a run reads one.
+PLAN_CACHE_SIZE = 32
 
 
 def formula_horizon(f: Formula) -> float:
@@ -48,23 +61,11 @@ def formula_samples(f: Formula, step: float) -> int:
     """Leading samples of a trace at `step` that robustness at t=0 reads.
 
     One plus the largest sum of window ends, in samples, along any path from
-    the root to a predicate, by the window arithmetic `_walk` uses: on a
-    trace one sample shorter, the deepest temporal operator raises
+    the root to a predicate: the `need` the plan gives the deepest
+    predicate. On a trace one sample shorter, `robustness` raises
     HorizonError. A formula with no temporal operator reads 1 sample.
     """
-    return 1 + _reach(f, step)
-
-
-def _reach(f: Formula, step: float) -> int:
-    if isinstance(f, Predicate):
-        return 0
-    if isinstance(f, Not):
-        return _reach(f.child, step)
-    if isinstance(f, (And, Or, Implies)):
-        return max(_reach(f.left, step), _reach(f.right, step))
-    if isinstance(f, (Globally, Eventually)):
-        return _window_offsets(f.a, f.b, step)[1] + _reach(f.child, step)
-    raise TypeError(f"not a formula node: {f!r}")
+    return 1 + _plan(f, step).reach
 
 
 def _window_offsets(a: float, b: float, step: float) -> tuple[int, int]:
@@ -79,14 +80,23 @@ def _window_offsets(a: float, b: float, step: float) -> tuple[int, int]:
 
 
 def _sliding(arr: np.ndarray, k_lo: int, k_hi: int, out_len: int, take_min: bool) -> np.ndarray:
-    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len)."""
+    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len).
+
+    `arr` holds at least out_len + k_hi samples. By doubling: after each
+    pass, run[i] is the min/max of the `span` samples from arr[k_lo + i],
+    and two runs of span <= w samples cover a window of w. Each value is
+    one of the samples, so the result is exact.
+    """
+    combine = np.minimum if take_min else np.maximum
     w = k_hi - k_lo + 1
-    if w == 1:
-        return arr[k_lo : k_lo + out_len]
-    filt = minimum_filter1d if take_min else maximum_filter1d
-    full = filt(arr, size=w, mode="nearest")
-    start = k_lo + w // 2
-    return full[start : start + out_len]
+    run = arr[k_lo : k_hi + out_len]
+    span = 1
+    while 2 * span <= w:
+        run = combine(run[:-span], run[span:])
+        span *= 2
+    if span == w:
+        return run[:out_len]
+    return combine(run[:out_len], run[w - span : w - span + out_len])
 
 
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
@@ -106,49 +116,148 @@ def _complement(x: np.ndarray) -> np.ndarray:
     return 1 - x
 
 
-def _walk(f: Formula, trace: Trace, leaf, neg) -> np.ndarray:
-    """Value of f at every sample index where it is defined.
+class _Leaf:
+    """A predicate read at samples 0 .. need - 1."""
 
-    `leaf(predicate, values)` scores a predicate and `neg` negates; And and
-    Or are minimum and maximum, and Implies is maximum(neg(left), right).
-    On 0/1 arrays minimum and maximum are boolean and/or, so the same walk
+    __slots__ = ("need",)
+    reach = 0
+
+    def __init__(self, need: int):
+        self.need = need
+
+    def value(self, f: Predicate, trace: Trace, leaf, neg) -> np.ndarray:
+        return leaf(f, f.expr.values(trace, 0, self.need))
+
+    def check(self, f: Predicate, trace: Trace, n: int) -> None:
+        for name in f.expr.channels():
+            trace.channel(name)
+
+
+class _Negation:
+    __slots__ = ("child", "reach")
+
+    def __init__(self, child):
+        self.child = child
+        self.reach = child.reach
+
+    def value(self, f: Not, trace: Trace, leaf, neg) -> np.ndarray:
+        return neg(self.child.value(f.child, trace, leaf, neg))
+
+    def check(self, f: Not, trace: Trace, n: int) -> None:
+        self.child.check(f.child, trace, n)
+
+
+class _Join:
+    """And, Or and Implies: minimum, maximum, and maximum(neg(left), right).
+
+    On 0/1 arrays minimum and maximum are boolean and/or, so the same plan
     gives robustness (margin, -x) and satisfaction (comparison, 1 - x).
     """
-    if isinstance(f, Predicate):
-        return leaf(f, f.expr.values(trace))
-    if isinstance(f, Not):
-        return neg(_walk(f.child, trace, leaf, neg))
-    if isinstance(f, (And, Or, Implies)):
-        left = _walk(f.left, trace, leaf, neg)
-        right = _walk(f.right, trace, leaf, neg)
-        n = min(len(left), len(right))
-        if isinstance(f, And):
-            return np.minimum(left[:n], right[:n])
-        if isinstance(f, Or):
-            return np.maximum(left[:n], right[:n])
-        return np.maximum(neg(left[:n]), right[:n])
-    if isinstance(f, (Globally, Eventually)):
-        child = _walk(f.child, trace, leaf, neg)
-        k_lo, k_hi = _window_offsets(f.a, f.b, trace.grid.step)
-        out_len = len(child) - k_hi
-        if out_len < 1:
+
+    __slots__ = ("left", "right", "reach", "combine", "negate_left")
+
+    def __init__(self, f: And | Or | Implies, left, right):
+        self.left = left
+        self.right = right
+        self.reach = max(left.reach, right.reach)
+        self.combine = np.minimum if isinstance(f, And) else np.maximum
+        self.negate_left = isinstance(f, Implies)
+
+    def value(self, f, trace: Trace, leaf, neg) -> np.ndarray:
+        left = self.left.value(f.left, trace, leaf, neg)
+        right = self.right.value(f.right, trace, leaf, neg)
+        if self.negate_left:
+            left = neg(left)
+        return self.combine(left, right)
+
+    def check(self, f, trace: Trace, n: int) -> None:
+        self.left.check(f.left, trace, n)
+        self.right.check(f.right, trace, n)
+
+
+class _Window:
+    """Globally or Eventually read at samples 0 .. need - 1.
+
+    `reach` is the largest sum of window ends, in samples, from this node
+    down to a predicate: the node gives no sample on a trace of `reach`
+    samples or fewer.
+    """
+
+    __slots__ = ("k_lo", "k_hi", "need", "child", "reach")
+
+    def __init__(self, k_lo: int, k_hi: int, need: int, child):
+        self.k_lo = k_lo
+        self.k_hi = k_hi
+        self.need = need
+        self.child = child
+        self.reach = k_hi + child.reach
+
+    def value(self, f: Globally | Eventually, trace: Trace, leaf, neg) -> np.ndarray:
+        child = self.child.value(f.child, trace, leaf, neg)
+        take_min = isinstance(f, Globally)
+        if self.need == 1:
+            chunk = child[self.k_lo : self.k_hi + 1]
+            return chunk.min(keepdims=True) if take_min else chunk.max(keepdims=True)
+        return _sliding(child, self.k_lo, self.k_hi, self.need, take_min)
+
+    def check(self, f: Globally | Eventually, trace: Trace, n: int) -> None:
+        self.child.check(f.child, trace, n)
+        if self.reach >= n:
             raise HorizonError(
                 f"trace end {trace.grid.end:g}s is too short for {f}"
                 f" (needs {formula_horizon(f):g}s)"
             )
-        return _sliding(child, k_lo, k_hi, out_len, take_min=isinstance(f, Globally))
+
+
+def _build(f: Formula, step: float, need: int):
+    """The plan node for f when its parent reads `need` samples of it."""
+    if isinstance(f, Predicate):
+        return _Leaf(need)
+    if isinstance(f, Not):
+        return _Negation(_build(f.child, step, need))
+    if isinstance(f, (And, Or, Implies)):
+        return _Join(f, _build(f.left, step, need), _build(f.right, step, need))
+    if isinstance(f, (Globally, Eventually)):
+        k_lo, k_hi = _window_offsets(f.a, f.b, step)
+        return _Window(k_lo, k_hi, need, _build(f.child, step, need + k_hi))
     raise TypeError(f"not a formula node: {f!r}")
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(f: Formula, step: float):
+    """The plan of f on traces at `step`: the root node, read at 1 sample.
+
+    The plan holds no part of f, only offsets and sample counts, and is
+    walked alongside f. A formula equal to f but for the sign of a zero
+    bound or constant shares its plan and is still read with its own
+    numbers.
+    """
+    return _build(f, step, 1)
+
+
+def _value(f: Formula, trace: Trace, leaf, neg):
+    """f at t=0, by its plan; on a trace too short for the plan, raises
+    what a walk of the whole trace raises first: MissingChannelError from
+    a predicate reached earlier, else HorizonError naming the deepest
+    temporal operator that gives no sample."""
+    plan = _plan(f, trace.grid.step)
+    n = trace.grid.n_samples
+    if n <= plan.reach:
+        plan.check(f, trace, n)
+    return plan.value(f, trace, leaf, neg)[0]
 
 
 def robustness(f: Formula, trace: Trace) -> float:
     """Space robustness of f on the trace, evaluated at time 0.
 
     Positive means satisfied, negative violated; magnitude is the margin in
-    the units of the predicate expressions.
+    the units of the predicate expressions. Only the leading
+    `formula_samples` samples of the trace are read; on a shorter trace
+    this raises HorizonError.
     """
-    return float(_walk(f, trace, _margin, np.negative)[0])
+    return float(_value(f, trace, _margin, np.negative))
 
 
 def satisfied(f: Formula, trace: Trace) -> bool:
     """Classical boolean semantics at time 0 (strict comparators exact)."""
-    return bool(_walk(f, trace, _holds, _complement)[0])
+    return bool(_value(f, trace, _holds, _complement))

@@ -4,10 +4,13 @@ Everything here shares no code with the package paths it checks. Most of
 it is deliberately written in plain scalar Python: a coefficient-form
 monotone-cubic evaluator, a naive recursive robustness evaluator, a
 straightforward RK4 integrator, a step-by-step affine recurrence, a scalar
-reduced-transmission model, and a brute-force rank-sum enumerator. The one
-numpy reference, `interpolate_reference`, is the per-call interpolation
-that the cached plans of `signals.interpolate` replaced, kept so the plans
-can be required to match it bit for bit.
+reduced-transmission model, and a brute-force rank-sum enumerator. The
+numpy references are code the package replaced, kept so the replacement
+can be required to match it bit for bit: `interpolate_reference`, the
+per-call interpolation that the cached plans of `signals.interpolate`
+replaced, and `walk_reference`, the whole-trace robustness walk (with
+`values_reference`, the zero-seeded channel-expression sum) that the
+cached STL plans replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ import math
 
 import numpy as np
 
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+from athena.errors import HorizonError
 from athena.signals import TIME_TOL, InterpolationKind
+from athena.stl import formula_horizon
 
 from athena.stl.nodes import (
     And,
@@ -262,6 +269,102 @@ def naive_satisfied(f, trace, i=0, _memo=None, _times=None):
         raise TypeError(f"unknown node {f!r}")
     _memo[key] = val
     return val
+
+
+# --- whole-trace robustness walk -----------------------------------------
+
+def values_reference(expr, trace):
+    """The expression at every sample of the trace, summed from a zero seed."""
+    acc = np.zeros(trace.grid.n_samples)
+    for name, coeff in expr.terms:
+        acc = acc + coeff * trace.channel(name)
+    acc = acc + expr.const
+    if expr.absolute:
+        acc = np.abs(acc)
+    return acc
+
+
+def _ref_window_offsets(a, b, step):
+    """Sample-index offsets selected by [t+a, t+b] on a uniform grid."""
+    k_lo = max(0, math.ceil((a - TIME_TOL) / step))
+    k_hi = math.floor((b + TIME_TOL) / step)
+    if k_lo > k_hi:
+        raise ValueError(
+            f"interval [{a:g},{b:g}] selects no grid samples at step {step:g}"
+        )
+    return k_lo, k_hi
+
+
+def _ref_sliding(arr, k_lo, k_hi, out_len, take_min):
+    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len)."""
+    w = k_hi - k_lo + 1
+    if w == 1:
+        return arr[k_lo : k_lo + out_len]
+    filt = minimum_filter1d if take_min else maximum_filter1d
+    full = filt(arr, size=w, mode="nearest")
+    start = k_lo + w // 2
+    return full[start : start + out_len]
+
+
+_REF_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def ref_margin(f, e):
+    if f.cmp in ("<", "<="):
+        return f.bound - e
+    return e - f.bound
+
+
+def ref_holds(f, e):
+    return _REF_COMPARE[f.cmp](e, f.bound).astype(np.uint8)
+
+
+def ref_complement(x):
+    return 1 - x
+
+
+def walk_reference(f, trace, leaf, neg):
+    """Value of f at every sample index where it is defined.
+
+    `leaf(predicate, values)` scores a predicate and `neg` negates; And and
+    Or are minimum and maximum, and Implies is maximum(neg(left), right).
+    On 0/1 arrays minimum and maximum are boolean and/or, so the same walk
+    gives robustness (margin, -x) and satisfaction (comparison, 1 - x).
+    """
+    if isinstance(f, Predicate):
+        return leaf(f, values_reference(f.expr, trace))
+    if isinstance(f, Not):
+        return neg(walk_reference(f.child, trace, leaf, neg))
+    if isinstance(f, (And, Or, Implies)):
+        left = walk_reference(f.left, trace, leaf, neg)
+        right = walk_reference(f.right, trace, leaf, neg)
+        n = min(len(left), len(right))
+        if isinstance(f, And):
+            return np.minimum(left[:n], right[:n])
+        if isinstance(f, Or):
+            return np.maximum(left[:n], right[:n])
+        return np.maximum(neg(left[:n]), right[:n])
+    if isinstance(f, (Globally, Eventually)):
+        child = walk_reference(f.child, trace, leaf, neg)
+        k_lo, k_hi = _ref_window_offsets(f.a, f.b, trace.grid.step)
+        out_len = len(child) - k_hi
+        if out_len < 1:
+            raise HorizonError(
+                f"trace end {trace.grid.end:g}s is too short for {f}"
+                f" (needs {formula_horizon(f):g}s)"
+            )
+        return _ref_sliding(child, k_lo, k_hi, out_len, take_min=isinstance(f, Globally))
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def robustness_reference(f, trace):
+    """Robustness at t=0 by the whole-trace walk."""
+    return float(walk_reference(f, trace, ref_margin, np.negative)[0])
+
+
+def satisfied_reference(f, trace):
+    """Satisfaction at t=0 by the whole-trace walk."""
+    return bool(walk_reference(f, trace, ref_holds, ref_complement)[0])
 
 
 # --- reference integrator -------------------------------------------------

@@ -375,7 +375,8 @@ class TestFalsifyPrefix:
         assert result.found
         assert result.failure.robustness < 0
 
-    def test_manual_window_past_grid_end_same_error_row(self):
+    def test_manual_window_past_grid_end_errors_before_simulating(self):
+        # the window is resolved on the grid before the first simulation
         cfg = ExperimentConfig(
             plant=Passthrough(),
             formula_text="G[0,10] (x < 2)",
@@ -387,7 +388,7 @@ class TestFalsifyPrefix:
         rows = run_experiment(cfg, jobs=1).rows
         for row in rows:
             assert row.error == "ValueError: window end 12.0 exceeds grid end 10.0"
-            assert row.iterations == 1
+            assert row.iterations == 0
 
 
 def _const_trace(channels: dict[str, float], grid: TimeGrid) -> Trace:
