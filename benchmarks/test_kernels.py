@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
+    python -m pytest benchmarks/ --benchmark-columns=min,median,iqr
 
 Each kernel case times one call on the grid a catalog entry or the
 passthrough workload uses, with fixed random inputs. The `-prefix` case
@@ -15,6 +15,9 @@ AT2, of CC1 and of the passthrough workload. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
 candidate (the passthrough robustness case on a random input). The
+search cases time one restart draw plus one proposal and one
+`Assumption.control_points` decode on the AT2 box, and the channel
+expression of the passthrough predicate over every sample. The
 end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
@@ -33,7 +36,7 @@ from athena.models import (
     _platoon_operators,
     simulate,
 )
-from athena.search import SearchConfig, encode_inputs, falsify, simulation_grid
+from athena.search import SearchConfig, encode_inputs, falsify, propose, simulation_grid
 from athena.signals import (
     ControlPoints,
     Signal,
@@ -158,6 +161,40 @@ def test_interpolate(benchmark, case):
     interpolate(cp, port.kind, grid)  # builds the plan outside the timing
     signal = benchmark(interpolate, cp, port.kind, grid)
     assert len(signal.values) == grid.n_samples
+
+
+def test_draws_at2(benchmark):
+    # one restart draw and one proposal from it, as falsify makes them
+    a = resolve(ExperimentConfig(entry="AT2")).assumption
+    rng = np.random.default_rng(0)
+
+    def draws():
+        candidate = a.lower + a.width * rng.random(a.dim)
+        return propose(candidate, a, 0.5, rng)
+
+    assert a.dim == 10
+    assert benchmark(draws).shape == (a.dim,)
+
+
+def test_control_points_at2(benchmark):
+    problem = resolve(ExperimentConfig(entry="AT2"))
+    a, grid = problem.assumption, problem.grid
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+    controls = benchmark(a.control_points, vector, grid)
+    assert list(controls) == ["Throttle", "Brake"]
+
+
+def test_atom_values_passthrough_spec(benchmark):
+    # the predicate y - 0.5 * x >= -1 over the samples the STL plan reads
+    plant = Passthrough()
+    formula = parse(PASSTHROUGH_FORMULA)
+    grid = simulation_grid(plant, formula, 0.01)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, grid.n_samples)
+    trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
+    expr = formula.left.child.child.child.expr
+    assert str(expr) == "y - 0.5 * x"
+    values = benchmark(expr.values, trace, 0, grid.n_samples)
+    assert len(values) == grid.n_samples
 
 
 # (entry, seed, budget, found, iterations used); AT2 is never falsified,

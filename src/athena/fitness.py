@@ -18,11 +18,12 @@ distance-to-target, numeric constants, and + - * arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Collection, Iterator, Mapping
 
-from .errors import ParseError
+from .errors import MissingChannelError, ParseError
 from .signals import (
     ControlPoints,
     SlopeDirection,
@@ -33,7 +34,15 @@ from .signals import (
     window_samples,
     window_span,
 )
-from .stl import AtomExpr, Formula, FormulaParser, Trace, formula_samples, robustness
+from .stl import (
+    AtomExpr,
+    Formula,
+    FormulaParser,
+    Trace,
+    formula_channels,
+    formula_samples,
+    robustness,
+)
 
 __all__ = [
     "ManualFitnessExpr",
@@ -56,6 +65,12 @@ __all__ = [
 ]
 
 Controls = Mapping[str, ControlPoints]
+
+# Number of manual window spans kept per process, one per (window, grid); a
+# run resolves each of its windows on one grid.
+SPAN_CACHE_SIZE = 32
+
+_span = functools.lru_cache(maxsize=SPAN_CACHE_SIZE)(window_span)
 
 
 class ManualFitnessExpr:
@@ -99,7 +114,9 @@ class WindowStat(ManualFitnessExpr):
     after that output prefix is scored normally, since no window reads
     those samples of its outputs.
 
-    The channel expression is evaluated only over the window's samples.
+    The channel expression is evaluated only over the window's samples,
+    whose range is resolved once per (window, grid) and cached for the
+    most recent SPAN_CACHE_SIZE keys.
     """
 
     channel: AtomExpr
@@ -107,10 +124,14 @@ class WindowStat(ManualFitnessExpr):
     window: tuple[float, float]
     on_inputs: bool = False
 
+    def __post_init__(self):
+        # the window is a cache key
+        object.__setattr__(self, "window", tuple(self.window))
+
     def evaluate(self, trace, controls=None, inputs=None):
         if self.on_inputs and inputs is not None:
             trace = inputs
-        lo, hi = window_span(self.window, trace.grid)
+        lo, hi = _span(self.window, trace.grid)
         return self.stat.of(self.channel.values(trace, lo, hi + 1))
 
     def __str__(self):
@@ -391,13 +412,28 @@ class FitnessAssessment:
             return self
         return replace(self, manual=_reading_inputs(self.manual, frozenset(inputs)))
 
+    def check_channels(self, channels: Collection[str]) -> None:
+        """Raise MissingChannelError for the first channel that the formula
+        or a manual window names and `channels`, those of the plant's
+        traces, do not hold: the error scoring such a trace would raise.
+        The formula's channels are checked first, in source order.
+        """
+        named = list(formula_channels(self.formula))
+        if self.manual is not None:
+            for window in _windows(self.manual):
+                named.extend(window.channel.channels())
+        for name in named:
+            if name not in channels:
+                raise MissingChannelError(name, tuple(channels))
+
     def check_windows(self, grid: TimeGrid) -> None:
         """Raise the ValueError that scoring a trace on `grid` would raise
         for the first manual window that ends past the grid, holds no grid
         sample, or is empty, by resolving each window's sample range.
 
-        `falsify` calls this before its first simulation. A window that
-        fits the whole grid also fits the prefix `samples_read` gives.
+        `resolve` calls this, and so does `falsify`, before its first
+        simulation. A window that fits the whole grid also fits the prefix
+        `samples_read` gives.
         """
         if self.manual is not None:
             for window in _windows(self.manual):

@@ -173,7 +173,13 @@ class Problem:
 
 def resolve(cfg: ExperimentConfig) -> Problem:
     """Build the problem an experiment config names, from its catalog
-    entry or its inline pieces."""
+    entry or its inline pieces.
+
+    Rejects a problem no run could score, before any simulation: a
+    formula or manual channel that is neither a plant input nor a plant
+    output raises MissingChannelError, and a manual window that ends past
+    the grid, holds no grid sample or is empty raises ValueError.
+    """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
         plant, formula, manual = e.make_plant(), e.formula, e.manual
@@ -190,7 +196,11 @@ def resolve(cfg: ExperimentConfig) -> Problem:
         auto_scale=auto_scale,
         p_schedule=cfg.p_schedule,
     )
-    return Problem(plant, assumption, simulation_grid(plant, formula, step), fitness)
+    grid = simulation_grid(plant, formula, step)
+    spec = plant.port_spec
+    fitness.check_channels(spec.outputs + spec.inputs)
+    fitness.check_windows(grid)
+    return Problem(plant, assumption, grid, fitness)
 
 
 def json_float(x: float | None) -> float | None:

@@ -165,10 +165,9 @@ def simulate(
         if inputs[name].grid != grid:
             raise ValueError(f"input {name!r} is not sampled on the simulation grid")
 
-    if spec.inputs:
-        u = np.column_stack([inputs[name].values for name in spec.inputs])
-    else:
-        u = np.zeros((grid.n_samples, 0))
+    u = np.empty((grid.n_samples, len(spec.inputs)))
+    for j, name in enumerate(spec.inputs):
+        u[:, j] = inputs[name].values
 
     out = model.fast_sim(u, grid)
     signals = {name: inputs[name] for name in spec.inputs}

@@ -65,6 +65,12 @@ class PortAssumption:
             raise ValueError(
                 f"{self.port}: range must have lo < hi, got [{self.lo}, {self.hi}]"
             )
+        # the search draws lo + (hi - lo) * u, so the width must be finite too
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                f"{self.port}: range width hi - lo must be finite, "
+                f"got [{self.lo}, {self.hi}]"
+            )
         self.kind.check_arity(self.n)
 
 
@@ -106,12 +112,19 @@ class Assumption:
         hi.setflags(write=False)
         return hi
 
+    @cached_property
+    def width(self) -> np.ndarray:
+        """upper - lower, finite for every coordinate (`PortAssumption`)."""
+        width = self.upper - self.lower
+        width.setflags(write=False)
+        return width
+
     def validate_vector(self, vector) -> np.ndarray:
         v = np.asarray(vector, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"parameter vector needs shape ({self.dim},), got {v.shape}")
         # written so that NaN, which fails every comparison, is rejected too
-        if not np.all((v >= self.lower) & (v <= self.upper)):
+        if not ((v >= self.lower) & (v <= self.upper)).all():
             raise ValueError("parameter vector leaves the assumption box")
         return v
 
@@ -153,11 +166,18 @@ def propose(
 
     The per-coordinate stddev is sigma * range width * max(temperature,
     0.05); the floor keeps the chain moving at low temperature.
+
+    The draw is `current + std * rng.standard_normal(dim)`, numpy's own
+    definition of `rng.normal(current, std)` (loc + scale * a standard
+    normal, one per coordinate in order), so it consumes the generator
+    and rounds exactly as that call does. The clamp is
+    `np.minimum(np.maximum(x, lower), upper)`, which equals `np.clip` on
+    finite values.
     """
     v = assumption.validate_vector(current)
-    lo, hi = assumption.lower, assumption.upper
-    std = sigma * (hi - lo) * max(temperature, 0.05)
-    return np.clip(rng.normal(v, std), lo, hi)
+    std = sigma * assumption.width * max(temperature, 0.05)
+    x = v + std * rng.standard_normal(v.shape)
+    return np.minimum(np.maximum(x, assumption.lower), assumption.upper)
 
 
 @dataclass(frozen=True)
@@ -245,6 +265,12 @@ def falsify(
     exploiting. A diverged simulation scores worst-possible and the search
     moves on.
 
+    The uniform draw is `lower + width * rng.random(dim)` and the
+    acceptance draw `rng.random()`: numpy defines `rng.uniform(lower,
+    upper)` as lower + (upper - lower) * a double in [0, 1), one per
+    coordinate in order, and `rng.uniform()` as that double, so these
+    forms give the same numbers from the same generator state.
+
     Each candidate is encoded on the whole `grid`, and a `TestCase` holds
     those inputs. The plant is simulated only over the leading samples the
     score reads from its outputs (`FitnessAssessment.samples_read`), on
@@ -282,7 +308,7 @@ def falsify(
         fitness_cfg = fitness_cfg.reading_inputs(names)
 
     rng = np.random.default_rng(search_cfg.seed)
-    lo, hi = assumption.lower, assumption.upper
+    lower, width, dim = assumption.lower, assumption.width, assumption.dim
     temperature = search_cfg.t0
 
     current_vec: np.ndarray | None = None
@@ -297,7 +323,7 @@ def falsify(
     for i in range(search_cfg.max_iterations):
         restarted = current_vec is None or stall >= search_cfg.restart_after
         if restarted:
-            candidate = rng.uniform(lo, hi)
+            candidate = lower + width * rng.random(dim)
             temperature = search_cfg.t0
         else:
             candidate = propose(
@@ -361,7 +387,7 @@ def falsify(
             current_vec, current_f = candidate, f
         else:
             delta = f - current_f
-            if delta <= 0.0 or rng.uniform() < math.exp(-delta / temperature):
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                 current_vec, current_f = candidate, f
 
         stall = 0 if improved else stall + 1

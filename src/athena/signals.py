@@ -108,16 +108,15 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # a fresh copy, made read-only once it passes the checks
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or len(values) != self.grid.n_samples:
             raise ValueError(
                 f"signal needs {self.grid.n_samples} samples, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("signal values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
     def prefix(self, grid: TimeGrid) -> "Signal":
         """The first `grid.n_samples` samples, as a signal on `grid`, a
@@ -154,20 +153,19 @@ class ControlPoints:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # fresh copies, made read-only once they pass the checks
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or len(times) == 0:
             raise ValueError("control times and values must be equal-length 1-d sequences")
         if abs(times[0]) > TIME_TOL:
             raise ValueError(f"first control time must be 0, got {times[0]}")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if len(times) > 1 and not (times[1:] > times[:-1]).all():
             raise ValueError("control times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("control values must be finite")
-        for name, arr in (("times", times), ("values", values)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "times", _read_only(times))
+        object.__setattr__(self, "values", _read_only(values))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -298,24 +296,42 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
+def _runs(index: np.ndarray, n: int) -> np.ndarray:
+    """The number of samples at each of n points, read-only, for `index`,
+    the point of every sample. When `index` never decreases along the
+    grid, `values[index]` equals `np.repeat(values, counts)`, which copies
+    n runs instead of gathering one index per sample."""
+    return _read_only(np.bincount(index, minlength=n))
+
+
 class _HeldPlan:
     """Constant and piecewise-constant kinds: each sample takes the value of
-    one control point, the exact hits included."""
+    one control point, the exact hits included.
 
-    def __init__(self, held: np.ndarray):
+    The held point never decreases along the grid unless two control times
+    fall within TIME_TOL of one sample, which takes a step under 2 *
+    TIME_TOL; then `counts` is None and a call gathers."""
+
+    def __init__(self, held: np.ndarray, n: int):
         self.held = _read_only(held)
+        self.counts = _runs(held, n) if (held[1:] >= held[:-1]).all() else None
 
     def sample(self, values: np.ndarray) -> np.ndarray:
-        return values[self.held]
+        if self.counts is None:
+            return values[self.held]
+        return np.repeat(values, self.counts)
 
 
 class _LinearPlan:
     """Linear kind, in np.interp's arithmetic: slope * (x - t[seg]) + v[seg],
     with the control value itself at a control time, outside the control
-    times and at the exact hits."""
+    times and at the exact hits.
+
+    `seg` never decreases along the grid, so `slope[seg]` and `v[seg]` are
+    repeats of the n - 1 segments by `counts`."""
 
     def __init__(self, seg, dx, widths, hits, points):
-        self.seg = _read_only(seg)
+        self.counts = _runs(seg, len(widths))
         self.dx = _read_only(dx)
         self.widths = _read_only(widths)
         self.hits = _read_only(hits)
@@ -325,8 +341,10 @@ class _LinearPlan:
     # the zero offset at a control time is overwritten by the control value
     @np.errstate(over="ignore", invalid="ignore")
     def sample(self, values: np.ndarray) -> np.ndarray:
-        slope = np.diff(values) / self.widths
-        out = slope[self.seg] * self.dx + values[self.seg]
+        slope = (values[1:] - values[:-1]) / self.widths
+        out = np.repeat(slope, self.counts)
+        out *= self.dx
+        out += np.repeat(values[:-1], self.counts)
         out[self.hits] = values[self.points]
         return out
 
@@ -349,12 +367,17 @@ class _PchipPlan:
     def sample(self, values: np.ndarray) -> np.ndarray:
         m = np.array(_pchip_slopes(self.widths, values.tolist()))
         seg, seg1 = self.seg, self.seg1
-        out = (
-            self.h00 * values[seg]
-            + self.h10h * m[seg]
-            + self.h01 * values[seg1]
-            + self.h11h * m[seg1]
-        )
+        # h00 * v[seg] + h10h * m[seg] + h01 * v[seg1] + h11h * m[seg1],
+        # summed left to right in two buffers
+        out = values[seg]
+        out *= self.h00
+        term = m[seg]
+        term *= self.h10h
+        out += term
+        np.multiply(values[seg1], self.h01, out=term)
+        out += term
+        np.multiply(m[seg1], self.h11h, out=term)
+        out += term
         out[self.hits] = values[self.points]
         return out
 
@@ -374,7 +397,7 @@ def _plan(
     if kind in (InterpolationKind.CONSTANT, InterpolationKind.PIECEWISE_CONSTANT):
         held = np.clip(np.searchsorted(t, x + TIME_TOL, side="right") - 1, 0, n - 1)
         held[idx[near]] = np.flatnonzero(near)
-        return _HeldPlan(held)
+        return _HeldPlan(held, n)
     seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, n - 2)
     if kind is InterpolationKind.LINEAR:
         # np.interp takes the control value at a control time, before the
@@ -411,13 +434,18 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     Everything that depends only on the control times is a plan, cached
     per (kind, grid, control times) for the most recent PLAN_CACHE_SIZE
     keys: the segment of every sample, its Hermite basis (pchip) or offset
-    into the segment (linear), the held control point (constant kinds) and
-    the exact hits, all read-only. A pchip plan, the largest, holds six
+    into the segment (linear), the held control point (constant kinds),
+    the exact hits and, since the segment and the held point never
+    decrease along the grid, the number of samples in each run of them,
+    all read-only. A linear or held plan copies each segment's slope and
+    value over its run (`np.repeat`) where a pchip plan gathers per
+    sample: on the 1001- and 2001-sample pchip grids of the catalog the
+    gather is as fast or faster. A pchip plan, the largest, holds six
     arrays of 8 bytes per sample, so the cache holds at most
-    PLAN_CACHE_SIZE * 48 * n_samples bytes (18 MB on a 12001-sample grid).
-    Each call computes the slopes from `cp.values` and gathers into a
-    fresh array, which the returned signal holds read-only, without a
-    copy, once its values are checked finite.
+    PLAN_CACHE_SIZE * 48 * n_samples bytes (18 MB on a 12001-sample grid);
+    a linear or held plan holds one. Each call computes the
+    slopes from `cp.values` into a fresh array, which the returned signal
+    holds read-only, without a copy, once its values are checked finite.
     """
     n = len(cp)
     kind.check_arity(n)
@@ -427,7 +455,7 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         )
     plan = _plan(kind, grid, tuple(cp.times.tolist()))
     out = plan.sample(cp.values)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("signal values must be finite")
     return _adopt(grid, _read_only(out))
 
@@ -487,7 +515,7 @@ def steepest_slope(
     v = cp.values[inside]
     if len(t) < 2:
         raise ValueError(f"need >= 2 control points inside [{a}, {b}], got {len(t)}")
-    slopes = np.diff(v) / np.diff(t)
+    slopes = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
     if direction is SlopeDirection.POSITIVE:
         return float(max(0.0, slopes.max()))
     return float(max(0.0, -slopes.min()))

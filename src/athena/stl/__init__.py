@@ -13,7 +13,13 @@ from .nodes import (
     Trace,
 )
 from .parser import FormulaParser, parse
-from .semantics import formula_horizon, formula_samples, robustness, satisfied
+from .semantics import (
+    formula_channels,
+    formula_horizon,
+    formula_samples,
+    robustness,
+    satisfied,
+)
 
 __all__ = [
     "AtomExpr",
@@ -30,6 +36,7 @@ __all__ = [
     "parse",
     "formula_horizon",
     "formula_samples",
+    "formula_channels",
     "robustness",
     "satisfied",
 ]

@@ -9,6 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..errors import MissingChannelError, SemanticError
 from ..signals import Signal, TimeGrid
 
 __all__ = [
@@ -45,25 +46,33 @@ class AtomExpr:
 
     def values(self, trace: Trace, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The expression at samples start .. stop - 1 of the trace (every
-        sample by default).
+        sample by default), as a fresh array the caller owns and may write.
 
         The sum starts from the first term, and a coefficient of 1 is not
         multiplied. That is bitwise the sum from a zero seed, 0 + t1 + ...
         + const: the seed changes only a -0.0 sum to +0.0, and so does
         adding any const but -0.0. With no terms or a -0.0 const the zero
-        seed is kept.
+        seed is kept. Each sum is written into a buffer this call made,
+        the running sum's or a product term's, once there is one, so the
+        operands and their order are those of the plain sum.
         """
-        acc = None
+        acc, owned = None, False
         negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
         if not self.terms or negative_zero:
-            acc = np.zeros(trace.grid.n_samples)[start:stop]
+            acc, owned = np.zeros(trace.grid.n_samples)[start:stop], True
         for name, coeff in self.terms:
-            column = trace.channel(name)[start:stop]
-            term = column if coeff == 1.0 else coeff * column
-            acc = term if acc is None else acc + term
-        acc = acc + self.const
+            term = trace.channel(name)[start:stop]
+            product = coeff != 1.0
+            if product:
+                term = np.multiply(term, coeff)
+            if acc is None:
+                acc, owned = term, product
+            else:
+                out = acc if owned else term if product else None
+                acc, owned = np.add(acc, term, out=out), True
+        acc = np.add(acc, self.const, out=acc if owned else None)
         if self.absolute:
-            acc = np.abs(acc)
+            np.abs(acc, out=acc)
         return acc
 
     def __str__(self) -> str:
@@ -144,8 +153,6 @@ class Implies(Formula):
 
 
 def _check_interval(a: float, b: float) -> None:
-    from ..errors import SemanticError
-
     if a < 0 or b < 0:
         raise SemanticError(f"interval bounds must be non-negative, got [{a:g},{b:g}]")
     if a > b:
@@ -228,8 +235,6 @@ class Trace:
         return trace
 
     def channel(self, name: str) -> np.ndarray:
-        from ..errors import MissingChannelError
-
         try:
             return self.channels[name]
         except KeyError:

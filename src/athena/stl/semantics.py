@@ -38,7 +38,13 @@ from .nodes import (
     Trace,
 )
 
-__all__ = ["robustness", "satisfied", "formula_horizon", "formula_samples"]
+__all__ = [
+    "robustness",
+    "satisfied",
+    "formula_horizon",
+    "formula_samples",
+    "formula_channels",
+]
 
 # Number of plans kept per process, one per (formula, step); a run reads one.
 PLAN_CACHE_SIZE = 32
@@ -55,6 +61,20 @@ def formula_horizon(f: Formula) -> float:
     if isinstance(f, (Globally, Eventually)):
         return f.b + formula_horizon(f.child)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def formula_channels(f: Formula) -> tuple[str, ...]:
+    """The channels the formula's predicates name, in source order, each
+    once."""
+    if isinstance(f, Predicate):
+        return f.expr.channels()
+    if isinstance(f, (Not, Globally, Eventually)):
+        names = formula_channels(f.child)
+    elif isinstance(f, (And, Or, Implies)):
+        names = formula_channels(f.left) + formula_channels(f.right)
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    return tuple(dict.fromkeys(names))
 
 
 def formula_samples(f: Formula, step: float) -> int:
@@ -103,9 +123,11 @@ _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater
 
 
 def _margin(f: Predicate, e: np.ndarray) -> np.ndarray:
+    """The predicate's margin, written over `e`, which `AtomExpr.values`
+    made for this call alone."""
     if f.cmp in ("<", "<="):
-        return f.bound - e
-    return e - f.bound
+        return np.subtract(f.bound, e, out=e)
+    return np.subtract(e, f.bound, out=e)
 
 
 def _holds(f: Predicate, e: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ reduced-transmission model, and a brute-force rank-sum enumerator. The
 numpy references are code the package replaced, kept so the replacement
 can be required to match it bit for bit: `interpolate_reference`, the
 per-call interpolation that the cached plans of `signals.interpolate`
-replaced, and `walk_reference`, the whole-trace robustness walk (with
+replaced, `walk_reference`, the whole-trace robustness walk (with
 `values_reference`, the zero-seeded channel-expression sum) that the
-cached STL plans replaced.
+cached STL plans replaced, and `atom_values_reference`, the sliced
+channel-expression sum that the one-buffer `AtomExpr.values` replaced.
 """
 
 from __future__ import annotations
@@ -278,6 +279,24 @@ def values_reference(expr, trace):
     acc = np.zeros(trace.grid.n_samples)
     for name, coeff in expr.terms:
         acc = acc + coeff * trace.channel(name)
+    acc = acc + expr.const
+    if expr.absolute:
+        acc = np.abs(acc)
+    return acc
+
+
+def atom_values_reference(expr, trace, start=0, stop=None):
+    """`AtomExpr.values` as it was before it accumulated into one buffer:
+    the sum from the first term, a coefficient of 1 not multiplied, and
+    the zero seed kept for no terms or a -0.0 const."""
+    acc = None
+    negative_zero = expr.const == 0.0 and math.copysign(1.0, expr.const) < 0.0
+    if not expr.terms or negative_zero:
+        acc = np.zeros(trace.grid.n_samples)[start:stop]
+    for name, coeff in expr.terms:
+        column = trace.channel(name)[start:stop]
+        term = column if coeff == 1.0 else coeff * column
+        acc = term if acc is None else acc + term
     acc = acc + expr.const
     if expr.absolute:
         acc = np.abs(acc)

@@ -287,9 +287,12 @@ class TestBenchAndCompare:
         assert captured.err == ""
 
     def test_bench_errored_runs_exit_2(self, tmp_path, capsys):
+        # throttle's 7 control points are 16.7 s apart, so every run errors
+        # when it first scores the slope term
         cfg = {
             "plant": "chasing_cars",
-            "formula": "G[0,10] (y9 < 40)",
+            "formula": "G[0,10] (y5 - y4 < 40)",
+            "manual": "slope_up(throttle,[1,2])",
             "assumption": "throttle:pchip:0,1:7;brake:pchip:0,1:3",
             "repetitions": 2,
             "search": {"max_iterations": 5},
@@ -301,8 +304,33 @@ class TestBenchAndCompare:
         captured = capsys.readouterr()
         assert "0/2 failure-revealing" in captured.out
         assert captured.out.strip().endswith(", 2 errored")
-        assert "MissingChannelError" in captured.err
-        assert "y9" in captured.err
+        assert "ValueError" in captured.err
+        assert "control points inside" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("formula", "G[0,10] (y9 <= 40)", "channel 'y9' not in trace"),
+            ("manual", "max(throttle,[0,150])", "window end 150.0 exceeds grid end 100.0"),
+            ("assumption", "throttle:linear:-1e308,1e308:3;brake:pchip:0,1:3", "width"),
+        ],
+    )
+    def test_bench_bad_problem_exits_2_before_running(self, tmp_path, capsys, field, text, message):
+        cfg = {
+            "plant": "chasing_cars",
+            "formula": "G[0,10] (y5 - y4 <= 40)",
+            "assumption": "throttle:pchip:0,1:7;brake:pchip:0,1:3",
+            "repetitions": 2,
+            "search": {"max_iterations": 5},
+        }
+        cfg[field] = text
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli(["bench", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "failure-revealing" not in captured.out
+        assert message in captured.err
 
     def test_bench_unknown_mode_exits_2(self, config_path, capsys):
         rc = cli(["bench", "--config", config_path, "--modes", "turbo"])

@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 
 from athena.catalog import catalog, catalog_ids
+from athena.errors import MissingChannelError
 from athena.harness import (
     ExperimentConfig,
     compare_reports,
@@ -24,6 +25,11 @@ from athena.models import Passthrough, PlantModel, PortSpec, builtin
 from athena.search import SearchConfig
 from athena.signals import InterpolationKind
 from oracles import rank_sum_brute
+
+
+# a manual term that raises ValueError on every trace of the chasing_cars
+# configs below: throttle's 7 control points are 16.7 s apart
+NO_SLOPE_IN_WINDOW = "slope_up(throttle,[1,2])"
 
 
 def fast_config(**overrides):
@@ -224,6 +230,12 @@ class TestParseAssumption:
         with pytest.raises(ValueError):
             parse_assumption(text)
 
+    def test_overflowing_width_rejected(self):
+        # hi - lo overflows to inf, so no uniform draw over the box exists
+        with pytest.raises(ValueError, match="width hi - lo must be finite"):
+            parse_assumption("x:linear:-1e308,1e308:3")
+        assert parse_assumption("x:linear:-8e307,8e307:3").ports[0].lo == -8e307
+
 
 class TestExperimentConfig:
     def test_entry_and_inline_exclusive(self):
@@ -306,10 +318,12 @@ class TestRunExperiment:
             assert row.best_robustness is None
 
     def test_errored_rows_count_the_simulations_run(self):
-        # every run simulates once, then the formula names a missing channel
+        # every run simulates once, then the slope term finds no two control
+        # points in its window
         cfg = fast_config(
             plant=builtin("chasing_cars"),
-            formula_text="G[0,10] (y9 < 40)",
+            formula_text="G[0,10] (y5 - y4 < 40)",
+            manual_text=NO_SLOPE_IN_WINDOW,
             assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
             repetitions=2,
             search=SearchConfig(max_iterations=5),
@@ -318,8 +332,7 @@ class TestRunExperiment:
         assert report.errored == 2
         for row in report.rows:
             assert row.iterations == 1
-            assert row.error.startswith("MissingChannelError: ")
-            assert "y9" in row.error
+            assert row.error.startswith("ValueError: need >= 2 control points")
         assert report.simulations == 2
         assert [r["iterations"] for r in report.to_dict()["runs"]] == [1, 1]
 
@@ -440,6 +453,41 @@ class TestResolve:
         for row in run_experiment(cfg, jobs=1).rows:
             assert row.error is None and row.iterations == 40
 
+    def test_unknown_formula_channel_rejected_before_any_run(self):
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y9 <= 40)",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+            repetitions=2,
+        )
+        for run in (resolve, run_experiment):
+            with pytest.raises(MissingChannelError, match="'y9' not in trace; trace has y1"):
+                run(cfg)
+
+    def test_unknown_manual_channel_rejected_before_any_run(self):
+        cfg = fast_config(manual_text="mean(x,[0,5]) - max(z,[0,5])")
+        with pytest.raises(MissingChannelError, match="'z' not in trace; trace has y, x"):
+            resolve(cfg)
+
+    def test_manual_window_past_grid_rejected_before_any_run(self):
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y5 - y4 <= 40)",
+            manual_text="max(throttle,[0,150])",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+        )
+        with pytest.raises(ValueError, match="window end 150.0 exceeds grid end 100.0"):
+            resolve(cfg)
+
+    def test_inputs_and_outputs_both_accepted(self):
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y5 - y4 <= 40 or throttle > 2)",
+            manual_text="max(y5 - brake,[0,100]) + slope_up(throttle,[0,100])",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+        )
+        assert resolve(cfg).grid.end == 100.0
+
 
 class TestReportFiles:
     def test_write_and_reread(self, tmp_path):
@@ -473,10 +521,11 @@ class TestReportFiles:
             assert a == (tmp_path / f"b.{name}").read_bytes()
 
     def test_errored_and_simulations_written(self, tmp_path):
-        # every run simulates once, then the formula names a missing channel
+        # every run simulates once, then the slope term errors
         cfg = fast_config(
             plant=builtin("chasing_cars"),
-            formula_text="G[0,10] (y9 < 40)",
+            formula_text="G[0,10] (y5 - y4 < 40)",
+            manual_text=NO_SLOPE_IN_WINDOW,
             assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
             repetitions=3,
         )

@@ -15,10 +15,18 @@ import pytest
 from athena.catalog import catalog, catalog_ids
 from athena.errors import DivergenceError, HorizonError, MissingChannelError
 from athena.fitness import FitnessAssessment, assess, parse_manual
-from athena.harness import MODES, ExperimentConfig, parse_assumption, resolve, run_experiment
+from athena.harness import (
+    MODES,
+    ExperimentConfig,
+    Problem,
+    _run_one,
+    parse_assumption,
+    resolve,
+    run_experiment,
+)
 from athena.models import Passthrough, PlantModel, PortSpec, builtin, simulate
 from athena import search
-from athena.search import SearchConfig, encode_inputs, falsify
+from athena.search import SearchConfig, encode_inputs, falsify, simulation_grid
 from athena.signals import (
     TIME_TOL,
     Signal,
@@ -35,6 +43,15 @@ CC_ATOL = 1e-9
 
 # every channel the formulas below name
 CHANNELS = ("x", "Speed", "RPM", "y1", "y2", "y3", "y4", "y5")
+
+
+def unchecked_problem(cfg: ExperimentConfig) -> Problem:
+    """The problem an inline config names, built without the checks of
+    `resolve`, as a direct caller of `falsify` may build it."""
+    formula = parse(cfg.formula_text)
+    fitness = FitnessAssessment(formula, manual=parse_manual(cfg.manual_text))
+    grid = simulation_grid(cfg.plant, formula, cfg.step or 0.05)
+    return Problem(cfg.plant, cfg.assumption, grid, fitness)
 
 
 def prefix_grid(grid: TimeGrid, n: int) -> TimeGrid:
@@ -273,21 +290,17 @@ class TestInputWindows:
             repetitions=2,
             search=SearchConfig(max_iterations=5),
         )
-        problem = resolve(cfg)
+        # resolve rejects it before any run; built by hand, the problem
+        # still errors in its first iteration, after one simulation
+        for run in (resolve, lambda cfg: run_experiment(cfg, jobs=1)):
+            with pytest.raises(MissingChannelError, match="Gear9"):
+                run(cfg)
+        problem = unchecked_problem(cfg)
         assert samples_read(problem) == 501
-        with pytest.raises(MissingChannelError):
-            falsify(
-                problem.plant,
-                problem.assumption,
-                problem.fitness,
-                cfg.search,
-                problem.grid,
-            )
-        rows = run_experiment(cfg, jobs=1).rows
-        for row in rows:
-            assert row.error.startswith("MissingChannelError: ")
-            assert "Gear9" in row.error
-            assert row.iterations == 1
+        row = _run_one((problem, cfg.search, 0))
+        assert row.error.startswith("MissingChannelError: ")
+        assert "Gear9" in row.error
+        assert row.iterations == 1
 
 
 class LateBlowUp(PlantModel):
@@ -385,10 +398,13 @@ class TestFalsifyPrefix:
             repetitions=2,
             search=SearchConfig(max_iterations=5),
         )
-        rows = run_experiment(cfg, jobs=1).rows
-        for row in rows:
-            assert row.error == "ValueError: window end 12.0 exceeds grid end 10.0"
-            assert row.iterations == 0
+        message = "window end 12.0 exceeds grid end 10.0"
+        with pytest.raises(ValueError, match=message):
+            resolve(cfg)
+        # falsify keeps the check for a problem built without resolve
+        row = _run_one((unchecked_problem(cfg), cfg.search, 0))
+        assert row.error == f"ValueError: {message}"
+        assert row.iterations == 0
 
 
 def _const_trace(channels: dict[str, float], grid: TimeGrid) -> Trace:

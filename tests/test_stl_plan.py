@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from athena.catalog import catalog, catalog_ids
 from athena.errors import HorizonError, MissingChannelError
 from athena.fitness import FitnessAssessment, WindowStat, parse_manual
-from athena.harness import ExperimentConfig, resolve, run_experiment
+from athena.harness import ExperimentConfig, Problem, _run_one, resolve, run_experiment
 from athena.models import PlantModel, PortSpec, builtin, simulate
-from athena.search import SearchConfig
+from athena.search import SearchConfig, simulation_grid
 from athena.signals import Signal, TimeGrid, WindowStatKind, window_stat
 from athena.stl import (
     AtomExpr,
@@ -340,10 +340,19 @@ class TestBadWindowBeforeSimulating:
     )
     def test_error_row_records_no_simulation(self, manual, error):
         cfg = self.config(manual)
-        assert resolve(cfg).grid == TimeGrid(100.0, 0.05)
-        report = run_experiment(cfg, jobs=1)
-        assert report.errored == 2 and report.simulations == 0
-        for row in report.rows:
+        # resolve rejects the config before any run
+        for run in (resolve, lambda cfg: run_experiment(cfg, jobs=1)):
+            with pytest.raises(ValueError) as info:
+                run(cfg)
+            assert f"ValueError: {info.value}" == error
+        # falsify keeps the check for a problem built without resolve
+        formula = parse(cfg.formula_text)
+        grid = simulation_grid(cfg.plant, formula, 0.05)
+        assert grid == TimeGrid(100.0, 0.05)
+        fitness = FitnessAssessment(formula, manual=parse_manual(manual))
+        problem = Problem(cfg.plant, cfg.assumption, grid, fitness)
+        for i in range(cfg.repetitions):
+            row = _run_one((problem, cfg.search, i))
             assert (row.error, row.iterations) == (error, 0)
 
     def test_check_windows(self):
