@@ -172,9 +172,12 @@ def propose(
     normal, one per coordinate in order), so it consumes the generator
     and rounds exactly as that call does. The clamp is
     `np.minimum(np.maximum(x, lower), upper)`, which equals `np.clip` on
-    finite values.
+    finite values. A negative sigma raises the ValueError ("scale < 0")
+    that `rng.normal` raised, before any draw.
     """
     v = assumption.validate_vector(current)
+    if sigma < 0:
+        raise ValueError(f"scale < 0: sigma must not be negative, got {sigma}")
     std = sigma * assumption.width * max(temperature, 0.05)
     x = v + std * rng.standard_normal(v.shape)
     return np.minimum(np.maximum(x, assumption.lower), assumption.upper)

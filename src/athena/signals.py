@@ -296,30 +296,15 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _runs(index: np.ndarray, n: int) -> np.ndarray:
-    """The number of samples at each of n points, read-only, for `index`,
-    the point of every sample. When `index` never decreases along the
-    grid, `values[index]` equals `np.repeat(values, counts)`, which copies
-    n runs instead of gathering one index per sample."""
-    return _read_only(np.bincount(index, minlength=n))
-
-
 class _HeldPlan:
     """Constant and piecewise-constant kinds: each sample takes the value of
-    one control point, the exact hits included.
+    one control point, the exact hits included."""
 
-    The held point never decreases along the grid unless two control times
-    fall within TIME_TOL of one sample, which takes a step under 2 *
-    TIME_TOL; then `counts` is None and a call gathers."""
-
-    def __init__(self, held: np.ndarray, n: int):
+    def __init__(self, held: np.ndarray):
         self.held = _read_only(held)
-        self.counts = _runs(held, n) if (held[1:] >= held[:-1]).all() else None
 
     def sample(self, values: np.ndarray) -> np.ndarray:
-        if self.counts is None:
-            return values[self.held]
-        return np.repeat(values, self.counts)
+        return values[self.held]
 
 
 class _LinearPlan:
@@ -328,10 +313,11 @@ class _LinearPlan:
     times and at the exact hits.
 
     `seg` never decreases along the grid, so `slope[seg]` and `v[seg]` are
-    repeats of the n - 1 segments by `counts`."""
+    repeats of the n - 1 segments by `counts`, the number of samples in
+    each: n - 1 runs copied instead of one index gathered per sample."""
 
     def __init__(self, seg, dx, widths, hits, points):
-        self.counts = _runs(seg, len(widths))
+        self.counts = _read_only(np.bincount(seg, minlength=len(widths)))
         self.dx = _read_only(dx)
         self.widths = _read_only(widths)
         self.hits = _read_only(hits)
@@ -397,7 +383,7 @@ def _plan(
     if kind in (InterpolationKind.CONSTANT, InterpolationKind.PIECEWISE_CONSTANT):
         held = np.clip(np.searchsorted(t, x + TIME_TOL, side="right") - 1, 0, n - 1)
         held[idx[near]] = np.flatnonzero(near)
-        return _HeldPlan(held, n)
+        return _HeldPlan(held)
     seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, n - 2)
     if kind is InterpolationKind.LINEAR:
         # np.interp takes the control value at a control time, before the
@@ -435,17 +421,17 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     per (kind, grid, control times) for the most recent PLAN_CACHE_SIZE
     keys: the segment of every sample, its Hermite basis (pchip) or offset
     into the segment (linear), the held control point (constant kinds),
-    the exact hits and, since the segment and the held point never
-    decrease along the grid, the number of samples in each run of them,
-    all read-only. A linear or held plan copies each segment's slope and
-    value over its run (`np.repeat`) where a pchip plan gathers per
-    sample: on the 1001- and 2001-sample pchip grids of the catalog the
-    gather is as fast or faster. A pchip plan, the largest, holds six
-    arrays of 8 bytes per sample, so the cache holds at most
-    PLAN_CACHE_SIZE * 48 * n_samples bytes (18 MB on a 12001-sample grid);
-    a linear or held plan holds one. Each call computes the
-    slopes from `cp.values` into a fresh array, which the returned signal
-    holds read-only, without a copy, once its values are checked finite.
+    the exact hits and, since the segment never decreases along the grid,
+    the number of samples in each segment's run (linear), all read-only.
+    A linear plan copies each segment's slope and value over its run
+    (`np.repeat`); a held or pchip plan gathers per sample: on the 1001-
+    and 2001-sample pchip grids of the catalog the gather is as fast or
+    faster. A pchip plan, the largest, holds six arrays of 8 bytes per
+    sample, so the cache holds at most PLAN_CACHE_SIZE * 48 * n_samples
+    bytes (18 MB on a 12001-sample grid); a linear or held plan holds
+    one. Each call computes the slopes from `cp.values` into a fresh
+    array, which the returned signal holds read-only, without a copy,
+    once its values are checked finite.
     """
     n = len(cp)
     kind.check_arity(n)
