@@ -105,8 +105,8 @@ def test_robustness_passthrough_spec(benchmark):
 
 def _scored_trace(problem, seed=0):
     """The trace falsify scores for one random candidate: the leading
-    samples the score reads from the plant's outputs, with the fitness
-    marked as falsify marks it, and the controls and full-grid inputs."""
+    samples the score reads from the plant's outputs, with the fitness,
+    the controls and the full-grid inputs."""
     a, grid, plant = problem.assumption, problem.grid, problem.plant
     vector = np.random.default_rng(seed).uniform(a.lower, a.upper)
     controls = a.control_points(vector, grid)
@@ -116,8 +116,7 @@ def _scored_trace(problem, seed=0):
         return problem.fitness, simulate(plant, inputs, grid).trace, controls, None
     short = TimeGrid((n - 1) * grid.step, grid.step)
     part = {name: signal.prefix(short) for name, signal in inputs.items()}
-    fitness = problem.fitness.reading_inputs(plant.port_spec.inputs)
-    return fitness, simulate(plant, part, short).trace, controls, Trace(grid, inputs)
+    return problem.fitness, simulate(plant, part, short).trace, controls, Trace(grid, inputs)
 
 
 @pytest.mark.parametrize("entry", ["CC1", "AT2"])

@@ -64,6 +64,7 @@ from .search import (
     RunResult,
     SearchConfig,
     TestCase,
+    check_problem,
     encode_inputs,
     falsify,
     propose,
@@ -122,6 +123,7 @@ __all__ = [
     "RunResult",
     "encode_inputs",
     "simulation_grid",
+    "check_problem",
     "propose",
     "falsify",
     # catalog

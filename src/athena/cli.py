@@ -104,6 +104,7 @@ def _falsify_config(args) -> ExperimentConfig:
         formula_text=args.formula,
         manual_text=args.manual,
         assumption=parse_assumption(args.assumption) if args.assumption else None,
+        auto_scale=args.auto_scale,
         step=args.step,
     )
     kwargs = dict(
@@ -114,13 +115,9 @@ def _falsify_config(args) -> ExperimentConfig:
         base_seed=args.seed,
         search=SearchConfig(max_iterations=args.max_iters, seed=args.seed),
     )
-    if args.catalog:
-        if any(v is not None for v in inline.values()):
-            raise ValueError("--catalog excludes the inline plant/formula flags")
-        return ExperimentConfig(entry=args.catalog, **kwargs)
-    if args.auto_scale is not None:
-        kwargs["auto_scale"] = args.auto_scale
-    return ExperimentConfig(**inline, **kwargs)
+    if args.catalog and any(v is not None for v in inline.values()):
+        raise ValueError("--catalog excludes the inline plant/formula/auto-scale flags")
+    return ExperimentConfig(entry=args.catalog, **inline, **kwargs)
 
 
 def cmd_falsify(args) -> int:
@@ -198,7 +195,7 @@ def cmd_bench(args) -> int:
         cfg = config_from_dict(one)
         report = run_experiment(cfg, jobs=args.jobs, timestamp=not args.no_timestamp)
         line = (
-            f"{mode}: {report.found}/{report.repetitions} failure-revealing "
+            f"{mode}: {report.found}/{cfg.repetitions} failure-revealing "
             f"({report.percentage:.1f}%)"
         )
         stats = report.iteration_stats()
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="input box, e.g. 'Throttle:pchip:0,100:7;Brake:pchip:0,325:3'",
     )
     f.add_argument("--auto-scale", dest="auto_scale", type=float,
-                   help="robustness normalization constant (inline specs)")
+                   help="robustness normalization constant (inline specs, default 1)")
     f.add_argument("--step", type=float, help="simulation step in seconds")
     f.add_argument("--mode", choices=MODES, default="athena")
     f.add_argument("--p", type=float, help="fitness weight for athena mode")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .errors import MissingChannelError, ParseError
@@ -105,14 +105,13 @@ class Const(ManualFitnessExpr):
 class WindowStat(ManualFitnessExpr):
     """A statistic of a channel expression over a closed time window.
 
-    `on_inputs` marks a window whose channels are all plant inputs
-    (`FitnessAssessment.reading_inputs`). Given the encoded inputs on the
-    whole grid, such a window reads them, not the trace: the search
-    encodes them before it simulates, so the plant is simulated only as
-    far as the windows over its outputs reach. The window reads the same
-    samples either way, so the value is the same. A plant that diverges
-    after that output prefix is scored normally, since no window reads
-    those samples of its outputs.
+    Given `inputs`, the encoded inputs on the whole grid, a window whose
+    channels (`names`) all are in it reads it, not the trace: the search
+    encodes the inputs before it simulates, so the plant is simulated only
+    as far as the windows over its outputs reach (`samples_read` applies
+    the same rule). The window reads the same samples either way, so the
+    value is the same. A plant that diverges after that output prefix is
+    scored normally, since no window reads those samples of its outputs.
 
     The channel expression is evaluated only over the window's samples,
     whose range is resolved once per (window, grid) and cached for the
@@ -122,14 +121,15 @@ class WindowStat(ManualFitnessExpr):
     channel: AtomExpr
     stat: WindowStatKind
     window: tuple[float, float]
-    on_inputs: bool = False
 
     def __post_init__(self):
         # the window is a cache key
         object.__setattr__(self, "window", tuple(self.window))
+        # the channel names, built once per window, not per evaluation
+        object.__setattr__(self, "names", frozenset(self.channel.channels()))
 
     def evaluate(self, trace, controls=None, inputs=None):
-        if self.on_inputs and inputs is not None:
+        if inputs is not None and inputs.channels.keys() >= self.names:
             trace = inputs
         lo, hi = _span(self.window, trace.grid)
         return self.stat.of(self.channel.values(trace, lo, hi + 1))
@@ -321,22 +321,6 @@ class _ManualParser(FormulaParser):
         return node
 
 
-def _reading_inputs(expr: ManualFitnessExpr, inputs: frozenset[str]) -> ManualFitnessExpr:
-    """`expr` with each window marked `on_inputs` when all its channels are
-    in `inputs`."""
-    if isinstance(expr, WindowStat):
-        return replace(expr, on_inputs=set(expr.channel.channels()) <= inputs)
-    if isinstance(expr, (Scale, TargetDistance, Neg)):
-        return replace(expr, child=_reading_inputs(expr.child, inputs))
-    if isinstance(expr, (Add, Sub, Mul)):
-        return replace(
-            expr,
-            left=_reading_inputs(expr.left, inputs),
-            right=_reading_inputs(expr.right, inputs),
-        )
-    return expr
-
-
 def _windows(expr: ManualFitnessExpr) -> Iterator[WindowStat]:
     """The window statistics in `expr`, in source order."""
     if isinstance(expr, WindowStat):
@@ -348,18 +332,21 @@ def _windows(expr: ManualFitnessExpr) -> Iterator[WindowStat]:
         yield from _windows(expr.right)
 
 
-def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid) -> int:
-    """Leading samples of a trace on `grid` that `expr` reads."""
+def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid, inputs: frozenset[str]) -> int:
+    """Leading samples of a trace on `grid` that `expr` reads, for a plant
+    whose input names are `inputs`."""
     if isinstance(expr, WindowStat):
         # a window over inputs reads the encoded inputs, not the trace
-        return 0 if expr.on_inputs else window_samples(expr.window, grid)
+        return 0 if expr.names <= inputs else window_samples(expr.window, grid)
     if isinstance(expr, (Const, SteepestSlope)):
         # a slope term reads control points, not the trace
         return 0
     if isinstance(expr, (Scale, TargetDistance, Neg)):
-        return _samples_read(expr.child, grid)
+        return _samples_read(expr.child, grid, inputs)
     if isinstance(expr, (Add, Sub, Mul)):
-        return max(_samples_read(expr.left, grid), _samples_read(expr.right, grid))
+        return max(
+            _samples_read(expr.left, grid, inputs), _samples_read(expr.right, grid, inputs)
+        )
     # a node type defined elsewhere may read any sample
     return grid.n_samples
 
@@ -404,14 +391,6 @@ class FitnessAssessment:
             return a
         return a + (b - a) * iteration / (max_iterations - 1)
 
-    def reading_inputs(self, inputs: Collection[str]) -> FitnessAssessment:
-        """This assessment with each manual window whose channels all are
-        in `inputs`, the plant's input names, marked `WindowStat.on_inputs`.
-        """
-        if self.manual is None:
-            return self
-        return replace(self, manual=_reading_inputs(self.manual, frozenset(inputs)))
-
     def check_channels(self, channels: Collection[str]) -> None:
         """Raise MissingChannelError for the first channel that the formula
         or a manual window names and `channels`, those of the plant's
@@ -431,9 +410,8 @@ class FitnessAssessment:
         for the first manual window that ends past the grid, holds no grid
         sample, or is empty, by resolving each window's sample range.
 
-        `resolve` calls this, and so does `falsify`, before its first
-        simulation. A window that fits the whole grid also fits the prefix
-        `samples_read` gives.
+        `search.check_problem` calls this, for `resolve` and for each
+        `falsify` call, before any simulation.
         """
         if self.manual is not None:
             for window in _windows(self.manual):
@@ -444,21 +422,20 @@ class FitnessAssessment:
         plant whose input names are `inputs`.
 
         The most of what the formula reads (`formula_samples`) and what
-        each manual window over a plant output reads (`window_samples`), at
-        least 2 (the shortest grid) and at most all of `grid`. A window
-        over inputs only reads none: `reading_inputs` marks it to read the
-        encoded inputs on the whole grid. A formula predicate counts even
-        when it names only inputs. On the first that many samples of a
-        trace, with those inputs, `assess` returns what it returns on the
-        whole trace: robustness at t=0 and the window statistics read no
-        later sample of the plant's outputs. So `falsify` simulates only
-        those samples, and scores a plant that diverges after them
-        normally.
+        each manual window that names a channel not in `inputs` reads
+        (`window_samples`), at least 2 (the shortest grid) and at most all
+        of `grid`. A window over inputs only reads none: given the encoded
+        inputs on the whole grid, it reads them (`WindowStat`). A formula
+        predicate counts even when it names only inputs. On the first that
+        many samples of a trace, with those inputs, `assess` returns what
+        it returns on the whole trace: robustness at t=0 and the window
+        statistics read no later sample of the plant's outputs. So
+        `falsify` simulates only those samples, and scores a plant that
+        diverges after them normally.
         """
         n = formula_samples(self.formula, grid.step)
         if self.manual is not None:
-            manual = _reading_inputs(self.manual, frozenset(inputs))
-            n = max(n, _samples_read(manual, grid))
+            n = max(n, _samples_read(self.manual, grid, frozenset(inputs)))
         return min(max(n, 2), grid.n_samples)
 
 
@@ -517,8 +494,8 @@ def assess(
     """Score one trace at a given search iteration.
 
     `trace` may be the leading `samples_read` samples of the grid; then
-    `inputs` holds the encoded inputs on the whole grid, which the windows
-    marked by `FitnessAssessment.reading_inputs` read.
+    `inputs` holds the encoded inputs on the whole grid, which each window
+    over those inputs only reads (`WindowStat`).
     """
     if not 0 <= iteration < max_iterations:
         raise ValueError(

@@ -23,7 +23,14 @@ import numpy as np
 from .catalog import catalog
 from .fitness import FitnessAssessment, parse_manual
 from .models import PlantModel, builtin
-from .search import Assumption, PortAssumption, SearchConfig, falsify, simulation_grid
+from .search import (
+    Assumption,
+    PortAssumption,
+    SearchConfig,
+    check_problem,
+    falsify,
+    simulation_grid,
+)
 from .signals import InterpolationKind, TimeGrid
 from .stl import parse
 
@@ -103,9 +110,10 @@ class ExperimentConfig:
 
     Either `entry` names a catalog requirement, or the inline fields
     (`plant`, `formula_text`, `assumption`, optionally `manual_text`,
-    `auto_scale`, `step`) describe one. `mode` fixes the fitness weight:
-    automatic-only runs at p=1, manual-only at p=0, athena at p=0.5
-    unless `p` or `p_schedule` overrides it.
+    `auto_scale` (default 1), `step`) describe one. `mode` fixes the
+    fitness weight: automatic-only runs at p=1, manual-only at p=0, athena
+    at p=0.5 unless `p` or `p_schedule` overrides it; the two overrides
+    exclude each other.
     """
 
     entry: str | None = None
@@ -113,7 +121,7 @@ class ExperimentConfig:
     formula_text: str | None = None
     manual_text: str | None = None
     assumption: Assumption | None = None
-    auto_scale: float = 1.0
+    auto_scale: float | None = None
     step: float | None = None
     mode: str = "athena"
     p: float | None = None
@@ -134,6 +142,7 @@ class ExperimentConfig:
                 self.formula_text,
                 self.manual_text,
                 self.assumption,
+                self.auto_scale,
                 self.step,
             )
             if any(piece is not None for piece in inline):
@@ -145,11 +154,13 @@ class ExperimentConfig:
                 )
             if self.step is not None and self.step <= 0:
                 raise ValueError("step must be positive")
-            if self.auto_scale <= 0:
+            if self.auto_scale is not None and self.auto_scale <= 0:
                 raise ValueError("auto_scale must be positive")
         if self.mode != "athena":
             if self.p is not None or self.p_schedule is not None:
                 raise ValueError("p and p_schedule apply to athena mode only")
+        elif self.p is not None and self.p_schedule is not None:
+            raise ValueError("p and p_schedule are exclusive")
         elif self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
@@ -175,10 +186,8 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     """Build the problem an experiment config names, from its catalog
     entry or its inline pieces.
 
-    Rejects a problem no run could score, before any simulation: a
-    formula or manual channel that is neither a plant input nor a plant
-    output raises MissingChannelError, and a manual window that ends past
-    the grid, holds no grid sample or is empty raises ValueError.
+    Rejects a problem no run could score, before any simulation, by the
+    checks of `search.check_problem`, the ones `falsify` runs.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
@@ -187,7 +196,8 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     else:
         plant, formula = cfg.plant, parse(cfg.formula_text)
         manual = parse_manual(cfg.manual_text) if cfg.manual_text is not None else None
-        assumption, auto_scale = cfg.assumption, cfg.auto_scale
+        assumption = cfg.assumption
+        auto_scale = cfg.auto_scale if cfg.auto_scale is not None else 1.0
         step = cfg.step if cfg.step is not None else 0.05
     fitness = FitnessAssessment(
         formula=formula,
@@ -197,9 +207,7 @@ def resolve(cfg: ExperimentConfig) -> Problem:
         p_schedule=cfg.p_schedule,
     )
     grid = simulation_grid(plant, formula, step)
-    spec = plant.port_spec
-    fitness.check_channels(spec.outputs + spec.inputs)
-    fitness.check_windows(grid)
+    check_problem(plant, assumption, fitness, grid)
     return Problem(plant, assumption, grid, fitness)
 
 
@@ -269,20 +277,11 @@ def _run_one(args) -> RunRow:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Aggregated outcome of one experiment."""
+    """Aggregated outcome of one experiment: its rows, read with the config
+    and the problem it resolved to, which `to_dict` reports."""
 
-    entry: str | None
-    plant_name: str
-    formula_text: str
-    manual_text: str | None
-    mode: str
-    p: float
-    p_schedule: tuple[float, float] | None
-    auto_scale: float
-    repetitions: int
-    base_seed: int
-    budget: int
-    search: SearchConfig
+    config: ExperimentConfig
+    problem: Problem
     rows: tuple[RunRow, ...]
     wall_clock: float
 
@@ -292,7 +291,7 @@ class ExperimentReport:
 
     @property
     def percentage(self) -> float:
-        return 100.0 * self.found / self.repetitions
+        return 100.0 * self.found / self.config.repetitions
 
     @property
     def errored(self) -> int:
@@ -317,25 +316,26 @@ class ExperimentReport:
         }
 
     def to_dict(self, timing: bool = True) -> dict:
+        cfg, fitness, search = self.config, self.problem.fitness, self.config.search
         out = {
             "schema": "athena-report/1",
-            "entry": self.entry,
-            "plant": self.plant_name,
-            "formula": self.formula_text,
-            "manual": self.manual_text,
-            "mode": self.mode,
-            "p": self.p,
-            "p_schedule": list(self.p_schedule) if self.p_schedule else None,
-            "auto_scale": self.auto_scale,
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "budget": self.budget,
+            "entry": cfg.entry,
+            "plant": self.problem.plant.name,
+            "formula": str(fitness.formula),
+            "manual": str(fitness.manual) if fitness.manual is not None else None,
+            "mode": cfg.mode,
+            "p": cfg.effective_p,
+            "p_schedule": list(cfg.p_schedule) if cfg.p_schedule else None,
+            "auto_scale": fitness.auto_scale,
+            "repetitions": cfg.repetitions,
+            "base_seed": cfg.base_seed,
+            "budget": search.max_iterations,
             "search": {
-                "t0": self.search.t0,
-                "cooling": self.search.cooling,
-                "sigma": self.search.sigma,
-                "restart_after": self.search.restart_after,
-                "threshold": self.search.threshold,
+                "t0": search.t0,
+                "cooling": search.cooling,
+                "sigma": search.sigma,
+                "restart_after": search.restart_after,
+                "threshold": search.threshold,
             },
             "found": self.found,
             "percentage": self.percentage,
@@ -391,24 +391,7 @@ def run_experiment(
             rows = tuple(pool.map(_run_one, payloads))
     else:
         rows = tuple(_run_one(payload) for payload in payloads)
-    wall = time.perf_counter() - start
-    fitness = problem.fitness
-    report = ExperimentReport(
-        entry=cfg.entry,
-        plant_name=problem.plant.name,
-        formula_text=str(fitness.formula),
-        manual_text=str(fitness.manual) if fitness.manual is not None else None,
-        mode=cfg.mode,
-        p=cfg.effective_p,
-        p_schedule=cfg.p_schedule,
-        auto_scale=fitness.auto_scale,
-        repetitions=cfg.repetitions,
-        base_seed=cfg.base_seed,
-        budget=cfg.search.max_iterations,
-        search=cfg.search,
-        rows=rows,
-        wall_clock=wall,
-    )
+    report = ExperimentReport(cfg, problem, rows, time.perf_counter() - start)
     if cfg.out is not None:
         write_report(report, cfg.out, timestamp=timestamp)
     return report
@@ -440,23 +423,10 @@ def write_report(
     payload = json.dumps(report.to_dict(timing=timestamp), indent=2, sort_keys=True)
     with open(json_path, "w") as fh:
         fh.write(payload + "\n")
-    header = "run,seed,found,iterations,best_robustness,best_combined,error"
-    lines = [header]
+    # RunRow's fields are the columns, in order
+    lines = ["run,seed,found,iterations,best_robustness,best_combined,error"]
     for row in report.rows:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    row.index,
-                    row.seed,
-                    row.found,
-                    row.iterations,
-                    row.best_robustness,
-                    row.best_combined,
-                    row.error,
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(v) for v in dataclasses.astuple(row)))
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return json_path, csv_path

@@ -22,6 +22,7 @@ from .errors import DivergenceError, HorizonError, PortMismatchError
 from .fitness import FitnessAssessment, assess
 from .models import PlantModel, simulate
 from .signals import (
+    TIME_TOL,
     ControlPoints,
     InterpolationKind,
     Signal,
@@ -39,6 +40,7 @@ __all__ = [
     "RunResult",
     "encode_inputs",
     "simulation_grid",
+    "check_problem",
     "propose",
     "falsify",
 ]
@@ -153,6 +155,44 @@ def simulation_grid(plant: PlantModel, formula: Formula, step: float) -> TimeGri
     rounded up to the next sample (`TimeGrid.reaching`)."""
     end = max(plant.default_horizon or 0.0, formula_horizon(formula))
     return TimeGrid.reaching(end, step)
+
+
+def check_problem(
+    plant: PlantModel,
+    assumption: Assumption,
+    fitness_cfg: FitnessAssessment,
+    grid: TimeGrid,
+) -> TimeGrid:
+    """Run every static check of a falsification problem and return the
+    grid a run simulates: `grid` itself when the score reads every sample,
+    else its leading `FitnessAssessment.samples_read` samples.
+
+    Raises, before any simulation, what a run would raise: PortMismatchError
+    when the assumption's ports are not the plant's inputs in order,
+    HorizonError when the requirement needs more trace than `grid` holds,
+    MissingChannelError for a formula or manual channel that is neither a
+    plant input nor an output, ValueError for a manual window that ends
+    past `grid`, holds none of its samples or is empty, and ValueError for
+    a temporal interval that selects no sample at the grid's step.
+    `resolve` and `falsify` both call it.
+    """
+    spec = plant.port_spec
+    names = tuple(p.port for p in assumption.ports)
+    if names != spec.inputs:
+        raise PortMismatchError(
+            f"assumption ports {names} do not match plant inputs {spec.inputs}"
+        )
+    horizon = formula_horizon(fitness_cfg.formula)
+    if horizon > grid.end + TIME_TOL:
+        raise HorizonError(
+            f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
+        )
+    fitness_cfg.check_channels(spec.outputs + spec.inputs)
+    fitness_cfg.check_windows(grid)
+    n_read = fitness_cfg.samples_read(grid, names)
+    if n_read == grid.n_samples:
+        return grid
+    return TimeGrid((n_read - 1) * grid.step, grid.step)
 
 
 def propose(
@@ -275,40 +315,23 @@ def falsify(
     forms give the same numbers from the same generator state.
 
     Each candidate is encoded on the whole `grid`, and a `TestCase` holds
-    those inputs. The plant is simulated only over the leading samples the
-    score reads from its outputs (`FitnessAssessment.samples_read`), on
-    read-only prefix views of the inputs (`Signal.prefix`); when the score
-    reads every sample, the inputs and `grid` pass as they are. A manual
-    window whose channels are all plant inputs reads the encoded inputs on
-    the whole grid instead of the simulated trace, so it does not lengthen
-    the prefix; which windows those are is worked out once per run. The
-    score is the one the whole trace would give. A plant that diverges
-    only after the prefix is therefore scored normally, not as diverged:
-    no part of the score reads those samples of its outputs.
+    those inputs. The plant is simulated only over the grid
+    `check_problem` returns, the leading samples the score reads from its
+    outputs, on read-only prefix views of the inputs (`Signal.prefix`);
+    when the score reads every sample, the inputs and `grid` pass as they
+    are. A manual window whose channels are all plant inputs then reads
+    the encoded inputs on the whole grid instead of the simulated trace
+    (`WindowStat`), so it does not lengthen the prefix. The score is the
+    one the whole trace would give. A plant that diverges only after the
+    prefix is therefore scored normally, not as diverged: no part of the
+    score reads those samples of its outputs.
 
-    A manual window that ends past `grid` or holds none of its samples
-    raises ValueError before the first simulation. An exception raised
-    inside an iteration carries `simulations`, the number of simulations
-    run before it, diverged ones included.
+    A problem that fails a check of `check_problem` raises before the
+    first simulation. An exception raised inside an iteration carries
+    `simulations`, the number of simulations run before it, diverged ones
+    included.
     """
-    names = tuple(p.port for p in assumption.ports)
-    if names != plant.port_spec.inputs:
-        raise PortMismatchError(
-            f"assumption ports {names} do not match plant inputs "
-            f"{plant.port_spec.inputs}"
-        )
-    horizon = formula_horizon(fitness_cfg.formula)
-    if horizon > grid.end + 1e-9:
-        raise HorizonError(
-            f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
-        )
-    fitness_cfg.check_windows(grid)
-    n_read = fitness_cfg.samples_read(grid, names)
-    sim_grid = grid
-    if n_read < grid.n_samples:
-        sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
-        # windows over inputs only then read the encoded full-grid inputs
-        fitness_cfg = fitness_cfg.reading_inputs(names)
+    sim_grid = check_problem(plant, assumption, fitness_cfg, grid)
 
     rng = np.random.default_rng(search_cfg.seed)
     lower, width, dim = assumption.lower, assumption.width, assumption.dim

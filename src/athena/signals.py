@@ -52,11 +52,8 @@ class TimeGrid:
 
     end: float
     step: float
-    start: float = 0.0
 
     def __post_init__(self):
-        if self.start != 0.0:
-            raise ValueError("grid start must be 0")
         if not (self.end > 0.0 and math.isfinite(self.end)):
             raise ValueError(f"grid end must be positive and finite, got {self.end}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
@@ -350,6 +347,10 @@ class _PchipPlan:
         self.hits = _read_only(hits)
         self.points = _read_only(points)
 
+    # as in _LinearPlan: an infinite slope times the zero basis at a control
+    # time is overwritten by the control value; `interpolate` still rejects
+    # an output that is not finite
+    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, values: np.ndarray) -> np.ndarray:
         m = np.array(_pchip_slopes(self.widths, values.tolist()))
         seg, seg1 = self.seg, self.seg1

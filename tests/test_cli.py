@@ -59,6 +59,18 @@ class TestArgHandling:
         assert rc == 2
         assert "excludes" in capsys.readouterr().err
 
+    def test_catalog_excludes_auto_scale(self, capsys):
+        rc = cli(["falsify", "--catalog", "AT1", "--auto-scale", "5"])
+        assert rc == 2
+        assert "excludes" in capsys.readouterr().err
+
+    def test_p_excludes_p_schedule(self, tmp_path, capsys):
+        rc = cli(["falsify", "--catalog", "AT1", "--p", "0.9", "--p-schedule", "1,0",
+                  "--out", str(tmp_path / "tc")])
+        assert rc == 2
+        assert "exclusive" in capsys.readouterr().err
+        assert not (tmp_path / "tc.json").exists()
+
     def test_unknown_catalog_id_exits_2(self, capsys):
         assert cli(["falsify", "--catalog", "AT99"]) == 2
         assert "AT99" in capsys.readouterr().err
@@ -320,6 +332,33 @@ class TestBenchAndCompare:
             "plant": "chasing_cars",
             "formula": "G[0,10] (y5 - y4 <= 40)",
             "assumption": "throttle:pchip:0,1:7;brake:pchip:0,1:3",
+            "repetitions": 2,
+            "search": {"max_iterations": 5},
+        }
+        cfg[field] = text
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli(["bench", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "failure-revealing" not in captured.out
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("assumption", "z:const:0,1:1", "do not match plant inputs"),
+            ("formula", "F[0.01,0.02] (y > 0)", "selects no grid samples at step 0.05"),
+        ],
+    )
+    def test_bench_problem_no_run_could_start_exits_2(
+        self, tmp_path, capsys, field, text, message
+    ):
+        # resolve rejects both, so no run starts and no error row is written
+        cfg = {
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "assumption": "x:const:0,1:1",
             "repetitions": 2,
             "search": {"max_iterations": 5},
         }

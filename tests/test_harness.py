@@ -1,5 +1,6 @@
 """Tests for the experiment runner and the rank-sum comparison."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,9 +11,11 @@ import pytest
 import scipy.stats
 
 from athena.catalog import catalog, catalog_ids
-from athena.errors import MissingChannelError
+from athena.errors import MissingChannelError, PortMismatchError
 from athena.harness import (
     ExperimentConfig,
+    ExperimentReport,
+    _run_one,
     compare_reports,
     config_from_dict,
     parse_assumption,
@@ -45,6 +48,13 @@ def fast_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def unchecked_port_mismatch(cfg):
+    """The problem of `cfg` with an assumption port the plant does not
+    have, built past `resolve`, which rejects it."""
+    z = parse_assumption("z:const:0,1:1")
+    return dataclasses.replace(resolve(cfg), assumption=z)
 
 
 class Runaway(PlantModel):
@@ -256,6 +266,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="athena"):
             fast_config(mode="automatic", p_schedule=(1.0, 0.0))
 
+    def test_entry_and_auto_scale_exclusive(self):
+        # a catalog entry fixes its own auto_scale
+        with pytest.raises(ValueError, match="exclusive"):
+            ExperimentConfig(entry="AT1", auto_scale=5.0)
+        with pytest.raises(ValueError, match="exclusive"):
+            config_from_dict({"entry": "AT1", "auto_scale": 5})
+
+    def test_p_and_p_schedule_exclusive(self):
+        with pytest.raises(ValueError, match="exclusive"):
+            config_from_dict({"entry": "AT1", "p": 0.9, "p_schedule": [1, 0]})
+        with pytest.raises(ValueError, match="exclusive"):
+            fast_config(p=0.9, p_schedule=(1.0, 0.0))
+
     def test_effective_p(self):
         assert fast_config(mode="automatic").effective_p == 1.0
         assert fast_config(mode="manual").effective_p == 0.0
@@ -307,15 +330,24 @@ class TestRunExperiment:
 
     def test_run_errors_recorded_not_fatal(self):
         cfg = fast_config(
-            assumption=parse_assumption("z:const:0,1:1"), repetitions=3
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y5 - y4 < 40)",
+            manual_text=NO_SLOPE_IN_WINDOW,
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+            repetitions=3,
         )
         report = run_experiment(cfg)
         assert report.found == 0
         assert len(report.rows) == 3
         for row in report.rows:
-            assert row.error is not None
-            assert "PortMismatchError" in row.error
+            assert row.error.startswith("ValueError: need >= 2 control points")
             assert row.best_robustness is None
+        # a problem built without resolve fails falsify's own checks
+        problem = unchecked_port_mismatch(fast_config())
+        row = _run_one((problem, cfg.search, 0))
+        assert not row.found
+        assert "PortMismatchError" in row.error
+        assert row.best_robustness is None
 
     def test_errored_rows_count_the_simulations_run(self):
         # every run simulates once, then the slope term finds no two control
@@ -347,8 +379,10 @@ class TestRunExperiment:
         assert row.iterations == 2
 
     def test_error_before_any_simulation_counts_none(self):
-        cfg = fast_config(assumption=parse_assumption("z:const:0,1:1"), repetitions=2)
-        report = run_experiment(cfg, jobs=1)
+        cfg = fast_config(repetitions=2)
+        problem = unchecked_port_mismatch(cfg)
+        rows = tuple(_run_one((problem, cfg.search, i)) for i in range(2))
+        report = ExperimentReport(cfg, problem, rows, wall_clock=0.0)
         assert [row.iterations for row in report.rows] == [0, 0]
         assert report.simulations == 0
 
@@ -397,8 +431,8 @@ class TestRunExperiment:
         auto = run_experiment(fast_config(mode="automatic"))
         manual = run_experiment(fast_config(mode="manual"))
         assert [r.seed for r in auto.rows] == [r.seed for r in manual.rows]
-        assert auto.p == 1.0
-        assert manual.p == 0.0
+        assert auto.config.effective_p == 1.0
+        assert manual.config.effective_p == 0.0
 
     def test_schedule_reported(self):
         report = run_experiment(fast_config(p_schedule=(1.0, 0.0), repetitions=2))
@@ -478,6 +512,18 @@ class TestResolve:
         )
         with pytest.raises(ValueError, match="window end 150.0 exceeds grid end 100.0"):
             resolve(cfg)
+
+    def test_port_mismatch_rejected_before_any_run(self):
+        cfg = fast_config(assumption=parse_assumption("z:const:0,1:1"))
+        for run in (resolve, run_experiment):
+            with pytest.raises(PortMismatchError, match="do not match plant inputs"):
+                run(cfg)
+
+    def test_interval_between_samples_rejected_before_any_run(self):
+        cfg = fast_config(formula_text="F[0.01,0.02] (y > 0)")
+        for run in (resolve, run_experiment):
+            with pytest.raises(ValueError, match=r"interval \[0.01,0.02\] selects no grid"):
+                run(cfg)
 
     def test_inputs_and_outputs_both_accepted(self):
         cfg = fast_config(

@@ -76,7 +76,6 @@ def score_prefix(fitness, plant, inputs, controls, grid, n):
     trace = simulate_prefix(plant, inputs, grid, n)
     if n == grid.n_samples:
         return assess(fitness, trace, controls=controls)
-    fitness = fitness.reading_inputs(plant.port_spec.inputs)
     return assess(fitness, trace, controls=controls, inputs=Trace(grid, inputs))
 
 
@@ -259,20 +258,34 @@ class TestInputWindows:
             want = assess(fit, full, controls=controls)
             assert score_prefix(fit, problem.plant, inputs, controls, grid, n) == want
 
-    def test_only_marked_windows_read_the_inputs(self):
+    def test_mixed_window_reads_the_trace_and_input_window_the_inputs(self):
+        # full-grid inputs that differ from the trace's own input channels
+        # show which of the two each window reads on a prefix trace
+        problem = resolve(ExperimentConfig(entry="AT1"))
+        grid = problem.grid
+        ((_, inputs),) = candidates(problem, 1, seed=3)
+        part = simulate_prefix(problem.plant, inputs, grid, 501)
+        shifted = Trace(grid, {k: s.values + 1.0 for k, s in inputs.items()})
         fit = self.at1("mean(Speed - Throttle,[0,25]) + max(Brake,[0,25])")
-        marked = fit.reading_inputs(("Throttle", "Brake")).manual
-        assert (marked.left.on_inputs, marked.right.on_inputs) == (False, True)
-        assert fit.reading_inputs(()).manual == fit.manual
+        mixed, input_only = fit.manual.left, fit.manual.right
+        mean, peak = WindowStatKind.MEAN, WindowStatKind.MAX
+        on_trace = window_stat(mixed.channel.values(part), part.grid, mean, (0.0, 25.0))
+        assert mixed.evaluate(part, inputs=shifted) == on_trace
+        from_inputs = window_stat(shifted.channel("Brake"), grid, peak, (0.0, 25.0))
+        assert input_only.evaluate(part, inputs=shifted) == from_inputs
+        # without the inputs both read the trace
+        own = window_stat(part.channel("Brake"), part.grid, peak, (0.0, 25.0))
+        assert input_only.evaluate(part) == own != from_inputs
+        assert mixed.evaluate(part) == on_trace
 
     def test_input_window_past_the_prefix_reads_the_full_grid_input(self):
         problem = resolve(ExperimentConfig(entry="AT2"))
         grid = problem.grid
         n = samples_read(problem)
         assert n == 201
-        fit = problem.fitness.reading_inputs(problem.plant.port_spec.inputs)
-        window = fit.manual.left.child
-        assert str(window) == "mean(Brake,[0,25])" and window.on_inputs
+        window = problem.fitness.manual.left.child
+        assert str(window) == "mean(Brake,[0,25])"
+        assert window.names <= set(problem.plant.port_spec.inputs)
         ((_, inputs),) = candidates(problem, 1, seed=2)
         part = simulate_prefix(problem.plant, inputs, grid, n)
         want = window_stat(inputs["Brake"].values, grid, WindowStatKind.MEAN, (0.0, 25.0))
@@ -291,7 +304,7 @@ class TestInputWindows:
             search=SearchConfig(max_iterations=5),
         )
         # resolve rejects it before any run; built by hand, the problem
-        # still errors in its first iteration, after one simulation
+        # errors in falsify's checks, before its first simulation
         for run in (resolve, lambda cfg: run_experiment(cfg, jobs=1)):
             with pytest.raises(MissingChannelError, match="Gear9"):
                 run(cfg)
@@ -300,7 +313,34 @@ class TestInputWindows:
         row = _run_one((problem, cfg.search, 0))
         assert row.error.startswith("MissingChannelError: ")
         assert "Gear9" in row.error
-        assert row.iterations == 1
+        assert row.iterations == 0
+
+    def test_direct_falsify_with_an_unknown_channel_never_simulates(self, monkeypatch):
+        problem = unchecked_problem(
+            ExperimentConfig(
+                plant=builtin("at_lite"),
+                formula_text="G[0,10] (RPM < 4750)",
+                manual_text="mean(Gear9,[0,25])",
+                assumption=catalog("AT2").assumption,
+            )
+        )
+        calls = []
+
+        def spy(plant, inputs, grid):
+            calls.append(grid)
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        with pytest.raises(MissingChannelError, match="Gear9") as info:
+            falsify(
+                problem.plant,
+                problem.assumption,
+                problem.fitness,
+                SearchConfig(max_iterations=5),
+                problem.grid,
+            )
+        assert getattr(info.value, "simulations", 0) == 0
+        assert calls == []
 
 
 class LateBlowUp(PlantModel):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,11 @@ class TestTimeGrid:
         assert g.n_samples == 11
         assert g.times()[0] == 0.0
         assert g.times()[-1] == 10.0
+
+    def test_end_and_step_are_the_whole_key(self):
+        # a grid starts at 0, so end and step alone hash and compare it
+        assert [f.name for f in dataclasses.fields(TimeGrid)] == ["end", "step"]
+        assert TimeGrid(10.0, 0.5) == TimeGrid(10.0, 0.5)
 
     def test_non_integral_step_rejected(self):
         with pytest.raises(ValueError):
@@ -359,6 +365,16 @@ class TestInterpolateMatchesReference:
             want = interpolate_reference(cp, InterpolationKind.PCHIP, grid)
         assert np.array_equal(got, want)
         assert signals._pchip_slopes((0.5, 0.5), [-1e308, 0.0, 1e308])[1] == np.inf
+
+    def test_pchip_near_coincident_times_stay_silent(self):
+        # the first secant is infinite; its slope times the zero basis at
+        # the control time is overwritten by the exact hit, with no warning
+        grid = TimeGrid(1.0, 0.25)
+        cp = ControlPoints([0.0, 1e-310, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
+        got = interpolate(cp, InterpolationKind.PCHIP, grid).values
+        with np.errstate(all="ignore"):
+            want = interpolate_reference(cp, InterpolationKind.PCHIP, grid)
+        assert np.array_equal(got, want)
 
 
 class TestInterpolationPlans:
