@@ -7,7 +7,10 @@ Run from the repository root:
 Each kernel case times one call on the grid a catalog entry or the
 passthrough workload uses, with fixed random inputs. The `-prefix` case
 uses the leading samples of the grid that `falsify` simulates, those the
-score reads from the plant's outputs. The `-build` case times building the
+score reads from the plant's outputs. The `-read` case simulates only the
+outputs the score names, as `falsify` does (`simulated_plant`: y4 and y5
+on CC1); next to it, `chasing_cars-CC1` computes all five, as a replay
+does. The `-build` case times building the
 chasing_cars operators for the CC1 grid from a cleared cache, the cost
 the first simulation on a grid pays. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
@@ -36,7 +39,14 @@ from athena.models import (
     _platoon_operators,
     simulate,
 )
-from athena.search import SearchConfig, encode_inputs, falsify, propose, simulation_grid
+from athena.search import (
+    SearchConfig,
+    encode_inputs,
+    falsify,
+    propose,
+    simulated_plant,
+    simulation_grid,
+)
 from athena.signals import (
     ControlPoints,
     Signal,
@@ -60,25 +70,29 @@ def random_inputs(grid, lo, hi, seed=0):
 
 
 @pytest.mark.parametrize(
-    "model, entry, hi, prefix",
+    "model, entry, hi, prefix, read",
     [
-        (ChasingCars, "CC1", (1.0, 1.0), False),
-        (AutoTransmissionLite, "AT1", (100.0, 325.0), False),
-        (AutoTransmissionLite, "AT2", (100.0, 325.0), True),
+        (ChasingCars, "CC1", (1.0, 1.0), False, False),
+        (ChasingCars, "CC1", (1.0, 1.0), False, True),
+        (AutoTransmissionLite, "AT1", (100.0, 325.0), False, False),
+        (AutoTransmissionLite, "AT2", (100.0, 325.0), True, False),
     ],
-    ids=["chasing_cars-CC1", "at_lite-AT1", "at_lite-AT2-prefix"],
+    ids=["chasing_cars-CC1", "chasing_cars-CC1-read", "at_lite-AT1", "at_lite-AT2-prefix"],
 )
-def test_fast_sim(benchmark, model, entry, hi, prefix):
+def test_fast_sim(benchmark, model, entry, hi, prefix, read):
     plant = model()
     grid = catalog(entry).grid()
+    fitness = resolve(ExperimentConfig(entry=entry)).fitness
     if prefix:
         # the leading samples falsify simulates: those the score reads
-        fitness = resolve(ExperimentConfig(entry=entry)).fitness
         n = fitness.samples_read(grid, plant.port_spec.inputs)
         grid = TimeGrid((n - 1) * grid.step, grid.step)
+    if read:
+        # the outputs falsify simulates: those the score names
+        plant = simulated_plant(plant, fitness)
     u = random_inputs(grid, (0.0, 0.0), hi)
     out = benchmark(plant.fast_sim, u, grid)
-    assert out.shape[0] == grid.n_samples
+    assert out.shape == (grid.n_samples, len(plant.port_spec.outputs))
 
 
 @pytest.mark.parametrize("entry", ["CC1"], ids=["chasing_cars-CC1-build"])

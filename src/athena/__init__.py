@@ -68,6 +68,7 @@ from .search import (
     encode_inputs,
     falsify,
     propose,
+    simulated_plant,
     simulation_grid,
 )
 from .signals import (
@@ -124,6 +125,7 @@ __all__ = [
     "encode_inputs",
     "simulation_grid",
     "check_problem",
+    "simulated_plant",
     "propose",
     "falsify",
     # catalog

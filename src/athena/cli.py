@@ -133,6 +133,7 @@ def cmd_falsify(args) -> int:
         "formula": str(problem.fitness.formula),
         "mode": cfg.mode,
         "p": cfg.effective_p,
+        "p_schedule": list(cfg.p_schedule) if cfg.p_schedule else None,
         "seed": args.seed,
         "budget": args.max_iters,
         "iterations_used": result.iterations_used,

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
+import numpy as np
+
 from .errors import MissingChannelError, ParseError
 from .signals import (
     ControlPoints,
@@ -321,15 +323,15 @@ class _ManualParser(FormulaParser):
         return node
 
 
-def _windows(expr: ManualFitnessExpr) -> Iterator[WindowStat]:
-    """The window statistics in `expr`, in source order."""
-    if isinstance(expr, WindowStat):
+def _terms(expr: ManualFitnessExpr) -> Iterator[WindowStat | SteepestSlope]:
+    """The window statistics and slope terms in `expr`, in source order."""
+    if isinstance(expr, (WindowStat, SteepestSlope)):
         yield expr
     elif isinstance(expr, (Scale, TargetDistance, Neg)):
-        yield from _windows(expr.child)
+        yield from _terms(expr.child)
     elif isinstance(expr, (Add, Sub, Mul)):
-        yield from _windows(expr.left)
-        yield from _windows(expr.right)
+        yield from _terms(expr.left)
+        yield from _terms(expr.right)
 
 
 def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid, inputs: frozenset[str]) -> int:
@@ -391,19 +393,46 @@ class FitnessAssessment:
             return a
         return a + (b - a) * iteration / (max_iterations - 1)
 
-    def check_channels(self, channels: Collection[str]) -> None:
-        """Raise MissingChannelError for the first channel that the formula
-        or a manual window names and `channels`, those of the plant's
-        traces, do not hold: the error scoring such a trace would raise.
-        The formula's channels are checked first, in source order.
-        """
-        named = list(formula_channels(self.formula))
+    def _manual_terms(self, kind: type) -> Iterator:
         if self.manual is not None:
-            for window in _windows(self.manual):
-                named.extend(window.channel.channels())
-        for name in named:
+            for term in _terms(self.manual):
+                if isinstance(term, kind):
+                    yield term
+
+    def channels(self) -> tuple[str, ...]:
+        """The channels the formula and the manual windows name, each once:
+        the formula's first, then the windows', in source order. A score
+        reads no other channel of a trace."""
+        named = dict.fromkeys(formula_channels(self.formula))
+        for window in self._manual_terms(WindowStat):
+            named.update(dict.fromkeys(window.channel.channels()))
+        return tuple(named)
+
+    def check_channels(self, channels: Collection[str]) -> None:
+        """Raise MissingChannelError for the first of `self.channels()`
+        that `channels`, those of the plant's traces, do not hold: the
+        error scoring such a trace would raise.
+        """
+        for name in self.channels():
             if name not in channels:
                 raise MissingChannelError(name, tuple(channels))
+
+    def check_slopes(self, control_times: Mapping[str, np.ndarray]) -> None:
+        """Raise the ValueError that scoring would raise for the first
+        slope term whose port has no control times in `control_times`, or
+        whose window holds fewer than 2 of them, by measuring each slope
+        over those times.
+
+        A candidate's control times depend only on the grid and the
+        assumption, never on the search, so `search.check_problem` calls
+        this before any simulation.
+        """
+        for term in self._manual_terms(SteepestSlope):
+            times = control_times.get(term.port)
+            controls = {}
+            if times is not None:
+                controls[term.port] = ControlPoints(times, np.zeros_like(times))
+            term.evaluate(None, controls)
 
     def check_windows(self, grid: TimeGrid) -> None:
         """Raise the ValueError that scoring a trace on `grid` would raise
@@ -413,9 +442,8 @@ class FitnessAssessment:
         `search.check_problem` calls this, for `resolve` and for each
         `falsify` call, before any simulation.
         """
-        if self.manual is not None:
-            for window in _windows(self.manual):
-                window_span(window.window, grid)
+        for window in self._manual_terms(WindowStat):
+            window_span(window.window, grid)
 
     def samples_read(self, grid: TimeGrid, inputs: Collection[str]) -> int:
         """Leading samples of a trace on `grid` that `assess` reads, for a

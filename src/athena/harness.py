@@ -156,6 +156,10 @@ class ExperimentConfig:
                 raise ValueError("step must be positive")
             if self.auto_scale is not None and self.auto_scale <= 0:
                 raise ValueError("auto_scale must be positive")
+        if self.p_schedule is not None and len(self.p_schedule) != 2:
+            raise ValueError(
+                f"p_schedule must be two endpoints (start, end), got {list(self.p_schedule)}"
+            )
         if self.mode != "athena":
             if self.p is not None or self.p_schedule is not None:
                 raise ValueError("p and p_schedule apply to athena mode only")
@@ -557,7 +561,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     assumption = (
         parse_assumption(raw["assumption"]) if "assumption" in raw else None
     )
-    p_schedule = tuple(raw["p_schedule"]) if raw.get("p_schedule") else None
+    p_schedule = tuple(raw["p_schedule"]) if raw.get("p_schedule") is not None else None
     kwargs = {
         "entry": raw.get("entry"),
         "plant": plant,

@@ -11,8 +11,10 @@ inherit the default `fast_sim`, the generic integrator.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,17 @@ class PlantModel:
 
     def post_step(self, state: np.ndarray) -> np.ndarray:
         return state
+
+    def with_outputs(self, names: Collection[str]) -> PlantModel:
+        """A plant that simulates at least the outputs in `names`, a
+        non-empty subset of this plant's outputs, and each of them as this
+        plant does.
+
+        The default returns the plant itself, which simulates every output.
+        A plant that can compute some outputs alone overrides it to return
+        a plant whose `port_spec.outputs` are `names` in plant order.
+        """
+        return self
 
     def fast_sim(self, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
         """Generic RK4 of `derivative`, then `output` at every sample."""
@@ -196,7 +209,7 @@ class ChasingCars(PlantModel):
     The RK4 step is the affine map x+ = P x + f_k, with the forcing f_k
     linear in the input samples u_k and u_{k+1}. The platoon is linear and
     time invariant, so `fast_sim` applies the whole input-to-output map as
-    three matmuls, with operators built once per (plant class, step, sample
+    matmuls, with operators built once per (plant class, step, sample
     count) by `_platoon_operators`. The grid's steps are cut into C chunks
     of L; row c of H holds chunk c's start state, its L + 1 input samples
     and a 1:
@@ -205,18 +218,27 @@ class ChasingCars(PlantModel):
     2. `s = X0 + e @ T`: every chunk's start state, where T is the
        block-Toeplitz map of the powers of P^L and X0 the part that does not
        depend on the inputs;
-    3. `H @ G`: every output sample, where G stacks P^1..P^L on the in-chunk
-       input-to-position map and the in-chunk response to the constant
-       forcing, all restricted to the positions.
+    3. `H @ G[y]` for each output channel y: that car's position at every
+       sample, where G[y] stacks P^1..P^L on the in-chunk input-to-position
+       map and the in-chunk response to the constant forcing, all
+       restricted to that car's position.
 
     This is the step-by-step recurrence summed in a different order. That
     is sound because P is stable: its powers stay bounded, so the reordering
     only moves rounding (about 1e-11 on 10001 samples).
 
-    A DivergenceError names the first sample with a non-finite position, or
-    else the end of the first chunk whose end state overflowed: a velocity
-    that overflows inside a chunk shows only once a position or a chunk end
-    does.
+    `with_outputs` gives a platoon that computes only some of y1..y5, by
+    only their products in step 3. Each channel is always computed by the
+    same product, so its values are bitwise the same whichever other
+    channels are computed with it: a search may simulate the channels its
+    score reads, and the whole plant replays what it found on the same
+    grid to the same robustness. Only the computed channels are checked,
+    so an output that is not computed can go non-finite unseen.
+
+    A DivergenceError names the first sample with a non-finite computed
+    position, or else the end of the first chunk whose end state
+    overflowed: a velocity that overflows inside a chunk shows only once a
+    position or a chunk end does.
     """
 
     name = "chasing_cars"
@@ -235,6 +257,18 @@ class ChasingCars(PlantModel):
     _OUT_COLS = (4, 3, 2, 1, 0)
     _x0 = np.array([40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5)
     _x0.setflags(write=False)
+    # the output channels `fast_sim` computes, as indices into y1..y5
+    _channels = (0, 1, 2, 3, 4)
+
+    def with_outputs(self, names):
+        names = set(names)
+        spec = type(self).port_spec
+        if not names <= set(spec.outputs):
+            raise ValueError(f"{self.name}: {sorted(names - set(spec.outputs))} are not outputs")
+        plant = copy.copy(self)
+        plant._channels = tuple(k for k, y in enumerate(spec.outputs) if y in names)
+        plant.port_spec = PortSpec(spec.inputs, [spec.outputs[k] for k in plant._channels])
+        return plant
 
     @classmethod
     def _system(cls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,18 +332,21 @@ class ChasingCars(PlantModel):
             k = int(np.argmin(np.isfinite(e).all(axis=1))) + 1
         s = X0[: 10 * k] + e[: k - 1].ravel() @ T[: 10 * (k - 1), : 10 * k]
         H[:k, :10] = s.reshape(k, 10)
-        out = np.empty((k * L + 1, 5))
-        out[0] = self._x0[list(self._OUT_COLS)]
-        np.matmul(H[:k], G, out=out[1:].reshape(k, 5 * L))
-        out = out[:n]
-        if not np.isfinite(out).all():
-            finite = np.isfinite(out).all(axis=1)
+        # one row per computed channel, each filled by that channel's own
+        # product, so its values do not depend on the other channels
+        rows = np.empty((len(self._channels), k * L + 1))
+        for row, y in zip(rows, self._channels):
+            row[0] = self._x0[self._OUT_COLS[y]]
+            np.matmul(H[:k], G[y], out=row[1:].reshape(k, L))
+        rows = rows[:, :n]
+        if not np.isfinite(rows).all():
+            finite = np.isfinite(rows).all(axis=0)
             raise DivergenceError(int(np.argmin(finite)) * grid.step)
         if k < C:
             # the positions stayed finite, the state at the k-th chunk end
             # did not
             raise DivergenceError(k * L * grid.step)
-        return out
+        return rows.T
 
 
 # Number of operator sets kept per process, one per (plant class, step,
@@ -346,9 +383,10 @@ def _platoon_operators(plant: type[ChasingCars], step: float, n: int):
 
     The n - 1 steps are cut into C chunks of L. M maps a chunk's L + 1
     input samples to its end state from a zero start; T and X0 give every
-    chunk's start state from those ends; G maps [start | inputs | 1] to the
-    positions at the chunk's L samples after its start. About sqrt(m / 3)
-    chunks balance T's 100 C^2 entries against G's 10 L^2.
+    chunk's start state from those ends; G[y], one contiguous (13 + 2L, L)
+    block per output channel y1..y5, maps [start | inputs | 1] to that
+    car's position at the chunk's L samples after its start. About
+    sqrt(m / 3) chunks balance T's 100 C^2 entries against G's 10 L^2.
     """
     Pt, Q, r = plant._step_ops(step)
     m = n - 1
@@ -370,6 +408,9 @@ def _platoon_operators(plant: type[ChasingCars], step: float, n: int):
     j = np.arange(1, L + 1)
     G[12:-1] = _toeplitz(phi[:L, :, cols], j - j[:, None])
     G[-1] = forced[:, cols].ravel()
+    # column j * 5 + y of the block above is output channel y at in-chunk
+    # sample j; give each channel its own contiguous block
+    G = np.ascontiguousarray(G.reshape(13 + 2 * L, L, 5).transpose(2, 0, 1))
     # with K = P^L, chunk c starts at x0 K^c + the sum over i < c of
     # (e_i + forced[-1]) K^(c-1-i)
     c = np.arange(C)

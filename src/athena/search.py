@@ -5,8 +5,8 @@ range, and the number of control points. The search space is the flat
 vector of all control values (control times stay evenly spaced), so a
 candidate is a point in an axis-aligned box. Each iteration decodes the
 vector into input signals, simulates the plant over the part of the grid
-the score reads, scores the trace, and stops at the first requirement
-violation.
+and the outputs the score reads, scores the trace, and stops at the first
+requirement violation.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "encode_inputs",
     "simulation_grid",
     "check_problem",
+    "simulated_plant",
     "propose",
     "falsify",
 ]
@@ -172,8 +173,10 @@ def check_problem(
     HorizonError when the requirement needs more trace than `grid` holds,
     MissingChannelError for a formula or manual channel that is neither a
     plant input nor an output, ValueError for a manual window that ends
-    past `grid`, holds none of its samples or is empty, and ValueError for
-    a temporal interval that selects no sample at the grid's step.
+    past `grid`, holds none of its samples or is empty, ValueError for a
+    slope term over a name that is not a plant input or whose window holds
+    fewer than 2 of that input's control points, and ValueError for a
+    temporal interval that selects no sample at the grid's step.
     `resolve` and `falsify` both call it.
     """
     spec = plant.port_spec
@@ -189,10 +192,22 @@ def check_problem(
         )
     fitness_cfg.check_channels(spec.outputs + spec.inputs)
     fitness_cfg.check_windows(grid)
+    fitness_cfg.check_slopes(
+        {p.port: uniform_control_times(grid, p.n) for p in assumption.ports}
+    )
     n_read = fitness_cfg.samples_read(grid, names)
     if n_read == grid.n_samples:
         return grid
     return TimeGrid((n_read - 1) * grid.step, grid.step)
+
+
+def simulated_plant(plant: PlantModel, fitness_cfg: FitnessAssessment) -> PlantModel:
+    """The plant `falsify` simulates: `plant.with_outputs` of the outputs
+    the score names (`FitnessAssessment.channels`), or `plant` itself when
+    the score names none of them."""
+    named = set(fitness_cfg.channels())
+    outputs = [name for name in plant.port_spec.outputs if name in named]
+    return plant.with_outputs(outputs) if outputs else plant
 
 
 def propose(
@@ -321,10 +336,14 @@ def falsify(
     when the score reads every sample, the inputs and `grid` pass as they
     are. A manual window whose channels are all plant inputs then reads
     the encoded inputs on the whole grid instead of the simulated trace
-    (`WindowStat`), so it does not lengthen the prefix. The score is the
-    one the whole trace would give. A plant that diverges only after the
-    prefix is therefore scored normally, not as diverged: no part of the
-    score reads those samples of its outputs.
+    (`WindowStat`), so it does not lengthen the prefix. Likewise only the
+    outputs the score names are simulated (`simulated_plant`), each as the
+    whole plant computes it (`PlantModel.with_outputs`); a score that
+    names no output simulates them all. The score is the one the whole
+    trace would give. A plant that diverges only after the prefix, or only
+    in an output the score does not name, is therefore scored normally,
+    not as diverged: no part of the score reads those samples or that
+    output.
 
     A problem that fails a check of `check_problem` raises before the
     first simulation. An exception raised inside an iteration carries
@@ -332,6 +351,7 @@ def falsify(
     included.
     """
     sim_grid = check_problem(plant, assumption, fitness_cfg, grid)
+    sim_plant = simulated_plant(plant, fitness_cfg)
 
     rng = np.random.default_rng(search_cfg.seed)
     lower, width, dim = assumption.lower, assumption.width, assumption.dim
@@ -371,7 +391,7 @@ def falsify(
                     name: signal.prefix(sim_grid) for name, signal in inputs.items()
                 }
                 full_inputs = Trace(grid, inputs)
-            sim = simulate(plant, sim_inputs, sim_grid)
+            sim = simulate(sim_plant, sim_inputs, sim_grid)
             simulations += 1
             value = assess(
                 fitness_cfg,

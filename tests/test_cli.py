@@ -110,6 +110,21 @@ class TestFalsify:
             reported = json.load(fh)["testcase"]["robustness"]
         assert replayed == reported
 
+    @pytest.mark.parametrize(
+        "flags, p, schedule", [([], 0.5, None), (["--p-schedule", "1,0"], 0.5, [1.0, 0.0])]
+    )
+    def test_payload_records_the_schedule(self, tmp_path, capsys, flags, p, schedule):
+        out = str(tmp_path / "tc")
+        rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,10] (x < 2)",
+                  "--assumption", "x:const:0,1:1", "--max-iters", "5",
+                  "--out", out] + flags)
+        assert rc == 1
+        capsys.readouterr()
+        with open(out + ".json") as fh:
+            payload = json.load(fh)
+        assert payload["p"] == p
+        assert payload["p_schedule"] == schedule
+
     def test_no_failure_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "nff")
         rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,10] (x < 2)",
@@ -299,12 +314,12 @@ class TestBenchAndCompare:
         assert captured.err == ""
 
     def test_bench_errored_runs_exit_2(self, tmp_path, capsys):
-        # throttle's 7 control points are 16.7 s apart, so every run errors
-        # when it first scores the slope term
+        # the lead car starts 40 m ahead, so every run errors when it first
+        # scores the infinite manual term
         cfg = {
             "plant": "chasing_cars",
             "formula": "G[0,10] (y5 - y4 < 40)",
-            "manual": "slope_up(throttle,[1,2])",
+            "manual": "max(y5,[0,10]) * 1e308",
             "assumption": "throttle:pchip:0,1:7;brake:pchip:0,1:3",
             "repetitions": 2,
             "search": {"max_iterations": 5},
@@ -317,7 +332,7 @@ class TestBenchAndCompare:
         assert "0/2 failure-revealing" in captured.out
         assert captured.out.strip().endswith(", 2 errored")
         assert "ValueError" in captured.err
-        assert "control points inside" in captured.err
+        assert "fitness parts must be finite" in captured.err
 
     @pytest.mark.parametrize(
         "field, text, message",
@@ -325,6 +340,8 @@ class TestBenchAndCompare:
             ("formula", "G[0,10] (y9 <= 40)", "channel 'y9' not in trace"),
             ("manual", "max(throttle,[0,150])", "window end 150.0 exceeds grid end 100.0"),
             ("assumption", "throttle:linear:-1e308,1e308:3;brake:pchip:0,1:3", "width"),
+            ("manual", "slope_up(throttle,[1,2])", "need >= 2 control points inside [1.0, 2.0]"),
+            ("manual", "slope_up(y5,[0,100])", "control points of input 'y5'"),
         ],
     )
     def test_bench_bad_problem_exits_2_before_running(self, tmp_path, capsys, field, text, message):

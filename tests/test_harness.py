@@ -12,6 +12,7 @@ import scipy.stats
 
 from athena.catalog import catalog, catalog_ids
 from athena.errors import MissingChannelError, PortMismatchError
+from athena.fitness import FitnessAssessment, parse_manual
 from athena.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -25,14 +26,17 @@ from athena.harness import (
     write_report,
 )
 from athena.models import Passthrough, PlantModel, PortSpec, builtin
-from athena.search import SearchConfig
-from athena.signals import InterpolationKind
+from athena.search import SearchConfig, falsify
+from athena.signals import InterpolationKind, TimeGrid
+from athena.stl import parse
 from oracles import rank_sum_brute
 
 
-# a manual term that raises ValueError on every trace of the chasing_cars
-# configs below: throttle's 7 control points are 16.7 s apart
-NO_SLOPE_IN_WINDOW = "slope_up(throttle,[1,2])"
+# a manual term that is infinite on every trace of the chasing_cars configs
+# below, since the lead car starts 40 m ahead: scoring the first simulation
+# raises ValueError
+INFINITE_MANUAL = "max(y5,[0,10]) * 1e308"
+INFINITE_ERROR = "ValueError: fitness parts must be finite"
 
 
 def fast_config(**overrides):
@@ -332,7 +336,7 @@ class TestRunExperiment:
         cfg = fast_config(
             plant=builtin("chasing_cars"),
             formula_text="G[0,10] (y5 - y4 < 40)",
-            manual_text=NO_SLOPE_IN_WINDOW,
+            manual_text=INFINITE_MANUAL,
             assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
             repetitions=3,
         )
@@ -340,7 +344,7 @@ class TestRunExperiment:
         assert report.found == 0
         assert len(report.rows) == 3
         for row in report.rows:
-            assert row.error.startswith("ValueError: need >= 2 control points")
+            assert row.error.startswith(INFINITE_ERROR)
             assert row.best_robustness is None
         # a problem built without resolve fails falsify's own checks
         problem = unchecked_port_mismatch(fast_config())
@@ -350,12 +354,11 @@ class TestRunExperiment:
         assert row.best_robustness is None
 
     def test_errored_rows_count_the_simulations_run(self):
-        # every run simulates once, then the slope term finds no two control
-        # points in its window
+        # every run simulates once, then its manual score is infinite
         cfg = fast_config(
             plant=builtin("chasing_cars"),
             formula_text="G[0,10] (y5 - y4 < 40)",
-            manual_text=NO_SLOPE_IN_WINDOW,
+            manual_text=INFINITE_MANUAL,
             assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
             repetitions=2,
             search=SearchConfig(max_iterations=5),
@@ -364,7 +367,7 @@ class TestRunExperiment:
         assert report.errored == 2
         for row in report.rows:
             assert row.iterations == 1
-            assert row.error.startswith("ValueError: need >= 2 control points")
+            assert row.error.startswith(INFINITE_ERROR)
         assert report.simulations == 2
         assert [r["iterations"] for r in report.to_dict()["runs"]] == [1, 1]
 
@@ -525,6 +528,47 @@ class TestResolve:
             with pytest.raises(ValueError, match=r"interval \[0.01,0.02\] selects no grid"):
                 run(cfg)
 
+    @pytest.mark.parametrize(
+        "manual, message",
+        [
+            # throttle's 7 control points are 16.7 s apart
+            ("slope_up(throttle,[1,2])", r"need >= 2 control points inside \[1.0, 2.0\], got 0"),
+            ("slope_down(throttle,[10,20])", r"inside \[10.0, 20.0\], got 1"),
+            ("slope_up(y5,[0,100])", "slope term needs the control points of input 'y5'"),
+            ("1 + slope_up(speed,[0,100])", "control points of input 'speed'"),
+        ],
+    )
+    def test_bad_slope_term_rejected_before_any_run(self, manual, message):
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y5 - y4 <= 40)",
+            manual_text=manual,
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+        )
+        for run in (resolve, run_experiment):
+            with pytest.raises(ValueError, match=message):
+                run(cfg)
+
+    def test_slope_window_with_two_control_points_accepted(self):
+        cfg = fast_config(
+            plant=builtin("chasing_cars"),
+            formula_text="G[0,10] (y5 - y4 <= 40)",
+            manual_text="slope_up(throttle,[0,16.7]) + slope_down(brake,[0,100])",
+            assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
+            repetitions=1,
+        )
+        (row,) = run_experiment(cfg).rows
+        assert row.error is None
+
+    def test_bad_slope_term_fails_falsify_before_any_simulation(self):
+        # x has one control point, at t=0
+        plant = FailsOnThirdCall()
+        fitness = FitnessAssessment(parse("G[0,10] (x < 0.5)"), parse_manual("slope_up(x,[0,10])"))
+        assumption = parse_assumption("x:const:0,1:1")
+        with pytest.raises(ValueError, match=r"inside \[0.0, 10.0\], got 1"):
+            falsify(plant, assumption, fitness, SearchConfig(), TimeGrid(10.0, 0.05))
+        assert plant.calls == 0
+
     def test_inputs_and_outputs_both_accepted(self):
         cfg = fast_config(
             plant=builtin("chasing_cars"),
@@ -567,11 +611,11 @@ class TestReportFiles:
             assert a == (tmp_path / f"b.{name}").read_bytes()
 
     def test_errored_and_simulations_written(self, tmp_path):
-        # every run simulates once, then the slope term errors
+        # every run simulates once, then its manual score is infinite
         cfg = fast_config(
             plant=builtin("chasing_cars"),
             formula_text="G[0,10] (y5 - y4 < 40)",
-            manual_text=NO_SLOPE_IN_WINDOW,
+            manual_text=INFINITE_MANUAL,
             assumption=parse_assumption("throttle:pchip:0,1:7;brake:pchip:0,1:3"),
             repetitions=3,
         )
@@ -688,6 +732,13 @@ class TestConfigFromDict:
     def test_unknown_search_key_rejected(self):
         with pytest.raises(ValueError, match="unknown search"):
             config_from_dict({"entry": "CC1", "search": {"seed": 4}})
+
+    @pytest.mark.parametrize("schedule", [[1, 0, 5], [1], []], ids=["three", "one", "empty"])
+    def test_schedule_needs_two_endpoints(self, schedule):
+        with pytest.raises(ValueError, match="p_schedule must be two endpoints"):
+            config_from_dict({"entry": "AT1", "p_schedule": schedule})
+        with pytest.raises(ValueError, match="p_schedule must be two endpoints"):
+            fast_config(p_schedule=tuple(schedule))
 
     def test_schedule_parsed(self):
         cfg = config_from_dict({"entry": "CC1", "p_schedule": [1.0, 0.0]})

@@ -1,8 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import athena
 from athena.catalog import catalog
 from athena.errors import DivergenceError, PortMismatchError
 from athena.models import (
@@ -198,6 +204,15 @@ def assert_matches_cc_reference(plant):
         assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
 
 
+# (samples, step): n - 1 = 1 (one step), 2 (prime), 20, 25 (a square), the
+# CCx prefix, 1997 (prime: the last chunk is partial), the CC1 and CC4
+# grids, step 0.01
+SCAN_GRIDS = [
+    (2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (1001, 0.05), (1998, 0.05),
+    (2001, 0.05), (2301, 0.05), (10001, 0.01),
+]
+
+
 class TestChasingCars:
     def test_unforced_is_equilibrium(self):
         grid = TimeGrid(20.0, 0.1)
@@ -227,15 +242,8 @@ class TestChasingCars:
     def test_user_plant_inherits_generic_fast_sim(self):
         assert_matches_cc_reference(GenericCars())
 
-    @pytest.mark.parametrize(
-        "n, step",
-        [(2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (1001, 0.05), (1998, 0.05),
-         (2001, 0.05), (2301, 0.05), (10001, 0.01)],
-    )
+    @pytest.mark.parametrize("n, step", SCAN_GRIDS)
     def test_blocked_scan_matches_sequential(self, n, step):
-        # n - 1 = 1 (one step), 2 (prime), 20, 25 (a square), the CCx prefix,
-        # 1997 (prime: the last chunk is partial), the CC1 and CC4 grids,
-        # step 0.01
         cc = ChasingCars()
         grid = TimeGrid((n - 1) * step, step)
         assert grid.n_samples == n
@@ -246,6 +254,72 @@ class TestChasingCars:
         got = cc.fast_sim(u, grid)
         assert got.shape == (n, 5)
         assert np.allclose(got, ref[:, [4, 3, 2, 1, 0]], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, step", SCAN_GRIDS)
+    def test_each_channel_alone_is_bitwise_the_full_run(self, n, step):
+        cc = ChasingCars()
+        grid = TimeGrid((n - 1) * step, step)
+        u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
+        full = cc.fast_sim(u, grid)
+        names = cc.port_spec.outputs
+        for k in range(1, 6):
+            for subset in itertools.combinations(names, k):
+                # the plant keeps its own channel order
+                plant = cc.with_outputs(subset[::-1])
+                assert plant.port_spec.outputs == subset
+                got = plant.fast_sim(u, grid)
+                assert got.shape == (n, k)
+                for j, name in enumerate(subset):
+                    assert np.array_equal(got[:, j], full[:, names.index(name)])
+
+    def test_cc1_grid_output_does_not_depend_on_blas_threads(self, tmp_path):
+        grid = catalog("CC1").grid()
+        u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
+        np.save(tmp_path / "u.npy", u)
+        script = (
+            "import numpy as np\n"
+            "from athena.models import ChasingCars\n"
+            "from athena.signals import TimeGrid\n"
+            f"grid = TimeGrid({grid.end!r}, {grid.step!r})\n"
+            f"u = np.load({str(tmp_path / 'u.npy')!r})\n"
+            "cc = ChasingCars()\n"
+            f"np.save({str(tmp_path / 'full.npy')!r}, cc.fast_sim(u, grid))\n"
+            "read = cc.with_outputs(['y4', 'y5']).fast_sim(u, grid)\n"
+            f"np.save({str(tmp_path / 'read.npy')!r}, read)\n"
+        )
+        src = str(Path(athena.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        cc = ChasingCars()
+        assert np.array_equal(np.load(tmp_path / "full.npy"), cc.fast_sim(u, grid))
+        read = cc.with_outputs(["y4", "y5"]).fast_sim(u, grid)
+        assert np.array_equal(np.load(tmp_path / "read.npy"), read)
+
+    def test_simulate_traces_only_the_selected_outputs(self):
+        grid = TimeGrid(10.0, 0.05)
+        cc = builtin("chasing_cars")
+        sigs = const_inputs(cc, grid, {"throttle": 0.8, "brake": 0.1})
+        full = simulate(cc, sigs, grid).trace
+        part = simulate(cc.with_outputs(["y5", "y2"]), sigs, grid).trace
+        assert list(part.channels) == ["y2", "y5", "throttle", "brake"]
+        for name in part.channels:
+            assert np.array_equal(part.channel(name), full.channel(name))
+
+    @pytest.mark.parametrize("names", [[], ["y6"], ["y1", "throttle"]])
+    def test_with_outputs_needs_some_of_the_outputs(self, names):
+        with pytest.raises(ValueError):
+            builtin("chasing_cars").with_outputs(names)
+
+    def test_with_outputs_leaves_the_plant_unchanged(self):
+        cc = builtin("chasing_cars")
+        cc.with_outputs(["y4"])
+        assert cc.port_spec == ChasingCars.port_spec
+        assert cc.fast_sim(np.zeros((3, 2)), TimeGrid(0.1, 0.05)).shape == (3, 5)
+
+    @pytest.mark.parametrize("name", ["at_lite", "passthrough"])
+    def test_other_plants_simulate_every_output(self, name):
+        plant = builtin(name)
+        assert plant.with_outputs(plant.port_spec.outputs[:1]) is plant
 
     @pytest.mark.parametrize("throttle, time", [(1e307, 2.85), (1e305, 45.9)])
     def test_overflow_raises_divergence_without_warning(self, throttle, time):

@@ -1,4 +1,5 @@
-"""Tests for simulating only the leading samples of the trace the score reads.
+"""Tests for simulating only the leading samples of the trace the score
+reads, and only the plant outputs it names.
 
 `FitnessAssessment.samples_read` counts the samples robustness at t=0 and
 the manual windows over plant outputs read; `falsify` simulates that prefix
@@ -136,6 +137,59 @@ class TestCatalogPrefix:
         # None: all of the grid
         problem = resolve(ExperimentConfig(entry=entry))
         assert samples_read(problem) == (n or problem.grid.n_samples)
+
+    @pytest.mark.parametrize(
+        "entry, outputs",
+        [(e, ("y4", "y5")) for e in ("CC1", "CC2", "CC4")]
+        + [(e, ("y1", "y2", "y4", "y5")) for e in ("CC3", "CC5")]
+        + [("CCx", ("y1", "y2", "y3", "y4", "y5"))]
+        + [(e, ("Speed", "RPM", "Gear")) for e in ("AT1", "AT2", "AT6a", "AT6b", "AT6c")],
+    )
+    def test_channels_simulated(self, entry, outputs, monkeypatch):
+        # the outputs of the plant falsify simulates, on every iteration
+        seen = []
+
+        def spy(plant, inputs, grid):
+            seen.append(plant.port_spec.outputs)
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        p = resolve(ExperimentConfig(entry=entry))
+        search_cfg = SearchConfig(max_iterations=3, seed=1)
+        result = falsify(p.plant, p.assumption, p.fitness, search_cfg, p.grid)
+        assert seen == [outputs] * result.iterations_used
+        assert search.simulated_plant(p.plant, p.fitness).port_spec.outputs == outputs
+
+    def test_passthrough_simulates_its_output(self):
+        problem = resolve(
+            ExperimentConfig(
+                plant=Passthrough(),
+                formula_text="G[0,10] (y - x >= 0)",
+                assumption=parse_assumption("x:linear:0,1:3"),
+            )
+        )
+        plant = search.simulated_plant(problem.plant, problem.fitness)
+        assert plant is problem.plant
+
+    def test_score_naming_no_output_simulates_every_output(self):
+        cc = builtin("chasing_cars")
+        fitness = FitnessAssessment(parse("G[0,10] (throttle < 2)"), parse_manual("max(brake,[0,5])"))
+        assert search.simulated_plant(cc, fitness).port_spec.outputs == cc.port_spec.outputs
+
+    @pytest.mark.parametrize("entry", catalog_ids())
+    def test_found_failure_replays_on_the_whole_plant(self, entry):
+        # the whole plant and grid give the robustness the search reported,
+        # exactly but on CCx, whose 1001-sample prefix the chasing_cars
+        # matmuls cut into other chunks than its whole grid
+        p = resolve(ExperimentConfig(entry=entry))
+        atol = CC_ATOL if entry == "CCx" else 0.0
+        for seed in range(3):
+            result = falsify(p.plant, p.assumption, p.fitness, SearchConfig(seed=seed), p.grid)
+            if result.found:
+                tc = result.failure
+                trace = simulate(p.plant, tc.inputs, p.grid).trace
+                rho = robustness(p.fitness.formula, trace)
+                assert math.isclose(rho, tc.robustness, rel_tol=0, abs_tol=atol)
 
     @pytest.mark.parametrize("entry", ["CC1", "CC2", "CC3", "CC4", "CC5"])
     def test_cc_entries_read_the_whole_grid(self, entry):
