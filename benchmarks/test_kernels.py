@@ -8,7 +8,7 @@ Each kernel case times one call on the grid a catalog entry or the
 passthrough workload uses, with fixed random inputs. The `-prefix` case
 uses the leading samples of the grid that `falsify` simulates, those the
 score reads from the plant's outputs. The `-read` case simulates only the
-outputs the score names, as `falsify` does (`simulated_plant`: y4 and y5
+outputs the score names, as `falsify` does (`check_problem`: y4 and y5
 on CC1); next to it, `chasing_cars-CC1` computes all five, as a replay
 does. The `-build` case times building the
 chasing_cars operators for the CC1 grid from a cleared cache, the cost
@@ -41,16 +41,15 @@ from athena.models import (
 )
 from athena.search import (
     SearchConfig,
+    check_problem,
     encode_inputs,
     falsify,
     propose,
-    simulated_plant,
     simulation_grid,
 )
 from athena.signals import (
     ControlPoints,
     Signal,
-    TimeGrid,
     interpolate,
     uniform_control_times,
 )
@@ -82,14 +81,14 @@ def random_inputs(grid, lo, hi, seed=0):
 def test_fast_sim(benchmark, model, entry, hi, prefix, read):
     plant = model()
     grid = catalog(entry).grid()
-    fitness = resolve(ExperimentConfig(entry=entry)).fitness
+    problem = resolve(ExperimentConfig(entry=entry))
+    sim_grid, sim_plant = check_problem(plant, problem.assumption, problem.fitness, grid)
     if prefix:
         # the leading samples falsify simulates: those the score reads
-        n = fitness.samples_read(grid, plant.port_spec.inputs)
-        grid = TimeGrid((n - 1) * grid.step, grid.step)
+        grid = sim_grid
     if read:
         # the outputs falsify simulates: those the score names
-        plant = simulated_plant(plant, fitness)
+        plant = sim_plant
     u = random_inputs(grid, (0.0, 0.0), hi)
     out = benchmark(plant.fast_sim, u, grid)
     assert out.shape == (grid.n_samples, len(plant.port_spec.outputs))
@@ -125,10 +124,9 @@ def _scored_trace(problem, seed=0):
     vector = np.random.default_rng(seed).uniform(a.lower, a.upper)
     controls = a.control_points(vector, grid)
     inputs = encode_inputs(a, controls, grid)
-    n = problem.fitness.samples_read(grid, plant.port_spec.inputs)
-    if n == grid.n_samples:
+    short, _ = check_problem(plant, a, problem.fitness, grid)
+    if short is grid:
         return problem.fitness, simulate(plant, inputs, grid).trace, controls, None
-    short = TimeGrid((n - 1) * grid.step, grid.step)
     part = {name: signal.prefix(short) for name, signal in inputs.items()}
     return problem.fitness, simulate(plant, part, short).trace, controls, Trace(grid, inputs)
 

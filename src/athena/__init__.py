@@ -68,7 +68,6 @@ from .search import (
     encode_inputs,
     falsify,
     propose,
-    simulated_plant,
     simulation_grid,
 )
 from .signals import (
@@ -125,7 +124,6 @@ __all__ = [
     "encode_inputs",
     "simulation_grid",
     "check_problem",
-    "simulated_plant",
     "propose",
     "falsify",
     # catalog

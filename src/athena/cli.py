@@ -331,3 +331,7 @@ def cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -110,9 +110,9 @@ class WindowStat(ManualFitnessExpr):
     Given `inputs`, the encoded inputs on the whole grid, a window whose
     channels (`names`) all are in it reads it, not the trace: the search
     encodes the inputs before it simulates, so the plant is simulated only
-    as far as the windows over its outputs reach (`samples_read` applies
-    the same rule). The window reads the same samples either way, so the
-    value is the same. A plant that diverges after that output prefix is
+    as far as the windows over its outputs reach (`FitnessAssessment.reads`
+    applies the same rule). The window reads the same samples either way,
+    so the value is the same. A plant that diverges after that output prefix is
     scored normally, since no window reads those samples of its outputs.
 
     The channel expression is evaluated only over the window's samples,
@@ -323,34 +323,17 @@ class _ManualParser(FormulaParser):
         return node
 
 
-def _terms(expr: ManualFitnessExpr) -> Iterator[WindowStat | SteepestSlope]:
-    """The window statistics and slope terms in `expr`, in source order."""
-    if isinstance(expr, (WindowStat, SteepestSlope)):
-        yield expr
-    elif isinstance(expr, (Scale, TargetDistance, Neg)):
-        yield from _terms(expr.child)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        yield from _terms(expr.left)
-        yield from _terms(expr.right)
-
-
-def _samples_read(expr: ManualFitnessExpr, grid: TimeGrid, inputs: frozenset[str]) -> int:
-    """Leading samples of a trace on `grid` that `expr` reads, for a plant
-    whose input names are `inputs`."""
-    if isinstance(expr, WindowStat):
-        # a window over inputs reads the encoded inputs, not the trace
-        return 0 if expr.names <= inputs else window_samples(expr.window, grid)
-    if isinstance(expr, (Const, SteepestSlope)):
-        # a slope term reads control points, not the trace
-        return 0
+def _leaves(expr: ManualFitnessExpr) -> Iterator[ManualFitnessExpr]:
+    """The nodes of `expr` that read a trace or control points, in source
+    order: window statistics, slope terms and nodes of any type defined
+    elsewhere. A constant reads nothing."""
     if isinstance(expr, (Scale, TargetDistance, Neg)):
-        return _samples_read(expr.child, grid, inputs)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return max(
-            _samples_read(expr.left, grid, inputs), _samples_read(expr.right, grid, inputs)
-        )
-    # a node type defined elsewhere may read any sample
-    return grid.n_samples
+        yield from _leaves(expr.child)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        yield from _leaves(expr.left)
+        yield from _leaves(expr.right)
+    elif not isinstance(expr, Const):
+        yield expr
 
 
 def parse_manual(text: str) -> ManualFitnessExpr:
@@ -393,78 +376,62 @@ class FitnessAssessment:
             return a
         return a + (b - a) * iteration / (max_iterations - 1)
 
-    def _manual_terms(self, kind: type) -> Iterator:
-        if self.manual is not None:
-            for term in _terms(self.manual):
-                if isinstance(term, kind):
-                    yield term
+    def reads(
+        self,
+        grid: TimeGrid,
+        inputs: Sequence[str],
+        outputs: Sequence[str],
+        control_times: Mapping[str, np.ndarray],
+    ) -> tuple[int, tuple[str, ...]]:
+        """What `assess` reads of a trace on `grid`, for a plant with these
+        `inputs` and `outputs` whose inputs are interpolated from control
+        points at `control_times`: (leading samples, outputs named in plant
+        order). On those, `assess` returns what the whole trace gives.
 
-    def channels(self) -> tuple[str, ...]:
-        """The channels the formula and the manual windows name, each once:
-        the formula's first, then the windows', in source order. A score
-        reads no other channel of a trace."""
+        The samples are the most of what the formula reads
+        (`formula_samples`) and what each manual window that names a
+        channel not in `inputs` reads (`window_samples`), at least 2 and at
+        most all of `grid`. A window over inputs only reads the encoded
+        inputs on the whole grid instead (`WindowStat`), and a slope term
+        reads control points. A manual node of a type defined elsewhere
+        reads every sample and every output.
+
+        Raises what scoring would raise, in this order: MissingChannelError
+        for the first channel that the formula, then the manual windows,
+        name and that is neither an output nor an input; the ValueError of
+        the first window that ends past `grid`, holds no grid sample or is
+        empty; the ValueError of the first slope term whose port has no
+        control times or whose window holds fewer than 2 of them; the
+        ValueError of a temporal interval that selects no sample.
+        """
+        leaves = () if self.manual is None else tuple(_leaves(self.manual))
+        windows = [leaf for leaf in leaves if isinstance(leaf, WindowStat)]
         named = dict.fromkeys(formula_channels(self.formula))
-        for window in self._manual_terms(WindowStat):
+        for window in windows:
             named.update(dict.fromkeys(window.channel.channels()))
-        return tuple(named)
-
-    def check_channels(self, channels: Collection[str]) -> None:
-        """Raise MissingChannelError for the first of `self.channels()`
-        that `channels`, those of the plant's traces, do not hold: the
-        error scoring such a trace would raise.
-        """
-        for name in self.channels():
+        channels = (*outputs, *inputs)
+        for name in named:
             if name not in channels:
-                raise MissingChannelError(name, tuple(channels))
-
-    def check_slopes(self, control_times: Mapping[str, np.ndarray]) -> None:
-        """Raise the ValueError that scoring would raise for the first
-        slope term whose port has no control times in `control_times`, or
-        whose window holds fewer than 2 of them, by measuring each slope
-        over those times.
-
-        A candidate's control times depend only on the grid and the
-        assumption, never on the search, so `search.check_problem` calls
-        this before any simulation.
-        """
-        for term in self._manual_terms(SteepestSlope):
-            times = control_times.get(term.port)
-            controls = {}
-            if times is not None:
-                controls[term.port] = ControlPoints(times, np.zeros_like(times))
-            term.evaluate(None, controls)
-
-    def check_windows(self, grid: TimeGrid) -> None:
-        """Raise the ValueError that scoring a trace on `grid` would raise
-        for the first manual window that ends past the grid, holds no grid
-        sample, or is empty, by resolving each window's sample range.
-
-        `search.check_problem` calls this, for `resolve` and for each
-        `falsify` call, before any simulation.
-        """
-        for window in self._manual_terms(WindowStat):
+                raise MissingChannelError(name, channels)
+        for window in windows:
             window_span(window.window, grid)
-
-    def samples_read(self, grid: TimeGrid, inputs: Collection[str]) -> int:
-        """Leading samples of a trace on `grid` that `assess` reads, for a
-        plant whose input names are `inputs`.
-
-        The most of what the formula reads (`formula_samples`) and what
-        each manual window that names a channel not in `inputs` reads
-        (`window_samples`), at least 2 (the shortest grid) and at most all
-        of `grid`. A window over inputs only reads none: given the encoded
-        inputs on the whole grid, it reads them (`WindowStat`). A formula
-        predicate counts even when it names only inputs. On the first that
-        many samples of a trace, with those inputs, `assess` returns what
-        it returns on the whole trace: robustness at t=0 and the window
-        statistics read no later sample of the plant's outputs. So
-        `falsify` simulates only those samples, and scores a plant that
-        diverges after them normally.
-        """
+        for leaf in leaves:
+            if isinstance(leaf, SteepestSlope):
+                times = control_times.get(leaf.port)
+                controls = {}
+                if times is not None:
+                    controls[leaf.port] = ControlPoints(times, np.zeros_like(times))
+                leaf.evaluate(None, controls)
         n = formula_samples(self.formula, grid.step)
-        if self.manual is not None:
-            n = max(n, _samples_read(self.manual, grid, frozenset(inputs)))
-        return min(max(n, 2), grid.n_samples)
+        if any(not isinstance(leaf, (WindowStat, SteepestSlope)) for leaf in leaves):
+            # a node type defined elsewhere may read any sample of any output
+            return grid.n_samples, tuple(outputs)
+        for window in windows:
+            # a window over inputs reads the encoded inputs, not the trace
+            if not window.names <= set(inputs):
+                n = max(n, window_samples(window.window, grid))
+        named_outputs = tuple(name for name in outputs if name in named)
+        return min(max(n, 2), grid.n_samples), named_outputs
 
 
 @dataclass(frozen=True)
@@ -521,9 +488,10 @@ def assess(
 ) -> FitnessValue:
     """Score one trace at a given search iteration.
 
-    `trace` may be the leading `samples_read` samples of the grid; then
-    `inputs` holds the encoded inputs on the whole grid, which each window
-    over those inputs only reads (`WindowStat`).
+    `trace` may be the leading samples of the grid that
+    `FitnessAssessment.reads` counts; then `inputs` holds the encoded
+    inputs on the whole grid, which each window over those inputs only
+    reads (`WindowStat`).
     """
     if not 0 <= iteration < max_iterations:
         raise ValueError(

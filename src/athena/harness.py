@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from collections.abc import Mapping, Sequence
@@ -134,8 +135,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("repetitions", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.entry is not None:
             inline = (
                 self.plant,
@@ -178,7 +185,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class Problem:
     """A resolved falsification problem: what `falsify` needs besides the
-    search constants."""
+    search constants. `grid` and `plant` are the whole ones; each
+    `falsify` call derives from them the prefix and the outputs it
+    simulates (`search.check_problem`)."""
 
     plant: PlantModel
     assumption: Assumption
@@ -191,7 +200,9 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     entry or its inline pieces.
 
     Rejects a problem no run could score, before any simulation, by the
-    checks of `search.check_problem`, the ones `falsify` runs.
+    checks of `search.check_problem`, the ones `falsify` runs. The grid
+    and plant that call returns, those a run simulates, are not kept:
+    `falsify` derives them again.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
@@ -571,8 +582,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         "mode": raw.get("mode", "athena"),
         "p": raw.get("p"),
         "p_schedule": p_schedule,
-        "repetitions": int(raw.get("repetitions", 50)),
-        "base_seed": int(raw.get("base_seed", 0)),
+        "repetitions": raw.get("repetitions", 50),
+        "base_seed": raw.get("base_seed", 0),
         "search": search,
         "out": raw.get("out"),
     }

@@ -155,10 +155,12 @@ def simulate(
     """Integrate the plant over the grid and return outputs plus inputs.
 
     Inputs must cover exactly the plant's input ports and share the grid.
-    Every sample of `grid` is simulated. `falsify` passes the prefix of the
-    problem's grid that its score reads from the plant's outputs, so a
-    divergence after that prefix
-    is not seen there; called on the whole grid, as when a test case is
+    Every sample of `grid` and every output of `model` is simulated.
+    `falsify` passes the grid and the plant that `search.check_problem`
+    returns: the prefix of the problem's grid that its score reads from the
+    plant's outputs, and the plant cut to the outputs the score names. A
+    divergence after that prefix, or only in another output, is not seen
+    there; called on the whole grid and plant, as when a test case is
     replayed, it is. Raises DivergenceError naming the first time the state
     (or, if the state stays finite, an output) went non-finite.
     """

@@ -12,6 +12,7 @@ requirement violation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
@@ -41,7 +42,6 @@ __all__ = [
     "encode_inputs",
     "simulation_grid",
     "check_problem",
-    "simulated_plant",
     "propose",
     "falsify",
 ]
@@ -163,21 +163,18 @@ def check_problem(
     assumption: Assumption,
     fitness_cfg: FitnessAssessment,
     grid: TimeGrid,
-) -> TimeGrid:
+) -> tuple[TimeGrid, PlantModel]:
     """Run every static check of a falsification problem and return the
-    grid a run simulates: `grid` itself when the score reads every sample,
-    else its leading `FitnessAssessment.samples_read` samples.
+    grid and the plant a run simulates: the leading samples of `grid` and
+    `plant.with_outputs` of the outputs that `FitnessAssessment.reads`
+    finds the score reads, or `grid` and `plant` themselves when it reads
+    every sample or names no output.
 
     Raises, before any simulation, what a run would raise: PortMismatchError
     when the assumption's ports are not the plant's inputs in order,
     HorizonError when the requirement needs more trace than `grid` holds,
-    MissingChannelError for a formula or manual channel that is neither a
-    plant input nor an output, ValueError for a manual window that ends
-    past `grid`, holds none of its samples or is empty, ValueError for a
-    slope term over a name that is not a plant input or whose window holds
-    fewer than 2 of that input's control points, and ValueError for a
-    temporal interval that selects no sample at the grid's step.
-    `resolve` and `falsify` both call it.
+    then the errors of `FitnessAssessment.reads`. `resolve` and `falsify`
+    both call it.
     """
     spec = plant.port_spec
     names = tuple(p.port for p in assumption.ports)
@@ -190,24 +187,13 @@ def check_problem(
         raise HorizonError(
             f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
         )
-    fitness_cfg.check_channels(spec.outputs + spec.inputs)
-    fitness_cfg.check_windows(grid)
-    fitness_cfg.check_slopes(
-        {p.port: uniform_control_times(grid, p.n) for p in assumption.ports}
-    )
-    n_read = fitness_cfg.samples_read(grid, names)
-    if n_read == grid.n_samples:
-        return grid
-    return TimeGrid((n_read - 1) * grid.step, grid.step)
-
-
-def simulated_plant(plant: PlantModel, fitness_cfg: FitnessAssessment) -> PlantModel:
-    """The plant `falsify` simulates: `plant.with_outputs` of the outputs
-    the score names (`FitnessAssessment.channels`), or `plant` itself when
-    the score names none of them."""
-    named = set(fitness_cfg.channels())
-    outputs = [name for name in plant.port_spec.outputs if name in named]
-    return plant.with_outputs(outputs) if outputs else plant
+    control_times = {p.port: uniform_control_times(grid, p.n) for p in assumption.ports}
+    n_read, outputs = fitness_cfg.reads(grid, spec.inputs, spec.outputs, control_times)
+    sim_grid = grid
+    if n_read < grid.n_samples:
+        sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
+    sim_plant = plant.with_outputs(outputs) if outputs else plant
+    return sim_grid, sim_plant
 
 
 def propose(
@@ -240,7 +226,12 @@ def propose(
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Annealing constants; the defaults suit a 300-simulation budget."""
+    """Annealing constants; the defaults suit a 300-simulation budget.
+
+    `max_iterations`, `seed` and `restart_after` must be integers, the
+    others real numbers, and `t0`, `sigma` and `threshold` finite: each bad
+    value raises a ValueError that names its field.
+    """
 
     max_iterations: int = 300
     seed: int = 0
@@ -251,6 +242,19 @@ class SearchConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
+        for name in ("max_iterations", "seed", "restart_after"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("t0", "cooling", "sigma", "threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # the range check below rejects a non-finite cooling
+            if name != "cooling" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.cooling < 1.0:
@@ -330,17 +334,19 @@ def falsify(
     forms give the same numbers from the same generator state.
 
     Each candidate is encoded on the whole `grid`, and a `TestCase` holds
-    those inputs. The plant is simulated only over the grid
-    `check_problem` returns, the leading samples the score reads from its
-    outputs, on read-only prefix views of the inputs (`Signal.prefix`);
-    when the score reads every sample, the inputs and `grid` pass as they
-    are. A manual window whose channels are all plant inputs then reads
-    the encoded inputs on the whole grid instead of the simulated trace
-    (`WindowStat`), so it does not lengthen the prefix. Likewise only the
-    outputs the score names are simulated (`simulated_plant`), each as the
+    those inputs. `check_problem` returns the grid and the plant a run
+    simulates, both from one walk over the score (`FitnessAssessment.reads`).
+    The grid is the leading samples the score reads from the plant's
+    outputs, simulated on read-only prefix views of the inputs
+    (`Signal.prefix`); when the score reads every sample, the inputs and
+    `grid` pass as they are. A manual window whose channels are all plant
+    inputs then reads the encoded inputs on the whole grid instead of the
+    simulated trace (`WindowStat`), so it does not lengthen the prefix.
+    The plant computes only the outputs the score names, each as the
     whole plant computes it (`PlantModel.with_outputs`); a score that
-    names no output simulates them all. The score is the one the whole
-    trace would give. A plant that diverges only after the prefix, or only
+    names no output, or holds a manual node of a type defined outside
+    `fitness`, simulates them all. The score is the one the whole trace
+    would give. A plant that diverges only after the prefix, or only
     in an output the score does not name, is therefore scored normally,
     not as diverged: no part of the score reads those samples or that
     output.
@@ -350,8 +356,7 @@ def falsify(
     `simulations`, the number of simulations run before it, diverged ones
     included.
     """
-    sim_grid = check_problem(plant, assumption, fitness_cfg, grid)
-    sim_plant = simulated_plant(plant, fitness_cfg)
+    sim_grid, sim_plant = check_problem(plant, assumption, fitness_cfg, grid)
 
     rng = np.random.default_rng(search_cfg.seed)
     lower, width, dim = assumption.lower, assumption.width, assumption.dim

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface.
 
-All commands run in-process through `cli(argv)` so exit codes and file
-outputs can be checked without spawning subprocesses.
+Commands run in-process through `cli(argv)` so exit codes and file
+outputs can be checked without spawning subprocesses; only the
+`python -m athena.cli` entry point is run in a fresh interpreter.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,41 @@ class TestArgHandling:
     def test_unknown_catalog_id_exits_2(self, capsys):
         assert cli(["falsify", "--catalog", "AT99"]) == 2
         assert "AT99" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = cli(["falsify", "--catalog", "AT1", "--seed", "-1", "--out", str(tmp_path / "tc")])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "tc.json").exists()
+
+
+class TestModuleEntryPoint:
+    """`python -m athena.cli` runs the command line, in a fresh interpreter."""
+
+    def run(self, cwd, *argv):
+        src = Path(athena.cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "athena.cli", *argv],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_falsify_writes_its_report(self, tmp_path):
+        proc = self.run(tmp_path, "falsify", "--catalog", "AT1", "--max-iters", "3", "--out", "tc")
+        assert proc.returncode in (0, 1), proc.stderr
+        payload = json.loads((tmp_path / "tc.json").read_text())
+        assert payload["entry"] == "AT1" and payload["budget"] == 3
+        assert payload["iterations_used"] <= 3
+        assert "wrote tc.json" in proc.stdout
+
+    def test_bad_flag_exits_2(self, tmp_path):
+        proc = self.run(tmp_path, "falsify", "--bogus")
+        assert proc.returncode == 2
+        assert "--bogus" in proc.stderr
 
 
 class TestFalsify:
@@ -360,6 +400,28 @@ class TestBenchAndCompare:
         captured = capsys.readouterr()
         assert "failure-revealing" not in captured.out
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"search": {"sigma": math.nan}}, "sigma must be finite, got nan"),
+            ({"search": {"threshold": math.nan}}, "threshold must be finite, got nan"),
+            ({"search": {"sigma": "0.1"}}, "sigma must be a number, got '0.1'"),
+            ({"search": {"max_iterations": 5.5}}, "max_iterations must be an integer, got 5.5"),
+            ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+            ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bench_bad_number_exits_2(self, tmp_path, capsys, raw, message):
+        cfg = {"entry": "CC1", "repetitions": 2, "search": {"max_iterations": 5}}
+        cfg.update(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli(["bench", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "failure-revealing" not in captured.out
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "field, text, message",

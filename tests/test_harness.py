@@ -293,6 +293,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="repetitions"):
             fast_config(repetitions=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("repetitions", 2.5, "repetitions must be an integer, got 2.5"),
+            ("repetitions", True, "repetitions must be an integer, got True"),
+            ("base_seed", -1, "base_seed must be >= 0, got -1"),
+            ("base_seed", 1.0, "base_seed must be an integer, got 1.0"),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            fast_config(**{field: value})
+        assert str(info.value) == message
+
 
 class TestRunExperiment:
     def test_rows_and_seeds(self):
@@ -739,6 +753,25 @@ class TestConfigFromDict:
             config_from_dict({"entry": "AT1", "p_schedule": schedule})
         with pytest.raises(ValueError, match="p_schedule must be two endpoints"):
             fast_config(p_schedule=tuple(schedule))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"search": {"sigma": math.nan}}, "sigma must be finite, got nan"),
+            ({"search": {"t0": math.nan}}, "t0 must be finite, got nan"),
+            ({"search": {"threshold": math.nan}}, "threshold must be finite, got nan"),
+            ({"search": {"max_iterations": 5.5}}, "max_iterations must be an integer, got 5.5"),
+            ({"search": {"sigma": "0.1"}}, "sigma must be a number, got '0.1'"),
+            ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+            ({"repetitions": "2"}, "repetitions must be an integer, got '2'"),
+            ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+            ({"base_seed": 0.5}, "base_seed must be an integer, got 0.5"),
+        ],
+    )
+    def test_bad_numbers_rejected_at_config(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            config_from_dict({"entry": "CC1", **raw})
+        assert str(info.value) == message
 
     def test_schedule_parsed(self):
         cfg = config_from_dict({"entry": "CC1", "p_schedule": [1.0, 0.0]})

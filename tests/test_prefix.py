@@ -1,21 +1,31 @@
 """Tests for simulating only the leading samples of the trace the score
 reads, and only the plant outputs it names.
 
-`FitnessAssessment.samples_read` counts the samples robustness at t=0 and
-the manual windows over plant outputs read; `falsify` simulates that prefix
-of the grid. A manual window over plant inputs only reads the encoded
-inputs on the whole grid instead. The score must be the one the whole
-trace gives, and the count must be minimal.
+`FitnessAssessment.reads` counts the samples robustness at t=0 and the
+manual windows over plant outputs read, and names the outputs the score
+reads; `falsify` simulates that prefix of the grid and those outputs
+(`search.check_problem`). A manual window over plant inputs only reads the
+encoded inputs on the whole grid instead. The score must be the one the
+whole trace gives, and the count must be minimal.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from athena.catalog import catalog, catalog_ids
 from athena.errors import DivergenceError, HorizonError, MissingChannelError
-from athena.fitness import FitnessAssessment, assess, parse_manual
+from athena.fitness import (
+    Add,
+    Const,
+    FitnessAssessment,
+    ManualFitnessExpr,
+    Scale,
+    assess,
+    parse_manual,
+)
 from athena.harness import (
     MODES,
     ExperimentConfig,
@@ -33,6 +43,7 @@ from athena.signals import (
     Signal,
     TimeGrid,
     WindowStatKind,
+    uniform_control_times,
     window_samples,
     window_stat,
 )
@@ -80,8 +91,29 @@ def score_prefix(fitness, plant, inputs, controls, grid, n):
     return assess(fitness, trace, controls=controls, inputs=Trace(grid, inputs))
 
 
-def samples_read(problem):
-    return problem.fitness.samples_read(problem.grid, problem.plant.port_spec.inputs)
+def control_times(problem):
+    grid = problem.grid
+    return {p.port: uniform_control_times(grid, p.n) for p in problem.assumption.ports}
+
+
+def reads(problem, fitness=None):
+    """What the score of `problem`, or `fitness` on its plant and grid,
+    reads: (leading samples, outputs named)."""
+    spec = problem.plant.port_spec
+    fitness = fitness or problem.fitness
+    return fitness.reads(problem.grid, spec.inputs, spec.outputs, control_times(problem))
+
+
+def samples_read(problem, fitness=None):
+    return reads(problem, fitness)[0]
+
+
+def samples_read_from_trace(problem):
+    """The samples the score would read if every window read the trace:
+    the plant's inputs count as outputs."""
+    spec = problem.plant.port_spec
+    channels = spec.outputs + spec.inputs
+    return problem.fitness.reads(problem.grid, (), channels, control_times(problem))[0]
 
 
 def candidates(problem, count, seed):
@@ -119,7 +151,7 @@ class TestCatalogPrefix:
         # trace; falsify simulates the shorter prefix read from the outputs
         problem = resolve(ExperimentConfig(entry=entry))
         grid = problem.grid
-        assert problem.fitness.samples_read(grid, ()) == n < grid.n_samples
+        assert samples_read_from_trace(problem) == n < grid.n_samples
         for _, inputs in candidates(problem, 4, seed=7):
             full = simulate(problem.plant, inputs, grid).trace
             for k in (samples_read(problem), n):
@@ -158,7 +190,8 @@ class TestCatalogPrefix:
         search_cfg = SearchConfig(max_iterations=3, seed=1)
         result = falsify(p.plant, p.assumption, p.fitness, search_cfg, p.grid)
         assert seen == [outputs] * result.iterations_used
-        assert search.simulated_plant(p.plant, p.fitness).port_spec.outputs == outputs
+        _, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
+        assert plant.port_spec.outputs == outputs
 
     def test_passthrough_simulates_its_output(self):
         problem = resolve(
@@ -168,13 +201,18 @@ class TestCatalogPrefix:
                 assumption=parse_assumption("x:linear:0,1:3"),
             )
         )
-        plant = search.simulated_plant(problem.plant, problem.fitness)
+        _, plant = search.check_problem(
+            problem.plant, problem.assumption, problem.fitness, problem.grid
+        )
         assert plant is problem.plant
 
     def test_score_naming_no_output_simulates_every_output(self):
         cc = builtin("chasing_cars")
         fitness = FitnessAssessment(parse("G[0,10] (throttle < 2)"), parse_manual("max(brake,[0,5])"))
-        assert search.simulated_plant(cc, fitness).port_spec.outputs == cc.port_spec.outputs
+        grid = catalog("CC1").grid()
+        _, plant = search.check_problem(cc, catalog("CC1").assumption, fitness, grid)
+        assert plant is cc
+        assert plant.port_spec.outputs == cc.port_spec.outputs
 
     @pytest.mark.parametrize("entry", catalog_ids())
     def test_found_failure_replays_on_the_whole_plant(self, entry):
@@ -229,20 +267,30 @@ class TestMinimalCount:
         fit = FitnessAssessment(
             parse("G[0,10] (x < 1)"), manual=parse_manual("mean(x,[0,5])")
         )
-        assert fit.samples_read(TimeGrid(50.0, 0.05), ()) == 201
+        assert fit.reads(TimeGrid(50.0, 0.05), (), ("x",), {}) == (201, ("x",))
 
     def test_no_temporal_operator_reads_two_samples(self):
         f = parse("x < 1")
         assert formula_samples(f, 0.05) == 1
-        assert FitnessAssessment(f).samples_read(TimeGrid(10.0, 0.05), ()) == 2
+        assert FitnessAssessment(f).reads(TimeGrid(10.0, 0.05), (), ("x",), {})[0] == 2
 
     def test_slope_terms_read_no_samples(self):
+        grid = TimeGrid(10.0, 0.05)
         fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("slope_up(x,[0,10])"))
-        assert fit.samples_read(TimeGrid(10.0, 0.05), ()) == 2
+        times = {"x": uniform_control_times(grid, 3)}
+        assert fit.reads(grid, ("x",), (), times) == (2, ())
+        # a slope term over a name that is not a plant input is rejected
+        with pytest.raises(ValueError, match="needs the control points of input 'x'"):
+            fit.reads(grid, (), ("x",), {})
 
     def test_capped_at_the_grid(self):
-        fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,60])"))
-        assert fit.samples_read(TimeGrid(50.0, 0.05), ()) == 1001
+        grid = TimeGrid(50.0, 0.05)
+        fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,50])"))
+        assert fit.reads(grid, (), ("x",), {})[0] == 1001
+        # a window past the grid end is rejected, not capped
+        past = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,60])"))
+        with pytest.raises(ValueError, match="window end 60.0 exceeds grid end 50.0"):
+            past.reads(grid, (), ("x",), {})
 
 
 class TestWindowBoundaries:
@@ -295,17 +343,17 @@ class TestInputWindows:
 
     def test_input_only_windows_read_no_samples(self):
         fit = self.at1("max(Brake,[0,25]) - min(Throttle,[0,17])")
-        grid = resolve(ExperimentConfig(entry="AT1")).grid
-        assert fit.samples_read(grid, ("Throttle", "Brake")) == 401
+        problem = resolve(ExperimentConfig(entry="AT1"))
+        assert samples_read(problem, fit) == 401
         # without input names every window reads the trace
-        assert fit.samples_read(grid, ()) == 501
+        assert samples_read_from_trace(replace(problem, fitness=fit)) == 501
 
     @pytest.mark.parametrize("manual", ["mean(Speed - Throttle,[0,25])", "max(RPM,[0,25])"])
     def test_window_naming_an_output_extends_the_prefix(self, manual):
         problem = resolve(ExperimentConfig(entry="AT1"))
         fit = self.at1(manual)
         grid = problem.grid
-        n = fit.samples_read(grid, problem.plant.port_spec.inputs)
+        n = samples_read(problem, fit)
         assert n == 501
         for controls, inputs in candidates(problem, 4, seed=5):
             full = simulate(problem.plant, inputs, grid).trace
@@ -363,7 +411,8 @@ class TestInputWindows:
             with pytest.raises(MissingChannelError, match="Gear9"):
                 run(cfg)
         problem = unchecked_problem(cfg)
-        assert samples_read(problem) == 501
+        with pytest.raises(MissingChannelError, match="Gear9"):
+            samples_read(problem)
         row = _run_one((problem, cfg.search, 0))
         assert row.error.startswith("MissingChannelError: ")
         assert "Gear9" in row.error
@@ -395,6 +444,147 @@ class TestInputWindows:
             )
         assert getattr(info.value, "simulations", 0) == 0
         assert calls == []
+
+
+AT_OUTPUTS = ("Speed", "RPM", "Gear")
+CC_OUTPUTS = ("y1", "y2", "y3", "y4", "y5")
+
+# the inline problem of the passthrough benchmark workload
+PASSTHROUGH_SPEC = ExperimentConfig(
+    plant=Passthrough(),
+    formula_text="G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1)))"
+    " and G[0,100] (F[0,20] (y <= 2))",
+    manual_text="scale(mean(y,[0,60]),[0,1]) - scale(ptp(x,[30,120]),[0,1])"
+    " + 0.5 * scale(max(y - x,[10,90]),[0,1]) - 0.1 * slope_up(x,[0,120])",
+    assumption=parse_assumption("x:linear:0,1:9"),
+    auto_scale=2.0,
+    step=0.01,
+)
+
+
+@dataclass(frozen=True)
+class PeakY1(ManualFitnessExpr):
+    """A manual node type defined outside `athena.fitness`: the peak of the
+    trace's y1."""
+
+    def evaluate(self, trace, controls=None, inputs=None):
+        return float(trace.channel("y1").max())
+
+
+class TestReads:
+    @pytest.mark.parametrize(
+        "entry, samples, named, simulated",
+        [
+            ("AT1", 401, ("Speed",), AT_OUTPUTS),
+            ("AT2", 201, ("RPM",), AT_OUTPUTS),
+        ]
+        + [(e, 601, ("Speed", "RPM"), AT_OUTPUTS) for e in ("AT6a", "AT6b", "AT6c")]
+        + [("CCx", 1001, CC_OUTPUTS, CC_OUTPUTS)]
+        + [(e, 2001, ("y4", "y5"), ("y4", "y5")) for e in ("CC1", "CC2")]
+        + [(e, 2001, ("y1", "y2", "y4", "y5"), ("y1", "y2", "y4", "y5")) for e in ("CC3", "CC5")]
+        # CC4's requirement spans 115 s, so its grid holds 2301 samples
+        + [("CC4", 2301, ("y4", "y5"), ("y4", "y5"))]
+        + [(None, 12001, ("y",), ("y",))],
+    )
+    def test_catalog_table(self, entry, samples, named, simulated):
+        # named: what the score names; simulated: the outputs of the plant a
+        # run simulates, every output for a plant that computes them all
+        cfg = ExperimentConfig(entry=entry) if entry else PASSTHROUGH_SPEC
+        p = resolve(cfg)
+        assert reads(p) == (samples, named)
+        grid, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
+        assert grid.n_samples == samples and grid.step == p.grid.step
+        assert (grid is p.grid) == (samples == p.grid.n_samples)
+        assert plant.port_spec.outputs == simulated
+
+    def unknown_node_problem(self, manual):
+        p = resolve(ExperimentConfig(entry="CC1"))
+        return replace(p, fitness=replace(p.fitness, manual=manual))
+
+    @pytest.mark.parametrize(
+        "manual",
+        [PeakY1(), Add(parse_manual("max(brake,[0,10])"), Scale(PeakY1(), 0.0, 1000.0))],
+        ids=["alone", "nested"],
+    )
+    def test_unknown_node_reads_every_sample_and_output(self, manual, monkeypatch):
+        # CC1's formula names y4 and y5 only; the node reads y1 as well
+        p = self.unknown_node_problem(manual)
+        assert reads(p) == (p.grid.n_samples, CC_OUTPUTS)
+        grid, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
+        assert grid is p.grid
+        assert plant.port_spec.outputs == CC_OUTPUTS
+        seen = []
+
+        def spy(plant, inputs, grid):
+            seen.append((plant.port_spec.outputs, grid is p.grid))
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        search_cfg = SearchConfig(max_iterations=5, seed=0)
+        result = falsify(p.plant, p.assumption, p.fitness, search_cfg, p.grid)
+        assert len(result.history) == result.iterations_used
+        assert seen == [(CC_OUTPUTS, True)] * result.iterations_used
+
+    def test_constant_reads_nothing(self):
+        p = resolve(ExperimentConfig(entry="CC1"))
+        assert reads(p, replace(p.fitness, manual=Const(1.0))) == (2001, ("y4", "y5"))
+
+    @pytest.mark.parametrize(
+        "formula, manual, error",
+        [
+            # each fault, then the next once the earlier ones are mended
+            (
+                "G[0,10] (y9 < 1)",
+                "mean(z,[0,150]) + slope_up(y1,[0,10])",
+                "MissingChannelError: \"channel 'y9' not in trace; "
+                "trace has y1, y2, y3, y4, y5, throttle, brake\"",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "mean(z,[0,150]) + slope_up(y1,[0,10])",
+                "MissingChannelError: \"channel 'z' not in trace; "
+                "trace has y1, y2, y3, y4, y5, throttle, brake\"",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "mean(y1,[0,150]) + max(y2,[0.01,0.02]) + slope_up(y1,[0,10])",
+                "ValueError: window end 150.0 exceeds grid end 100.0",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "max(y2,[0.01,0.02]) + slope_up(y1,[0,10])",
+                "ValueError: window [0.01, 0.02] contains no grid samples",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "mean(y1,[0,50]) + slope_up(y1,[0,10]) - slope_up(throttle,[0,10])",
+                "ValueError: slope term needs the control points of input 'y1'",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "mean(y1,[0,50]) + slope_up(throttle,[0,10])",
+                "ValueError: need >= 2 control points inside [0.0, 10.0], got 1",
+            ),
+            (
+                "F[0.01,0.02] (y5 < 1)",
+                "mean(y1,[0,50]) + slope_up(throttle,[0,100])",
+                "ValueError: interval [0.01,0.02] selects no grid samples at step 0.05",
+            ),
+        ],
+    )
+    def test_error_order(self, formula, manual, error):
+        cfg = ExperimentConfig(
+            plant=builtin("chasing_cars"),
+            formula_text=formula,
+            manual_text=manual,
+            assumption=catalog("CC1").assumption,
+        )
+        with pytest.raises((MissingChannelError, ValueError)) as info:
+            resolve(cfg)
+        assert f"{type(info.value).__name__}: {info.value}" == error
+        with pytest.raises(type(info.value)) as again:
+            samples_read(unchecked_problem(cfg))
+        assert str(again.value) == str(info.value)
 
 
 class LateBlowUp(PlantModel):
@@ -466,11 +656,13 @@ class TestFalsifyPrefix:
         with pytest.raises(DivergenceError):
             simulate(plant, {"x": x}, grid)
         fit = FitnessAssessment(parse("G[0,1] (y < 0.5)"), p=1.0)
-        assert fit.samples_read(grid, plant.port_spec.inputs) == 11
+        assumption = parse_assumption("x:const:0,1:1")
+        sim_grid, sim_plant = search.check_problem(plant, assumption, fit, grid)
+        assert sim_grid.n_samples == 11 and sim_plant is plant
         seen = []
         result = falsify(
             plant,
-            parse_assumption("x:const:0,1:1"),
+            assumption,
             fit,
             SearchConfig(max_iterations=40, seed=1),
             grid,

@@ -1,5 +1,7 @@
 """Tests for the annealing falsification loop and its input encoding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -406,3 +408,32 @@ class TestFalsify:
             SearchConfig(sigma=0.0)
         with pytest.raises(ValueError):
             SearchConfig(restart_after=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("t0", math.nan, "t0 must be finite, got nan"),
+            ("t0", math.inf, "t0 must be finite, got inf"),
+            ("sigma", math.nan, "sigma must be finite, got nan"),
+            ("sigma", math.inf, "sigma must be finite, got inf"),
+            ("threshold", math.nan, "threshold must be finite, got nan"),
+            ("threshold", -math.inf, "threshold must be finite, got -inf"),
+            ("sigma", "0.1", "sigma must be a number, got '0.1'"),
+            ("cooling", None, "cooling must be a number, got None"),
+            ("threshold", True, "threshold must be a number, got True"),
+            ("max_iterations", 5.5, "max_iterations must be an integer, got 5.5"),
+            ("max_iterations", "300", "max_iterations must be an integer, got '300'"),
+            ("restart_after", 10.0, "restart_after must be an integer, got 10.0"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_constant_names_its_field(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SearchConfig(**{field: value})
+        assert str(info.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SearchConfig(max_iterations=np.int64(5), seed=np.int32(2), sigma=np.float64(0.2))
+        assert cfg.max_iterations == 5 and cfg.seed == 2 and cfg.sigma == 0.2

@@ -20,7 +20,13 @@ from athena.fitness import FitnessAssessment, WindowStat, parse_manual
 from athena.harness import ExperimentConfig, Problem, _run_one, resolve, run_experiment
 from athena.models import PlantModel, PortSpec, builtin, simulate
 from athena.search import SearchConfig, simulation_grid
-from athena.signals import Signal, TimeGrid, WindowStatKind, window_stat
+from athena.signals import (
+    Signal,
+    TimeGrid,
+    WindowStatKind,
+    uniform_control_times,
+    window_stat,
+)
 from athena.stl import (
     AtomExpr,
     Globally,
@@ -357,13 +363,20 @@ class TestBadWindowBeforeSimulating:
 
     def test_check_windows(self):
         grid = TimeGrid(100.0, 0.05)
+        spec = builtin("chasing_cars").port_spec
+        ports = catalog("CC1").assumption.ports
+        times = {p.port: uniform_control_times(grid, p.n) for p in ports}
         formula = parse("G[0,50] (y5 - y4 <= 40)")
+
+        def reads(manual):
+            fitness = FitnessAssessment(formula, manual=manual)
+            return fitness.reads(grid, spec.inputs, spec.outputs, times)
+
         good = "max(y5 - y4,[0,100]) + mean(y1,[10.01,10.06]) - slope_up(throttle,[0,200])"
-        FitnessAssessment(formula, manual=parse_manual(good)).check_windows(grid)
-        FitnessAssessment(formula).check_windows(grid)
-        bad = FitnessAssessment(formula, manual=parse_manual("ptp(y1,[0,100.5])"))
+        reads(parse_manual(good))
+        reads(None)
         with pytest.raises(ValueError, match="window end 100.5 exceeds grid end 100.0"):
-            bad.check_windows(grid)
+            reads(parse_manual("ptp(y1,[0,100.5])"))
 
 
 class BlockPlant(PlantModel):
