@@ -21,6 +21,11 @@ candidate (the passthrough robustness case on a random input). The
 search cases time one restart draw plus one proposal and one
 `Assumption.control_points` decode on the AT2 box, and the channel
 expression of the passthrough predicate over every sample. The
+iteration case times one CC1 iteration after the proposal, through the
+same calls `falsify` makes: `Assumption.control_points`, `encode_inputs`,
+`simulate` of the outputs the score names and `assess`, on a warm
+problem; its time less the kernel cases above is the glue between the
+kernels: checks, copies and the objects each call builds. The
 end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
@@ -30,7 +35,7 @@ import numpy as np
 import pytest
 
 from athena.catalog import catalog
-from athena.fitness import manual_fitness
+from athena.fitness import assess, manual_fitness
 from athena.harness import ExperimentConfig, parse_assumption, resolve
 from athena.models import (
     AutoTransmissionLite,
@@ -193,6 +198,25 @@ def test_control_points_at2(benchmark):
     vector = np.random.default_rng(0).uniform(a.lower, a.upper)
     controls = benchmark(a.control_points, vector, grid)
     assert list(controls) == ["Throttle", "Brake"]
+
+
+def test_iteration_cc1(benchmark):
+    problem = resolve(ExperimentConfig(entry="CC1"))
+    a, grid, fitness = problem.assumption, problem.grid, problem.fitness
+    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    # CC1 reads every sample, so falsify encodes and simulates one grid
+    assert sim_grid is grid
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+
+    def iteration():
+        controls = a.control_points(vector, grid)
+        inputs = encode_inputs(a, controls, grid)
+        trace = simulate(sim_plant, inputs, grid).trace
+        return assess(fitness, trace, 0, 300, controls)
+
+    iteration()  # builds the plans and operators outside the timing
+    value = benchmark(iteration)
+    assert np.isfinite(value.combined)
 
 
 def test_atom_values_passthrough_spec(benchmark):

@@ -18,8 +18,8 @@ distance-to-target, numeric constants, and + - * arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -68,13 +68,6 @@ __all__ = [
 
 Controls = Mapping[str, ControlPoints]
 
-# Number of manual window spans kept per process, one per (window, grid); a
-# run resolves each of its windows on one grid.
-SPAN_CACHE_SIZE = 32
-
-_span = functools.lru_cache(maxsize=SPAN_CACHE_SIZE)(window_span)
-
-
 class ManualFitnessExpr:
     """Base class for manual-fitness expression nodes.
 
@@ -116,8 +109,9 @@ class WindowStat(ManualFitnessExpr):
     scored normally, since no window reads those samples of its outputs.
 
     The channel expression is evaluated only over the window's samples,
-    whose range is resolved once per (window, grid) and cached for the
-    most recent SPAN_CACHE_SIZE keys.
+    whose range the window resolves once per grid it reads: it keeps the
+    range of the last grid, which a run passes as the same object on every
+    trace.
     """
 
     channel: AtomExpr
@@ -129,11 +123,17 @@ class WindowStat(ManualFitnessExpr):
         object.__setattr__(self, "window", tuple(self.window))
         # the channel names, built once per window, not per evaluation
         object.__setattr__(self, "names", frozenset(self.channel.channels()))
+        # (grid, lo, hi) of the last grid read, outside the fields
+        object.__setattr__(self, "_span", (None, 0, -1))
 
     def evaluate(self, trace, controls=None, inputs=None):
         if inputs is not None and inputs.channels.keys() >= self.names:
             trace = inputs
-        lo, hi = _span(self.window, trace.grid)
+        grid, lo, hi = self._span
+        if grid is not trace.grid:
+            grid = trace.grid
+            lo, hi = window_span(self.window, grid)
+            object.__setattr__(self, "_span", (grid, lo, hi))
         return self.stat.of(self.channel.values(trace, lo, hi + 1))
 
     def __str__(self):
@@ -348,9 +348,22 @@ def parse_manual(text: str) -> ManualFitnessExpr:
     return node
 
 
+def _check_number(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real
+    number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FitnessAssessment:
-    """Everything needed to score one simulated trace."""
+    """Everything needed to score one simulated trace.
+
+    `p`, `auto_scale` and both `p_schedule` endpoints must be finite real
+    numbers: each bad value raises a ValueError that names its field.
+    """
 
     formula: Formula
     manual: ManualFitnessExpr | None = None
@@ -359,12 +372,16 @@ class FitnessAssessment:
     p_schedule: tuple[float, float] | None = None
 
     def __post_init__(self):
+        _check_number("p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"weight p must be in [0,1], got {self.p}")
+        _check_number("auto_scale", self.auto_scale)
         if self.auto_scale <= 0.0:
             raise ValueError(f"auto_scale must be positive, got {self.auto_scale}")
         if self.p_schedule is not None:
             a, b = self.p_schedule
+            _check_number("p_schedule start", a)
+            _check_number("p_schedule end", b)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
                 raise ValueError(f"p_schedule endpoints must be in [0,1], got {self.p_schedule}")
 
@@ -452,6 +469,7 @@ def _clamp_unit(x: float) -> float:
 
 def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:
     """Robustness scaled by auto_scale and clamped to [-1, 1]."""
+    _check_number("auto_scale", auto_scale)
     if auto_scale <= 0.0:
         raise ValueError(f"auto_scale must be positive, got {auto_scale}")
     return _clamp_unit(robustness(formula, trace) / auto_scale)

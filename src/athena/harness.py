@@ -105,6 +105,15 @@ def parse_assumption(text: str) -> Assumption:
     return Assumption(tuple(ports))
 
 
+def _check_number(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real
+    number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One batch of repeated falsification runs.
@@ -161,12 +170,21 @@ class ExperimentConfig:
                 )
             if self.step is not None and self.step <= 0:
                 raise ValueError("step must be positive")
-            if self.auto_scale is not None and self.auto_scale <= 0:
-                raise ValueError("auto_scale must be positive")
-        if self.p_schedule is not None and len(self.p_schedule) != 2:
-            raise ValueError(
-                f"p_schedule must be two endpoints (start, end), got {list(self.p_schedule)}"
-            )
+            if self.auto_scale is not None:
+                _check_number("auto_scale", self.auto_scale)
+                if self.auto_scale <= 0:
+                    raise ValueError("auto_scale must be positive")
+        if self.p is not None:
+            _check_number("p", self.p)
+        if self.p_schedule is not None:
+            if len(self.p_schedule) != 2:
+                raise ValueError(
+                    f"p_schedule must be two endpoints (start, end), got {list(self.p_schedule)}"
+                )
+            for name, end in zip(("p_schedule start", "p_schedule end"), self.p_schedule):
+                _check_number(name, end)
+                if not 0.0 <= end <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {end}")
         if self.mode != "athena":
             if self.p is not None or self.p_schedule is not None:
                 raise ValueError("p and p_schedule apply to athena mode only")
@@ -572,7 +590,13 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     assumption = (
         parse_assumption(raw["assumption"]) if "assumption" in raw else None
     )
-    p_schedule = tuple(raw["p_schedule"]) if raw.get("p_schedule") is not None else None
+    p_schedule = raw.get("p_schedule")
+    if p_schedule is not None:
+        if not isinstance(p_schedule, (list, tuple)):
+            raise ValueError(
+                f"p_schedule must be two endpoints (start, end), got {p_schedule!r}"
+            )
+        p_schedule = tuple(p_schedule)
     kwargs = {
         "entry": raw.get("entry"),
         "plant": plant,

@@ -176,13 +176,12 @@ def simulate(
         if extra:
             parts.append(f"unexpected {extra}")
         raise PortMismatchError(f"{model.name}: {', '.join(parts)}")
-    for name in spec.inputs:
-        if inputs[name].grid != grid:
-            raise ValueError(f"input {name!r} is not sampled on the simulation grid")
-
     u = np.empty((grid.n_samples, len(spec.inputs)))
     for j, name in enumerate(spec.inputs):
-        u[:, j] = inputs[name].values
+        signal = inputs[name]
+        if signal.grid is not grid and signal.grid != grid:
+            raise ValueError(f"input {name!r} is not sampled on the simulation grid")
+        u[:, j] = signal.values
 
     out = model.fast_sim(u, grid)
     signals = {name: inputs[name] for name in spec.inputs}

@@ -28,6 +28,7 @@ from .signals import (
     InterpolationKind,
     Signal,
     TimeGrid,
+    _adopt_points,
     interpolate,
     uniform_control_times,
 )
@@ -91,11 +92,15 @@ class Assumption:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate port name in {names}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(p.n for p in self.ports)
 
     def slices(self) -> tuple[slice, ...]:
+        return self._slices
+
+    @cached_property
+    def _slices(self) -> tuple[slice, ...]:
         out = []
         start = 0
         for p in self.ports:
@@ -132,12 +137,24 @@ class Assumption:
         return v
 
     def control_points(self, vector, grid: TimeGrid) -> dict[str, ControlPoints]:
-        v = self.validate_vector(vector)
-        out = {}
-        for p, sl in zip(self.ports, self.slices()):
-            times = uniform_control_times(grid, p.n)
-            out[p.port] = ControlPoints(times, v[sl])
-        return out
+        """The control points of each port that `vector` encodes on `grid`:
+        the port's slice of the vector at `uniform_control_times`.
+
+        The vector passes one check, `validate_vector`, and is copied once
+        into a read-only array. The points adopt the cached control times
+        and views of that copy without the `ControlPoints` checks and
+        copies: the box check makes every value finite and the shape check
+        gives each port as many values as times, and
+        `uniform_control_times` makes the checks the times need. So the
+        points are read-only, and a later change to `vector` does not
+        reach them.
+        """
+        v = self.validate_vector(vector).copy()
+        v.setflags(write=False)
+        return {
+            p.port: _adopt_points(uniform_control_times(grid, p.n), v[sl])
+            for p, sl in zip(self.ports, self._slices)
+        }
 
 
 def encode_inputs(

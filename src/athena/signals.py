@@ -72,8 +72,10 @@ class TimeGrid:
             end = math.ceil(ratio) * step
         return cls(end, step)
 
-    @property
+    @cached_property
     def n_samples(self) -> int:
+        # computed once per grid; like `_times`, it is kept outside the
+        # fields, so equal grids still compare and hash equal
         return round(self.end / self.step) + 1
 
     @cached_property
@@ -140,6 +142,19 @@ def _adopt(grid: TimeGrid, values: np.ndarray) -> Signal:
     object.__setattr__(signal, "grid", grid)
     object.__setattr__(signal, "values", values)
     return signal
+
+
+def _adopt_points(times: np.ndarray, values: np.ndarray) -> "ControlPoints":
+    """ControlPoints that hold `times` and `values` as they are, without a
+    check or a copy.
+
+    The caller has checked them as the constructor checks them and made
+    them read-only, and nothing else writes to them.
+    """
+    points = object.__new__(ControlPoints)
+    object.__setattr__(points, "times", times)
+    object.__setattr__(points, "values", values)
+    return points
 
 
 @dataclass(frozen=True)
@@ -238,18 +253,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    """`out`, once its samples are checked finite."""
+    if not np.isfinite(out).all():
+        raise ValueError("signal values must be finite")
+    return out
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def uniform_control_times(grid: TimeGrid, n: int) -> np.ndarray:
     """n control times evenly spaced over [0, grid.end]; n=1 gives [0].
 
     The result is a read-only array cached per (grid, n), at most
-    PLAN_CACHE_SIZE of them (8 * n bytes each).
+    PLAN_CACHE_SIZE of them (8 * n bytes each). It passes every check
+    `ControlPoints` makes of its times: a grid too short to space n times
+    apart in float raises that check's ValueError here.
     """
     if n < 1:
         raise ValueError(f"control-point count must be >= 1, got {n}")
     if n == 1:
         return _read_only(np.zeros(1))
-    return _read_only(np.linspace(0.0, grid.end, n))
+    times = np.linspace(0.0, grid.end, n)
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError("control times must be strictly increasing")
+    return _read_only(times)
 
 
 def _pchip_slopes(h: tuple[float, ...], v: list[float]) -> list[float]:
@@ -282,15 +309,13 @@ def _pchip_slopes(h: tuple[float, ...], v: list[float]) -> list[float]:
 
 def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if _sign(m) != _sign(d0):
+    # signs as (x > 0) - (x < 0), written out: a NaN has sign 0
+    sign0 = (d0 > 0.0) - (d0 < 0.0)
+    if (m > 0.0) - (m < 0.0) != sign0:
         return 0.0
-    if _sign(d0) != _sign(d1) and abs(m) > 3.0 * abs(d0):
+    if sign0 != (d1 > 0.0) - (d1 < 0.0) and abs(m) > 3.0 * abs(d0):
         return 3.0 * d0
     return m
-
-
-def _sign(x: float) -> int:
-    return (x > 0.0) - (x < 0.0)
 
 
 class _HeldPlan:
@@ -301,6 +326,7 @@ class _HeldPlan:
         self.held = _read_only(held)
 
     def sample(self, values: np.ndarray) -> np.ndarray:
+        # copies of the control values, which are finite
         return values[self.held]
 
 
@@ -329,7 +355,15 @@ class _LinearPlan:
         out *= self.dx
         out += np.repeat(values[:-1], self.counts)
         out[self.hits] = values[self.points]
-        return out
+        return _finite(out)
+
+
+# Below this bound on sum |v| * (largest value basis) + sum |m| * (largest
+# slope basis), over a pchip plan's control values v and slopes m, no term
+# or partial sum of a sample can overflow: each sample adds two values and
+# two slopes times their basis, so it stays under the bound times 1 + 1e-15
+# with rounding, against a float maximum of 1.797e308.
+_PCHIP_SAFE = 1e308
 
 
 class _PchipPlan:
@@ -346,13 +380,26 @@ class _PchipPlan:
         self.h11h = _read_only(h11h)
         self.hits = _read_only(hits)
         self.points = _read_only(points)
+        # at most 1 and 4/27 of the segment width inside the control times;
+        # NaN when a basis is, which fails the bound
+        self.value_basis = float(np.max(np.abs([h00, h01])))
+        self.slope_basis = float(np.max(np.abs([h10h, h11h])))
 
-    # as in _LinearPlan: an infinite slope times the zero basis at a control
-    # time is overwritten by the control value; `interpolate` still rejects
-    # an output that is not finite
-    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, values: np.ndarray) -> np.ndarray:
-        m = np.array(_pchip_slopes(self.widths, values.tolist()))
+        v = values.tolist()
+        m = _pchip_slopes(self.widths, v)
+        # checked on the Python floats: entering np.errstate costs more
+        # than the check, and a NaN or infinity fails it; below the bound
+        # every sample is finite
+        bound = sum(map(abs, v)) * self.value_basis
+        if bound + sum(map(abs, m)) * self.slope_basis < _PCHIP_SAFE:
+            return self._sum(values, np.array(m))
+        # as in _LinearPlan: an infinite slope times the zero basis at a
+        # control time is overwritten by the control value
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self._sum(values, np.array(m)))
+
+    def _sum(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
         seg, seg1 = self.seg, self.seg1
         # h00 * v[seg] + h10h * m[seg] + h01 * v[seg1] + h11h * m[seg1],
         # summed left to right in two buffers
@@ -430,20 +477,24 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     faster. A pchip plan, the largest, holds six arrays of 8 bytes per
     sample, so the cache holds at most PLAN_CACHE_SIZE * 48 * n_samples
     bytes (18 MB on a 12001-sample grid); a linear or held plan holds
-    one. Each call computes the slopes from `cp.values` into a fresh
-    array, which the returned signal holds read-only, without a copy,
-    once its values are checked finite.
+    one. Each call computes the samples from `cp.values` into a fresh
+    array, which the returned signal holds read-only, without a copy.
+
+    The samples are finite, or this raises ValueError. A held plan copies
+    the control values, which are finite. A linear plan checks its
+    samples. A pchip plan checks them only when its control values and
+    slopes are too large to rule out an overflow (`_PCHIP_SAFE`).
     """
-    n = len(cp)
-    kind.check_arity(n)
-    if n > 1 and abs(cp.times[-1] - grid.end) > TIME_TOL:
+    times = tuple(cp.times.tolist())
+    n = len(times)
+    # every kind but constant takes any count from 2 points on
+    if n < 2 or kind is InterpolationKind.CONSTANT:
+        kind.check_arity(n)
+    if n > 1 and abs(times[-1] - grid.end) > TIME_TOL:
         raise ValueError(
             f"control times must span [0, {grid.end}], last is {cp.times[-1]}"
         )
-    plan = _plan(kind, grid, tuple(cp.times.tolist()))
-    out = plan.sample(cp.values)
-    if not np.isfinite(out).all():
-        raise ValueError("signal values must be finite")
+    out = _plan(kind, grid, times).sample(cp.values)
     return _adopt(grid, _read_only(out))
 
 

@@ -221,17 +221,33 @@ class Trace:
         """A trace of the columns of `block`, a (samples, len(names))
         array, named in order, followed by `signals`.
 
-        One finiteness pass checks the whole block, and one copy turns it
-        into read-only rows, each channel a view of one. Where the block
-        fails the check, its columns are checked one by one as the
-        constructor checks them, so the error names the first bad channel.
+        One copy turns the block into read-only rows, each channel a view
+        of one, and one finiteness pass checks the copy, contiguous where
+        a plant's block may not be. Where the block fails the check, its
+        columns are checked one by one as the constructor checks them, so
+        the error names the first bad channel.
+
+        A signal that is a `Signal` on `grid` itself (the same object) is
+        adopted: the trace holds its values as they are, checked when the
+        signal was built. Any other signal goes through the constructor,
+        which checks it and copies what is not a `Signal`. The channels go
+        into one mapping, built once.
         """
-        if block.shape != (grid.n_samples, len(names)) or not np.isfinite(block).all():
+        rows = None
+        if block.shape == (grid.n_samples, len(names)):
+            rows = np.array(block.T, dtype=float, order="C")
+        if rows is None or not np.isfinite(rows).all():
             return cls(grid, {**dict(zip(names, block.T)), **signals})
-        rows = np.array(block.T, dtype=float, order="C")
         rows.setflags(write=False)
-        trace = cls(grid, signals)
-        trace.channels = MappingProxyType({**dict(zip(names, rows)), **trace.channels})
+        store = dict(zip(names, rows))
+        for name, signal in signals.items():
+            if not (isinstance(signal, Signal) and signal.grid is grid):
+                store.update(cls(grid, signals).channels)
+                break
+            store[name] = signal.values
+        trace = object.__new__(cls)
+        trace.grid = grid
+        trace.channels = MappingProxyType(store)
         return trace
 
     def channel(self, name: str) -> np.ndarray:

@@ -262,7 +262,16 @@ def _value(f: Formula, trace: Trace, leaf, neg):
     what a walk of the whole trace raises first: MissingChannelError from
     a predicate reached earlier, else HorizonError naming the deepest
     temporal operator that gives no sample."""
-    plan = _plan(f, trace.grid.step)
+    step = trace.grid.step
+    # the formula keeps the (step, plan) it was last read with, outside its
+    # fields: a run scores one formula object on every trace, and this
+    # finds the plan without hashing the whole frozen tree, as `_plan` does
+    held = getattr(f, "_plan_at", None)
+    if held is not None and held[0] == step:
+        plan = held[1]
+    else:
+        plan = _plan(f, step)
+        object.__setattr__(f, "_plan_at", (step, plan))
     n = trace.grid.n_samples
     if n <= plan.reach:
         plan.check(f, trace, n)

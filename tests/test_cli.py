@@ -69,6 +69,23 @@ class TestArgHandling:
         assert rc == 2
         assert "excludes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_auto_scale_exits_2(self, tmp_path, capsys, value):
+        rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,10] (y < 2)",
+                  "--assumption", "x:linear:0,1:3", "--auto-scale", value,
+                  "--out", str(tmp_path / "tc")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: auto_scale must be finite, got {value}\n"
+        assert not (tmp_path / "tc.json").exists()
+
+    def test_bench_non_finite_auto_scale_exits_2(self, tmp_path, capsys):
+        cfg = {"plant": "passthrough", "formula": "G[0,10] (y < 2)",
+               "assumption": "x:linear:0,1:3", "auto_scale": "nan", "repetitions": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["bench", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: auto_scale must be finite, got nan\n"
+
     def test_p_excludes_p_schedule(self, tmp_path, capsys):
         rc = cli(["falsify", "--catalog", "AT1", "--p", "0.9", "--p-schedule", "1,0",
                   "--out", str(tmp_path / "tc")])
@@ -410,6 +427,8 @@ class TestBenchAndCompare:
             ({"search": {"max_iterations": 5.5}}, "max_iterations must be an integer, got 5.5"),
             ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
             ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+            ({"p": "0.5"}, "p must be a number, got '0.5'"),
+            ({"p_schedule": ["1", "0"]}, "p_schedule start must be a number, got '1'"),
         ],
     )
     def test_bench_bad_number_exits_2(self, tmp_path, capsys, raw, message):

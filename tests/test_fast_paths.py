@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from athena.fitness import FitnessAssessment
+from athena import signals
+from athena.fitness import FitnessAssessment, parse_manual
 from athena.models import Passthrough
 from athena.search import Assumption, PortAssumption, SearchConfig, falsify, propose
 from athena.signals import (
@@ -22,12 +23,15 @@ from athena.signals import (
     InterpolationKind,
     Signal,
     TimeGrid,
+    WindowStatKind,
     _plan,
     interpolate,
+    uniform_control_times,
+    window_stat,
 )
-from athena.stl import AtomExpr, Trace, parse
+from athena.stl import AtomExpr, Trace, parse, robustness
 
-from oracles import atom_values_reference, interpolate_reference
+from oracles import atom_values_reference, interpolate_reference, robustness_reference
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -224,3 +228,234 @@ class TestOnePassChecks:
             _cp([0.0, math.nan, 2.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="control values must be finite"):
             _cp([0.0, 1.0], [0.0, -math.inf])
+
+
+PCHIP = InterpolationKind.PCHIP
+
+
+def _pchip_case(times, values, grid):
+    """interpolate's pchip samples, which must come without a warning, and
+    the reference's, computed with warnings off; or the ValueError when
+    the reference is not finite."""
+    cp = _cp(times, values)
+    with np.errstate(all="ignore"):
+        want = interpolate_reference(cp, PCHIP, grid)
+    if not np.isfinite(want).all():
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            interpolate(cp, PCHIP, grid)
+        return None, None
+    return interpolate(cp, PCHIP, grid).values, want
+
+
+class TestPchipOverflowBound:
+    """`_PchipPlan.sample` enters np.errstate, and checks its samples, only
+    when its values and slopes could overflow; either way the samples are
+    the reference's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        magnitude=st.sampled_from([1.0, 1e150, 1e300, 1e307, 5e307, 1.7e308]),
+        close=st.sampled_from([None, 1e-9, 1e-13, 1e-300]),
+        data=st.data(),
+    )
+    def test_matches_reference_without_warning(self, n, magnitude, close, data):
+        grid = TimeGrid(10.0, 0.5)
+        times = np.linspace(0.0, grid.end, n)
+        if close is not None and n > 2:
+            # segment k - 1 .. k only `close` wide, at the start, inside or
+            # at the end
+            k = data.draw(st.integers(1, n - 1))
+            if k == n - 1:
+                times[k - 1] = times[k] - close
+            else:
+                times[k] = times[k - 1] + close
+        # a width below the spacing of floats near the end times rounds away
+        assume((np.diff(times) > 0).all())
+        unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        got, want = _pchip_case(times, np.array(unit) * magnitude, grid)
+        if got is not None:
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ([0.0, 2.5, 5.0, 10.0], [1.7e308, -1.7e308, 1.7e308, 0.0]),
+            ([0.0, 2.5, 5.0, 10.0], [-1e308, 1e308, -1e308, 1e308]),
+            ([0.0, 1e-300, 5.0, 10.0], [0.0, 1.0, 2.0, 3.0]),
+            ([0.0, 5.0, 5.0 + 1e-12, 10.0], [0.0, 1e300, -1e300, 0.0]),
+            ([0.0, 10.0 - 1e-13, 10.0], [1.0, 2.0, 1e308]),
+        ],
+    )
+    def test_edge_cases_match_reference(self, times, values):
+        got, want = _pchip_case(times, values, TimeGrid(10.0, 0.5))
+        if got is not None:
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_paths(self, monkeypatch):
+        checked = []
+        finite = signals._finite
+        monkeypatch.setattr(signals, "_finite", lambda out: checked.append(1) or finite(out))
+        grid = TimeGrid(10.0, 0.5)
+        moderate = _cp([0.0, 2.5, 5.0, 10.0], [1.0, -3.0, 2e300, 0.0])
+        fast = interpolate(moderate, PCHIP, grid).values
+        assert checked == []
+        # forced down the errstate path, the same arithmetic gives the same bits
+        monkeypatch.setattr(signals, "_PCHIP_SAFE", 0.0)
+        slow = interpolate(moderate, PCHIP, grid).values
+        assert checked == [1]
+        assert np.array_equal(bits(fast), bits(slow))
+        monkeypatch.undo()
+        monkeypatch.setattr(signals, "_finite", lambda out: checked.append(2) or finite(out))
+        # flat, so finite, but too large for the bound
+        flat = interpolate(_cp([0.0, 5.0, 10.0], [1e308, 1e308, 1e308]), PCHIP, grid)
+        assert checked == [1, 2]
+        assert (flat.values == 1e308).all()
+
+    def test_basis_bounds_of_a_plan(self):
+        plan = _plan(PCHIP, TimeGrid(10.0, 0.5), (0.0, 2.0, 10.0))
+        assert plan.value_basis == pytest.approx(1.0)
+        assert 0.0 < plan.slope_basis <= 8.0 * 4.0 / 27.0 + 1e-12
+
+
+def _box(n=3, lo=0.0, hi=1.0):
+    return Assumption(
+        (
+            PortAssumption("a", InterpolationKind.PCHIP, lo, hi, n),
+            PortAssumption("b", InterpolationKind.CONSTANT, lo, hi, 1),
+        )
+    )
+
+
+class TestAdoptedControlPoints:
+    """`Assumption.control_points` checks the vector once and adopts the
+    cached times and views of one read-only copy."""
+
+    def test_same_points_as_the_checked_constructor(self):
+        box, grid = _box(), TimeGrid(10.0, 0.5)
+        vector = np.array([0.25, 0.5, 1.0, 0.75])
+        got = box.control_points(vector, grid)
+        assert list(got) == ["a", "b"]
+        for (name, cp), (times, values) in zip(
+            got.items(), [(uniform_control_times(grid, 3), vector[:3]), (np.zeros(1), vector[3:])]
+        ):
+            want = ControlPoints(times, values)
+            assert np.array_equal(bits(cp.times), bits(want.times))
+            assert np.array_equal(bits(cp.values), bits(want.values))
+            kind = box.ports[list(got).index(name)].kind
+            assert np.array_equal(
+                bits(interpolate(cp, kind, grid).values), bits(interpolate(want, kind, grid).values)
+            )
+        assert got["a"].times is uniform_control_times(grid, 3)
+
+    def test_read_only_and_detached_from_the_vector(self):
+        box, grid = _box(), TimeGrid(10.0, 0.5)
+        vector = np.array([0.25, 0.5, 1.0, 0.75])
+        got = box.control_points(vector, grid)
+        vector[:] = 0.0
+        assert np.array_equal(got["a"].values, [0.25, 0.5, 1.0])
+        assert np.array_equal(got["b"].values, [0.75])
+        for cp in got.values():
+            assert not cp.times.flags.writeable
+            assert not cp.values.flags.writeable
+            assert not np.shares_memory(cp.values, vector)
+            with pytest.raises(ValueError, match="read-only"):
+                cp.values[0] = 1.0
+            # a view of a read-only copy cannot be made writeable again
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                cp.values.setflags(write=True)
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ([0.5, 0.5, 0.5], r"parameter vector needs shape \(4,\), got \(3,\)"),
+            ([[0.5, 0.5, 0.5, 0.5]], r"parameter vector needs shape \(4,\), got \(1, 4\)"),
+            ([0.5, 0.5, 1.5, 0.5], "parameter vector leaves the assumption box"),
+            ([0.5, -1e-300, 0.5, 0.5], "parameter vector leaves the assumption box"),
+            ([0.5, math.nan, 0.5, 0.5], "parameter vector leaves the assumption box"),
+            ([0.5, 0.5, 0.5, math.inf], "parameter vector leaves the assumption box"),
+        ],
+    )
+    def test_bad_vectors_rejected(self, vector, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _box().control_points(vector, TimeGrid(10.0, 0.5))
+
+    def test_a_list_vector(self):
+        got = _box().control_points([0.0, 0.5, 1.0, 1.0], TimeGrid(10.0, 0.5))
+        assert got["a"].values.dtype == float
+        assert np.array_equal(got["a"].values, [0.0, 0.5, 1.0])
+
+
+def _sig(grid, values):
+    return Signal(grid, np.asarray(values, dtype=float))
+
+
+class TestTraceFromBlock:
+    GRID = TimeGrid(1.0, 0.5)
+    BLOCK = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_adopts_signals_on_the_grid_itself(self):
+        x = _sig(self.GRID, [0.0, 0.5, 1.0])
+        trace = Trace.from_block(self.GRID, ("y", "z"), self.BLOCK, {"x": x})
+        assert list(trace.channels) == ["y", "z", "x"]
+        assert trace.channels["x"] is x.values
+        assert np.array_equal(trace.channel("z"), [2.0, 4.0, 6.0])
+        for name in ("y", "z"):
+            assert not trace.channel(name).flags.writeable
+            assert not np.shares_memory(trace.channel(name), self.BLOCK)
+        assert trace.grid is self.GRID
+
+    def test_other_channels_go_through_the_constructor(self):
+        equal = TimeGrid(1.0, 0.5)
+        x = _sig(equal, [0.0, 0.5, 1.0])
+        raw = np.array([7.0, 8.0, 9.0])
+        trace = Trace.from_block(self.GRID, ("y", "z"), self.BLOCK, {"x": x, "w": raw})
+        assert list(trace.channels) == ["y", "z", "x", "w"]
+        # a Signal on an equal grid is stored as it is, an array is copied
+        assert trace.channels["x"] is x.values
+        assert not np.shares_memory(trace.channels["w"], raw)
+        assert not trace.channels["w"].flags.writeable
+        raw[0] = -1.0
+        assert trace.channels["w"][0] == 7.0
+
+    def test_rejections_name_the_channel(self):
+        other = _sig(TimeGrid(2.0, 0.5), [0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="channel 'x': not sampled on the trace grid"):
+            Trace.from_block(self.GRID, ("y", "z"), self.BLOCK, {"x": other})
+        with pytest.raises(ValueError, match="channel 'w': signal values must be finite"):
+            Trace.from_block(self.GRID, ("y", "z"), self.BLOCK, {"w": [0.0, math.nan, 0.0]})
+        bad = self.BLOCK.copy()
+        bad[1, 1] = math.inf
+        with pytest.raises(ValueError, match="channel 'z': signal values must be finite"):
+            Trace.from_block(self.GRID, ("y", "z"), bad, {})
+
+
+class TestLastSeenMemos:
+    """The STL plan and a manual window's span are kept for the last
+    formula object and grid; alternating between several gives each its
+    own."""
+
+    def test_plan_per_formula_and_step(self):
+        f1 = parse("G[0,1] (y < 2)")
+        f2 = parse("F[0,0.5] (y > 0.5)")
+        traces = [
+            Trace(TimeGrid(2.0, 0.5), {"y": np.array([0.0, 1.0, 3.0, 1.0, 0.0])}),
+            Trace(TimeGrid(2.0, 0.25), {"y": np.linspace(0.0, 2.0, 9)}),
+        ]
+        for _ in range(2):
+            for f in (f1, f2, parse("G[0,1] (y < 2)")):
+                for trace in traces:
+                    assert robustness(f, trace) == robustness_reference(f, trace)
+
+    def test_window_span_per_grid(self):
+        expr = parse_manual("mean(y,[0,1])")
+        grids = [TimeGrid(2.0, 0.5), TimeGrid(2.0, 0.25), TimeGrid(2.0, 0.5)]
+        for _ in range(2):
+            for grid in grids:
+                y = np.arange(grid.n_samples, dtype=float)
+                trace = Trace(grid, {"y": y})
+                want = window_stat(y, grid, WindowStatKind.MEAN, (0.0, 1.0))
+                assert expr.evaluate(trace) == want
+        # the kept span is not part of the window's value
+        assert expr == parse_manual("mean(y,[0,1])")
+        assert hash(expr) == hash(parse_manual("mean(y,[0,1])"))

@@ -393,3 +393,28 @@ class TestAssessment:
             self.cfg(auto_scale=0.0)
         with pytest.raises(ValueError):
             self.cfg(p_schedule=(0.5, 1.3))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (dict(auto_scale=math.nan), "auto_scale must be finite, got nan"),
+            (dict(auto_scale=math.inf), "auto_scale must be finite, got inf"),
+            (dict(auto_scale="2"), "auto_scale must be a number, got '2'"),
+            (dict(p="0.5"), "p must be a number, got '0.5'"),
+            (dict(p=True), "p must be a number, got True"),
+            (dict(p=math.nan), "p must be finite, got nan"),
+            (dict(p_schedule=("1", 0.0)), "p_schedule start must be a number, got '1'"),
+            (dict(p_schedule=(1.0, False)), "p_schedule end must be a number, got False"),
+            (dict(p_schedule=(math.nan, 0.0)), "p_schedule start must be finite, got nan"),
+        ],
+    )
+    def test_numbers_checked(self, field, message):
+        with pytest.raises(ValueError) as info:
+            self.cfg(**field)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_auto_fitness_rejects_non_finite_scale(self, scale):
+        trace = const_trace(GRID20, Speed=90.0)
+        with pytest.raises(ValueError, match="auto_scale must be finite"):
+            auto_fitness(self.F_SPEED, trace, scale)

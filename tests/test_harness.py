@@ -766,11 +766,38 @@ class TestConfigFromDict:
             ({"repetitions": "2"}, "repetitions must be an integer, got '2'"),
             ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
             ({"base_seed": 0.5}, "base_seed must be an integer, got 0.5"),
+            ({"p": "0.5"}, "p must be a number, got '0.5'"),
+            ({"p": True}, "p must be a number, got True"),
+            ({"p": math.nan}, "p must be finite, got nan"),
+            ({"p_schedule": ["1", "0"]}, "p_schedule start must be a number, got '1'"),
+            ({"p_schedule": [1.0, math.inf]}, "p_schedule end must be finite, got inf"),
+            ({"p_schedule": [1.0, 2.0]}, "p_schedule end must lie in [0, 1], got 2.0"),
+            ({"p_schedule": 1}, "p_schedule must be two endpoints (start, end), got 1"),
+            ({"p_schedule": "10"}, "p_schedule must be two endpoints (start, end), got '10'"),
         ],
     )
     def test_bad_numbers_rejected_at_config(self, raw, message):
         with pytest.raises(ValueError) as info:
             config_from_dict({"entry": "CC1", **raw})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "auto_scale, message",
+        [
+            (math.nan, "auto_scale must be finite, got nan"),
+            ("inf", "auto_scale must be finite, got inf"),
+            (-math.inf, "auto_scale must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_auto_scale_rejected_at_config(self, auto_scale, message):
+        raw = {
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "assumption": "x:const:0,1:1",
+            "auto_scale": auto_scale,
+        }
+        with pytest.raises(ValueError) as info:
+            config_from_dict(raw)
         assert str(info.value) == message
 
     def test_schedule_parsed(self):

@@ -41,6 +41,17 @@ class TestTimeGrid:
         assert [f.name for f in dataclasses.fields(TimeGrid)] == ["end", "step"]
         assert TimeGrid(10.0, 0.5) == TimeGrid(10.0, 0.5)
 
+    def test_cached_values_leave_equality_and_hash_alone(self):
+        # n_samples and the times are kept on the grid that computed them
+        used, fresh = TimeGrid(10.0, 0.5), TimeGrid(10.0, 0.5)
+        assert used.n_samples == 21
+        assert used.times()[-1] == 10.0
+        assert "n_samples" in vars(used) and "n_samples" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != TimeGrid(10.0, 0.25)
+        assert {used: 1}[fresh] == 1
+        assert uniform_control_times(used, 4) is uniform_control_times(fresh, 4)
+
     def test_non_integral_step_rejected(self):
         with pytest.raises(ValueError):
             TimeGrid(10.0, 0.3)
@@ -100,6 +111,31 @@ class TestControlPoints:
         with pytest.raises(ValueError):
             ControlPoints([0.0, 5.0], [1.0, float("nan")])
 
+    @pytest.mark.parametrize(
+        "times, values, message",
+        [
+            ([0.0, 5.0], [1.0], "equal-length 1-d sequences"),
+            ([], [], "equal-length 1-d sequences"),
+            ([[0.0, 5.0]], [[1.0, 2.0]], "equal-length 1-d sequences"),
+            ([1e-8, 5.0], [1.0, 2.0], "first control time must be 0"),
+            ([0.0, 5.0, 4.0], [1.0, 2.0, 3.0], "strictly increasing"),
+            ([0.0, float("nan")], [1.0, 2.0], "strictly increasing"),
+            ([0.0, 5.0], [1.0, float("inf")], "control values must be finite"),
+            ([0.0, 5.0], [float("-inf"), 1.0], "control values must be finite"),
+        ],
+    )
+    def test_constructor_keeps_every_check(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            ControlPoints(times, values)
+
+    def test_constructor_copies(self):
+        times, values = np.array([0.0, 5.0]), np.array([1.0, 2.0])
+        cp = ControlPoints(times, values)
+        times[1], values[0] = 9.0, -1.0
+        assert cp.times.tolist() == [0.0, 5.0]
+        assert cp.values.tolist() == [1.0, 2.0]
+        assert not cp.times.flags.writeable and not cp.values.flags.writeable
+
 
 class TestSignalPrefix:
     def test_read_only_view_of_the_first_samples(self):
@@ -138,6 +174,14 @@ class TestUniformControlTimes:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             uniform_control_times(TimeGrid(10.0, 1.0), 0)
+
+    def test_times_too_close_for_floats_rejected(self):
+        # the points the search decodes adopt these times unchecked, so
+        # they pass the ControlPoints checks or raise here
+        grid = TimeGrid(5e-324, 5e-324)
+        assert uniform_control_times(grid, 2).tolist() == [0.0, 5e-324]
+        with pytest.raises(ValueError, match="control times must be strictly increasing"):
+            uniform_control_times(grid, 3)
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_cached_read_only(self, n):
