@@ -9,10 +9,16 @@ passthrough workload uses, with fixed random inputs. The `-prefix` case
 uses the leading samples of the grid that `falsify` simulates, those the
 score reads from the plant's outputs. The `-read` case simulates only the
 outputs the score names, as `falsify` does (`check_problem`: y4 and y5
-on CC1); next to it, `chasing_cars-CC1` computes all five, as a replay
-does. The `-build` case times building the
-chasing_cars operators for the CC1 grid from a cleared cache, the cost
-the first simulation on a grid pays. The interpolation
+on CC1); next to it, `chasing_cars-CC1` computes all five. These
+`fast_sim` cases take a sample block; `falsify` instead simulates the
+platoon by superposition (`models.simulate`, Y0 + K x over the inputs'
+interpolation coefficients), which the `superposed-CC1-read` case times:
+one `simulate` call of the read plant on the interpolated inputs of one
+CC1 candidate, with K built. The `-build` cases time, from a cleared
+cache, building the chasing_cars operators for the CC1 grid, the cost the
+first `fast_sim` on a grid pays, and building K for CC1's read plant and
+ports, one `fast_sim` per coefficient and one more, the cost `resolve`
+pays once per problem. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
 AT2, of CC1 and of the passthrough workload. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
@@ -24,8 +30,9 @@ expression of the passthrough predicate over every sample. The
 iteration case times one CC1 iteration after the proposal, through the
 same calls `falsify` makes: `Assumption.control_points`, `encode_inputs`,
 `simulate` of the outputs the score names and `assess`, on a warm
-problem; its time less the kernel cases above is the glue between the
-kernels: checks, copies and the objects each call builds. The
+problem; its time less the kernel cases above (on CC1 the superposed
+`simulate`, not `fast_sim`) is the glue between the kernels: checks,
+copies and the objects each call builds. The
 end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
@@ -37,6 +44,7 @@ import pytest
 from athena.catalog import catalog
 from athena.fitness import assess, manual_fitness
 from athena.harness import ExperimentConfig, parse_assumption, resolve
+from athena import models
 from athena.models import (
     AutoTransmissionLite,
     ChasingCars,
@@ -109,6 +117,38 @@ def test_operator_build(benchmark, entry):
 
     L, *_ = benchmark.pedantic(_platoon_operators, setup=cold, rounds=50)
     assert L > 1
+
+
+def _read_inputs(entry):
+    """The plant and grid an entry's runs simulate, and one candidate's
+    interpolated inputs."""
+    problem = resolve(ExperimentConfig(entry=entry))
+    a, grid = problem.assumption, problem.grid
+    sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, grid)
+    assert sim_grid is grid
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+    return sim_plant, encode_inputs(a, a.control_points(vector, grid), grid), grid
+
+
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1-read"])
+def test_superposed_simulate(benchmark, entry):
+    plant, inputs, grid = _read_inputs(entry)
+    simulate(plant, inputs, grid)  # K is built outside the timing
+    trace = benchmark(simulate, plant, inputs, grid).trace
+    assert list(trace.channels)[:2] == ["y4", "y5"]
+
+
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposition-CC1-read-build"])
+def test_superposition_build(benchmark, entry):
+    plant, inputs, grid = _read_inputs(entry)
+    plans = tuple(inputs[name].plan for name in plant.port_spec.inputs)
+
+    def cold():
+        models._operators.clear()
+        return (plant, plans, grid), {}
+
+    K, y0 = benchmark.pedantic(models._operator, setup=cold, rounds=50)
+    assert K.shape == (2, 20, grid.n_samples)
 
 
 def test_robustness_passthrough_spec(benchmark):
@@ -215,6 +255,8 @@ def test_iteration_cc1(benchmark):
         return assess(fitness, trace, 0, 300, controls)
 
     iteration()  # builds the plans and operators outside the timing
+    # the platoon is simulated by superposition
+    assert models._operators
     value = benchmark(iteration)
     assert np.isfinite(value.combined)
 

@@ -2,12 +2,17 @@
 
 Plain ValueError is used for generic invalid arguments; the classes here
 exist where callers need to tell failure kinds apart (CLI exit codes,
-search-loop divergence handling, parser diagnostics).
+search-loop divergence handling, parser diagnostics). `check_number` is
+the one rule for a real-valued setting at the config boundaries.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 __all__ = [
+    "check_number",
     "ParseError",
     "SemanticError",
     "MissingChannelError",
@@ -61,3 +66,12 @@ class DivergenceError(ArithmeticError):
     def __init__(self, time: float):
         super().__init__(f"simulation diverged (non-finite value) at t={time:g}s")
         self.time = time
+
+
+def check_number(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real
+    number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")

@@ -19,13 +19,12 @@ distance-to-target, numeric constants, and + - * arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MissingChannelError, ParseError
+from .errors import MissingChannelError, ParseError, check_number
 from .signals import (
     ControlPoints,
     SlopeDirection,
@@ -348,15 +347,6 @@ def parse_manual(text: str) -> ManualFitnessExpr:
     return node
 
 
-def _check_number(name: str, value) -> None:
-    """Raise a ValueError naming `name` unless `value` is a finite real
-    number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class FitnessAssessment:
     """Everything needed to score one simulated trace.
@@ -372,16 +362,16 @@ class FitnessAssessment:
     p_schedule: tuple[float, float] | None = None
 
     def __post_init__(self):
-        _check_number("p", self.p)
+        check_number("p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"weight p must be in [0,1], got {self.p}")
-        _check_number("auto_scale", self.auto_scale)
+        check_number("auto_scale", self.auto_scale)
         if self.auto_scale <= 0.0:
             raise ValueError(f"auto_scale must be positive, got {self.auto_scale}")
         if self.p_schedule is not None:
             a, b = self.p_schedule
-            _check_number("p_schedule start", a)
-            _check_number("p_schedule end", b)
+            check_number("p_schedule start", a)
+            check_number("p_schedule end", b)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
                 raise ValueError(f"p_schedule endpoints must be in [0,1], got {self.p_schedule}")
 
@@ -469,7 +459,7 @@ def _clamp_unit(x: float) -> float:
 
 def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:
     """Robustness scaled by auto_scale and clamped to [-1, 1]."""
-    _check_number("auto_scale", auto_scale)
+    check_number("auto_scale", auto_scale)
     if auto_scale <= 0.0:
         raise ValueError(f"auto_scale must be positive, got {auto_scale}")
     return _clamp_unit(robustness(formula, trace) / auto_scale)

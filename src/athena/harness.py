@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import catalog
+from .errors import check_number
 from .fitness import FitnessAssessment, parse_manual
-from .models import PlantModel, builtin
+from .models import PlantModel, builtin, check_affine
 from .search import (
     Assumption,
     PortAssumption,
@@ -32,7 +33,13 @@ from .search import (
     falsify,
     simulation_grid,
 )
-from .signals import InterpolationKind, TimeGrid
+from .signals import (
+    ControlPoints,
+    InterpolationKind,
+    TimeGrid,
+    interpolate,
+    uniform_control_times,
+)
 from .stl import parse
 
 __all__ = [
@@ -105,15 +112,6 @@ def parse_assumption(text: str) -> Assumption:
     return Assumption(tuple(ports))
 
 
-def _check_number(name: str, value) -> None:
-    """Raise a ValueError naming `name` unless `value` is a finite real
-    number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One batch of repeated falsification runs.
@@ -123,7 +121,10 @@ class ExperimentConfig:
     `auto_scale` (default 1), `step`) describe one. `mode` fixes the
     fitness weight: automatic-only runs at p=1, manual-only at p=0, athena
     at p=0.5 unless `p` or `p_schedule` overrides it; the two overrides
-    exclude each other.
+    exclude each other. `step` and `auto_scale` must be finite positive
+    numbers, `p` and the `p_schedule` endpoints finite numbers in [0, 1]
+    (`errors.check_number`): a bool or a string is not a number, and each
+    bad value raises a ValueError that names its field.
     """
 
     entry: str | None = None
@@ -168,21 +169,23 @@ class ExperimentConfig:
                 raise ValueError(
                     "inline experiments need plant, formula_text, and assumption"
                 )
-            if self.step is not None and self.step <= 0:
-                raise ValueError("step must be positive")
-            if self.auto_scale is not None:
-                _check_number("auto_scale", self.auto_scale)
-                if self.auto_scale <= 0:
-                    raise ValueError("auto_scale must be positive")
+            # both are finite positive numbers, kept as floats
+            for name in ("step", "auto_scale"):
+                value = getattr(self, name)
+                if value is not None:
+                    check_number(name, value)
+                    if value <= 0:
+                        raise ValueError(f"{name} must be positive, got {value}")
+                    object.__setattr__(self, name, float(value))
         if self.p is not None:
-            _check_number("p", self.p)
+            check_number("p", self.p)
         if self.p_schedule is not None:
             if len(self.p_schedule) != 2:
                 raise ValueError(
                     f"p_schedule must be two endpoints (start, end), got {list(self.p_schedule)}"
                 )
             for name, end in zip(("p_schedule start", "p_schedule end"), self.p_schedule):
-                _check_number(name, end)
+                check_number(name, end)
                 if not 0.0 <= end <= 1.0:
                     raise ValueError(f"{name} must lie in [0, 1], got {end}")
         if self.mode != "athena":
@@ -220,7 +223,10 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     Rejects a problem no run could score, before any simulation, by the
     checks of `search.check_problem`, the ones `falsify` runs. The grid
     and plant that call returns, those a run simulates, are not kept:
-    `falsify` derives them again.
+    `falsify` derives them again. When that plant declares itself affine,
+    its declaration is checked on one in-box probe, the box midpoint
+    encoded as `falsify` encodes a candidate (`models.check_affine`), which
+    also builds the superposition operator the runs use.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
@@ -240,8 +246,26 @@ def resolve(cfg: ExperimentConfig) -> Problem:
         p_schedule=cfg.p_schedule,
     )
     grid = simulation_grid(plant, formula, step)
-    check_problem(plant, assumption, fitness, grid)
+    sim_grid, sim_plant = check_problem(plant, assumption, fitness, grid)
+    if sim_plant.affine:
+        _check_affine(sim_plant, assumption, grid, sim_grid)
     return Problem(plant, assumption, grid, fitness)
+
+
+def _check_affine(
+    plant: PlantModel, assumption: Assumption, grid: TimeGrid, sim_grid: TimeGrid
+) -> None:
+    # the midpoint's control points, interpolated on the whole grid and
+    # cut to the simulated prefix, as falsify builds a candidate's inputs;
+    # through signals and models directly, so that a probe is not counted
+    # as a search call
+    mid = assumption.lower + 0.5 * assumption.width
+    inputs = {}
+    for port, sl in zip(assumption.ports, assumption.slices()):
+        cp = ControlPoints(uniform_control_times(grid, port.n), mid[sl])
+        signal = interpolate(cp, port.kind, grid)
+        inputs[port.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
+    check_affine(plant, inputs, sim_grid)
 
 
 def json_float(x: float | None) -> float | None:
@@ -611,8 +635,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         "search": search,
         "out": raw.get("out"),
     }
-    if "auto_scale" in raw:
-        kwargs["auto_scale"] = float(raw["auto_scale"])
-    if "step" in raw:
-        kwargs["step"] = float(raw["step"])
+    for name in ("auto_scale", "step"):
+        if name in raw:
+            kwargs[name] = raw[name]
     return ExperimentConfig(**kwargs)

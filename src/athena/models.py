@@ -7,6 +7,11 @@ RK4 at the grid step; input values at the half-step stages are the average
 of the two adjacent samples. Each built-in plant writes its dynamics once,
 in `fast_sim`; user-defined plants may instead give a derivative and
 inherit the default `fast_sim`, the generic integrator.
+
+A plant whose outputs are affine in its inputs (`PlantModel.affine`, only
+chasing_cars among the built-ins) is simulated on interpolated inputs by
+superposition: the outputs are Y0 + K x, with x the inputs' interpolation
+coefficients, one matrix-vector product per simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, PortMismatchError
-from .signals import Signal, TimeGrid
+from .signals import InterpolatedSignal, Signal, TimeGrid
 from .stl import Trace
 
 __all__ = [
@@ -28,6 +33,8 @@ __all__ = [
     "PlantModel",
     "SimResult",
     "simulate",
+    "check_affine",
+    "AFFINE_RTOL",
     "builtin",
     "ChasingCars",
     "AutoTransmissionLite",
@@ -70,12 +77,23 @@ class PlantModel:
       default `fast_sim` integrates these with the generic RK4. This path
       is for user-defined plants, which `ExperimentConfig(plant=...)`
       accepts.
+
+    A plant class sets `affine` to opt in to superposition: `simulate`
+    then computes the outputs on interpolated inputs as a matrix-vector
+    product built from `fast_sim`'s responses, instead of calling
+    `fast_sim` (see `simulate`). Only a plant whose every output is an
+    affine function of the input block, a function of the plant's class
+    and the outputs it computes alone, may set it; `resolve` checks that
+    on one probe (`check_affine`) before any run. An affine plant may
+    leave it unset, as `Passthrough` does, when `fast_sim` costs less than
+    the product.
     """
 
     name: str = "plant"
     port_spec: PortSpec
     state_dim: int = 0
     default_horizon: float | None = None
+    affine: bool = False
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.state_dim)
@@ -163,6 +181,24 @@ def simulate(
     there; called on the whole grid and plant, as when a test case is
     replayed, it is. Raises DivergenceError naming the first time the state
     (or, if the state stays finite, an output) went non-finite.
+
+    When the plant is `affine` and every input is an `InterpolatedSignal`,
+    the outputs are computed by superposition instead of by `fast_sim`:
+    Y0 + K x, where x is the inputs' coefficients in port order, Y0 is
+    `fast_sim`'s response to zero inputs and column j of K its response to
+    the basis signal of coefficient j (`plan.basis()`), less Y0. K and Y0
+    are built once per (plant class, outputs, port plans, grid), by one
+    `fast_sim` call per coefficient and one more, and kept within
+    SUPERPOSITION_CACHE_BYTES, the oldest dropped first; a key whose K and
+    Y0 alone would exceed it is not superposed. The outputs agree with
+    `fast_sim`'s to rounding (within AFFINE_RTOL, which `check_affine`
+    enforces), and are
+    bitwise the same for the same coefficients, plans and grid, whichever
+    other outputs are computed: each output is its own matrix-vector
+    product. A DivergenceError then names the first sample with a
+    non-finite output. The outputs are checked for finiteness once, here,
+    and the trace adopts them (`Trace.from_rows`). Every other call runs
+    `fast_sim`.
     """
     spec = model.port_spec
     given = set(inputs)
@@ -176,16 +212,114 @@ def simulate(
         if extra:
             parts.append(f"unexpected {extra}")
         raise PortMismatchError(f"{model.name}: {', '.join(parts)}")
-    u = np.empty((grid.n_samples, len(spec.inputs)))
-    for j, name in enumerate(spec.inputs):
-        signal = inputs[name]
+    signals = {}
+    for name in spec.inputs:
+        signal = signals[name] = inputs[name]
         if signal.grid is not grid and signal.grid != grid:
             raise ValueError(f"input {name!r} is not sampled on the simulation grid")
+    if model.affine and all(isinstance(s, InterpolatedSignal) for s in signals.values()):
+        ops = _operator(model, tuple(s.plan for s in signals.values()), grid)
+        if ops is not None:
+            rows = _superposed(ops, tuple(signals.values()), grid)
+            return SimResult(Trace.from_rows(grid, spec.outputs, rows, signals))
+    u = np.empty((grid.n_samples, len(signals)))
+    for j, signal in enumerate(signals.values()):
         u[:, j] = signal.values
-
     out = model.fast_sim(u, grid)
-    signals = {name: inputs[name] for name in spec.inputs}
     return SimResult(Trace.from_block(grid, spec.outputs, out, signals))
+
+
+# Bytes of superposition operators kept per process, one operator per
+# (plant class, outputs, port plans, grid), the oldest dropped first. An
+# operator, K and Y0, holds 8 bytes x samples x outputs x (coefficients +
+# 1); K alone is 640 KB for CC1's read plant (2001 x 2 x 20) and 1.6 MB
+# for the whole platoon on the same grid. One larger than the budget is
+# never built.
+SUPERPOSITION_CACHE_BYTES = 16 << 20
+_operators: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _operator(model: PlantModel, plans: tuple, grid: TimeGrid):
+    """(K, Y0) of `simulate`'s superposed path, both read-only: K is
+    (outputs, coefficients, samples) and Y0 (outputs, samples). None when
+    they would take more than SUPERPOSITION_CACHE_BYTES."""
+    key = (type(model), model.port_spec.outputs, plans, grid)
+    ops = _operators.get(key)
+    if ops is None:
+        n = grid.n_samples
+        shape = (len(model.port_spec.outputs), sum(plan.n_coefficients for plan in plans), n)
+        size = 8 * shape[0] * (shape[1] + 1) * n
+        if size > SUPERPOSITION_CACHE_BYTES:
+            return None
+        kept = sum(K.nbytes + y0.nbytes for K, y0 in _operators.values())
+        while kept + size > SUPERPOSITION_CACHE_BYTES:
+            K, y0 = _operators.pop(next(iter(_operators)))
+            kept -= K.nbytes + y0.nbytes
+        bases = [plan.basis()[:n] for plan in plans]
+        K = np.empty(shape)
+        u = np.zeros((n, len(bases)))
+        y0 = model.fast_sim(u, grid).T.copy()
+        k = 0
+        for j, basis in enumerate(bases):
+            for column in basis.T:
+                u[:, j] = column
+                np.subtract(model.fast_sim(u, grid).T, y0, out=K[:, k])
+                k += 1
+            u[:, j] = 0.0
+        ops = (K, y0)
+        for a in ops:
+            a.setflags(write=False)
+        _operators[key] = ops
+    return ops
+
+
+# Overflow must surface as DivergenceError, not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
+def _superposed(ops: tuple, signals: tuple, grid: TimeGrid) -> np.ndarray:
+    """Y0 + K x, `ops` = (K, Y0), as fresh (outputs, samples) rows,
+    checked finite."""
+    K, y0 = ops
+    rows = np.matmul(np.concatenate([s.coefficients for s in signals]), K)
+    rows += y0
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=0)
+        raise DivergenceError(int(np.argmin(finite)) * grid.step)
+    return rows
+
+
+# Largest difference `check_affine` accepts between the superposed outputs
+# and `fast_sim`'s, relative to max(1, largest |fast_sim| output). On the
+# chasing_cars grids of the catalog the two differ by about 1e-11.
+AFFINE_RTOL = 1e-9
+
+
+def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -> None:
+    """Check a plant's `affine` declaration on one input: simulate
+    `inputs`, all `InterpolatedSignal`s on `grid`, by superposition and by
+    `fast_sim`, and raise ValueError naming the plant when they differ by
+    more than AFFINE_RTOL. This builds the superposition operator for the
+    inputs' plans. A plant that does not declare itself affine passes, as
+    do inputs whose operator is too large to build, which `simulate` does
+    not superpose, and a probe on which `fast_sim` diverges: it cannot be
+    compared.
+    """
+    if not model.affine:
+        return
+    signals = tuple(inputs[name] for name in model.port_spec.inputs)
+    ops = _operator(model, tuple(s.plan for s in signals), grid)
+    if ops is None:
+        return
+    try:
+        direct = model.fast_sim(np.column_stack([s.values for s in signals]), grid).T
+    except DivergenceError:
+        return
+    bound = AFFINE_RTOL * max(1.0, float(np.abs(direct).max()))
+    gap = float(np.abs(_superposed(ops, signals, grid) - direct).max())
+    if not gap <= bound:
+        raise ValueError(
+            f"{model.name}: declares outputs affine in its inputs, but superposition "
+            f"differs from fast_sim by {gap:.3g} on a probe input (bound {bound:.3g})"
+        )
 
 
 class Passthrough(PlantModel):
@@ -240,11 +374,15 @@ class ChasingCars(PlantModel):
     position, or else the end of the first chunk whose end state
     overflowed: a velocity that overflows inside a chunk shows only once a
     position or a chunk end does.
+
+    The platoon is `affine`: on interpolated inputs `simulate` computes
+    its positions by superposition, from `fast_sim`'s responses.
     """
 
     name = "chasing_cars"
     port_spec = PortSpec(inputs=("throttle", "brake"), outputs=("y1", "y2", "y3", "y4", "y5"))
     default_horizon = 100.0
+    affine = True
 
     ACCEL_GAIN = 5.0
     BRAKE_GAIN = 6.0

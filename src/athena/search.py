@@ -359,6 +359,8 @@ def falsify(
     `grid` pass as they are. A manual window whose channels are all plant
     inputs then reads the encoded inputs on the whole grid instead of the
     simulated trace (`WindowStat`), so it does not lengthen the prefix.
+    Each input is an `InterpolatedSignal`, so an affine plant is simulated
+    by superposition over the inputs' coefficients (`models.simulate`).
     The plant computes only the outputs the score names, each as the
     whole plant computes it (`PlantModel.with_outputs`); a score that
     names no output, or holds a manual node of a type defined outside

@@ -22,6 +22,7 @@ __all__ = [
     "TIME_TOL",
     "TimeGrid",
     "Signal",
+    "InterpolatedSignal",
     "ControlPoints",
     "InterpolationKind",
     "WindowStatKind",
@@ -122,23 +123,57 @@ class Signal:
         shorter grid with the same step.
 
         The values are a read-only view of this signal's: they were checked
-        when it was built, so they are neither checked nor copied again.
+        when it was built, so they are neither checked nor copied again. The
+        prefix of an `InterpolatedSignal` is one too, with the same plan and
+        coefficients.
         """
         if grid.step != self.grid.step or grid.n_samples >= self.grid.n_samples:
             raise ValueError(
                 f"a prefix needs a shorter grid with step {self.grid.step}, got "
                 f"{grid.n_samples} samples at step {grid.step}"
             )
-        return _adopt(grid, self.values[: grid.n_samples])
+        values = self.values[: grid.n_samples]
+        if isinstance(self, InterpolatedSignal):
+            return _adopt(grid, values, self.plan, self.coefficients)
+        return _adopt(grid, values)
 
 
-def _adopt(grid: TimeGrid, values: np.ndarray) -> Signal:
-    """A Signal that holds `values` as they are, without a check or a copy.
+class InterpolatedSignal(Signal):
+    """A signal that `interpolate` sampled from control values.
+
+    Its samples are linear in `coefficients`, a read-only finite array:
+    the port's control values and, for pchip, the Fritsch-Carlson slopes
+    after them. `plan` is the plan that sampled them on its grid,
+    `plan.grid`: `plan.basis()[i] @ coefficients` is sample i, up to
+    rounding. A plant whose outputs are affine in its inputs
+    (`PlantModel.affine`) can then simulate the signal as a matrix-vector
+    product over the coefficients (`models.simulate`).
+
+    Only `interpolate` and `Signal.prefix` make one, and both store
+    references, not copies. The `Signal` constructor makes a plain signal,
+    even from an interpolated signal's values.
+    """
+
+    plan: "_HeldPlan | _LinearPlan | _PchipPlan"
+    coefficients: np.ndarray
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("only interpolate and Signal.prefix make an InterpolatedSignal")
+
+
+def _adopt(grid: TimeGrid, values: np.ndarray, plan=None, coefficients=None) -> Signal:
+    """A Signal that holds `values` as they are, without a check or a copy,
+    or an InterpolatedSignal when a `plan` and its `coefficients` are given.
 
     The caller has checked `values` against `grid` and made them read-only,
     and nothing else writes to them.
     """
-    signal = object.__new__(Signal)
+    if plan is None:
+        signal = object.__new__(Signal)
+    else:
+        signal = object.__new__(InterpolatedSignal)
+        object.__setattr__(signal, "plan", plan)
+        object.__setattr__(signal, "coefficients", coefficients)
     object.__setattr__(signal, "grid", grid)
     object.__setattr__(signal, "values", values)
     return signal
@@ -318,16 +353,29 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     return m
 
 
+# Every plan samples the grid it was built for, `grid`, from the values at
+# its control times. `sample(values)` returns the samples and the
+# `n_coefficients` coefficients they are linear in (None when those are
+# not all finite); `basis()` is the (samples, coefficients) matrix whose
+# product with the coefficients gives the samples, exact in exact
+# arithmetic.
+
+
 class _HeldPlan:
     """Constant and piecewise-constant kinds: each sample takes the value of
     one control point, the exact hits included."""
 
-    def __init__(self, held: np.ndarray):
+    def __init__(self, grid, n_coefficients, held: np.ndarray):
+        self.grid = grid
+        self.n_coefficients = n_coefficients
         self.held = _read_only(held)
 
-    def sample(self, values: np.ndarray) -> np.ndarray:
+    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # copies of the control values, which are finite
-        return values[self.held]
+        return values[self.held], values
+
+    def basis(self) -> np.ndarray:
+        return np.eye(self.n_coefficients)[self.held]
 
 
 class _LinearPlan:
@@ -339,7 +387,9 @@ class _LinearPlan:
     repeats of the n - 1 segments by `counts`, the number of samples in
     each: n - 1 runs copied instead of one index gathered per sample."""
 
-    def __init__(self, seg, dx, widths, hits, points):
+    def __init__(self, grid, seg, dx, widths, hits, points):
+        self.grid = grid
+        self.n_coefficients = len(widths) + 1
         self.counts = _read_only(np.bincount(seg, minlength=len(widths)))
         self.dx = _read_only(dx)
         self.widths = _read_only(widths)
@@ -349,13 +399,16 @@ class _LinearPlan:
     # np.interp never warns: a slope that overflows stays inf, and inf times
     # the zero offset at a control time is overwritten by the control value
     @np.errstate(over="ignore", invalid="ignore")
-    def sample(self, values: np.ndarray) -> np.ndarray:
+    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         slope = (values[1:] - values[:-1]) / self.widths
         out = np.repeat(slope, self.counts)
         out *= self.dx
         out += np.repeat(values[:-1], self.counts)
         out[self.hits] = values[self.points]
-        return _finite(out)
+        return _finite(out), values
+
+    def basis(self) -> np.ndarray:
+        return np.column_stack([self.sample(e)[0] for e in np.eye(self.n_coefficients)])
 
 
 # Below this bound on sum |v| * (largest value basis) + sum |m| * (largest
@@ -370,7 +423,9 @@ class _PchipPlan:
     """Monotone cubic kind: the Hermite basis of every sample, with the
     segment width already multiplied into the two slope terms."""
 
-    def __init__(self, widths, seg, h00, h10h, h01, h11h, hits, points):
+    def __init__(self, grid, widths, seg, h00, h10h, h01, h11h, hits, points):
+        self.grid = grid
+        self.n_coefficients = 2 * (len(widths) + 1)
         self.widths = widths
         self.seg = _read_only(seg)
         self.seg1 = _read_only(seg + 1)
@@ -385,19 +440,32 @@ class _PchipPlan:
         self.value_basis = float(np.max(np.abs([h00, h01])))
         self.slope_basis = float(np.max(np.abs([h10h, h11h])))
 
-    def sample(self, values: np.ndarray) -> np.ndarray:
+    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         v = values.tolist()
         m = _pchip_slopes(self.widths, v)
+        coefficients = _read_only(np.array(v + m))
+        slopes = coefficients[len(v) :]
         # checked on the Python floats: entering np.errstate costs more
         # than the check, and a NaN or infinity fails it; below the bound
-        # every sample is finite
-        bound = sum(map(abs, v)) * self.value_basis
-        if bound + sum(map(abs, m)) * self.slope_basis < _PCHIP_SAFE:
-            return self._sum(values, np.array(m))
+        # every sample is finite, and so are both sums of magnitudes
+        value_sum = sum(map(abs, v))
+        slope_sum = sum(map(abs, m))
+        if value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE:
+            return self._sum(values, slopes), coefficients
         # as in _LinearPlan: an infinite slope times the zero basis at a
         # control time is overwritten by the control value
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(self._sum(values, np.array(m)))
+            out = _finite(self._sum(values, slopes))
+        if not math.isfinite(value_sum + slope_sum):
+            coefficients = None
+        return out, coefficients
+
+    def basis(self) -> np.ndarray:
+        eye = np.eye(self.n_coefficients // 2)
+        zero = np.zeros(len(eye))
+        values = [self._sum(e, zero) for e in eye]
+        slopes = [self._sum(zero, e) for e in eye]
+        return np.column_stack(values + slopes)
 
     def _sum(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
         seg, seg1 = self.seg, self.seg1
@@ -431,7 +499,7 @@ def _plan(
     if kind in (InterpolationKind.CONSTANT, InterpolationKind.PIECEWISE_CONSTANT):
         held = np.clip(np.searchsorted(t, x + TIME_TOL, side="right") - 1, 0, n - 1)
         held[idx[near]] = np.flatnonzero(near)
-        return _HeldPlan(held)
+        return _HeldPlan(grid, n, held)
     seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, n - 2)
     if kind is InterpolationKind.LINEAR:
         # np.interp takes the control value at a control time, before the
@@ -441,12 +509,13 @@ def _plan(
         source[x >= t[-1]] = n - 1
         source[idx[near]] = np.flatnonzero(near)
         hits = np.flatnonzero(source >= 0)
-        return _LinearPlan(seg, x - t[seg], np.diff(t), hits, source[hits])
+        return _LinearPlan(grid, seg, x - t[seg], np.diff(t), hits, source[hits])
     h = t[seg + 1] - t[seg]
     s = (x - t[seg]) / h
     s2 = s * s
     s3 = s2 * s
     return _PchipPlan(
+        grid,
         tuple(np.diff(t).tolist()),
         seg,
         2.0 * s3 - 3.0 * s2 + 1.0,
@@ -484,6 +553,13 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     the control values, which are finite. A linear plan checks its
     samples. A pchip plan checks them only when its control values and
     slopes are too large to rule out an overflow (`_PCHIP_SAFE`).
+
+    The result is an `InterpolatedSignal` that also holds the plan and the
+    coefficients the samples are linear in: `cp.values` itself for the
+    held and linear kinds, and for pchip a fresh array of the control
+    values followed by the slopes the plan computed anyway. When a pchip
+    sum of coefficient magnitudes is not finite, the result is a plain
+    `Signal`.
     """
     times = tuple(cp.times.tolist())
     n = len(times)
@@ -494,8 +570,11 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         raise ValueError(
             f"control times must span [0, {grid.end}], last is {cp.times[-1]}"
         )
-    out = _plan(kind, grid, times).sample(cp.values)
-    return _adopt(grid, _read_only(out))
+    plan = _plan(kind, grid, times)
+    out, coefficients = plan.sample(cp.values)
+    if coefficients is None:
+        return _adopt(grid, _read_only(out))
+    return _adopt(grid, _read_only(out), plan, coefficients)
 
 
 def window_samples(window: tuple[float, float], grid: TimeGrid) -> int:

@@ -191,7 +191,8 @@ class Trace:
     Each channel is checked by building it as a `Signal` on the grid, which
     makes a finite read-only copy. A channel that already is a `Signal` on
     the same grid is stored as it is, without a second copy. `from_block`
-    checks and copies a plant's whole output block at once instead.
+    checks and copies a plant's whole output block at once instead, and
+    `from_rows` adopts rows its caller computed and checked itself.
     """
 
     __slots__ = ("grid", "channels")
@@ -221,11 +222,33 @@ class Trace:
         """A trace of the columns of `block`, a (samples, len(names))
         array, named in order, followed by `signals`.
 
-        One copy turns the block into read-only rows, each channel a view
-        of one, and one finiteness pass checks the copy, contiguous where
-        a plant's block may not be. Where the block fails the check, its
-        columns are checked one by one as the constructor checks them, so
-        the error names the first bad channel.
+        One copy turns the block into rows, each channel a view of one,
+        and one finiteness pass checks the copy, contiguous where a plant's
+        block may not be; `from_rows` then adopts them. Where the block
+        fails the check, its columns are checked one by one as the
+        constructor checks them, so the error names the first bad channel.
+        """
+        rows = None
+        if block.shape == (grid.n_samples, len(names)):
+            rows = np.array(block.T, dtype=float, order="C")
+        if rows is None or not np.isfinite(rows).all():
+            return cls(grid, {**dict(zip(names, block.T)), **signals})
+        return cls.from_rows(grid, names, rows, signals)
+
+    @classmethod
+    def from_rows(
+        cls,
+        grid: TimeGrid,
+        names: tuple[str, ...],
+        rows: np.ndarray,
+        signals: Mapping[str, Signal],
+    ) -> Trace:
+        """A trace of the rows of `rows`, named in order, followed by
+        `signals`, with `rows` adopted as it is: no check and no copy.
+
+        `rows` is a fresh C-contiguous (len(names), samples) float array of
+        finite values that its caller computed and checked itself, and
+        that nothing else writes to; it is made read-only here.
 
         A signal that is a `Signal` on `grid` itself (the same object) is
         adopted: the trace holds its values as they are, checked when the
@@ -233,11 +256,6 @@ class Trace:
         which checks it and copies what is not a `Signal`. The channels go
         into one mapping, built once.
         """
-        rows = None
-        if block.shape == (grid.n_samples, len(names)):
-            rows = np.array(block.T, dtype=float, order="C")
-        if rows is None or not np.isfinite(rows).all():
-            return cls(grid, {**dict(zip(names, block.T)), **signals})
         rows.setflags(write=False)
         store = dict(zip(names, rows))
         for name, signal in signals.items():

@@ -79,12 +79,33 @@ class TestArgHandling:
         assert not (tmp_path / "tc.json").exists()
 
     def test_bench_non_finite_auto_scale_exits_2(self, tmp_path, capsys):
+        # json writes and reads the NaN literal
         cfg = {"plant": "passthrough", "formula": "G[0,10] (y < 2)",
-               "assumption": "x:linear:0,1:3", "auto_scale": "nan", "repetitions": 1}
+               "assumption": "x:linear:0,1:3", "auto_scale": math.nan, "repetitions": 1}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli(["bench", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: auto_scale must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("step", True, "step must be a number, got True"),
+            ("step", "0.1", "step must be a number, got '0.1'"),
+            ("step", math.nan, "step must be finite, got nan"),
+            ("auto_scale", "2", "auto_scale must be a number, got '2'"),
+        ],
+    )
+    def test_bench_non_numeric_step_or_auto_scale_exits_2(
+        self, tmp_path, capsys, key, value, message
+    ):
+        cfg = {"plant": "passthrough", "formula": "G[0,10] (y < 2)",
+               "assumption": "x:linear:0,1:3", "repetitions": 1, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["bench", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_p_excludes_p_schedule(self, tmp_path, capsys):
         rc = cli(["falsify", "--catalog", "AT1", "--p", "0.9", "--p-schedule", "1,0",

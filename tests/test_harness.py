@@ -785,7 +785,7 @@ class TestConfigFromDict:
         "auto_scale, message",
         [
             (math.nan, "auto_scale must be finite, got nan"),
-            ("inf", "auto_scale must be finite, got inf"),
+            (math.inf, "auto_scale must be finite, got inf"),
             (-math.inf, "auto_scale must be finite, got -inf"),
         ],
     )
@@ -799,6 +799,50 @@ class TestConfigFromDict:
         with pytest.raises(ValueError) as info:
             config_from_dict(raw)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("step", True, "step must be a number, got True"),
+            ("step", "0.1", "step must be a number, got '0.1'"),
+            ("step", math.nan, "step must be finite, got nan"),
+            ("step", 0, "step must be positive, got 0"),
+            ("auto_scale", "2", "auto_scale must be a number, got '2'"),
+            ("auto_scale", "inf", "auto_scale must be a number, got 'inf'"),
+            ("auto_scale", True, "auto_scale must be a number, got True"),
+            ("auto_scale", -1.0, "auto_scale must be positive, got -1.0"),
+        ],
+    )
+    def test_step_and_auto_scale_are_numbers_not_coerced(self, key, value, message):
+        raw = {
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "assumption": "x:const:0,1:1",
+            key: value,
+        }
+        with pytest.raises(ValueError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
+
+    def test_integer_step_and_auto_scale_are_kept_as_floats(self):
+        cfg = config_from_dict({
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "assumption": "x:const:0,1:1",
+            "step": 1,
+            "auto_scale": 2,
+        })
+        assert (cfg.step, cfg.auto_scale) == (1.0, 2.0)
+        assert type(cfg.step) is float and type(cfg.auto_scale) is float
+
+    def test_one_number_rule(self):
+        import athena.fitness
+        import athena.harness
+        from athena.errors import check_number
+
+        assert not hasattr(athena.fitness, "_check_number")
+        assert not hasattr(athena.harness, "_check_number")
+        assert athena.harness.check_number is athena.fitness.check_number is check_number
 
     def test_schedule_parsed(self):
         cfg = config_from_dict({"entry": "CC1", "p_schedule": [1.0, 0.0]})

@@ -273,12 +273,16 @@ class TestChasingCars:
                     assert np.array_equal(got[:, j], full[:, names.index(name)])
 
     def test_cc1_grid_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # fast_sim on a sample block, and the superposed path on the CC1
+        # candidate its control values encode
         grid = catalog("CC1").grid()
         u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
         np.save(tmp_path / "u.npy", u)
         script = (
             "import numpy as np\n"
-            "from athena.models import ChasingCars\n"
+            "from athena.catalog import catalog\n"
+            "from athena.models import ChasingCars, simulate\n"
+            "from athena.search import encode_inputs\n"
             "from athena.signals import TimeGrid\n"
             f"grid = TimeGrid({grid.end!r}, {grid.step!r})\n"
             f"u = np.load({str(tmp_path / 'u.npy')!r})\n"
@@ -286,6 +290,12 @@ class TestChasingCars:
             f"np.save({str(tmp_path / 'full.npy')!r}, cc.fast_sim(u, grid))\n"
             "read = cc.with_outputs(['y4', 'y5']).fast_sim(u, grid)\n"
             f"np.save({str(tmp_path / 'read.npy')!r}, read)\n"
+            "a = catalog('CC1').assumption\n"
+            "inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)\n"
+            "for name, plant in (('sup_full', cc), ('sup_read', cc.with_outputs(['y4', 'y5']))):\n"
+            "    trace = simulate(plant, inputs, grid).trace\n"
+            "    rows = [trace.channel(y) for y in plant.port_spec.outputs]\n"
+            f"    np.save({str(tmp_path)!r} + '/' + name + '.npy', np.array(rows))\n"
         )
         src = str(Path(athena.__file__).parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
@@ -294,6 +304,12 @@ class TestChasingCars:
         assert np.array_equal(np.load(tmp_path / "full.npy"), cc.fast_sim(u, grid))
         read = cc.with_outputs(["y4", "y5"]).fast_sim(u, grid)
         assert np.array_equal(np.load(tmp_path / "read.npy"), read)
+        a = catalog("CC1").assumption
+        inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)
+        for name, plant in (("sup_full", cc), ("sup_read", cc.with_outputs(["y4", "y5"]))):
+            trace = simulate(plant, inputs, grid).trace
+            rows = np.array([trace.channel(y) for y in plant.port_spec.outputs])
+            assert np.array_equal(np.load(tmp_path / f"{name}.npy"), rows)
 
     def test_simulate_traces_only_the_selected_outputs(self):
         grid = TimeGrid(10.0, 0.05)
