@@ -18,9 +18,12 @@ CC1 candidate, with K built. The `-build` cases time, from a cleared
 cache, building the chasing_cars operators for the CC1 grid, the cost the
 first `fast_sim` on a grid pays, and building K for CC1's read plant and
 ports, one `fast_sim` per coefficient and one more, the cost `resolve`
-pays once per problem. The interpolation
+pays once per problem. The `resolve-CC1` case times a warm `resolve`
+of CC1, every one after the first in a process, which reuses the parsed
+entry and the probe that passed on the cached K. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
-AT2, of CC1 and of the passthrough workload. The scoring cases time
+AT2, of CC1 and of the passthrough workload, and for a 9-point pchip port
+on the passthrough workload's 12001-sample grid. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
 candidate (the passthrough robustness case on a random input). The
@@ -147,8 +150,8 @@ def test_superposition_build(benchmark, entry):
         models._operators.clear()
         return (plant, plans, grid), {}
 
-    K, y0 = benchmark.pedantic(models._operator, setup=cold, rounds=50)
-    assert K.shape == (2, 20, grid.n_samples)
+    op = benchmark.pedantic(models._operator, setup=cold, rounds=50)
+    assert op.K.shape == (2, 20, grid.n_samples)
 
 
 def test_robustness_passthrough_spec(benchmark):
@@ -200,16 +203,19 @@ def test_manual_fitness_passthrough_spec(benchmark):
 
 
 def _port_and_grid(case):
-    if case == "passthrough-x":
+    if case.startswith("passthrough-x"):
         grid = simulation_grid(Passthrough(), parse(PASSTHROUGH_FORMULA), 0.01)
-        return parse_assumption("x:linear:0,1:9").ports[0], grid
+        kind = "pchip" if case.endswith("-pchip") else "linear"
+        return parse_assumption(f"x:{kind}:0,1:9").ports[0], grid
     entry, name = case.split("-")
     problem = resolve(ExperimentConfig(entry=entry))
     port = next(p for p in problem.assumption.ports if p.port == name)
     return port, problem.grid
 
 
-@pytest.mark.parametrize("case", ["AT2-Throttle", "CC1-throttle", "passthrough-x"])
+@pytest.mark.parametrize(
+    "case", ["AT2-Throttle", "CC1-throttle", "passthrough-x", "passthrough-x-pchip"]
+)
 def test_interpolate(benchmark, case):
     port, grid = _port_and_grid(case)
     values = np.random.default_rng(0).uniform(port.lo, port.hi, port.n)
@@ -217,6 +223,14 @@ def test_interpolate(benchmark, case):
     interpolate(cp, port.kind, grid)  # builds the plan outside the timing
     signal = benchmark(interpolate, cp, port.kind, grid)
     assert len(signal.values) == grid.n_samples
+
+
+@pytest.mark.parametrize("entry", ["CC1"], ids=["resolve-CC1"])
+def test_resolve(benchmark, entry):
+    cfg = ExperimentConfig(entry=entry)
+    resolve(cfg)  # parses the entry and builds and probes K outside the timing
+    problem = benchmark(resolve, cfg)
+    assert problem.grid.n_samples == 2001
 
 
 def test_draws_at2(benchmark):

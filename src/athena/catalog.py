@@ -8,6 +8,7 @@ shapes, a robustness normalizer, and a recommended integration step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .fitness import ManualFitnessExpr, parse_manual
@@ -200,8 +201,18 @@ def catalog_ids() -> tuple[str, ...]:
     return tuple(_SPECS)
 
 
+@functools.cache
+def _parsed(formula_text: str, manual_text: str) -> tuple[Formula, ManualFitnessExpr]:
+    # the trees are frozen, so every entry of a requirement shares them;
+    # called only with the texts of _SPECS, one pair per requirement
+    return parse(formula_text), parse_manual(manual_text)
+
+
 def catalog(requirement_id: str) -> CatalogEntry:
-    """Look up one shipped requirement by id (e.g. "AT1", "CC4")."""
+    """Look up one shipped requirement by id (e.g. "AT1", "CC4").
+
+    Each call returns a fresh entry; its formula and manual trees, which
+    are immutable, are parsed once per process and shared."""
     try:
         plant, formula_text, manual_text, box, auto_scale, step, desc = _SPECS[
             requirement_id
@@ -211,13 +222,14 @@ def catalog(requirement_id: str) -> CatalogEntry:
             f"unknown requirement {requirement_id!r}; available: "
             f"{', '.join(_SPECS)}"
         ) from None
+    formula, manual = _parsed(formula_text, manual_text)
     return CatalogEntry(
         id=requirement_id,
         plant_name=plant,
         formula_text=formula_text,
-        formula=parse(formula_text),
+        formula=formula,
         manual_text=manual_text,
-        manual=parse_manual(manual_text),
+        manual=manual,
         assumption=_at_box() if box == "at" else _cc_box(),
         auto_scale=auto_scale,
         step=step,

@@ -196,9 +196,10 @@ def simulate(
     bitwise the same for the same coefficients, plans and grid, whichever
     other outputs are computed: each output is its own matrix-vector
     product. A DivergenceError then names the first sample with a
-    non-finite output. The outputs are checked for finiteness once, here,
-    and the trace adopts them (`Trace.from_rows`). Every other call runs
-    `fast_sim`.
+    non-finite output. The outputs are finite, by a bound on the
+    coefficients' magnitudes and K's and Y0's (`_SUPERPOSED_SAFE`), or else
+    checked once, here, and the trace adopts them (`Trace.from_rows`).
+    Every other call runs `fast_sim`.
     """
     spec = model.port_spec
     given = set(inputs)
@@ -218,9 +219,9 @@ def simulate(
         if signal.grid is not grid and signal.grid != grid:
             raise ValueError(f"input {name!r} is not sampled on the simulation grid")
     if model.affine and all(isinstance(s, InterpolatedSignal) for s in signals.values()):
-        ops = _operator(model, tuple(s.plan for s in signals.values()), grid)
-        if ops is not None:
-            rows = _superposed(ops, tuple(signals.values()), grid)
+        op = _operator(model, tuple(s.plan for s in signals.values()), grid)
+        if op is not None:
+            rows = _superposed(op, tuple(signals.values()), grid)
             return SimResult(Trace.from_rows(grid, spec.outputs, rows, signals))
     u = np.empty((grid.n_samples, len(signals)))
     for j, signal in enumerate(signals.values()):
@@ -236,25 +237,50 @@ def simulate(
 # for the whole platoon on the same grid. One larger than the budget is
 # never built.
 SUPERPOSITION_CACHE_BYTES = 16 << 20
-_operators: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _operator(model: PlantModel, plans: tuple, grid: TimeGrid):
-    """(K, Y0) of `simulate`'s superposed path, both read-only: K is
-    (outputs, coefficients, samples) and Y0 (outputs, samples). None when
-    they would take more than SUPERPOSITION_CACHE_BYTES."""
+class _Operator:
+    """K and Y0 of `simulate`'s superposed path, both read-only: K is
+    (outputs, coefficients, samples) and Y0 (outputs, samples). `k_max`
+    and `y0_max` are their largest magnitudes (NaN where they hold one),
+    and `probes` holds the coefficients, as bytes, of every input
+    `check_affine` has passed on this operator."""
+
+    __slots__ = ("K", "y0", "k_max", "y0_max", "probes")
+
+    def __init__(self, K: np.ndarray, y0: np.ndarray):
+        K.setflags(write=False)
+        y0.setflags(write=False)
+        self.K = K
+        self.y0 = y0
+        # max and -min, not max of |K|: no temporary as large as K
+        self.k_max = max(float(K.max()), -float(K.min()))
+        self.y0_max = max(float(y0.max()), -float(y0.min()))
+        self.probes: set[bytes] = set()
+
+    @property
+    def nbytes(self) -> int:
+        return self.K.nbytes + self.y0.nbytes
+
+
+_operators: dict[tuple, _Operator] = {}
+
+
+def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | None:
+    """The `_Operator` of `simulate`'s superposed path for `model`'s
+    outputs on inputs sampled by `plans` on `grid`. None when K and Y0
+    would take more than SUPERPOSITION_CACHE_BYTES."""
     key = (type(model), model.port_spec.outputs, plans, grid)
-    ops = _operators.get(key)
-    if ops is None:
+    op = _operators.get(key)
+    if op is None:
         n = grid.n_samples
         shape = (len(model.port_spec.outputs), sum(plan.n_coefficients for plan in plans), n)
         size = 8 * shape[0] * (shape[1] + 1) * n
         if size > SUPERPOSITION_CACHE_BYTES:
             return None
-        kept = sum(K.nbytes + y0.nbytes for K, y0 in _operators.values())
+        kept = sum(other.nbytes for other in _operators.values())
         while kept + size > SUPERPOSITION_CACHE_BYTES:
-            K, y0 = _operators.pop(next(iter(_operators)))
-            kept -= K.nbytes + y0.nbytes
+            kept -= _operators.pop(next(iter(_operators))).nbytes
         bases = [plan.basis()[:n] for plan in plans]
         K = np.empty(shape)
         u = np.zeros((n, len(bases)))
@@ -266,24 +292,38 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid):
                 np.subtract(model.fast_sim(u, grid).T, y0, out=K[:, k])
                 k += 1
             u[:, j] = 0.0
-        ops = (K, y0)
-        for a in ops:
-            a.setflags(write=False)
-        _operators[key] = ops
-    return ops
+        op = _operators[key] = _Operator(K, y0)
+    return op
 
 
-# Overflow must surface as DivergenceError, not as a numpy warning
-@np.errstate(over="ignore", invalid="ignore")
-def _superposed(ops: tuple, signals: tuple, grid: TimeGrid) -> np.ndarray:
-    """Y0 + K x, `ops` = (K, Y0), as fresh (outputs, samples) rows,
-    checked finite."""
-    K, y0 = ops
-    rows = np.matmul(np.concatenate([s.coefficients for s in signals]), K)
-    rows += y0
-    if not np.isfinite(rows).all():
-        finite = np.isfinite(rows).all(axis=0)
-        raise DivergenceError(int(np.argmin(finite)) * grid.step)
+# Below this bound on sum |x| * max |K| * (1 + _SUPERPOSED_MARGIN) + max
+# |Y0|, over the coefficients x and an operator's K and Y0, no product,
+# partial sum or output of Y0 + K x can overflow: each output adds the
+# products x_j K_jt, in whatever order the matrix product takes, to Y0_t,
+# and with rounding every partial sum stays under sum |x| * max |K| times
+# 1 + c * 2^-53 for c coefficients, which the margin covers up to c = 9e9,
+# against a float maximum of 1.797e308.
+_SUPERPOSED_SAFE = 1e300
+_SUPERPOSED_MARGIN = 1e-6
+
+
+def _superposed(op: _Operator, signals: tuple, grid: TimeGrid) -> np.ndarray:
+    """Y0 + K x as fresh (outputs, samples) rows, checked finite."""
+    x = np.concatenate([s.coefficients for s in signals])
+    # on the Python floats, which overflow to inf silently; a NaN or an
+    # infinity fails the bound, and below it every output is finite
+    size = sum(map(abs, x.tolist()))
+    if size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max < _SUPERPOSED_SAFE:
+        rows = np.matmul(x, op.K)
+        rows += op.y0
+        return rows
+    # overflow must surface as DivergenceError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.matmul(x, op.K)
+        rows += op.y0
+        if not np.isfinite(rows).all():
+            finite = np.isfinite(rows).all(axis=0)
+            raise DivergenceError(int(np.argmin(finite)) * grid.step)
     return rows
 
 
@@ -302,24 +342,33 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     do inputs whose operator is too large to build, which `simulate` does
     not superpose, and a probe on which `fast_sim` diverges: it cannot be
     compared.
+
+    The operator keeps every probe that passed the comparison, by its
+    coefficients, which with the operator's plans and grid fix the input
+    samples: checking it again on the same operator makes no simulation.
+    A probe that failed is compared again on every call.
     """
     if not model.affine:
         return
     signals = tuple(inputs[name] for name in model.port_spec.inputs)
-    ops = _operator(model, tuple(s.plan for s in signals), grid)
-    if ops is None:
+    op = _operator(model, tuple(s.plan for s in signals), grid)
+    if op is None:
+        return
+    probe = np.concatenate([s.coefficients for s in signals]).tobytes()
+    if probe in op.probes:
         return
     try:
         direct = model.fast_sim(np.column_stack([s.values for s in signals]), grid).T
     except DivergenceError:
         return
     bound = AFFINE_RTOL * max(1.0, float(np.abs(direct).max()))
-    gap = float(np.abs(_superposed(ops, signals, grid) - direct).max())
+    gap = float(np.abs(_superposed(op, signals, grid) - direct).max())
     if not gap <= bound:
         raise ValueError(
             f"{model.name}: declares outputs affine in its inputs, but superposition "
             f"differs from fast_sim by {gap:.3g} on a probe input (bound {bound:.3g})"
         )
+    op.probes.add(probe)
 
 
 class Passthrough(PlantModel):

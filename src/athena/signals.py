@@ -421,66 +421,62 @@ _PCHIP_SAFE = 1e308
 
 class _PchipPlan:
     """Monotone cubic kind: the Hermite basis of every sample, with the
-    segment width already multiplied into the two slope terms."""
+    segment width already multiplied into the two slope terms.
 
-    def __init__(self, grid, widths, seg, h00, h10h, h01, h11h, hits, points):
+    As in `_LinearPlan`, the segment never decreases along the grid, so the
+    four coefficients each sample reads, v[k], m[k], v[k + 1] and m[k + 1]
+    of its segment k, are copied over the segments' runs of `counts`
+    samples instead of gathered per sample: `terms` holds their indices
+    into the coefficients [v, m], one column per segment, and `hermite`
+    the four basis rows they are multiplied by."""
+
+    def __init__(self, grid, widths, seg, hermite, hits, points):
+        n = len(widths) + 1
         self.grid = grid
-        self.n_coefficients = 2 * (len(widths) + 1)
+        self.n_coefficients = 2 * n
         self.widths = widths
-        self.seg = _read_only(seg)
-        self.seg1 = _read_only(seg + 1)
-        self.h00 = _read_only(h00)
-        self.h10h = _read_only(h10h)
-        self.h01 = _read_only(h01)
-        self.h11h = _read_only(h11h)
+        k = np.arange(n - 1)
+        self.terms = _read_only(np.stack([k, n + k, k + 1, n + k + 1]))
+        self.counts = _read_only(np.bincount(seg, minlength=n - 1))
+        self.hermite = _read_only(hermite)
         self.hits = _read_only(hits)
         self.points = _read_only(points)
         # at most 1 and 4/27 of the segment width inside the control times;
         # NaN when a basis is, which fails the bound
-        self.value_basis = float(np.max(np.abs([h00, h01])))
-        self.slope_basis = float(np.max(np.abs([h10h, h11h])))
+        self.value_basis = float(np.max(np.abs(hermite[0::2])))
+        self.slope_basis = float(np.max(np.abs(hermite[1::2])))
 
     def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         v = values.tolist()
         m = _pchip_slopes(self.widths, v)
         coefficients = _read_only(np.array(v + m))
-        slopes = coefficients[len(v) :]
         # checked on the Python floats: entering np.errstate costs more
         # than the check, and a NaN or infinity fails it; below the bound
         # every sample is finite, and so are both sums of magnitudes
         value_sum = sum(map(abs, v))
         slope_sum = sum(map(abs, m))
         if value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE:
-            return self._sum(values, slopes), coefficients
+            return self._sum(coefficients), coefficients
         # as in _LinearPlan: an infinite slope times the zero basis at a
         # control time is overwritten by the control value
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _finite(self._sum(values, slopes))
+            out = _finite(self._sum(coefficients))
         if not math.isfinite(value_sum + slope_sum):
             coefficients = None
         return out, coefficients
 
     def basis(self) -> np.ndarray:
-        eye = np.eye(self.n_coefficients // 2)
-        zero = np.zeros(len(eye))
-        values = [self._sum(e, zero) for e in eye]
-        slopes = [self._sum(zero, e) for e in eye]
-        return np.column_stack(values + slopes)
+        return np.column_stack([self._sum(e) for e in np.eye(self.n_coefficients)])
 
-    def _sum(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
-        seg, seg1 = self.seg, self.seg1
-        # h00 * v[seg] + h10h * m[seg] + h01 * v[seg1] + h11h * m[seg1],
-        # summed left to right in two buffers
-        out = values[seg]
-        out *= self.h00
-        term = m[seg]
-        term *= self.h10h
-        out += term
-        np.multiply(values[seg1], self.h01, out=term)
-        out += term
-        np.multiply(m[seg1], self.h11h, out=term)
-        out += term
-        out[self.hits] = values[self.points]
+    def _sum(self, coefficients: np.ndarray) -> np.ndarray:
+        # h00 * v[k] + h10h * m[k] + h01 * v[k + 1] + h11h * m[k + 1],
+        # summed left to right into a fresh array
+        terms = np.repeat(coefficients[self.terms], self.counts, axis=1)
+        terms *= self.hermite
+        out = np.add(terms[0], terms[1])
+        out += terms[2]
+        out += terms[3]
+        out[self.hits] = coefficients[self.points]
         return out
 
 
@@ -514,16 +510,11 @@ def _plan(
     s = (x - t[seg]) / h
     s2 = s * s
     s3 = s2 * s
+    hermite = np.stack(
+        [2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h]
+    )
     return _PchipPlan(
-        grid,
-        tuple(np.diff(t).tolist()),
-        seg,
-        2.0 * s3 - 3.0 * s2 + 1.0,
-        (s3 - 2.0 * s2 + s) * h,
-        -2.0 * s3 + 3.0 * s2,
-        (s3 - s2) * h,
-        idx[near],
-        np.flatnonzero(near),
+        grid, tuple(np.diff(t).tolist()), seg, hermite, idx[near], np.flatnonzero(near)
     )
 
 
@@ -536,18 +527,19 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
 
     Everything that depends only on the control times is a plan, cached
     per (kind, grid, control times) for the most recent PLAN_CACHE_SIZE
-    keys: the segment of every sample, its Hermite basis (pchip) or offset
-    into the segment (linear), the held control point (constant kinds),
-    the exact hits and, since the segment never decreases along the grid,
-    the number of samples in each segment's run (linear), all read-only.
-    A linear plan copies each segment's slope and value over its run
-    (`np.repeat`); a held or pchip plan gathers per sample: on the 1001-
-    and 2001-sample pchip grids of the catalog the gather is as fast or
-    faster. A pchip plan, the largest, holds six arrays of 8 bytes per
-    sample, so the cache holds at most PLAN_CACHE_SIZE * 48 * n_samples
-    bytes (18 MB on a 12001-sample grid); a linear or held plan holds
-    one. Each call computes the samples from `cp.values` into a fresh
-    array, which the returned signal holds read-only, without a copy.
+    keys: every sample's Hermite basis (pchip) or offset into its segment
+    (linear), the held control point (constant kinds), the exact hits
+    and, since the segment never decreases along the grid, the number of
+    samples in each segment's run (linear and pchip), all read-only. A
+    linear plan copies each segment's slope and value over its run, and a
+    pchip plan the segment's two values and two slopes (`np.repeat`); a
+    held plan gathers per sample. A pchip plan, the largest, holds four
+    basis rows of 8 bytes per sample, plus 8 bytes per segment for its
+    run lengths, so the cache holds at most about PLAN_CACHE_SIZE * 32 *
+    n_samples bytes (12 MB on a 12001-sample grid); a linear plan holds
+    one array of 8 bytes per sample, a held plan one. Each call computes
+    the samples from `cp.values` into a fresh array, which the returned
+    signal holds read-only, without a copy.
 
     The samples are finite, or this raises ValueError. A held plan copies
     the control values, which are finite. A linear plan checks its

@@ -52,9 +52,12 @@ class AtomExpr:
         multiplied. That is bitwise the sum from a zero seed, 0 + t1 + ...
         + const: the seed changes only a -0.0 sum to +0.0, and so does
         adding any const but -0.0. With no terms or a -0.0 const the zero
-        seed is kept. Each sum is written into a buffer this call made,
-        the running sum's or a product term's, once there is one, so the
-        operands and their order are those of the plain sum.
+        seed is kept. A later term with coefficient -1 is subtracted, not
+        multiplied and added: IEEE 754 defines a - b as a + (-b), and -1 * b
+        is -b exactly, so the bits are the same. Each sum is written into a
+        buffer this call made, the running sum's or a product term's, once
+        there is one, so the operands and their order are those of the
+        plain sum.
         """
         acc, owned = None, False
         negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
@@ -62,6 +65,9 @@ class AtomExpr:
             acc, owned = np.zeros(trace.grid.n_samples)[start:stop], True
         for name, coeff in self.terms:
             term = trace.channel(name)[start:stop]
+            if acc is not None and coeff == -1.0:
+                acc, owned = np.subtract(acc, term, out=acc if owned else None), True
+                continue
             product = coeff != 1.0
             if product:
                 term = np.multiply(term, coeff)

@@ -8,7 +8,8 @@ reduced-transmission model, and a brute-force rank-sum enumerator. The
 numpy references are code the package replaced, kept so the replacement
 can be required to match it bit for bit: `interpolate_reference`, the
 per-call interpolation that the cached plans of `signals.interpolate`
-replaced, `walk_reference`, the whole-trace robustness walk (with
+replaced, `pchip_basis_reference`, the per-sample pchip basis that the
+segment-run plan replaced, `walk_reference`, the whole-trace robustness walk (with
 `values_reference`, the zero-seeded channel-expression sum) that the
 cached STL plans replaced, and `atom_values_reference`, the sliced
 channel-expression sum that the one-buffer `AtomExpr.values` replaced.
@@ -167,6 +168,36 @@ def interpolate_reference(cp, kind, grid):
     near &= np.abs(cp.times - idx * grid.step) <= TIME_TOL
     out[idx[near]] = cp.values[near]
     return out
+
+
+def pchip_basis_reference(grid, times):
+    """The (samples, 2n) basis of a pchip plan as the plan computed it when
+    it gathered four coefficients per sample: column j is the samples of
+    the j-th of the control values and then the slopes set to 1, the
+    others 0, summed left to right, then the exact-hit patch."""
+    t = np.array(times, dtype=float)
+    n = len(t)
+    x = grid.times()
+    seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, n - 2)
+    seg1 = seg + 1
+    h = t[seg1] - t[seg]
+    s = (x - t[seg]) / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10h = (s3 - 2.0 * s2 + s) * h
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11h = (s3 - s2) * h
+    idx = np.rint(t / grid.step).astype(int)
+    near = (idx >= 0) & (idx < grid.n_samples)
+    near &= np.abs(t - idx * grid.step) <= TIME_TOL
+    eye, zero = np.eye(n), np.zeros(n)
+    columns = []
+    for v, m in [(e, zero) for e in eye] + [(zero, e) for e in eye]:
+        out = h00 * v[seg] + h10h * m[seg] + h01 * v[seg1] + h11h * m[seg1]
+        out[idx[near]] = v[near]
+        columns.append(out)
+    return np.column_stack(columns)
 
 
 # --- naive recursive robustness ------------------------------------------

@@ -32,6 +32,13 @@ class TestCatalogListing:
         assert first.manual == second.manual
         assert first.assumption == second.assumption
 
+    def test_lookups_share_their_parsed_trees(self):
+        first = catalog("CC2")
+        second = catalog("CC2")
+        assert first is not second
+        assert first.formula is second.formula
+        assert first.manual is second.manual
+
 
 class TestEntryStructure:
     @pytest.mark.parametrize("entry_id", AT_IDS + CC_IDS)

@@ -2,8 +2,8 @@
 
 The search draws through numpy Generator's own definitions of the calls it
 used to make, a channel expression accumulates into one buffer, and the
-linear interpolation plan copies runs of segments instead of gathering one
-index per sample. Each must give exactly what the replaced form gives, so
+linear and pchip interpolation plans copy runs of segments instead of
+gathering per sample. Each must give exactly what the replaced form gives, so
 a numpy upgrade that changes the internals these rest on fails here.
 """
 
@@ -31,7 +31,12 @@ from athena.signals import (
 )
 from athena.stl import AtomExpr, Trace, parse, robustness
 
-from oracles import atom_values_reference, interpolate_reference, robustness_reference
+from oracles import (
+    atom_values_reference,
+    interpolate_reference,
+    pchip_basis_reference,
+    robustness_reference,
+)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -135,8 +140,18 @@ EXPRESSIONS = [
     AtomExpr((("a", -0.0),)),
     AtomExpr((), const=-0.0),
     AtomExpr((), const=4.5, absolute=True),
+    # a later -1 term is subtracted; a first one is still multiplied
+    AtomExpr((("a", -1.0), ("b", -1.0))),
+    AtomExpr((("b", -1.0),), const=-0.0),
+    AtomExpr((("a", 1.0), ("b", -1.0), ("a", -1.0)), const=-0.0),
+    AtomExpr((("a", 0.5), ("b", -1.0), ("b", 1.0)), absolute=True),
 ]
 RANGES = [(0, None), (0, 1), (2, 7), (8, 9), (4, 4)]
+# every pairing of +-0.0, +-inf and a finite value, column against column
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 1.5]
+SPECIAL_COLUMNS = np.array(
+    [[x for x in SPECIAL for _ in SPECIAL], [y for _ in SPECIAL for y in SPECIAL]]
+)
 
 
 class TestAtomValues:
@@ -147,6 +162,16 @@ class TestAtomValues:
         got = expr.values(trace, start, stop)
         want = atom_values_reference(expr, trace, start, stop)
         assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS, ids=str)
+    def test_signed_zeros_and_infinities(self, expr):
+        # Trace.from_rows adopts the columns unchecked, infinities included
+        grid = TimeGrid(len(SPECIAL) ** 2 - 1.0, 1.0)
+        trace = Trace.from_rows(grid, ("a", "b"), SPECIAL_COLUMNS.copy(), {})
+        with np.errstate(invalid="ignore"):
+            got = expr.values(trace)
+            want = atom_values_reference(expr, trace)
         assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("expr", EXPRESSIONS, ids=str)
@@ -316,6 +341,54 @@ class TestPchipOverflowBound:
         plan = _plan(PCHIP, TimeGrid(10.0, 0.5), (0.0, 2.0, 10.0))
         assert plan.value_basis == pytest.approx(1.0)
         assert 0.0 < plan.slope_basis <= 8.0 * 4.0 / 27.0 + 1e-12
+
+
+class TestPchipSegmentRuns:
+    """A pchip plan copies each segment's four coefficients over its run of
+    samples and sums the Hermite terms in the order the per-sample gather
+    did, so its samples and basis are the reference's bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_segments_without_samples(self, n):
+        # 3 samples, so most segments hold none
+        grid = TimeGrid(1.0, 0.5)
+        times = tuple(uniform_control_times(grid, n).tolist())
+        assert 0 in _plan(PCHIP, grid, times).counts
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            got, want = _pchip_case(times, rng.uniform(-5.0, 5.0, n), grid)
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_two_points(self):
+        grid = TimeGrid(10.0, 0.5)
+        for values in ([1.0, -2.0], [-0.0, 0.0], [3.0, 3.0]):
+            got, want = _pchip_case([0.0, 10.0], values, grid)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("grid", [TimeGrid(1.0, 0.5), TimeGrid(10.0, 0.5)])
+    def test_overflow_path(self, grid, monkeypatch):
+        checked = []
+        finite = signals._finite
+        monkeypatch.setattr(signals, "_finite", lambda out: checked.append(1) or finite(out))
+        for values in ([1e308, -1e308, 1e308, 0.0, 1.0], [1.7e308, 1.7e308, 0.0, 0.0, 2.0]):
+            got, want = _pchip_case(uniform_control_times(grid, 5), values, grid)
+            if got is not None:
+                assert np.array_equal(bits(got), bits(want))
+        assert checked
+
+    @pytest.mark.parametrize(
+        "grid, times",
+        [
+            (TimeGrid(1.0, 0.5), (0.0, 0.25, 0.5, 0.75, 1.0)),
+            (TimeGrid(10.0, 0.5), (0.0, 10.0)),
+            (TimeGrid(10.0, 0.5), (0.0, 2.0, 3.3, 10.0)),
+            (TimeGrid(100.0, 0.05), tuple(np.linspace(0.0, 100.0, 7).tolist())),
+            (TimeGrid(1e-8, 1e-10), (5e-10, 4e-9, 1e-8 - 5e-10)),
+        ],
+    )
+    def test_basis_as_the_per_sample_plan_built_it(self, grid, times):
+        got = _plan(PCHIP, grid, times).basis()
+        assert np.array_equal(bits(got), bits(pchip_basis_reference(grid, times)))
 
 
 def _box(n=3, lo=0.0, hi=1.0):

@@ -4,8 +4,11 @@ On interpolated inputs, `simulate` computes an `affine` plant's outputs as
 Y0 + K x over the inputs' interpolation coefficients x, instead of calling
 `fast_sim`. The outputs must agree with `fast_sim`'s within the stated
 bound (`AFFINE_RTOL`), replay bit for bit from a test case's inputs, and
-raise DivergenceError where they overflow. A false `affine` declaration is
-rejected at resolve; every other plant and input keeps `fast_sim`.
+raise DivergenceError where they overflow, checked only when a bound does
+not rule that out. A false `affine` declaration is rejected at every
+resolve; a probe that passed is kept with its operator, so resolving the
+same problem again makes no simulation. Every other plant and input keeps
+`fast_sim`.
 """
 
 import json
@@ -246,10 +249,10 @@ class TestDivergence:
             with pytest.raises(DivergenceError) as info:
                 simulate(cc, inputs, grid)
             # the first sample at which Y0 + K x is not finite
-            K, y0 = models._operator(cc, tuple(s.plan for s in inputs.values()), grid)
+            op = models._operator(cc, tuple(s.plan for s in inputs.values()), grid)
             x = np.concatenate([s.coefficients for s in inputs.values()])
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = x @ K + y0
+                rows = x @ op.K + op.y0
         first = int(np.argmin(np.isfinite(rows).all(axis=0)))
         assert 0 < first < grid.n_samples
         assert info.value.time == first * grid.step
@@ -347,7 +350,8 @@ class TestOperatorCache:
                 problem.grid,
             )
         assert len(models._operators) == 1
-        (K, y0), = models._operators.values()
+        (op,) = models._operators.values()
+        K, y0 = op.K, op.y0
         # y4 and y5, 20 coefficients, 2001 samples: 640 KB
         assert K.shape == (2, 20, 2001) and y0.shape == (2, 2001)
         assert K.nbytes == 640320
@@ -364,10 +368,10 @@ class TestOperatorCache:
             cp = ControlPoints(uniform_control_times(grid, n), np.ones(n))
             signal = interpolate(cp, InterpolationKind.LINEAR, grid)
             simulate(cc, {"throttle": signal, "brake": signal}, grid)
-            kept = [K.nbytes + y0.nbytes for K, y0 in models._operators.values()]
+            kept = [op.nbytes for op in models._operators.values()]
             assert sum(kept) <= budget
-            (K, _), *_ = reversed(models._operators.values())
-            assert K.shape == (5, 2 * n, 21)
+            newest, *_ = reversed(models._operators.values())
+            assert newest.K.shape == (5, 2 * n, 21)
         # the newest two fit, the third newest did not
         assert kept == [(2 * n + 1) * 840 for n in (8, 9)]
 
@@ -383,6 +387,69 @@ class TestOperatorCache:
         trace = simulate(cc, inputs, grid).trace
         assert not models._operators
         assert np.array_equal(_rows(trace, cc.port_spec.outputs), _fast(cc, inputs, grid))
+
+
+class TestOverflowBound:
+    def test_largest_magnitudes_of_the_operator(self):
+        models._operators.clear()
+        resolve(ExperimentConfig(entry="CC1"))
+        (op,) = models._operators.values()
+        assert op.k_max == np.abs(op.K).max()
+        assert op.y0_max == np.abs(op.y0).max()
+
+    def test_unchecked_rows_equal_checked_ones(self, monkeypatch):
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
+        inputs = _candidate_inputs(problem, a.lower + 0.7 * a.width, grid)
+        outputs = problem.plant.port_spec.outputs
+        simulate(problem.plant, inputs, grid)  # builds the operator
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: checked.append(1) or isfinite(x))
+        fast = _rows(simulate(problem.plant, inputs, grid).trace, outputs)
+        assert checked == []
+        # forced down the checked path, the same product gives the same bits
+        monkeypatch.setattr(models, "_SUPERPOSED_SAFE", 0.0)
+        slow = _rows(simulate(problem.plant, inputs, grid).trace, outputs)
+        assert checked == [1]
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+
+
+class TestResolveOnce:
+    def test_second_resolve_makes_no_simulation(self, monkeypatch):
+        resolve(ExperimentConfig(entry="CC1"))
+        calls = []
+        fast_sim = ChasingCars.fast_sim
+        monkeypatch.setattr(
+            ChasingCars, "fast_sim", lambda self, u, grid: calls.append(1) or fast_sim(self, u, grid)
+        )
+        resolve(ExperimentConfig(entry="CC1"))
+        assert calls == []
+
+    def test_false_declaration_rejected_on_every_resolve(self):
+        class AffineAT(AutoTransmissionLite):
+            affine = True
+
+        cfg = ExperimentConfig(
+            plant=AffineAT(),
+            formula_text=catalog("AT1").formula_text,
+            assumption=catalog("AT1").assumption,
+            step=catalog("AT1").step,
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="declares outputs affine"):
+                resolve(cfg)
+        # only probes that passed are kept
+        (op,) = [op for key, op in models._operators.items() if key[0] is AffineAT]
+        assert op.probes == set()
+
+    def test_one_passed_probe_kept_per_problem(self):
+        models._operators.clear()
+        resolve(ExperimentConfig(entry="CC1"))
+        (op,) = models._operators.values()
+        assert len(op.probes) == 1
+        resolve(ExperimentConfig(entry="CC1"))
+        assert len(op.probes) == 1
 
 
 class TestCsvRoundTrip:
