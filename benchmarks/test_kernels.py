@@ -30,13 +30,13 @@ candidate (the passthrough robustness case on a random input). The
 search cases time one restart draw plus one proposal and one
 `Assumption.control_points` decode on the AT2 box, and the channel
 expression of the passthrough predicate over every sample. The
-iteration case times one CC1 iteration after the proposal, through the
-same calls `falsify` makes: `Assumption.control_points`, `encode_inputs`,
-`simulate` of the outputs the score names and `assess`, on a warm
-problem; its time less the kernel cases above (on CC1 the superposed
-`simulate`, not `fast_sim`) is the glue between the kernels: checks,
-copies and the objects each call builds. The
-end-to-end cases
+iteration cases time one CC1 and one AT2 iteration after the proposal,
+through the same calls `falsify` makes: `Assumption.control_points`,
+`encode_inputs`, on AT2 the cut to the prefix the score reads, `simulate`
+of the outputs the score names and `assess`, on a warm problem; their
+time less the kernel cases above (on CC1 the superposed `simulate`, on
+AT2 the prefix `fast_sim`) is the glue between the kernels: checks,
+copies and the objects each call builds. The end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
 """
@@ -271,6 +271,27 @@ def test_iteration_cc1(benchmark):
     iteration()  # builds the plans and operators outside the timing
     # the platoon is simulated by superposition
     assert models._operators
+    value = benchmark(iteration)
+    assert np.isfinite(value.combined)
+
+
+def test_iteration_at2(benchmark):
+    problem = resolve(ExperimentConfig(entry="AT2"))
+    a, grid, fitness = problem.assumption, problem.grid, problem.fitness
+    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    # AT2 reads the outputs' leading samples only, so falsify simulates
+    # that prefix and scores input windows on the whole grid
+    assert sim_grid.n_samples < grid.n_samples
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+
+    def iteration():
+        controls = a.control_points(vector, grid)
+        inputs = encode_inputs(a, controls, grid)
+        part = {name: signal.prefix(sim_grid) for name, signal in inputs.items()}
+        trace = simulate(sim_plant, part, sim_grid).trace
+        return assess(fitness, trace, 0, 300, controls, Trace(grid, inputs))
+
+    iteration()  # builds the plans outside the timing
     value = benchmark(iteration)
     assert np.isfinite(value.combined)
 

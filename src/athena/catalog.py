@@ -17,7 +17,7 @@ from .search import Assumption, PortAssumption, simulation_grid
 from .signals import InterpolationKind, TimeGrid
 from .stl import Formula, parse
 
-__all__ = ["CatalogEntry", "catalog", "catalog_ids"]
+__all__ = ["CatalogEntry", "catalog", "catalog_ids", "parsed"]
 
 _PCHIP = InterpolationKind.PCHIP
 
@@ -201,18 +201,33 @@ def catalog_ids() -> tuple[str, ...]:
     return tuple(_SPECS)
 
 
-@functools.cache
-def _parsed(formula_text: str, manual_text: str) -> tuple[Formula, ManualFitnessExpr]:
-    # the trees are frozen, so every entry of a requirement shares them;
-    # called only with the texts of _SPECS, one pair per requirement
-    return parse(formula_text), parse_manual(manual_text)
+# Parsed (formula, manual) text pairs kept per process, the least recently
+# used dropped first: room for every requirement's pair and as many
+# inline configs'.
+PARSE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def parsed(
+    formula_text: str, manual_text: str | None
+) -> tuple[Formula, ManualFitnessExpr | None]:
+    """The formula and manual trees of these texts; the manual is None
+    when its text is.
+
+    The trees are frozen, so every caller of the same texts shares them:
+    each requirement's entries and every `harness.resolve` of an inline
+    config. A text that fails to parse raises on every call, since an
+    exception is not cached.
+    """
+    manual = parse_manual(manual_text) if manual_text is not None else None
+    return parse(formula_text), manual
 
 
 def catalog(requirement_id: str) -> CatalogEntry:
     """Look up one shipped requirement by id (e.g. "AT1", "CC4").
 
     Each call returns a fresh entry; its formula and manual trees, which
-    are immutable, are parsed once per process and shared."""
+    are immutable, are parsed once and shared (`parsed`)."""
     try:
         plant, formula_text, manual_text, box, auto_scale, step, desc = _SPECS[
             requirement_id
@@ -222,7 +237,7 @@ def catalog(requirement_id: str) -> CatalogEntry:
             f"unknown requirement {requirement_id!r}; available: "
             f"{', '.join(_SPECS)}"
         ) from None
-    formula, manual = _parsed(formula_text, manual_text)
+    formula, manual = parsed(formula_text, manual_text)
     return CatalogEntry(
         id=requirement_id,
         plant_name=plant,

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import catalog
+from .catalog import catalog, parsed
 from .errors import check_number
-from .fitness import FitnessAssessment, parse_manual
+from .fitness import FitnessAssessment
 from .models import PlantModel, builtin, check_affine
 from .search import (
     Assumption,
@@ -40,7 +40,6 @@ from .signals import (
     interpolate,
     uniform_control_times,
 )
-from .stl import parse
 
 __all__ = [
     "MODES",
@@ -218,7 +217,8 @@ class Problem:
 
 def resolve(cfg: ExperimentConfig) -> Problem:
     """Build the problem an experiment config names, from its catalog
-    entry or its inline pieces.
+    entry or its inline pieces. The texts of either are parsed once per
+    process (`catalog.parsed`).
 
     Rejects a problem no run could score, before any simulation, by the
     checks of `search.check_problem`, the ones `falsify` runs. The grid
@@ -233,8 +233,8 @@ def resolve(cfg: ExperimentConfig) -> Problem:
         plant, formula, manual = e.make_plant(), e.formula, e.manual
         assumption, auto_scale, step = e.assumption, e.auto_scale, e.step
     else:
-        plant, formula = cfg.plant, parse(cfg.formula_text)
-        manual = parse_manual(cfg.manual_text) if cfg.manual_text is not None else None
+        plant = cfg.plant
+        formula, manual = parsed(cfg.formula_text, cfg.manual_text)
         assumption = cfg.assumption
         auto_scale = cfg.auto_scale if cfg.auto_scale is not None else 1.0
         step = cfg.step if cfg.step is not None else 0.05

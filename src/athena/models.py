@@ -619,14 +619,18 @@ class AutoTransmissionLite(PlantModel):
 
     The speed derivative in gear g is d_g(t) - 0.02 * speed, where the input
     term d_g = 0.9 * (Throttle / 100) * torque_g - 0.35 * (Brake / 325) * 3.25
-    does not depend on the state. `fast_sim` computes d_g with numpy at the
-    sample times and at the step midpoints, once per simulation and per gear,
-    from the sample where the run first enters that gear. The Python loop
-    keeps only the state-dependent RK4 arithmetic and the shift test. The
-    result is bit-identical to evaluating each stage in full: elementwise
-    float64 numpy rounds exactly as Python floats do, and every operation
-    keeps its order. The step is deliberately not folded into a closed form
-    p * speed + q, which would round differently.
+    does not depend on the state. `fast_sim` computes its two parts, thrust
+    0.9 * (Throttle / 100) and drag 0.35 * (Brake / 325) * 3.25, with numpy
+    at the sample times and at the step midpoints, as one (4, samples)
+    block per simulation. The Python loop forms d_g = thrust * torque_g -
+    drag at each step, in the gear it is in, then does the state-dependent
+    RK4 arithmetic and the shift test. Speed, RPM and Gear are written into
+    one (3, samples) block, which one finiteness pass checks. The result is
+    bit-identical to evaluating each stage in full: elementwise float64
+    numpy rounds exactly as Python floats do, a product rounds the same
+    whichever operand comes first, and every operation keeps its order.
+    The step is deliberately not folded into a closed form p * speed + q,
+    which would round differently.
     """
 
     name = "at_lite"
@@ -638,6 +642,13 @@ class AutoTransmissionLite(PlantModel):
     UPSHIFT = (15.0, 30.0, 50.0)
     DOWNSHIFT = (12.0, 25.0, 45.0)
 
+    # divisor and gain of each row of the input block: Throttle, Brake,
+    # and their step midpoints
+    _INPUT_SCALE = np.array([[100.0], [325.0], [100.0], [325.0]])
+    _INPUT_SCALE.setflags(write=False)
+    _INPUT_GAIN = np.array([[0.9], [0.35], [0.9], [0.35]])
+    _INPUT_GAIN.setflags(write=False)
+
     # Python floats overflow silently and numpy must too, so that an
     # overflow surfaces as DivergenceError and not as a warning
     @np.errstate(over="ignore", invalid="ignore")
@@ -645,25 +656,19 @@ class AutoTransmissionLite(PlantModel):
         # scalar RK4 on speed; the gear is held through the step
         dt = grid.step
         n = grid.n_samples
-        th = u[:, 0]
-        br = u[:, 1]
-        thrust = 0.9 * (th / 100.0)
-        thrust_mid = 0.9 * (0.5 * (th[:-1] + th[1:]) / 100.0)
-        drag = 0.35 * (br / 325.0) * 3.25
-        drag_mid = 0.35 * (0.5 * (br[:-1] + br[1:]) / 325.0) * 3.25
-        terms = [None] * 4
-
-        def gear_terms(g, i):
-            # d_g at the samples and at the midpoints, from sample i on: a
-            # gear is only ever re-entered later, so the head is never read
-            if terms[g - 1] is None:
-                tq = self.TORQUE_RATIO[g - 1]
-                terms[g - 1] = (
-                    [None] * i + (thrust[i:] * tq - drag[i:]).tolist(),
-                    [None] * i + (thrust_mid[i:] * tq - drag_mid[i:]).tolist(),
-                )
-            return terms[g - 1]
-
+        # rows: Throttle and Brake at sample i, then at the midpoint of the
+        # step that ends there (column 0, which no step ends at, is unused)
+        x = np.empty((4, n))
+        x[:2] = u.T
+        np.add(x[:2, :-1], x[:2, 1:], out=x[2:, 1:])
+        x[2:, 0] = 0.0
+        x[2:] *= 0.5
+        x /= self._INPUT_SCALE
+        revs = x[0] * 600.0
+        x *= self._INPUT_GAIN
+        x[1::2] *= 3.25
+        thrust, drag, thrust_mid, drag_mid = x.tolist()
+        torque = self.TORQUE_RATIO
         # speed bounds that shift out of each gear; none below 1 or above 4
         up = self.UPSHIFT + (math.inf,)
         down = (-math.inf,) + self.DOWNSHIFT
@@ -674,15 +679,15 @@ class AutoTransmissionLite(PlantModel):
         # (first sample, gear) of each stretch between shifts
         shifts = [(0, 1)]
         g = 1
-        d, dm = gear_terms(g, 0)
+        tq = torque[0]
         hi = up[0]
         lo = down[0]
         s = 0.0
-        d1 = d[0]
+        d1 = thrust[0] * tq - drag[0]
         for i in range(1, n):
             d0 = d1
-            d1 = d[i]
-            m = dm[i - 1]
+            d1 = thrust[i] * tq - drag[i]
+            m = thrust_mid[i] * tq - drag_mid[i]
             k1 = d0 - 0.02 * s
             k2 = m - 0.02 * (s + h * k1)
             k3 = m - 0.02 * (s + h * k2)
@@ -699,21 +704,30 @@ class AutoTransmissionLite(PlantModel):
             else:
                 continue
             shifts.append((i, g))
-            d, dm = gear_terms(g, i)
-            d1 = d[i]
+            # the next step starts from sample i in the new gear
+            tq = torque[g - 1]
+            d1 = thrust[i] * tq - drag[i]
             hi = up[g - 1]
             lo = down[g - 1]
-        starts, held = zip(*shifts)
-        gear = np.repeat(held, np.diff(starts + (n,)))
-        speed = np.fromiter(speeds, float, n)
-        rpm = speed * np.array(self.GEAR_RATIO)[gear - 1] * 40.0 + 600.0 * (th / 100.0)
+        out = np.empty((3, n))
+        speed, rpm, gear = out
+        speed[:] = speeds
+        shifts.append((n, 0))
+        for (a, g), (b, _) in zip(shifts, shifts[1:]):
+            rpm[a:b] = self.GEAR_RATIO[g - 1]
+            gear[a:b] = g
+        # speed * ratio * 40 + 600 * (Throttle / 100)
+        rpm *= speed
+        rpm *= 40.0
+        rpm += revs
         # a non-finite Speed (the state) is reported first; RPM can overflow
         # on its own, from a huge throttle while Speed stays finite
-        for channel in (speed, rpm):
-            finite = np.isfinite(channel)
-            if not finite.all():
-                raise DivergenceError(int(np.argmin(finite)) * dt)
-        return np.column_stack([speed, rpm, gear.astype(float)])
+        if not np.isfinite(out[:2]).all():
+            for channel in (speed, rpm):
+                finite = np.isfinite(channel)
+                if not finite.all():
+                    raise DivergenceError(int(np.argmin(finite)) * dt)
+        return out.T
 
 
 _BUILTINS = {

@@ -262,13 +262,16 @@ class WindowStatKind(enum.Enum):
     PEAK_TO_PEAK = "ptp"
 
     def of(self, chunk: np.ndarray) -> float:
-        """The statistic of the samples in `chunk`."""
+        """The statistic of the samples in `chunk`, a non-empty float array.
+
+        `mean` is bitwise `np.mean`: the same pairwise sum, divided by the
+        count, without `np.mean`'s wrapper."""
         if self is WindowStatKind.MIN:
             return float(chunk.min())
         if self is WindowStatKind.MAX:
             return float(chunk.max())
         if self is WindowStatKind.MEAN:
-            return float(chunk.mean())
+            return float(chunk.sum()) / len(chunk)
         return float(chunk.max() - chunk.min())
 
 

@@ -1,6 +1,7 @@
 """Tests for the experiment runner and the rank-sum comparison."""
 
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 import scipy.stats
 
 from athena.catalog import catalog, catalog_ids
-from athena.errors import MissingChannelError, PortMismatchError
+from athena.errors import MissingChannelError, ParseError, PortMismatchError
 from athena.fitness import FitnessAssessment, parse_manual
 from athena.harness import (
     ExperimentConfig,
@@ -472,7 +473,43 @@ class TestRunExperiment:
         assert len(run_experiment(fast_config(repetitions=2)).rows) == 2
 
 
+def count_parses(monkeypatch):
+    """The names of the parsers `catalog.parsed` calls, one per call, from
+    now until the test ends."""
+    # the module, which the package's `catalog` function shadows
+    module = importlib.import_module("athena.catalog")
+    calls = []
+    for name in ("parse", "parse_manual"):
+        real = getattr(module, name)
+
+        def counted(text, real=real, name=name):
+            calls.append(name)
+            return real(text)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestResolve:
+    def test_inline_texts_parsed_once(self, monkeypatch):
+        calls = count_parses(monkeypatch)
+        # texts no other test resolves, so the first resolve parses them
+        cfg = fast_config(formula_text="G[0,10] (x < 0.4375)", manual_text="mean(x,[0,3.25])")
+        first = resolve(cfg)
+        assert sorted(calls) == ["parse", "parse_manual"]
+        second = resolve(cfg)
+        assert len(calls) == 2
+        assert second.fitness.formula is first.fitness.formula
+        assert second.fitness.manual is first.fitness.manual
+
+    def test_bad_inline_formula_raises_on_every_resolve(self, monkeypatch):
+        calls = count_parses(monkeypatch)
+        cfg = fast_config(formula_text="G[0,10] (x <")
+        for n in (1, 2):
+            with pytest.raises(ParseError, match="expected a number"):
+                resolve(cfg)
+            assert calls == ["parse"] * n
+
     def test_problem_holds_fitness_once(self):
         problem = resolve(fast_config(mode="automatic", auto_scale=2.0))
         assert problem.fitness.p == 1.0

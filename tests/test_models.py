@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import athena
 from athena.catalog import catalog
@@ -495,6 +497,45 @@ class TestAutoTransmissionLite:
             clamps += bool(np.any(out[1:, 0] == 0.0))
         # between them the cases take every branch of the step
         assert top_gear and downshifts and clamps
+
+    def test_fast_sim_bit_equal_to_reference_on_random_grids(self):
+        at = builtin("at_lite")
+        branches = {"clamp": 0, "top gear": 0, "downshift": 0}
+
+        # per-sample inputs: anywhere in the box; brake-heavy, which stops
+        # the car at once; or full throttle up to a cut, then full brake
+        @settings(max_examples=40, deadline=None)
+        @given(
+            n=st.integers(2, 700),
+            step=st.floats(0.01, 1.0),
+            schedule=st.sampled_from(["box", "brake", "throttle-then-brake"]),
+            seed=st.integers(0, 2**32 - 1),
+            cut=st.floats(0.0, 1.0),
+        )
+        @example(n=700, step=0.1, schedule="throttle-then-brake", seed=0, cut=0.2)
+        @example(n=300, step=0.05, schedule="brake", seed=0, cut=0.0)
+        def check(n, step, schedule, seed, cut):
+            grid = TimeGrid((n - 1) * step, step)
+            assert grid.n_samples == n
+            rng = np.random.default_rng(seed)
+            if schedule == "box":
+                th, br = rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 325.0, n)
+            elif schedule == "brake":
+                th, br = rng.uniform(0.0, 2.0, n), rng.uniform(200.0, 325.0, n)
+            else:
+                full = np.arange(n) < cut * n
+                th, br = np.where(full, 100.0, 0.0), np.where(full, 0.0, 325.0)
+            out = at.fast_sim(np.column_stack([th, br]), grid)
+            speed, rpm, gear = at_lite_reference(at, th.tolist(), br.tolist(), step)
+            for column, ref in zip(out.T, (speed, rpm, gear)):
+                assert np.array_equal(column, ref)
+            branches["clamp"] += bool(np.any(out[1:, 0] == 0.0))
+            branches["top gear"] += 4.0 in gear
+            branches["downshift"] += bool(np.any(np.diff(gear) < 0))
+
+        check()
+        # the explicit examples alone take every branch of the step
+        assert all(branches.values()), branches
 
     # Times recorded from the per-step check this replaced, which raised at
     # the first step whose speed was non-finite.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -489,6 +490,25 @@ class TestWindowStat:
         s = make_signal(10.0, 1.0, list(range(11)))
         with pytest.raises(ValueError):
             window_stat(s.values, s.grid, WindowStatKind.MIN, (3.2, 3.8))
+
+    def test_mean_is_bitwise_np_mean(self):
+        # lengths 1-1000 cross numpy's pairwise-summation blocks (8 and 128)
+        rng = np.random.default_rng(7)
+        for n in range(1, 1001):
+            signed_zeros = rng.choice([0.0, -0.0], n)
+            magnitudes = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            chunks = (
+                rng.normal(0.0, 1.0, n),
+                signed_zeros,
+                np.full(n, -0.0),
+                magnitudes,
+                # a strided view, as a window over one column of a block
+                np.repeat(magnitudes, 2)[::2],
+            )
+            for chunk in chunks:
+                mean = WindowStatKind.MEAN.of(chunk)
+                assert type(mean) is float
+                assert struct.pack("<d", mean) == struct.pack("<d", float(np.mean(chunk)))
 
 
 class TestSteepestSlope:
