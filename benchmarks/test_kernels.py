@@ -27,10 +27,13 @@ on the passthrough workload's 12001-sample grid. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
 candidate (the passthrough robustness case on a random input). The
-search cases time one restart draw plus one proposal and one
-`Assumption.control_points` decode on the AT2 box, and the channel
-expression of the passthrough predicate over every sample. The
-iteration cases time one CC1 and one AT2 iteration after the proposal,
+search cases time, on the AT2 box and on the CC1 box (10 coordinates
+each, over different ranges), one restart draw plus one proposal, one
+`Assumption.validate_vector` box check and one
+`Assumption.control_points` decode: the per-candidate work on the
+parameter vector, which runs on Python floats. The `atom_values` case
+times the channel expression of the passthrough predicate over every
+sample. The iteration cases time one CC1 and one AT2 iteration after the proposal,
 through the same calls `falsify` makes: `Assumption.control_points`,
 `encode_inputs`, on AT2 the cut to the prefix the score reads, `simulate`
 of the outputs the score names and `assess`, on a warm problem; their
@@ -233,9 +236,10 @@ def test_resolve(benchmark, entry):
     assert problem.grid.n_samples == 2001
 
 
-def test_draws_at2(benchmark):
+@pytest.mark.parametrize("entry", ["AT2", "CC1"])
+def test_draws(benchmark, entry):
     # one restart draw and one proposal from it, as falsify makes them
-    a = resolve(ExperimentConfig(entry="AT2")).assumption
+    a = resolve(ExperimentConfig(entry=entry)).assumption
     rng = np.random.default_rng(0)
 
     def draws():
@@ -246,12 +250,20 @@ def test_draws_at2(benchmark):
     assert benchmark(draws).shape == (a.dim,)
 
 
-def test_control_points_at2(benchmark):
-    problem = resolve(ExperimentConfig(entry="AT2"))
+@pytest.mark.parametrize("entry", ["AT2", "CC1"])
+def test_validate_vector(benchmark, entry):
+    a = resolve(ExperimentConfig(entry=entry)).assumption
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+    assert benchmark(a.validate_vector, vector) is vector
+
+
+@pytest.mark.parametrize("entry", ["AT2", "CC1"])
+def test_control_points(benchmark, entry):
+    problem = resolve(ExperimentConfig(entry=entry))
     a, grid = problem.assumption, problem.grid
     vector = np.random.default_rng(0).uniform(a.lower, a.upper)
     controls = benchmark(a.control_points, vector, grid)
-    assert list(controls) == ["Throttle", "Brake"]
+    assert list(controls) == [p.port for p in a.ports]
 
 
 def test_iteration_cc1(benchmark):

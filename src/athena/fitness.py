@@ -110,7 +110,10 @@ class WindowStat(ManualFitnessExpr):
     The channel expression is evaluated only over the window's samples,
     whose range the window resolves once per grid it reads: it keeps the
     range of the last grid, which a run passes as the same object on every
-    trace.
+    trace. A window over one channel as it stands (`AtomExpr.bare`) takes
+    the statistic of a read-only view of the channel's samples, with no
+    copy, and adds 0.0 to it, which gives the bits of the statistic of the
+    expression's values.
     """
 
     channel: AtomExpr
@@ -133,6 +136,9 @@ class WindowStat(ManualFitnessExpr):
             grid = trace.grid
             lo, hi = window_span(self.window, grid)
             object.__setattr__(self, "_span", (grid, lo, hi))
+        name = self.channel.bare
+        if name is not None:
+            return self.stat.of(trace.channel(name)[lo : hi + 1]) + 0.0
         return self.stat.of(self.channel.values(trace, lo, hi + 1))
 
     def __str__(self):

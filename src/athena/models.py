@@ -87,6 +87,15 @@ class PlantModel:
     on one probe (`check_affine`) before any run. An affine plant may
     leave it unset, as `Passthrough` does, when `fast_sim` costs less than
     the product.
+
+    A built-in plant class sets the private `_fresh_rows` when its
+    `fast_sim` returns `rows.T`, for rows that are a fresh C-contiguous
+    (outputs, samples) array owning its data, checked finite by `fast_sim`
+    itself, as it must to name the divergence time, and held by nothing
+    else: `simulate` then adopts `rows` (`Trace.from_rows`) without the
+    copy and the second check of `Trace.from_block`. A class that defines
+    its own `fast_sim` does not inherit it, so the output of every
+    user-defined `fast_sim` is copied and checked.
     """
 
     name: str = "plant"
@@ -94,6 +103,12 @@ class PlantModel:
     state_dim: int = 0
     default_horizon: float | None = None
     affine: bool = False
+    _fresh_rows: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "fast_sim" in vars(cls) and "_fresh_rows" not in vars(cls):
+            cls._fresh_rows = False
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.state_dim)
@@ -172,15 +187,18 @@ def simulate(
 ) -> SimResult:
     """Integrate the plant over the grid and return outputs plus inputs.
 
-    Inputs must cover exactly the plant's input ports and share the grid.
-    Every sample of `grid` and every output of `model` is simulated.
-    `falsify` passes the grid and the plant that `search.check_problem`
-    returns: the prefix of the problem's grid that its score reads from the
-    plant's outputs, and the plant cut to the outputs the score names. A
-    divergence after that prefix, or only in another output, is not seen
-    there; called on the whole grid and plant, as when a test case is
-    replayed, it is. Raises DivergenceError naming the first time the state
-    (or, if the state stays finite, an output) went non-finite.
+    Inputs must cover exactly the plant's input ports and share the grid;
+    inputs in port order on `grid` itself are confirmed by one comparison
+    of their names and their grids' identities, any others diagnosed
+    (PortMismatchError, ValueError) and taken in port order. Every sample
+    of `grid` and every output of `model` is simulated. `falsify` passes
+    the grid and the plant that `search.check_problem` returns: the prefix
+    of the problem's grid that its score reads from the plant's outputs,
+    and the plant cut to the outputs the score names. A divergence after
+    that prefix, or only in another output, is not seen there; called on
+    the whole grid and plant, as when a test case is replayed, it is.
+    Raises DivergenceError naming the first time the state (or, if the
+    state stays finite, an output) went non-finite.
 
     When the plant is `affine` and every input is an `InterpolatedSignal`,
     the outputs are computed by superposition instead of by `fast_sim`:
@@ -199,25 +217,32 @@ def simulate(
     non-finite output. The outputs are finite, by a bound on the
     coefficients' magnitudes and K's and Y0's (`_SUPERPOSED_SAFE`), or else
     checked once, here, and the trace adopts them (`Trace.from_rows`).
-    Every other call runs `fast_sim`.
+    Every other call runs `fast_sim`, whose block `Trace.from_block` copies
+    and checks, or, from a built-in plant that checked fresh rows itself
+    (`PlantModel._fresh_rows`), the trace adopts.
     """
     spec = model.port_spec
-    given = set(inputs)
-    expected = set(spec.inputs)
-    if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
-        raise PortMismatchError(f"{model.name}: {', '.join(parts)}")
-    signals = {}
-    for name in spec.inputs:
-        signal = signals[name] = inputs[name]
-        if signal.grid is not grid and signal.grid != grid:
-            raise ValueError(f"input {name!r} is not sampled on the simulation grid")
+    signals = inputs
+    # the inputs a run passes are in port order on `grid` itself, which
+    # one tuple comparison and the grids' identities confirm; any others
+    # are diagnosed and put in port order
+    if tuple(inputs) != spec.inputs or any(s.grid is not grid for s in inputs.values()):
+        given = set(inputs)
+        expected = set(spec.inputs)
+        if given != expected:
+            missing = sorted(expected - given)
+            extra = sorted(given - expected)
+            parts = []
+            if missing:
+                parts.append(f"missing {missing}")
+            if extra:
+                parts.append(f"unexpected {extra}")
+            raise PortMismatchError(f"{model.name}: {', '.join(parts)}")
+        signals = {}
+        for name in spec.inputs:
+            signal = signals[name] = inputs[name]
+            if signal.grid is not grid and signal.grid != grid:
+                raise ValueError(f"input {name!r} is not sampled on the simulation grid")
     if model.affine and all(isinstance(s, InterpolatedSignal) for s in signals.values()):
         op = _operator(model, tuple(s.plan for s in signals.values()), grid)
         if op is not None:
@@ -227,6 +252,9 @@ def simulate(
     for j, signal in enumerate(signals.values()):
         u[:, j] = signal.values
     out = model.fast_sim(u, grid)
+    if model._fresh_rows:
+        # the rows whose transpose `fast_sim` returned
+        return SimResult(Trace.from_rows(grid, spec.outputs, out.base, signals))
     return SimResult(Trace.from_block(grid, spec.outputs, out, signals))
 
 
@@ -625,10 +653,11 @@ class AutoTransmissionLite(PlantModel):
     block per simulation. The Python loop forms d_g = thrust * torque_g -
     drag at each step, in the gear it is in, then does the state-dependent
     RK4 arithmetic and the shift test. Speed, RPM and Gear are written into
-    one (3, samples) block, which one finiteness pass checks. The result is
-    bit-identical to evaluating each stage in full: elementwise float64
-    numpy rounds exactly as Python floats do, a product rounds the same
-    whichever operand comes first, and every operation keeps its order.
+    one (3, samples) block, which one finiteness pass checks and `simulate`
+    adopts as the trace's rows, with no second pass (`_fresh_rows`). The
+    result is bit-identical to evaluating each stage in full: elementwise
+    float64 numpy rounds exactly as Python floats do, a product rounds the
+    same whichever operand comes first, and every operation keeps its order.
     The step is deliberately not folded into a closed form p * speed + q,
     which would round differently.
     """
@@ -636,6 +665,9 @@ class AutoTransmissionLite(PlantModel):
     name = "at_lite"
     port_spec = PortSpec(inputs=("Throttle", "Brake"), outputs=("Speed", "RPM", "Gear"))
     default_horizon = 50.0
+    # `fast_sim` returns the transpose of its fresh (3, samples) block,
+    # checked finite (Gear is finite by construction)
+    _fresh_rows = True
 
     GEAR_RATIO = (4.0, 2.5, 1.6, 1.0)
     TORQUE_RATIO = (25.0, 17.0, 12.0, 9.0)

@@ -127,34 +127,68 @@ class Assumption:
         width.setflags(write=False)
         return width
 
-    def validate_vector(self, vector) -> np.ndarray:
+    @cached_property
+    def _bounds(self) -> tuple[list[float], list[float], list[float]]:
+        # lower, upper and width as Python floats, for the per-candidate
+        # arithmetic on the parameter vector (`_floats`, `propose`)
+        return self.lower.tolist(), self.upper.tolist(), self.width.tolist()
+
+    def _floats(self, vector) -> tuple[np.ndarray, list[float]]:
+        """`vector` as a float array and as a list of Python floats, once
+        it passes the checks of `validate_vector`."""
         v = np.asarray(vector, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"parameter vector needs shape ({self.dim},), got {v.shape}")
-        # written so that NaN, which fails every comparison, is rejected too
-        if not ((v >= self.lower) & (v <= self.upper)).all():
-            raise ValueError("parameter vector leaves the assumption box")
-        return v
+        values = v.tolist()
+        lower, upper, _ = self._bounds
+        for x, lo, hi in zip(values, lower, upper):
+            # written so that NaN, which fails every comparison, is rejected too
+            if not lo <= x <= hi:
+                raise ValueError("parameter vector leaves the assumption box")
+        return v, values
+
+    def validate_vector(self, vector) -> np.ndarray:
+        """`vector` as a float array of shape (dim,), once every coordinate
+        lies in its port's [lo, hi].
+
+        Raises ValueError "parameter vector needs shape (dim,), got ..." for
+        any other shape, and "parameter vector leaves the assumption box"
+        for a coordinate outside the box, NaN and infinities included. The
+        box check compares the same doubles as Python floats, one
+        coordinate at a time, which on the catalog's 10-coordinate boxes
+        costs less than numpy's elementwise calls.
+        """
+        return self._floats(vector)[0]
 
     def control_points(self, vector, grid: TimeGrid) -> dict[str, ControlPoints]:
         """The control points of each port that `vector` encodes on `grid`:
         the port's slice of the vector at `uniform_control_times`.
 
         The vector passes one check, `validate_vector`, and is copied once
-        into a read-only array. The points adopt the cached control times
-        and views of that copy without the `ControlPoints` checks and
-        copies: the box check makes every value finite and the shape check
-        gives each port as many values as times, and
-        `uniform_control_times` makes the checks the times need. So the
-        points are read-only, and a later change to `vector` does not
-        reach them.
+        into a read-only array. The points adopt the control times and
+        views of that copy without the `ControlPoints` checks and copies:
+        the box check makes every value finite and the shape check gives
+        each port as many values as times, and `uniform_control_times`
+        makes the checks the times need. So the points are read-only, and
+        a later change to `vector` does not reach them. The assumption
+        keeps the control times of the last grid it decoded on, so a run,
+        which passes the same grid object on every call, looks them up
+        once.
         """
         v = self.validate_vector(vector).copy()
         v.setflags(write=False)
+        held, times = self._times_at
+        if held is not grid:
+            times = tuple(uniform_control_times(grid, p.n) for p in self.ports)
+            object.__setattr__(self, "_times_at", (grid, times))
         return {
-            p.port: _adopt_points(uniform_control_times(grid, p.n), v[sl])
-            for p, sl in zip(self.ports, self._slices)
+            p.port: _adopt_points(t, v[sl])
+            for p, t, sl in zip(self.ports, times, self._slices)
         }
+
+    # (grid, control times per port) of the last `control_points` grid,
+    # outside the fields, so equal assumptions still compare and hash equal
+    _times_at = (None, ())
 
 
 def encode_inputs(
@@ -232,13 +266,27 @@ def propose(
     `np.minimum(np.maximum(x, lower), upper)`, which equals `np.clip` on
     finite values. A negative sigma raises the ValueError ("scale < 0")
     that `rng.normal` raised, before any draw.
+
+    The arithmetic runs on Python floats, coordinate by coordinate, in
+    numpy's order: x = v + ((sigma * width) * t) * z, then the clamp in
+    numpy's tie rule: `np.maximum(x, lo)` gives lo when x equals it, as
+    `np.minimum(x, hi)` gives hi, which decides the sign of a zero bound,
+    and both pass a NaN through. So the result is bitwise the numpy
+    formula's (`tests/oracles.py::propose_reference`). On the catalog's
+    10-coordinate boxes it costs less than numpy's elementwise calls; from
+    about 20 coordinates on it costs more.
     """
-    v = assumption.validate_vector(current)
+    values = assumption._floats(current)[1]
     if sigma < 0:
         raise ValueError(f"scale < 0: sigma must not be negative, got {sigma}")
-    std = sigma * assumption.width * max(temperature, 0.05)
-    x = v + std * rng.standard_normal(v.shape)
-    return np.minimum(np.maximum(x, assumption.lower), assumption.upper)
+    t = max(temperature, 0.05)
+    z = rng.standard_normal(len(values)).tolist()
+    out = []
+    for v, zi, lo, hi, w in zip(values, z, *assumption._bounds):
+        x = v + sigma * w * t * zi
+        x = lo if x <= lo else x
+        out.append(hi if x >= hi else x)
+    return np.array(out)
 
 
 @dataclass(frozen=True)

@@ -521,6 +521,13 @@ def _plan(
     )
 
 
+# The plan `interpolate` last found for each control-time array, by id:
+# id -> (times, kind, grid, plan). An entry holds the array it is keyed
+# on, so that id cannot pass to another array while the entry lives; at
+# most PLAN_CACHE_SIZE entries, the oldest dropped first.
+_plans_by_times: dict[int, tuple] = {}
+
+
 def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> Signal:
     """Sample the interpolant of `cp` on every grid point.
 
@@ -544,6 +551,16 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     the samples from `cp.values` into a fresh array, which the returned
     signal holds read-only, without a copy.
 
+    A memo finds the plan again without the cache's key: for each of the
+    last PLAN_CACHE_SIZE control-time arrays it was given, by identity,
+    the kind, the grid and the plan it used. A call with the same array,
+    the same kind and the same grid object, as every iteration of a run
+    makes (`Assumption.control_points` passes the same read-only times
+    each time), takes that plan without building or hashing the times
+    tuple, and without the checks that call passed, which depend on
+    nothing else. The memo holds each array it is keyed on and its plan,
+    so with it at most twice PLAN_CACHE_SIZE plans are alive.
+
     The samples are finite, or this raises ValueError. A held plan copies
     the control values, which are finite. A linear plan checks its
     samples. A pchip plan checks them only when its control values and
@@ -556,6 +573,24 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     sum of coefficient magnitudes is not finite, the result is a plain
     `Signal`.
     """
+    held = _plans_by_times.get(id(cp.times))
+    if held is not None and held[1] is kind and held[2] is grid:
+        plan = held[3]
+    else:
+        plan = _checked_plan(cp, kind, grid)
+        _plans_by_times.pop(id(cp.times), None)
+        if len(_plans_by_times) >= PLAN_CACHE_SIZE:
+            del _plans_by_times[next(iter(_plans_by_times))]
+        _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
+    out, coefficients = plan.sample(cp.values)
+    if coefficients is None:
+        return _adopt(grid, _read_only(out))
+    return _adopt(grid, _read_only(out), plan, coefficients)
+
+
+def _checked_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):
+    """The plan of `cp.times` for `kind` on `grid`, once the times fit
+    both: as many as the kind takes, and the last at the grid's end."""
     times = tuple(cp.times.tolist())
     n = len(times)
     # every kind but constant takes any count from 2 points on
@@ -565,11 +600,7 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         raise ValueError(
             f"control times must span [0, {grid.end}], last is {cp.times[-1]}"
         )
-    plan = _plan(kind, grid, times)
-    out, coefficients = plan.sample(cp.values)
-    if coefficients is None:
-        return _adopt(grid, _read_only(out))
-    return _adopt(grid, _read_only(out), plan, coefficients)
+    return _plan(kind, grid, times)
 
 
 def window_samples(window: tuple[float, float], grid: TimeGrid) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -43,6 +44,24 @@ class AtomExpr:
 
     def channels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
+
+    @cached_property
+    def bare(self) -> str | None:
+        """The channel this expression is, as it stands, or None: one term
+        with coefficient 1, const +0.0 and no abs.
+
+        Its `values` are then the channel's samples plus 0.0, which turns
+        -0.0 into +0.0 and leaves every other value as it is. So min, max,
+        mean and ptp of the raw samples, plus 0.0, are bitwise those of the
+        values (`fitness.WindowStat`, `stl.semantics`): each changes only
+        the sign of a zero result, which the added 0.0 makes +0.0.
+        """
+        if len(self.terms) != 1 or self.absolute:
+            return None
+        (name, coeff), = self.terms
+        if coeff != 1.0 or self.const != 0.0 or math.copysign(1.0, self.const) < 0.0:
+            return None
+        return name
 
     def values(self, trace: Trace, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The expression at samples start .. stop - 1 of the trace (every

@@ -15,6 +15,18 @@ exactly `need` samples, in about log2 of the window's length passes of
 elementwise numpy minimum or maximum. No sample is computed that the
 value at t=0 does not read, and every value is one of the trace's
 margins, so the result equals a walk over the whole trace.
+
+Read at one sample, directly over a predicate, a temporal node's
+robustness is the margin of one value: the predicate's margin, bound - e
+or e - bound, is monotone in its expression e, so its min or max over
+the window is the margin of e's max or min there, rounded the same way.
+The node takes that extreme over the window's samples alone, from a view
+of the channel when the expression is a bare channel (`AtomExpr.bare`,
+plus 0.0 on the scalar), and applies the margin once, to the Python
+float, which rounds as numpy's float64 arithmetic does. The expression's
+values hold no -0.0 (`AtomExpr.values`), so every tied extreme has the
+same bits and the result is bitwise the array path's. Satisfaction keeps
+the array path.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from ..errors import HorizonError
 from ..signals import TIME_TOL
 from .nodes import (
     And,
+    AtomExpr,
     Eventually,
     Formula,
     Globally,
@@ -130,6 +143,18 @@ def _margin(f: Predicate, e: np.ndarray) -> np.ndarray:
     return np.subtract(e, f.bound, out=e)
 
 
+def _extreme(expr: AtomExpr, trace: Trace, start: int, stop: int, largest: bool) -> float:
+    """The largest (or smallest) of the expression's values at samples
+    start .. stop - 1; a bare channel is read through a view, and its
+    extreme plus 0.0 has the values' bits."""
+    name = expr.bare
+    if name is None:
+        e = expr.values(trace, start, stop)
+        return float(e.max() if largest else e.min())
+    e = trace.channel(name)[start:stop]
+    return float(e.max() if largest else e.min()) + 0.0
+
+
 def _holds(f: Predicate, e: np.ndarray) -> np.ndarray:
     return _COMPARE[f.cmp](e, f.bound).astype(np.uint8)
 
@@ -215,8 +240,17 @@ class _Window:
         self.reach = k_hi + child.reach
 
     def value(self, f: Globally | Eventually, trace: Trace, leaf, neg) -> np.ndarray:
-        child = self.child.value(f.child, trace, leaf, neg)
         take_min = isinstance(f, Globally)
+        if self.need == 1 and leaf is _margin and isinstance(self.child, _Leaf):
+            # the margin falls as an upper-bounded expression rises, and
+            # rises with a lower-bounded one: its min or max over the
+            # window is the margin of one extreme of the expression
+            pred = f.child
+            upper = pred.cmp in ("<", "<=")
+            e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, take_min == upper)
+            # the margin `_margin` takes, on the Python float
+            return np.array([pred.bound - e if upper else e - pred.bound])
+        child = self.child.value(f.child, trace, leaf, neg)
         if self.need == 1:
             chunk = child[self.k_lo : self.k_hi + 1]
             return chunk.min(keepdims=True) if take_min else chunk.max(keepdims=True)

@@ -11,8 +11,10 @@ per-call interpolation that the cached plans of `signals.interpolate`
 replaced, `pchip_basis_reference`, the per-sample pchip basis that the
 segment-run plan replaced, `walk_reference`, the whole-trace robustness walk (with
 `values_reference`, the zero-seeded channel-expression sum) that the
-cached STL plans replaced, and `atom_values_reference`, the sliced
-channel-expression sum that the one-buffer `AtomExpr.values` replaced.
+cached STL plans replaced, `atom_values_reference`, the sliced
+channel-expression sum that the one-buffer `AtomExpr.values` replaced,
+and `propose_reference`, the elementwise numpy proposal step that the
+Python-float `search.propose` replaced.
 """
 
 from __future__ import annotations
@@ -301,6 +303,17 @@ def naive_satisfied(f, trace, i=0, _memo=None, _times=None):
         raise TypeError(f"unknown node {f!r}")
     _memo[key] = val
     return val
+
+
+# --- search proposal ------------------------------------------------------
+
+def propose_reference(current, assumption, temperature, rng, sigma=0.1):
+    """`search.propose` as numpy arrays: a Gaussian step of stddev sigma *
+    width * max(temperature, 0.05), clamped by np.maximum, np.minimum."""
+    v = np.asarray(current, dtype=float)
+    std = sigma * assumption.width * max(temperature, 0.05)
+    x = v + std * rng.standard_normal(v.shape)
+    return np.minimum(np.maximum(x, assumption.lower), assumption.upper)
 
 
 # --- whole-trace robustness walk -----------------------------------------

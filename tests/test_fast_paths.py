@@ -7,7 +7,9 @@ gathering per sample. Each must give exactly what the replaced form gives, so
 a numpy upgrade that changes the internals these rest on fails here.
 """
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,15 +29,27 @@ from athena.signals import (
     _plan,
     interpolate,
     uniform_control_times,
+    window_span,
     window_stat,
 )
-from athena.stl import AtomExpr, Trace, parse, robustness
+from athena.stl import (
+    AtomExpr,
+    Eventually,
+    Globally,
+    Predicate,
+    Trace,
+    parse,
+    robustness,
+    satisfied,
+)
 
 from oracles import (
     atom_values_reference,
     interpolate_reference,
     pchip_basis_reference,
+    propose_reference,
     robustness_reference,
+    satisfied_reference,
 )
 
 
@@ -391,6 +405,21 @@ class TestPchipSegmentRuns:
         assert np.array_equal(bits(got), bits(pchip_basis_reference(grid, times)))
 
 
+# vectors that `_box()` rejects, with the whole message
+BAD_VECTORS = [
+    ([0.5, 0.5, 0.5], r"parameter vector needs shape \(4,\), got \(3,\)"),
+    ([[0.5, 0.5, 0.5, 0.5]], r"parameter vector needs shape \(4,\), got \(1, 4\)"),
+    ([0.5, 0.5, 1.5, 0.5], "parameter vector leaves the assumption box"),
+    ([0.5, -1e-300, 0.5, 0.5], "parameter vector leaves the assumption box"),
+    ([0.5, math.nan, 0.5, 0.5], "parameter vector leaves the assumption box"),
+    ([0.5, 0.5, 0.5, math.inf], "parameter vector leaves the assumption box"),
+    ([-math.inf, 0.5, 0.5, 0.5], "parameter vector leaves the assumption box"),
+    ([0.5, 0.5, 0.5, -math.nan], "parameter vector leaves the assumption box"),
+    (np.zeros((2, 2)), r"parameter vector needs shape \(4,\), got \(2, 2\)"),
+    (0.5, r"parameter vector needs shape \(4,\), got \(\)"),
+]
+
+
 def _box(n=3, lo=0.0, hi=1.0):
     return Assumption(
         (
@@ -438,17 +467,7 @@ class TestAdoptedControlPoints:
             with pytest.raises(ValueError, match="WRITEABLE"):
                 cp.values.setflags(write=True)
 
-    @pytest.mark.parametrize(
-        "vector, message",
-        [
-            ([0.5, 0.5, 0.5], r"parameter vector needs shape \(4,\), got \(3,\)"),
-            ([[0.5, 0.5, 0.5, 0.5]], r"parameter vector needs shape \(4,\), got \(1, 4\)"),
-            ([0.5, 0.5, 1.5, 0.5], "parameter vector leaves the assumption box"),
-            ([0.5, -1e-300, 0.5, 0.5], "parameter vector leaves the assumption box"),
-            ([0.5, math.nan, 0.5, 0.5], "parameter vector leaves the assumption box"),
-            ([0.5, 0.5, 0.5, math.inf], "parameter vector leaves the assumption box"),
-        ],
-    )
+    @pytest.mark.parametrize("vector, message", BAD_VECTORS)
     def test_bad_vectors_rejected(self, vector, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             _box().control_points(vector, TimeGrid(10.0, 0.5))
@@ -532,3 +551,253 @@ class TestLastSeenMemos:
         # the kept span is not part of the window's value
         assert expr == parse_manual("mean(y,[0,1])")
         assert hash(expr) == hash(parse_manual("mean(y,[0,1])"))
+
+
+@st.composite
+def signed_zero_boxes(draw):
+    """An assumption of 1 to 40 coordinates over one to four ports, whose
+    bounds include -0.0 and 0.0, and a point of it that sits on its bounds
+    more often than not."""
+    ports, point = [], []
+    dim = draw(st.integers(1, 40))
+    sizes = []
+    while dim:
+        sizes.append(draw(st.integers(1, min(dim, 10))))
+        dim -= sizes[-1]
+    for i, n in enumerate(sizes if len(sizes) <= 4 else [sum(sizes)]):
+        lo, hi = draw(
+            st.sampled_from([(-0.0, 1.0), (-1.0, 0.0), (-0.0, 1e-300), (0.0, 2.0), (-3.0, -0.0)])
+            | st.tuples(st.floats(-1e12, 1e12), st.floats(1e-6, 1e12)).map(
+                lambda p: (p[0], p[0] + p[1] + abs(p[0]) * 1e-6)
+            )
+        )
+        kind = InterpolationKind.CONSTANT if n == 1 else InterpolationKind.LINEAR
+        ports.append(PortAssumption(f"p{i}", kind, lo, hi, n))
+        for _ in range(n):
+            point.append(
+                # a zero bound's own zero or the other one
+                draw(st.sampled_from([lo, hi, -lo if lo == 0.0 else lo, -hi if hi == 0.0 else hi]))
+                if draw(st.booleans())
+                else draw(st.floats(lo, hi))
+            )
+    return Assumption(tuple(ports)), np.array(point)
+
+
+class TestPythonFloatVector:
+    """`propose` and `validate_vector` work on Python floats; the numpy
+    formula they replaced is the reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=signed_zero_boxes(),
+        seed=st.integers(0, 2**63 - 1),
+        temperature=st.floats(-1.0, 0.05) | st.floats(0.0, 2.0) | st.just(0.0),
+        # zero and tiny sigmas leave the point on its bound, a tie of the
+        # clamp; huge ones step far past it
+        sigma=st.sampled_from([0.0, 1e-300, 1e-17, 1e6]) | st.floats(1e-3, 1.0),
+    )
+    def test_propose_equals_reference(self, case, seed, temperature, sigma):
+        box, x = case
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = propose(x, box, temperature, new, sigma)
+        want = propose_reference(x, box, temperature, old, sigma)
+        assert got.dtype == float and got.shape == (box.dim,)
+        assert np.array_equal(bits(got), bits(want))
+        assert new.bit_generator.state == old.bit_generator.state
+
+    # the first standard normal is positive from seed 0, negative from 4
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize(
+        "lo, hi, x, want",
+        [
+            (-0.0, 1.0, 0.0, -0.0),
+            (-0.0, 1.0, -0.0, -0.0),
+            (-1.0, 0.0, -0.0, 0.0),
+            (-1.0, 0.0, 0.0, 0.0),
+        ],
+    )
+    def test_zero_step_onto_a_signed_zero_bound(self, seed, lo, hi, x, want):
+        # sigma 0 steps by a zero of the draw's sign; the point ties with
+        # the bound, and the clamp gives the bound, as numpy's does
+        assert (np.random.default_rng(seed).standard_normal() > 0) == (seed == 0)
+        box = Assumption((PortAssumption("p", InterpolationKind.CONSTANT, lo, hi, 1),))
+        got = propose(np.array([x]), box, 1.0, np.random.default_rng(seed), 0.0)
+        ref = propose_reference(np.array([x]), box, 1.0, np.random.default_rng(seed), 0.0)
+        assert bits(got)[0] == bits(ref)[0] == bits(np.array([want]))[0]
+
+    @pytest.mark.parametrize("vector, message", BAD_VECTORS)
+    @pytest.mark.parametrize("entry", ["validate_vector", "propose"])
+    def test_bad_vectors_rejected(self, entry, vector, message):
+        box = _box()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if entry == "validate_vector":
+                box.validate_vector(vector)
+            else:
+                propose(vector, box, 1.0, rng)
+        assert rng.bit_generator.state == state
+
+    def test_validate_vector_returns_the_float_array(self):
+        box = _box()
+        v = np.array([0.0, 0.5, 1.0, 1.0])
+        assert box.validate_vector(v) is v
+        got = box.validate_vector([0, 1, 1, 0])
+        assert got.dtype == float and np.array_equal(got, [0.0, 1.0, 1.0, 0.0])
+
+    def test_control_times_follow_the_grid(self):
+        box = _box()
+        grids = [TimeGrid(10.0, 0.5), TimeGrid(4.0, 0.5), TimeGrid(10.0, 0.5)]
+        v = np.array([0.25, 0.5, 1.0, 0.75])
+        for _ in range(2):
+            for grid in grids:
+                got = box.control_points(v, grid)
+                assert got["a"].times is uniform_control_times(grid, 3)
+                assert got["b"].times is uniform_control_times(grid, 1)
+        # the kept times are not part of the assumption's value
+        assert box == _box() and hash(box) == hash(_box())
+
+
+def _channel_cases():
+    """Channels on an 8-sample grid: all -0.0, zeros of both signs with
+    values around them, and magnitudes near the float maximum."""
+    return {
+        "negative zeros": np.full(8, -0.0),
+        "mixed zeros": np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, -0.0, 0.0]),
+        "zero ties": np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0]),
+        "huge": np.array([1e300, -1e300, 1.7e308, -1.7e308, 1e300, 0.0, -0.0, 1e308]),
+        "huge same sign": np.array([1.7e308, 1.7e308, 1e308, 1.6e308] * 2),
+    }
+
+
+RAW_GRID = TimeGrid(3.5, 0.5)
+
+
+class TestRawChannelReads:
+    """A bare channel is read through a view; the statistic or extreme
+    plus 0.0 is bitwise that of the expression's values."""
+
+    @pytest.mark.parametrize("name", list(_channel_cases()))
+    @pytest.mark.parametrize("stat", list(WindowStatKind))
+    @pytest.mark.parametrize("window", [(0.0, 3.5), (0.5, 2.0), (1.0, 1.2)])
+    def test_window_view_equals_window_stat(self, name, stat, window):
+        y = _channel_cases()[name]
+        trace = Trace(RAW_GRID, {"y": y})
+        node = parse_manual(f"{stat.value}(y,[{window[0]},{window[1]}])")
+        assert node.channel.bare == "y"
+        lo, hi = window_span(window, RAW_GRID)
+        # a mean or ptp of huge values overflows to inf on every path
+        with np.errstate(over="ignore"):
+            want = window_stat(y + 0.0, RAW_GRID, stat, window)
+            got = node.evaluate(trace)
+            # the array path, which the view replaced for a bare channel
+            array_path = stat.of(node.channel.values(trace, lo, hi + 1))
+        assert struct.pack("d", got) == struct.pack("d", want)
+        assert struct.pack("d", got) == struct.pack("d", array_path)
+
+    @pytest.mark.parametrize(
+        "expr, bare",
+        [
+            (AtomExpr((("y", 1.0),)), "y"),
+            (AtomExpr((("y", 1.0),), -0.0), None),
+            (AtomExpr((("y", 1.0),), 1.0), None),
+            (AtomExpr((("y", 1.0),), 0.0, True), None),
+            (AtomExpr((("y", 2.0),)), None),
+            (AtomExpr((("y", 1.0), ("x", 1.0))), None),
+            (AtomExpr(()), None),
+        ],
+    )
+    def test_bare_channel(self, expr, bare):
+        assert expr.bare == bare
+
+    @pytest.mark.parametrize("cmp", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            AtomExpr((("y", 1.0),)),
+            AtomExpr((("y", 1.0),), -0.0),
+            AtomExpr((("y", 1.0),), 0.0, True),
+            AtomExpr((("y", 1.0),), -0.0, True),
+            AtomExpr((("y", -1.0),)),
+            AtomExpr((("y", 1.0), ("x", -1.0)), 0.5),
+        ],
+        ids=["bare", "const -0", "abs", "abs const -0", "negated", "two terms"],
+    )
+    def test_window_over_predicate_equals_reference(self, cmp, expr):
+        for y in _channel_cases().values():
+            trace = Trace(RAW_GRID, {"y": y, "x": y[::-1].copy()})
+            for op, bound, (a, b) in itertools.product(
+                [Globally, Eventually],
+                [0.0, -0.0, 1.5, -1e300],
+                [(0.0, 3.5), (1.0, 2.0), (1.5, 1.5)],
+            ):
+                f = op(a, b, Predicate(expr, cmp, bound))
+                got = robustness(f, trace)
+                want = robustness_reference(f, trace)
+                assert struct.pack("d", got) == struct.pack("d", want), (str(f), y, got, want)
+                assert satisfied(f, trace) == satisfied_reference(f, trace)
+
+    def test_abs_keeps_the_array_path(self, monkeypatch):
+        trace = Trace(RAW_GRID, {"y": _channel_cases()["mixed zeros"]})
+        calls = []
+        values = AtomExpr.values
+
+        def counted(self, *args):
+            calls.append(self)
+            return values(self, *args)
+
+        monkeypatch.setattr(AtomExpr, "values", counted)
+        bare = parse("G[0,3] (y < 2)")
+        robustness(bare, trace)
+        assert calls == []
+        wrapped = parse("G[0,3] (abs(y) < 2)")
+        robustness(wrapped, trace)
+        assert calls == [wrapped.child.expr]
+
+    def test_no_view_path_writes_to_the_trace(self):
+        y = _channel_cases()["mixed zeros"]
+        trace = Trace(RAW_GRID, {"y": y})
+        kept = trace.channel("y").copy()
+        for text in ["G[0,3] (y < 2)", "F[0.5,3] (y >= -1)", "G[0,3] (y > -0)"]:
+            robustness(parse(text), trace)
+        for stat in WindowStatKind:
+            parse_manual(f"{stat.value}(y,[0,3])").evaluate(trace)
+        assert not trace.channel("y").flags.writeable
+        assert np.array_equal(bits(trace.channel("y")), bits(kept))
+
+
+class TestInterpolateMemo:
+    """`interpolate` finds the plan of a control-time array it has seen by
+    identity; another kind or grid goes through the checks again."""
+
+    def test_same_array_gives_the_reference(self):
+        grid = TimeGrid(10.0, 0.5)
+        times = uniform_control_times(grid, 4)
+        for kind in [InterpolationKind.PCHIP, InterpolationKind.LINEAR]:
+            for seed in range(3):
+                values = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+                cp = ControlPoints(times, values)
+                got = interpolate(cp, kind, grid)
+                assert np.array_equal(bits(got.values), bits(interpolate_reference(cp, kind, grid)))
+
+    def test_checks_run_for_another_kind_or_grid(self):
+        grid = TimeGrid(10.0, 0.5)
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.0, 1.0, 0.5])
+        interpolate(cp, InterpolationKind.PCHIP, grid)
+        with pytest.raises(ValueError, match="exactly 1 control point"):
+            interpolate(cp, InterpolationKind.CONSTANT, grid)
+        with pytest.raises(ValueError, match="must span"):
+            interpolate(cp, InterpolationKind.PCHIP, TimeGrid(5.0, 0.5))
+        # an equal grid that is another object finds the same plan
+        assert interpolate(cp, InterpolationKind.PCHIP, TimeGrid(10.0, 0.5)).plan is (
+            interpolate(cp, InterpolationKind.PCHIP, grid).plan
+        )
+
+    def test_memo_is_bounded_and_holds_its_arrays(self):
+        grid = TimeGrid(10.0, 0.5)
+        for n in range(2, 2 * signals.PLAN_CACHE_SIZE):
+            cp = ControlPoints(np.linspace(0.0, 10.0, n), np.zeros(n))
+            interpolate(cp, InterpolationKind.LINEAR, grid)
+        memo = signals._plans_by_times
+        assert len(memo) == signals.PLAN_CACHE_SIZE
+        assert all(key == id(entry[0]) for key, entry in memo.items())

@@ -101,6 +101,82 @@ class TestPortChecks:
             simulate(pt, {"x": Signal(other, np.zeros(11))}, TimeGrid(5.0, 1.0))
 
 
+    def test_inputs_in_any_order_or_on_an_equal_grid(self):
+        at = builtin("at_lite")
+        grid = TimeGrid(5.0, 0.5)
+        sigs = const_inputs(at, grid, {"Throttle": 60, "Brake": 10})
+        want = simulate(at, sigs, grid).trace
+        equal = TimeGrid(5.0, 0.5)
+        for given in (
+            {"Brake": sigs["Brake"], "Throttle": sigs["Throttle"]},
+            const_inputs(at, equal, {"Throttle": 60, "Brake": 10}),
+        ):
+            got = simulate(at, given, grid).trace
+            assert list(got.channels) == list(want.channels)
+            for name in want.channels:
+                assert np.array_equal(got.channel(name), want.channel(name))
+
+
+class NaNOutput(PlantModel):
+    """A user plant whose own `fast_sim` returns a non-finite output."""
+
+    name = "nan_output"
+    port_spec = PortSpec(inputs=("u",), outputs=("y",))
+
+    def fast_sim(self, u, grid):
+        out = u.copy()
+        out[2, 0] = np.nan
+        return out
+
+
+class NaNTransmission(AutoTransmissionLite):
+    """A user subclass of a built-in plant that replaces its `fast_sim`."""
+
+    def fast_sim(self, u, grid):
+        out = np.array(super().fast_sim(u, grid))
+        out[1, 1] = np.inf
+        return out
+
+
+class TestFreshRows:
+    """at_lite's `fast_sim` checks its fresh rows, which the trace adopts;
+    every user-defined `fast_sim` is still copied and checked."""
+
+    def test_at_lite_makes_one_finiteness_pass(self, monkeypatch):
+        at = builtin("at_lite")
+        grid = TimeGrid(10.0, 0.05)
+        sigs = const_inputs(at, grid, {"Throttle": 80, "Brake": 5})
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        trace = simulate(at, sigs, grid).trace
+        assert calls == [(2, grid.n_samples)]
+        assert not trace.channel("Speed").flags.writeable
+        rows = trace.channel("Speed").base
+        assert rows is not None and rows.shape == (3, grid.n_samples)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+
+    def test_user_plant_with_non_finite_output_is_rejected(self):
+        grid = TimeGrid(2.0, 0.5)
+        sigs = {"u": Signal(grid, np.zeros(5))}
+        assert not NaNOutput._fresh_rows
+        with pytest.raises(ValueError, match="channel 'y': signal values must be finite"):
+            simulate(NaNOutput(), sigs, grid)
+
+    def test_user_subclass_of_at_lite_is_checked(self):
+        at = NaNTransmission()
+        assert AutoTransmissionLite._fresh_rows and not at._fresh_rows
+        grid = TimeGrid(2.0, 0.5)
+        sigs = const_inputs(at, grid, {"Throttle": 50, "Brake": 0})
+        with pytest.raises(ValueError, match="channel 'RPM': signal values must be finite"):
+            simulate(at, sigs, grid)
+
+
 class BlowUp(PlantModel):
     """v' = v^2 from v=1 escapes to infinity just after t=1."""
 
