@@ -26,7 +26,10 @@ AT2, of CC1 and of the passthrough workload, and for a 9-point pchip port
 on the passthrough workload's 12001-sample grid. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
-candidate (the passthrough robustness case on a random input). The
+candidate. The passthrough robustness case has two inputs: `[encoded]`, a
+9-point linear candidate encoded as the workload encodes it, whose few
+turns let the sliding windows fold them, and `[noise]`, uniform noise,
+on which they fall back to the doubling. The
 search cases time, on the AT2 box and on the CC1 box (10 coordinates
 each, over different ranges), one restart draw plus one proposal, one
 `Assumption.validate_vector` box check and one
@@ -157,14 +160,35 @@ def test_superposition_build(benchmark, entry):
     assert op.K.shape == (2, 20, grid.n_samples)
 
 
-def test_robustness_passthrough_spec(benchmark):
-    plant = Passthrough()
-    formula = parse(PASSTHROUGH_FORMULA)
-    grid = simulation_grid(plant, formula, 0.01)
-    x = np.random.default_rng(0).uniform(0.0, 1.0, grid.n_samples)
-    trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
+@pytest.mark.parametrize("case", ["encoded", "noise"])
+def test_robustness_passthrough_spec(benchmark, case):
+    if case == "encoded":
+        # one 9-point linear candidate, as the workload encodes it: its
+        # trace has few turns, so the windows fold them
+        fitness, trace, _, _ = _scored_trace(_passthrough_problem())
+        formula = fitness.formula
+    else:
+        # uniform noise: the windows fall back to the doubling
+        plant = Passthrough()
+        formula = parse(PASSTHROUGH_FORMULA)
+        grid = simulation_grid(plant, formula, 0.01)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, grid.n_samples)
+        trace = simulate(plant, {"x": Signal(grid, x)}, grid).trace
     rho = benchmark(robustness, formula, trace)
     assert np.isfinite(rho)
+
+
+def _passthrough_problem():
+    return resolve(
+        ExperimentConfig(
+            plant=Passthrough(),
+            formula_text=PASSTHROUGH_FORMULA,
+            manual_text=PASSTHROUGH_MANUAL,
+            assumption=parse_assumption("x:linear:0,1:9"),
+            auto_scale=2.0,
+            step=0.01,
+        )
+    )
 
 
 def _scored_trace(problem, seed=0):
@@ -190,17 +214,7 @@ def test_robustness_catalog(benchmark, entry):
 
 
 def test_manual_fitness_passthrough_spec(benchmark):
-    problem = resolve(
-        ExperimentConfig(
-            plant=Passthrough(),
-            formula_text=PASSTHROUGH_FORMULA,
-            manual_text=PASSTHROUGH_MANUAL,
-            assumption=parse_assumption("x:linear:0,1:9"),
-            auto_scale=2.0,
-            step=0.01,
-        )
-    )
-    fitness, trace, controls, inputs = _scored_trace(problem)
+    fitness, trace, controls, inputs = _scored_trace(_passthrough_problem())
     fm = benchmark(manual_fitness, fitness.manual, trace, controls, inputs)
     assert np.isfinite(fm)
 

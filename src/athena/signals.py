@@ -265,14 +265,18 @@ class WindowStatKind(enum.Enum):
         """The statistic of the samples in `chunk`, a non-empty float array.
 
         `mean` is bitwise `np.mean`: the same pairwise sum, divided by the
-        count, without `np.mean`'s wrapper."""
+        count, without `np.mean`'s wrapper. A sum past the float maximum
+        is infinite, and numpy warns of it unless the caller ignores
+        overflow (`search.falsify` does, once per run). `ptp` subtracts
+        the Python floats, which round as float64 and overflow to inf
+        without a warning."""
         if self is WindowStatKind.MIN:
             return float(chunk.min())
         if self is WindowStatKind.MAX:
             return float(chunk.max())
         if self is WindowStatKind.MEAN:
             return float(chunk.sum()) / len(chunk)
-        return float(chunk.max() - chunk.min())
+        return float(chunk.max()) - float(chunk.min())
 
 
 class SlopeDirection(enum.Enum):

@@ -11,10 +11,25 @@ parent reads, `need`: the root reads 1, and the child of a temporal node
 reads need + k_hi. A predicate evaluates its expression on that prefix
 only. A temporal node read at one sample is a single min or max over
 child[k_lo : k_hi + 1]; any other runs a sliding min or max that yields
-exactly `need` samples, in about log2 of the window's length passes of
-elementwise numpy minimum or maximum. No sample is computed that the
-value at t=0 does not read, and every value is one of the trace's
-margins, so the result equals a walk over the whole trace.
+exactly `need` samples. No sample is computed that the value at t=0
+does not read, and every value is one of the trace's margins, so the
+result equals a walk over the whole trace.
+
+The sliding min or max takes one of two paths, chosen by a cost test on
+the input array alone (`_sliding`). A trace made from control points is
+piecewise monotone, and a window's min (max) sits at one of its ends or
+at a turn inside it: the last sample of a valley (crest), one that is
+smaller (larger) than the next and not larger (smaller) than the one
+before. With few turns, `_fold` starts from the windows' left ends,
+folds in each turn, in ascending order, over the windows that hold it
+inside, and ends with the right ends: about four passes plus one scalar
+min or max per turn, as in the streaming filter of Lemire (2006) and the
+monitor of Donzé, Ferrère and Maler (CAV 2013). A rough array takes
+`_doubling`, about log2 of the window's length passes of elementwise
+minimum or maximum, and so does one holding a NaN, which is never a
+turn. On a tie np.minimum and np.maximum return their second operand,
+and both paths pass each later sample as the second, so both return the
+rightmost tied sample: every bit is the same, signed zeros included.
 
 Read at one sample, directly over a predicate, a temporal node's
 robustness is the margin of one value: the predicate's margin, bound - e
@@ -112,17 +127,86 @@ def _window_offsets(a: float, b: float, step: float) -> tuple[int, int]:
     return k_lo, k_hi
 
 
+# Costs in samples of one doubling pass, measured on float64 runs of
+# 2001-12001 samples (2-vCPU Xeon, numpy 2.4.6): a numpy call costs about
+# as much as _CALL samples; `_fold` four passes and eight calls, and two
+# calls and 2 * w samples more per turn of a window of w; the turn mask
+# and its count one pass and three calls.
+_CALL = 2500
+
+
 def _sliding(arr: np.ndarray, k_lo: int, k_hi: int, out_len: int, take_min: bool) -> np.ndarray:
     """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len).
 
-    `arr` holds at least out_len + k_hi samples. By doubling: after each
-    pass, run[i] is the min/max of the `span` samples from arr[k_lo + i],
-    and two runs of span <= w samples cover a window of w. Each value is
-    one of the samples, so the result is exact.
+    `arr` holds at least out_len + k_hi samples; the windows slide over
+    run = arr[k_lo : k_hi + out_len], w samples each. Say a sample beats
+    another when it is smaller (min) or larger (max): j is a turn when
+    run[j] beats run[j + 1] and run[j - 1] does not beat run[j]. A
+    window's rightmost extreme is one of its two ends or a turn inside
+    it, so a run with few turns takes `_fold`, about four passes plus one
+    scalar min or max over at most w - 2 outputs per turn. A rough run
+    takes `_doubling`, about log2(w) passes.
+
+    The cost test counts the turns before locating them, in samples of a
+    doubling pass, with one numpy call priced as `_CALL` samples: the
+    doubling costs w.bit_length() * (len(run) + _CALL), the fold four
+    passes and eight calls fixed plus 2 * (w + _CALL) per turn. Where a
+    run with no turn would save less than twice what the mask costs, as
+    for short windows and short runs, no mask is built: there a few
+    turns too many would make the fold lose, and the mask be wasted.
+    The test reads the run alone. A run holding a NaN takes the
+    doubling, which spreads the NaN as np.minimum does: a NaN is never a
+    turn.
+
+    Both paths pass the later of two samples as the second operand, and
+    on a tie np.minimum and np.maximum return the second
+    (np.minimum(0.0, -0.0) is -0.0), so both return the rightmost tied
+    sample: every bit is the same, signed zeros included.
     """
     combine = np.minimum if take_min else np.maximum
     w = k_hi - k_lo + 1
     run = arr[k_lo : k_hi + out_len]
+    n = len(run)
+    # what the doubling costs beyond the fold's fixed part
+    budget = w.bit_length() * (n + _CALL) - 4 * n - 8 * _CALL
+    # a run with too many turns wastes the mask: build it only where a
+    # run with no turn would save twice what the mask costs
+    if budget > 2 * (n + 3 * _CALL):
+        turns = _turns(run, take_min)
+        if np.count_nonzero(turns) * 2 * (w + _CALL) < budget and not math.isnan(run.min()):
+            return _fold(run, w, out_len, combine, turns)
+    return _doubling(run, w, out_len, combine)
+
+
+def _turns(run: np.ndarray, take_min: bool) -> np.ndarray:
+    """Mask of the run's turns (`_sliding`): entry j - 1 is set when
+    run[j] is one, the last sample of a valley (min) or a crest (max),
+    plateaus included."""
+    better = (np.less if take_min else np.greater)(run[:-1], run[1:])
+    return better[1:] > better[:-1]
+
+
+def _fold(run: np.ndarray, w: int, out_len: int, combine, turns: np.ndarray) -> np.ndarray:
+    """The sliding min or max of the run from its window ends and turns.
+
+    Starts from the left ends, folds in each turn j, ascending, as a
+    scalar over the windows that hold it inside, out[j - w + 2 : j], then
+    the right ends. Each value enters as the second operand, so a tie
+    gives the rightmost sample, as the doubling does.
+    """
+    out = run[:out_len].copy()
+    # entry k of the mask is turn k + 1
+    for k in np.flatnonzero(turns).tolist():
+        inside = out[max(0, k - w + 3) : min(k + 1, out_len)]
+        combine(inside, run.item(k + 1), out=inside)
+    return combine(out, run[w - 1 : w - 1 + out_len], out=out)
+
+
+def _doubling(run: np.ndarray, w: int, out_len: int, combine) -> np.ndarray:
+    """The sliding min or max of the run by doubling: after each pass,
+    run[i] is the min/max of the `span` samples from run[i], and two runs
+    of span <= w samples cover a window of w. Each value is one of the
+    samples, the right one of a tie, so the result is exact."""
     span = 1
     while 2 * span <= w:
         run = combine(run[:-span], run[span:])

@@ -13,8 +13,10 @@ segment-run plan replaced, `walk_reference`, the whole-trace robustness walk (wi
 `values_reference`, the zero-seeded channel-expression sum) that the
 cached STL plans replaced, `atom_values_reference`, the sliced
 channel-expression sum that the one-buffer `AtomExpr.values` replaced,
-and `propose_reference`, the elementwise numpy proposal step that the
-Python-float `search.propose` replaced.
+`propose_reference`, the elementwise numpy proposal step that the
+Python-float `search.propose` replaced, and `sliding_doubling_reference`,
+the doubling sliding min or max that `stl.semantics._sliding` now takes
+only for rough arrays.
 """
 
 from __future__ import annotations
@@ -367,6 +369,26 @@ def _ref_sliding(arr, k_lo, k_hi, out_len, take_min):
     full = filt(arr, size=w, mode="nearest")
     start = k_lo + w // 2
     return full[start : start + out_len]
+
+
+def sliding_doubling_reference(arr, k_lo, k_hi, out_len, take_min):
+    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len).
+
+    `arr` holds at least out_len + k_hi samples. By doubling: after each
+    pass, run[i] is the min/max of the `span` samples from arr[k_lo + i],
+    and two runs of span <= w samples cover a window of w. Each value is
+    one of the samples, so the result is exact.
+    """
+    combine = np.minimum if take_min else np.maximum
+    w = k_hi - k_lo + 1
+    run = arr[k_lo : k_hi + out_len]
+    span = 1
+    while 2 * span <= w:
+        run = combine(run[:-span], run[span:])
+        span *= 2
+    if span == w:
+        return run[:out_len]
+    return combine(run[:out_len], run[w - span : w - span + out_len])
 
 
 _REF_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}

@@ -1,6 +1,8 @@
 """Tests for the annealing falsification loop and its input encoding."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from athena.signals import (
     ControlPoints,
     InterpolationKind,
     TimeGrid,
+    WindowStatKind,
     interpolate,
     uniform_control_times,
 )
@@ -437,3 +440,42 @@ class TestFalsify:
     def test_numpy_numbers_accepted(self):
         cfg = SearchConfig(max_iterations=np.int64(5), seed=np.int32(2), sigma=np.float64(0.2))
         assert cfg.max_iterations == 5 and cfg.seed == 2 and cfg.sigma == 0.2
+
+
+class TestOverflowInTheScore:
+    """A window whose mean or range passes the float maximum is infinite
+    and raises no numpy warning: `falsify` ignores overflow once per run,
+    and `ptp` subtracts Python floats."""
+
+    def test_huge_box_scores_as_before_without_a_warning(self):
+        fitness = FitnessAssessment(
+            formula=parse("G[0,10] (y >= 0)"),
+            auto_scale=2.0,
+            manual=parse_manual("scale(mean(y,[0,10]),[0,1])"),
+        )
+        a = box(1e308, 1.7e308, 3, LINEAR)
+        grid = TimeGrid(10.0, 0.1)
+        # as `-W error` would
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = falsify(Passthrough(), a, fitness, SearchConfig(max_iterations=5, seed=3), grid)
+            # the mean overflows in numpy outside a run
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                WindowStatKind.MEAN.of(np.full(101, 1.5e308))
+        # the scores a run gave when numpy warned: each mean is inf, which
+        # scale clamps to 1, and the least sample is the box's lower bound
+        assert result.history == ((1.0, 1.0, 1.0),) * 5
+        assert result.best_robustness == 1e308
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [[-1.7e308, 1.7e308], [1e308, -1e308, 0.5], [-0.0, 0.0], [0.0, -0.0], [-0.0], [2.5, -1.25]],
+    )
+    def test_ptp_is_the_numpy_difference(self, chunk):
+        chunk = np.array(chunk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = WindowStatKind.PEAK_TO_PEAK.of(chunk)
+        with np.errstate(over="ignore"):
+            want = float(chunk.max() - chunk.min())
+        assert struct.pack("d", got) == struct.pack("d", want)
