@@ -14,12 +14,11 @@ on CC1); next to it, `chasing_cars-CC1` computes all five. These
 platoon by superposition (`models.simulate`, Y0 + K x over the inputs'
 interpolation coefficients), which the `superposed-CC1-read` case times:
 one `simulate` call of the read plant on the interpolated inputs of one
-CC1 candidate, with K built. The `-build` cases time, from a cleared
-cache, building the chasing_cars operators for the CC1 grid, the cost the
-first `fast_sim` on a grid pays, and building K for CC1's read plant and
-ports, one `fast_sim` per coefficient and one more, the cost `resolve`
-pays once per problem. The `resolve-CC1` case times a warm `resolve`
-of CC1, every one after the first in a process, which reuses the parsed
+CC1 candidate, with K built. The `-build` case times, from a cleared
+cache, building K for CC1's read plant and ports, one `fast_sim` per
+coefficient and one more, the cost `resolve` pays once per problem. The
+`resolve-CC1` case times a warm `resolve` of CC1, every one after the
+first in a process, which reuses the parsed
 entry and the probe that passed on the cached K. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
 AT2, of CC1 and of the passthrough workload, and for a 9-point pchip port
@@ -58,7 +57,6 @@ from athena.models import (
     AutoTransmissionLite,
     ChasingCars,
     Passthrough,
-    _platoon_operators,
     simulate,
 )
 from athena.search import (
@@ -116,18 +114,6 @@ def test_fast_sim(benchmark, model, entry, hi, prefix, read):
     assert out.shape == (grid.n_samples, len(plant.port_spec.outputs))
 
 
-@pytest.mark.parametrize("entry", ["CC1"], ids=["chasing_cars-CC1-build"])
-def test_operator_build(benchmark, entry):
-    grid = catalog(entry).grid()
-
-    def cold():
-        _platoon_operators.cache_clear()
-        return (ChasingCars, grid.step, grid.n_samples), {}
-
-    L, *_ = benchmark.pedantic(_platoon_operators, setup=cold, rounds=50)
-    assert L > 1
-
-
 def _read_inputs(entry):
     """The plant and grid an entry's runs simulate, and one candidate's
     interpolated inputs."""
@@ -157,7 +143,7 @@ def test_superposition_build(benchmark, entry):
         return (plant, plans, grid), {}
 
     op = benchmark.pedantic(models._operator, setup=cold, rounds=50)
-    assert op.K.shape == (2, 20, grid.n_samples)
+    assert op.K.shape[:2] == (2, 20) and op.K.shape[2] >= grid.n_samples
 
 
 @pytest.mark.parametrize("case", ["encoded", "noise"])

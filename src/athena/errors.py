@@ -58,9 +58,7 @@ class DivergenceError(ArithmeticError):
     """Simulation produced a non-finite state or output value.
 
     `time` is the first grid time at which the state was non-finite, or,
-    when the state stays finite, an output. `ChasingCars` sees a velocity
-    only through the positions and its chunk end states, so it may name a
-    later time than the first non-finite velocity.
+    when the state stays finite, an output.
     """
 
     def __init__(self, time: float):

@@ -471,6 +471,8 @@ def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:
     return _clamp_unit(robustness(formula, trace) / auto_scale)
 
 
+# a window's mean past the float maximum is infinite, with no numpy warning
+@np.errstate(over="ignore")
 def manual_fitness(
     expr: ManualFitnessExpr | None,
     trace: Trace,

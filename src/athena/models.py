@@ -17,7 +17,6 @@ coefficients, one matrix-vector product per simulation.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -210,13 +209,14 @@ def simulate(
     SUPERPOSITION_CACHE_BYTES, the oldest dropped first; a key whose K and
     Y0 alone would exceed it is not superposed. The outputs agree with
     `fast_sim`'s to rounding (within AFFINE_RTOL, which `check_affine`
-    enforces), and are
-    bitwise the same for the same coefficients, plans and grid, whichever
-    other outputs are computed: each output is its own matrix-vector
-    product. A DivergenceError then names the first sample with a
-    non-finite output. The outputs are finite, by a bound on the
-    coefficients' magnitudes and K's and Y0's (`_SUPERPOSED_SAFE`), or else
-    checked once, here, and the trace adopts them (`Trace.from_rows`).
+    enforces), and are bitwise the same for the same coefficients, plans
+    and grid, whichever other outputs are computed: each output is its own
+    matrix-vector product. On a prefix of a grid they are bitwise the
+    prefix of the outputs on the whole grid (`_SAMPLE_BLOCK`). A
+    DivergenceError then names the first sample with a non-finite output.
+    The outputs are finite, by a bound on the coefficients' magnitudes and
+    K's and Y0's (`_SUPERPOSED_SAFE`), or else checked once, here, and the
+    trace adopts them (`Trace.from_rows`).
     Every other call runs `fast_sim`, whose block `Trace.from_block` copies
     and checks, or, from a built-in plant that checked fresh rows itself
     (`PlantModel._fresh_rows`), the trace adopts.
@@ -260,16 +260,24 @@ def simulate(
 
 # Bytes of superposition operators kept per process, one operator per
 # (plant class, outputs, port plans, grid), the oldest dropped first. An
-# operator, K and Y0, holds 8 bytes x samples x outputs x (coefficients +
-# 1); K alone is 640 KB for CC1's read plant (2001 x 2 x 20) and 1.6 MB
-# for the whole platoon on the same grid. One larger than the budget is
-# never built.
+# operator, K and Y0, holds 8 bytes x padded samples x outputs x
+# (coefficients + 1); K alone is 645 KB for CC1's read plant (2016 x 2 x
+# 20) and 1.6 MB for the whole platoon on the same grid. One larger than
+# the budget is never built.
 SUPERPOSITION_CACHE_BYTES = 16 << 20
+
+# K and Y0 end in zero samples up to a multiple of this many. BLAS forms
+# the last few samples of a matrix-vector product in a remainder loop,
+# which rounds otherwise than its vector loop; with the padding no sample
+# of the grid falls there, so the outputs on a prefix of a grid are
+# bitwise the prefix of the outputs on the whole grid.
+_SAMPLE_BLOCK = 16
 
 
 class _Operator:
     """K and Y0 of `simulate`'s superposed path, both read-only: K is
-    (outputs, coefficients, samples) and Y0 (outputs, samples). `k_max`
+    (outputs, coefficients, padded samples) and Y0 (outputs, padded
+    samples), zero past the grid's samples (`_SAMPLE_BLOCK`). `k_max`
     and `y0_max` are their largest magnitudes (NaN where they hold one),
     and `probes` holds the coefficients, as bytes, of every input
     `check_affine` has passed on this operator."""
@@ -302,22 +310,24 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | No
     op = _operators.get(key)
     if op is None:
         n = grid.n_samples
-        shape = (len(model.port_spec.outputs), sum(plan.n_coefficients for plan in plans), n)
-        size = 8 * shape[0] * (shape[1] + 1) * n
+        width = -(-n // _SAMPLE_BLOCK) * _SAMPLE_BLOCK
+        shape = (len(model.port_spec.outputs), sum(plan.n_coefficients for plan in plans), width)
+        size = 8 * shape[0] * (shape[1] + 1) * width
         if size > SUPERPOSITION_CACHE_BYTES:
             return None
         kept = sum(other.nbytes for other in _operators.values())
         while kept + size > SUPERPOSITION_CACHE_BYTES:
             kept -= _operators.pop(next(iter(_operators))).nbytes
         bases = [plan.basis()[:n] for plan in plans]
-        K = np.empty(shape)
+        K = np.zeros(shape)
         u = np.zeros((n, len(bases)))
-        y0 = model.fast_sim(u, grid).T.copy()
+        y0 = np.zeros((shape[0], width))
+        y0[:, :n] = model.fast_sim(u, grid).T
         k = 0
         for j, basis in enumerate(bases):
             for column in basis.T:
                 u[:, j] = column
-                np.subtract(model.fast_sim(u, grid).T, y0, out=K[:, k])
+                np.subtract(model.fast_sim(u, grid).T, y0[:, :n], out=K[:, k, :n])
                 k += 1
             u[:, j] = 0.0
         op = _operators[key] = _Operator(K, y0)
@@ -336,19 +346,22 @@ _SUPERPOSED_MARGIN = 1e-6
 
 
 def _superposed(op: _Operator, signals: tuple, grid: TimeGrid) -> np.ndarray:
-    """Y0 + K x as fresh (outputs, samples) rows, checked finite."""
+    """Y0 + K x as fresh (outputs, samples) rows, each C-contiguous,
+    checked finite."""
     x = np.concatenate([s.coefficients for s in signals])
+    n = grid.n_samples
     # on the Python floats, which overflow to inf silently; a NaN or an
     # infinity fails the bound, and below it every output is finite
     size = sum(map(abs, x.tolist()))
     if size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max < _SUPERPOSED_SAFE:
         rows = np.matmul(x, op.K)
         rows += op.y0
-        return rows
+        return rows[:, :n]
     # overflow must surface as DivergenceError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.matmul(x, op.K)
         rows += op.y0
+        rows = rows[:, :n]
         if not np.isfinite(rows).all():
             finite = np.isfinite(rows).all(axis=0)
             raise DivergenceError(int(np.argmin(finite)) * grid.step)
@@ -357,7 +370,7 @@ def _superposed(op: _Operator, signals: tuple, grid: TimeGrid) -> np.ndarray:
 
 # Largest difference `check_affine` accepts between the superposed outputs
 # and `fast_sim`'s, relative to max(1, largest |fast_sim| output). On the
-# chasing_cars grids of the catalog the two differ by about 1e-11.
+# chasing_cars grids of the catalog the two differ by about 2e-12.
 AFFINE_RTOL = 1e-9
 
 
@@ -419,38 +432,23 @@ class ChasingCars(PlantModel):
     differences y_{k+1} - y_k, each 10 m at rest.
 
     The RK4 step is the affine map x+ = P x + f_k, with the forcing f_k
-    linear in the input samples u_k and u_{k+1}. The platoon is linear and
-    time invariant, so `fast_sim` applies the whole input-to-output map as
-    matmuls, with operators built once per (plant class, step, sample
-    count) by `_platoon_operators`. The grid's steps are cut into C chunks
-    of L; row c of H holds chunk c's start state, its L + 1 input samples
-    and a 1:
+    linear in the input samples u_k and u_{k+1}, so state k is the sum over
+    j <= k of P^(k-j) f_j, with f_0 the initial state. `fast_sim` forms
+    that sum by a doubling scan (Hillis & Steele, "Data Parallel
+    Algorithms", CACM 1986): after the pass for s = 1, 2, 4, ... each row
+    holds the sum over its last 2s terms, one matmul by P^s per pass. That
+    is the step-by-step recurrence summed in a different order, which is
+    sound because P is stable: its powers stay bounded, so the reordering
+    only moves rounding (about 2e-11 on 10001 samples). Every row is
+    computed by the same operations whatever the sample count, so a shorter
+    run is bitwise the prefix of a longer one on the same step.
 
-    1. `e = inputs @ M`: each chunk's end state from a zero start;
-    2. `s = X0 + e @ T`: every chunk's start state, where T is the
-       block-Toeplitz map of the powers of P^L and X0 the part that does not
-       depend on the inputs;
-    3. `H @ G[y]` for each output channel y: that car's position at every
-       sample, where G[y] stacks P^1..P^L on the in-chunk input-to-position
-       map and the in-chunk response to the constant forcing, all
-       restricted to that car's position.
-
-    This is the step-by-step recurrence summed in a different order. That
-    is sound because P is stable: its powers stay bounded, so the reordering
-    only moves rounding (about 1e-11 on 10001 samples).
-
-    `with_outputs` gives a platoon that computes only some of y1..y5, by
-    only their products in step 3. Each channel is always computed by the
-    same product, so its values are bitwise the same whichever other
-    channels are computed with it: a search may simulate the channels its
-    score reads, and the whole plant replays what it found on the same
-    grid to the same robustness. Only the computed channels are checked,
-    so an output that is not computed can go non-finite unseen.
-
-    A DivergenceError names the first sample with a non-finite computed
-    position, or else the end of the first chunk whose end state
-    overflowed: a velocity that overflows inside a chunk shows only once a
-    position or a chunk end does.
+    `with_outputs` gives a platoon that returns only some of y1..y5. All
+    channels come from the same states, so each channel's values are
+    bitwise the same whichever other channels are computed with it: a
+    search may simulate the channels its score reads, and the whole plant
+    replays what it found to the same robustness. A DivergenceError names
+    the first sample whose state has a non-finite entry.
 
     The platoon is `affine`: on interpolated inputs `simulate` computes
     its positions by superposition, from `fast_sim`'s responses.
@@ -529,113 +527,31 @@ class ChasingCars(PlantModel):
     @np.errstate(over="ignore", invalid="ignore")
     def fast_sim(self, u, grid):
         n = grid.n_samples
-        L, M, T, X0, G = _platoon_operators(type(self), grid.step, n)
-        C = len(X0) // 10
-        # row c of H: chunk c's start state, its input samples cL .. cL + L
-        # (zeros past the grid end) and a 1
-        padded = np.zeros((C * L + 1, 2))
-        padded[:n] = u
-        H = np.empty((C, 13 + 2 * L))
-        H[:, 10 : 10 + 2 * L] = padded[:-1].reshape(C, 2 * L)
-        H[:, 10 + 2 * L : -1] = padded[L::L]
-        H[:, -1] = 1.0
-        e = H[:-1, 10:-1] @ M
-        # T's zeros would carry an overflowed chunk end into every start
-        # state as nan, so keep only the k chunks up to the first such end:
-        # their starts do not depend on it
-        k = C
-        if not np.isfinite(e).all():
-            k = int(np.argmin(np.isfinite(e).all(axis=1))) + 1
-        s = X0[: 10 * k] + e[: k - 1].ravel() @ T[: 10 * (k - 1), : 10 * k]
-        H[:k, :10] = s.reshape(k, 10)
-        # one row per computed channel, each filled by that channel's own
-        # product, so its values do not depend on the other channels
-        rows = np.empty((len(self._channels), k * L + 1))
-        for row, y in zip(rows, self._channels):
-            row[0] = self._x0[self._OUT_COLS[y]]
-            np.matmul(H[:k], G[y], out=row[1:].reshape(k, L))
-        rows = rows[:, :n]
-        if not np.isfinite(rows).all():
-            finite = np.isfinite(rows).all(axis=0)
+        Pt, Q, r = self._step_ops(grid.step)
+        # row k + 1 of the input block is step k's [u_k, midpoint, u_{k+1}]
+        # and row k + 1 of x step k's forcing; row 0 of x is the initial
+        # state
+        block = np.zeros((n, 6))
+        block[1:, :2] = u[:-1]
+        block[1:, 4:] = u[1:]
+        np.add(u[:-1], u[1:], out=block[1:, 2:4])
+        block[1:, 2:4] *= 0.5
+        x = block @ Q
+        x[1:] += r
+        x[0] = self._x0
+        # after the pass for s, row k holds the sum over j in (k - 2s, k] of
+        # f_j Pt^(k-j); each product reads the rows as they were before it.
+        # numpy computes a one-row product by gemv, which rounds otherwise
+        # than the gemm of longer runs, so a product takes two rows or more
+        s = 1
+        while s < n:
+            x[s:] += (x[: max(n - s, 2)] @ Pt)[: n - s]
+            Pt = Pt @ Pt
+            s *= 2
+        if not np.isfinite(x).all():
+            finite = np.isfinite(x).all(axis=1)
             raise DivergenceError(int(np.argmin(finite)) * grid.step)
-        if k < C:
-            # the positions stayed finite, the state at the k-th chunk end
-            # did not
-            raise DivergenceError(k * L * grid.step)
-        return rows.T
-
-
-# Number of operator sets kept per process, one per (plant class, step,
-# sample count); a run uses its grid and perhaps a shorter prefix of it.
-# A set holds about 0.5 KB per grid sample: 1 MB for the 2001-sample CC
-# grids, 5 MB for 10001 samples, 50 MB for 100001.
-PLATOON_CACHE_SIZE = 4
-
-
-def _powers(A: np.ndarray, k: int) -> np.ndarray:
-    """A^0 .. A^(k-1) stacked along a new first axis, by doubling."""
-    out = np.empty((k,) + A.shape)
-    out[0] = np.eye(len(A))
-    h = 1
-    while h < k:
-        t = min(h, k - h)
-        np.matmul(out[:t], out[h - 1] @ A, out=out[h : h + t])
-        h += t
-    return out
-
-
-def _toeplitz(blocks: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    """Block matrix whose block (a, b) is blocks[lag[a, b]], or zero where
-    the lag is negative."""
-    padded = np.concatenate([blocks, np.zeros((1,) + blocks.shape[1:])])
-    lag = np.where(lag >= 0, lag, len(blocks))
-    (a, b), (p, q) = lag.shape, blocks.shape[1:]
-    return padded[lag[:, None, :], np.arange(p)[:, None]].reshape(a * p, b * q)
-
-
-@functools.lru_cache(maxsize=PLATOON_CACHE_SIZE)
-def _platoon_operators(plant: type[ChasingCars], step: float, n: int):
-    """(L, M, T, X0, G) that `ChasingCars.fast_sim` applies, all read-only.
-
-    The n - 1 steps are cut into C chunks of L. M maps a chunk's L + 1
-    input samples to its end state from a zero start; T and X0 give every
-    chunk's start state from those ends; G[y], one contiguous (13 + 2L, L)
-    block per output channel y1..y5, maps [start | inputs | 1] to that
-    car's position at the chunk's L samples after its start. About
-    sqrt(m / 3) chunks balance T's 100 C^2 entries against G's 10 L^2.
-    """
-    Pt, Q, r = plant._step_ops(step)
-    m = n - 1
-    L = -(-m // max(1, round(math.sqrt(m / 3))))
-    C = -(-m // L)
-    cols = list(plant._OUT_COLS)
-    pw = _powers(Pt, L + 1)
-    forced = np.cumsum(r @ pw[:L], axis=0)
-    # step k's forcing is u_k Qa + u_{k+1} Qb + r, the midpoint input folded
-    # in, so in-chunk state j (1..L) takes chunk input 0 through Qa P^(j-1)
-    # and input i (1..L) through phi[j-i] = Qa P^(j-i-1) + Qb P^(j-i)
-    QaP = (Q[0:2] + 0.5 * Q[2:4]) @ pw
-    phi = (Q[4:6] + 0.5 * Q[2:4]) @ pw
-    phi[1:] += QaP[:-1]
-    M = np.vstack([QaP[L - 1], phi[L - 1 :: -1].reshape(2 * L, 10)])
-    G = np.empty((13 + 2 * L, 5 * L))
-    G[:10] = pw[1:, :, cols].transpose(1, 0, 2).reshape(10, 5 * L)
-    G[10:12] = QaP[:L, :, cols].transpose(1, 0, 2).reshape(2, 5 * L)
-    j = np.arange(1, L + 1)
-    G[12:-1] = _toeplitz(phi[:L, :, cols], j - j[:, None])
-    G[-1] = forced[:, cols].ravel()
-    # column j * 5 + y of the block above is output channel y at in-chunk
-    # sample j; give each channel its own contiguous block
-    G = np.ascontiguousarray(G.reshape(13 + 2 * L, L, 5).transpose(2, 0, 1))
-    # with K = P^L, chunk c starts at x0 K^c + the sum over i < c of
-    # (e_i + forced[-1]) K^(c-1-i)
-    c = np.arange(C)
-    kp = _powers(pw[L], C)
-    T = _toeplitz(kp, c - 1 - c[:-1, None])
-    X0 = (plant._x0 @ kp).ravel() + np.tile(forced[-1], C - 1) @ T
-    for a in (M, T, X0, G):
-        a.setflags(write=False)
-    return L, M, T, X0, G
+        return x[:, [self._OUT_COLS[y] for y in self._channels]]
 
 
 class AutoTransmissionLite(PlantModel):

@@ -368,7 +368,6 @@ class RunResult:
         return self.failure is not None
 
 
-@np.errstate(over="ignore")
 def falsify(
     plant: PlantModel,
     assumption: Assumption,
@@ -418,10 +417,6 @@ def falsify(
     in an output the score does not name, is therefore scored normally,
     not as diverged: no part of the score reads those samples or that
     output.
-
-    The run ignores floating-point overflow, entering `np.errstate` once:
-    a manual window's mean or an STL margin past the float maximum is
-    infinite, as before, and numpy prints no warning for it.
 
     A problem that fails a check of `check_problem` raises before the
     first simulation. An exception raised inside an iteration carries

@@ -267,7 +267,7 @@ class WindowStatKind(enum.Enum):
         `mean` is bitwise `np.mean`: the same pairwise sum, divided by the
         count, without `np.mean`'s wrapper. A sum past the float maximum
         is infinite, and numpy warns of it unless the caller ignores
-        overflow (`search.falsify` does, once per run). `ptp` subtracts
+        overflow (`fitness.manual_fitness` does). `ptp` subtracts
         the Python floats, which round as float64 and overflow to inf
         without a warning."""
         if self is WindowStatKind.MIN:

@@ -271,9 +271,9 @@ class Trace:
         """A trace of the rows of `rows`, named in order, followed by
         `signals`, with `rows` adopted as it is: no check and no copy.
 
-        `rows` is a fresh C-contiguous (len(names), samples) float array of
-        finite values that its caller computed and checked itself, and
-        that nothing else writes to; it is made read-only here.
+        `rows` is a fresh (len(names), samples) float array, each row
+        C-contiguous, of finite values that its caller computed and checked
+        itself, and that nothing else writes to; it is made read-only here.
 
         A signal that is a `Signal` on `grid` itself (the same object) is
         adopted: the trace holds its values as they are, checked when the

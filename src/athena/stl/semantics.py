@@ -396,6 +396,8 @@ def _value(f: Formula, trace: Trace, leaf, neg):
     return plan.value(f, trace, leaf, neg)[0]
 
 
+# a margin past the float maximum is infinite, with no numpy warning
+@np.errstate(over="ignore")
 def robustness(f: Formula, trace: Trace) -> float:
     """Space robustness of f on the trace, evaluated at time 0.
 
@@ -407,6 +409,7 @@ def robustness(f: Formula, trace: Trace) -> float:
     return float(_value(f, trace, _margin, np.negative))
 
 
+@np.errstate(over="ignore")
 def satisfied(f: Formula, trace: Trace) -> bool:
     """Classical boolean semantics at time 0 (strict comparators exact)."""
     return bool(_value(f, trace, _holds, _complement))

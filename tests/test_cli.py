@@ -252,6 +252,16 @@ class TestRobustness:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "20"
 
+    def test_overflowing_margin_prints_minus_inf(self, tmp_path, capsys):
+        # the nested window's margin passes the float maximum; numpy warns
+        # of nothing (the suite turns warnings into errors)
+        path = tmp_path / "big.csv"
+        write_trace_csv(path, [0.0, 0.5, 1.0], {"x": [1.7e308] * 3})
+        rc = cli(["robustness", "--formula", "G[0,0.5] (F[0,0.5] (x <= -1e308))",
+                  "--trace", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "-inf"
+
     def test_bad_formula_exits_2(self, flat_speed_csv, capsys):
         rc = cli(["robustness", "--formula", "G[0,20 (Speed < 120)",
                   "--trace", flat_speed_csv])

@@ -150,6 +150,11 @@ class TestManualEvaluation:
         trace = const_trace(GRID50, Throttle=0.0, Brake=325.0)
         assert manual_fitness(expr, trace) == 1.0
 
+    def test_window_mean_overflows_to_inf_without_a_warning(self):
+        # the sum passes the float maximum; scale clamps the mean to 1
+        expr = parse_manual("scale(mean(x,[0,50]),[0,1])")
+        assert manual_fitness(expr, const_trace(GRID50, x=1.5e308)) == 1.0
+
     def test_target_distance_zero_at_target(self):
         expr = parse_manual("dist(scale(mean(Throttle,[0,33]),[0,100]),0.45)")
         trace = const_trace(GRID50, Throttle=45.0)

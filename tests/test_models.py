@@ -19,7 +19,6 @@ from athena.models import (
     Passthrough,
     PlantModel,
     PortSpec,
-    _platoon_operators,
     builtin,
     simulate,
 )
@@ -282,9 +281,9 @@ def assert_matches_cc_reference(plant):
         assert np.allclose(got, ref[:, j], rtol=0, atol=1e-9)
 
 
-# (samples, step): n - 1 = 1 (one step), 2 (prime), 20, 25 (a square), the
-# CCx prefix, 1997 (prime: the last chunk is partial), the CC1 and CC4
-# grids, step 0.01
+# (samples, step): n - 1 = 1 and 2 (the last pass adds to one row), 20,
+# 25, the CCx prefix, 1997 (prime), the CC1 grid, 2300, and the CC4 size
+# at step 0.01
 SCAN_GRIDS = [
     (2, 0.05), (3, 0.05), (21, 0.05), (26, 0.05), (1001, 0.05), (1998, 0.05),
     (2001, 0.05), (2301, 0.05), (10001, 0.01),
@@ -350,44 +349,60 @@ class TestChasingCars:
                 for j, name in enumerate(subset):
                     assert np.array_equal(got[:, j], full[:, names.index(name)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.sampled_from(SCAN_GRIDS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_shorter_run_is_bitwise_the_prefix_of_the_whole_run(self, grid, seed, data):
+        n, step = grid
+        u = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2))
+        full = ChasingCars().fast_sim(u, TimeGrid((n - 1) * step, step))
+        # with m - 1 a power of two the last pass adds to one row
+        powers = [2**k + 1 for k in range(14) if 2**k < n]
+        m = data.draw(st.integers(2, n) | st.sampled_from(powers), label="m")
+        prefix = TimeGrid((m - 1) * step, step)
+        assert prefix.n_samples == m
+        assert np.array_equal(ChasingCars().fast_sim(u[:m], prefix), full[:m])
+
     def test_cc1_grid_output_does_not_depend_on_blas_threads(self, tmp_path):
         # fast_sim on a sample block, and the superposed path on the CC1
-        # candidate its control values encode
-        grid = catalog("CC1").grid()
-        u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
-        np.save(tmp_path / "u.npy", u)
+        # candidate its control values encode, on the CC1 grid and on a
+        # grid of the CC4 size, 10001 samples
+        grids = [catalog("CC1").grid(), TimeGrid(100.0, 0.01)]
         script = (
             "import numpy as np\n"
             "from athena.catalog import catalog\n"
             "from athena.models import ChasingCars, simulate\n"
             "from athena.search import encode_inputs\n"
             "from athena.signals import TimeGrid\n"
-            f"grid = TimeGrid({grid.end!r}, {grid.step!r})\n"
-            f"u = np.load({str(tmp_path / 'u.npy')!r})\n"
             "cc = ChasingCars()\n"
-            f"np.save({str(tmp_path / 'full.npy')!r}, cc.fast_sim(u, grid))\n"
-            "read = cc.with_outputs(['y4', 'y5']).fast_sim(u, grid)\n"
-            f"np.save({str(tmp_path / 'read.npy')!r}, read)\n"
             "a = catalog('CC1').assumption\n"
-            "inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)\n"
-            "for name, plant in (('sup_full', cc), ('sup_read', cc.with_outputs(['y4', 'y5']))):\n"
-            "    trace = simulate(plant, inputs, grid).trace\n"
-            "    rows = [trace.channel(y) for y in plant.port_spec.outputs]\n"
-            f"    np.save({str(tmp_path)!r} + '/' + name + '.npy', np.array(rows))\n"
+            f"for g, (end, step) in enumerate({[(g.end, g.step) for g in grids]!r}):\n"
+            "    grid = TimeGrid(end, step)\n"
+            "    u = np.random.default_rng(g).uniform(0.0, 1.0, (grid.n_samples, 2))\n"
+            f"    out = {str(tmp_path)!r} + f'/{{g}}-'\n"
+            "    np.save(out + 'full.npy', cc.fast_sim(u, grid))\n"
+            "    np.save(out + 'read.npy', cc.with_outputs(['y4', 'y5']).fast_sim(u, grid))\n"
+            "    inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)\n"
+            "    for name, plant in (('sup_full', cc), ('sup_read', cc.with_outputs(['y4', 'y5']))):\n"
+            "        trace = simulate(plant, inputs, grid).trace\n"
+            "        rows = [trace.channel(y) for y in plant.port_spec.outputs]\n"
+            "        np.save(out + name + '.npy', np.array(rows))\n"
         )
         src = str(Path(athena.__file__).parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
         cc = ChasingCars()
-        assert np.array_equal(np.load(tmp_path / "full.npy"), cc.fast_sim(u, grid))
-        read = cc.with_outputs(["y4", "y5"]).fast_sim(u, grid)
-        assert np.array_equal(np.load(tmp_path / "read.npy"), read)
         a = catalog("CC1").assumption
-        inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)
-        for name, plant in (("sup_full", cc), ("sup_read", cc.with_outputs(["y4", "y5"]))):
-            trace = simulate(plant, inputs, grid).trace
-            rows = np.array([trace.channel(y) for y in plant.port_spec.outputs])
-            assert np.array_equal(np.load(tmp_path / f"{name}.npy"), rows)
+        for g, grid in enumerate(grids):
+            u = np.random.default_rng(g).uniform(0.0, 1.0, (grid.n_samples, 2))
+            out = tmp_path / f"{g}-"
+            assert np.array_equal(np.load(f"{out}full.npy"), cc.fast_sim(u, grid))
+            read = cc.with_outputs(["y4", "y5"]).fast_sim(u, grid)
+            assert np.array_equal(np.load(f"{out}read.npy"), read)
+            inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)
+            for name, plant in (("sup_full", cc), ("sup_read", cc.with_outputs(["y4", "y5"]))):
+                trace = simulate(plant, inputs, grid).trace
+                rows = np.array([trace.channel(y) for y in plant.port_spec.outputs])
+                assert np.array_equal(np.load(f"{out}{name}.npy"), rows)
 
     def test_simulate_traces_only_the_selected_outputs(self):
         grid = TimeGrid(10.0, 0.05)
@@ -408,6 +423,7 @@ class TestChasingCars:
         cc = builtin("chasing_cars")
         cc.with_outputs(["y4"])
         assert cc.port_spec == ChasingCars.port_spec
+        assert not ChasingCars._x0.flags.writeable
         assert cc.fast_sim(np.zeros((3, 2)), TimeGrid(0.1, 0.05)).shape == (3, 5)
 
     @pytest.mark.parametrize("name", ["at_lite", "passthrough"])
@@ -426,23 +442,6 @@ class TestChasingCars:
             with pytest.raises(DivergenceError) as exc:
                 simulate(cc, sigs, grid)
         assert exc.value.time == pytest.approx(time, abs=1e-9)
-
-    def test_instances_share_one_operator_build(self):
-        grid = TimeGrid(3.3, 0.05)
-        u = np.random.default_rng(0).uniform(0.0, 1.0, (grid.n_samples, 2))
-        before = _platoon_operators.cache_info()
-        a = builtin("chasing_cars").fast_sim(u, grid)
-        b = builtin("chasing_cars").fast_sim(u, grid)
-        after = _platoon_operators.cache_info()
-        assert after.misses - before.misses <= 1
-        assert after.hits - before.hits >= 1
-        assert np.array_equal(a, b)
-
-    def test_operators_are_read_only(self):
-        L, *operators = _platoon_operators(ChasingCars, 0.05, 2001)
-        assert L > 1
-        for a in operators + [ChasingCars._x0]:
-            assert not a.flags.writeable
 
     @pytest.mark.parametrize("writeable", [True, False])
     def test_input_left_unwritten(self, writeable):

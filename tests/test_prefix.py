@@ -49,10 +49,6 @@ from athena.signals import (
 )
 from athena.stl import Trace, formula_samples, parse, robustness
 
-# the tolerance of the chasing_cars oracle tests: its matmuls pick their
-# chunk length from the sample count, so a shorter run rounds differently
-CC_ATOL = 1e-9
-
 # every channel the formulas below name
 CHANNELS = ("x", "Speed", "RPM", "y1", "y2", "y3", "y4", "y5")
 
@@ -135,13 +131,7 @@ class TestCatalogPrefix:
             full = simulate(problem.plant, inputs, grid).trace
             want = assess(problem.fitness, full, controls=controls)
             got = score_prefix(problem.fitness, problem.plant, inputs, controls, grid, n)
-            if problem.plant.name == "at_lite" or n == grid.n_samples:
-                assert got == want
-            else:
-                for field in ("automatic", "manual", "combined", "robustness"):
-                    assert math.isclose(
-                        getattr(got, field), getattr(want, field), rel_tol=0, abs_tol=CC_ATOL
-                    )
+            assert got == want
 
     @pytest.mark.parametrize(
         "entry, n", [("AT1", 501), ("AT2", 501), ("AT6a", 661), ("AT6b", 661), ("AT6c", 661)]
@@ -217,17 +207,15 @@ class TestCatalogPrefix:
     @pytest.mark.parametrize("entry", catalog_ids())
     def test_found_failure_replays_on_the_whole_plant(self, entry):
         # the whole plant and grid give the robustness the search reported,
-        # exactly but on CCx, whose 1001-sample prefix the chasing_cars
-        # matmuls cut into other chunks than its whole grid
+        # exactly
         p = resolve(ExperimentConfig(entry=entry))
-        atol = CC_ATOL if entry == "CCx" else 0.0
         for seed in range(3):
             result = falsify(p.plant, p.assumption, p.fitness, SearchConfig(seed=seed), p.grid)
             if result.found:
                 tc = result.failure
                 trace = simulate(p.plant, tc.inputs, p.grid).trace
                 rho = robustness(p.fitness.formula, trace)
-                assert math.isclose(rho, tc.robustness, rel_tol=0, abs_tol=atol)
+                assert math.isclose(rho, tc.robustness, rel_tol=0, abs_tol=0.0)
 
     @pytest.mark.parametrize("entry", ["CC1", "CC2", "CC3", "CC4", "CC5"])
     def test_cc_entries_read_the_whole_grid(self, entry):

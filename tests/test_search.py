@@ -444,8 +444,9 @@ class TestFalsify:
 
 class TestOverflowInTheScore:
     """A window whose mean or range passes the float maximum is infinite
-    and raises no numpy warning: `falsify` ignores overflow once per run,
-    and `ptp` subtracts Python floats."""
+    and raises no numpy warning: `falsify` scores through `robustness` and
+    `manual_fitness`, which ignore overflow, and `ptp` subtracts Python
+    floats."""
 
     def test_huge_box_scores_as_before_without_a_warning(self):
         fitness = FitnessAssessment(

@@ -95,6 +95,18 @@ class TestBoundary:
                     assert not satisfied(f, tr)
 
 
+class TestOverflow:
+    # a margin past the float maximum is -inf, and numpy warns of nothing
+    # (the suite turns warnings into errors)
+    @pytest.mark.parametrize(
+        "text", ["G[0,0.5] (F[0,0.5] (x <= -1e308))", "G[0,1] (x <= -1e308)"]
+    )
+    def test_margin_overflows_to_minus_inf_without_a_warning(self, text):
+        tr = const_trace(1.7e308, end=1.0)
+        assert robustness(parse(text), tr) == -np.inf
+        assert satisfied(parse(text), tr) is False
+
+
 class TestWindows:
     def test_inclusive_ends(self):
         grid = TimeGrid(5.0, 0.5)

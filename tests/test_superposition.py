@@ -149,6 +149,27 @@ class TestBitwise:
         trace = simulate(problem.plant, case.inputs, problem.grid).trace
         assert robustness(problem.fitness.formula, trace) == case.robustness
 
+    @pytest.mark.parametrize("m", [2, 17, 1000, 1001, 1025, 1998])
+    def test_prefix_outputs_are_the_whole_grid_outputs(self, m):
+        # no sample of either grid is formed in the product's remainder
+        grid = TimeGrid(100.0, 0.05)
+        prefix = TimeGrid((m - 1) * 0.05, 0.05)
+        assert prefix.n_samples == m
+        cc = ChasingCars()
+        rng = np.random.default_rng(m)
+        whole = {
+            name: interpolate(
+                ControlPoints(uniform_control_times(grid, 7), rng.uniform(0, 1, 7)),
+                InterpolationKind.PCHIP,
+                grid,
+            )
+            for name in cc.port_spec.inputs
+        }
+        inputs = {name: signal.prefix(prefix) for name, signal in whole.items()}
+        got = _rows(simulate(cc, inputs, prefix).trace, cc.port_spec.outputs)
+        want = _rows(simulate(cc, whole, grid).trace, cc.port_spec.outputs)
+        assert np.array_equal(got, want[:, :m])
+
     @pytest.mark.parametrize("entry", ["CC1", "CC2", "CC3", "CC4", "CC5"])
     def test_found_failures_are_failures_of_fast_sim(self, entry):
         # the test case's inputs rebuilt as plain signals run fast_sim, not
@@ -352,14 +373,16 @@ class TestOperatorCache:
         assert len(models._operators) == 1
         (op,) = models._operators.values()
         K, y0 = op.K, op.y0
-        # y4 and y5, 20 coefficients, 2001 samples: 640 KB
-        assert K.shape == (2, 20, 2001) and y0.shape == (2, 2001)
-        assert K.nbytes == 640320
+        # y4 and y5, 20 coefficients, 2001 samples padded to 2016: 645 KB
+        assert K.shape == (2, 20, 2016) and y0.shape == (2, 2016)
+        assert K.nbytes == 645120
+        assert not K[..., 2001:].any() and not y0[:, 2001:].any()
         assert not K.flags.writeable and not y0.flags.writeable
 
     def test_bounded_in_bytes_oldest_dropped_first(self, monkeypatch):
-        # 21 samples, 5 outputs, 2n coefficients: (2n + 1) x 840 bytes
-        budget = 32_000
+        # 21 samples padded to 32, 5 outputs, 2n coefficients: (2n + 1) x
+        # 1280 bytes
+        budget = 48_000
         monkeypatch.setattr(models, "SUPERPOSITION_CACHE_BYTES", budget)
         models._operators.clear()
         grid = TimeGrid(10.0, 0.5)
@@ -371,9 +394,9 @@ class TestOperatorCache:
             kept = [op.nbytes for op in models._operators.values()]
             assert sum(kept) <= budget
             newest, *_ = reversed(models._operators.values())
-            assert newest.K.shape == (5, 2 * n, 21)
+            assert newest.K.shape == (5, 2 * n, 32)
         # the newest two fit, the third newest did not
-        assert kept == [(2 * n + 1) * 840 for n in (8, 9)]
+        assert kept == [(2 * n + 1) * 1280 for n in (8, 9)]
 
     def test_operator_over_the_budget_is_not_built(self, monkeypatch):
         monkeypatch.setattr(models, "SUPERPOSITION_CACHE_BYTES", 1000)
