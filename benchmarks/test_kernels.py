@@ -35,13 +35,15 @@ each, over different ranges), one restart draw plus one proposal, one
 `Assumption.control_points` decode: the per-candidate work on the
 parameter vector, which runs on Python floats. The `atom_values` case
 times the channel expression of the passthrough predicate over every
-sample. The iteration cases time one CC1 and one AT2 iteration after the proposal,
-through the same calls `falsify` makes: `Assumption.control_points`,
-`encode_inputs`, on AT2 the cut to the prefix the score reads, `simulate`
-of the outputs the score names and `assess`, on a warm problem; their
-time less the kernel cases above (on CC1 the superposed `simulate`, on
-AT2 the prefix `fast_sim`) is the glue between the kernels: checks,
-copies and the objects each call builds. The end-to-end cases
+sample. The iteration cases time one CC1, one AT2 and one passthrough
+iteration after the proposal, through the same calls `falsify` makes:
+`Assumption.control_points`, `encode_inputs`, on AT2 the cut to the
+prefix the score reads, `simulate` of the outputs the score names and
+`assess`, on a warm problem; their time less the kernel cases above (on
+CC1 the superposed `simulate`, on AT2 the prefix `fast_sim`, on
+passthrough the interpolation, robustness and manual fitness) is the
+glue between the kernels: checks, copies and the objects each call
+builds. The end-to-end cases
 time one seeded `falsify` run on a catalog entry with a fixed budget, and
 check its outcome, so a change that alters the search trajectory fails.
 """
@@ -302,6 +304,26 @@ def test_iteration_at2(benchmark):
         part = {name: signal.prefix(sim_grid) for name, signal in inputs.items()}
         trace = simulate(sim_plant, part, sim_grid).trace
         return assess(fitness, trace, 0, 300, controls, Trace(grid, inputs))
+
+    iteration()  # builds the plans outside the timing
+    value = benchmark(iteration)
+    assert np.isfinite(value.combined)
+
+
+def test_iteration_passthrough(benchmark):
+    problem = _passthrough_problem()
+    a, grid, fitness = problem.assumption, problem.grid, problem.fitness
+    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    # the score reads y up to the grid's end, so falsify encodes and
+    # simulates one grid; the trace adopts y, the copy of x
+    assert sim_grid is grid
+    vector = np.random.default_rng(0).uniform(a.lower, a.upper)
+
+    def iteration():
+        controls = a.control_points(vector, grid)
+        inputs = encode_inputs(a, controls, grid)
+        trace = simulate(sim_plant, inputs, grid).trace
+        return assess(fitness, trace, 0, 300, controls)
 
     iteration()  # builds the plans outside the timing
     value = benchmark(iteration)

@@ -4,15 +4,24 @@ Plain ValueError is used for generic invalid arguments; the classes here
 exist where callers need to tell failure kinds apart (CLI exit codes,
 search-loop divergence handling, parser diagnostics). `check_number` is
 the one rule for a real-valued setting at the config boundaries.
+`ignoring_overflow` and `quiet_overflow` are the one rule for float
+overflow in a score: it gives an infinity, and numpy warns of nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "check_number",
+    "ignoring_overflow",
+    "quiet_overflow",
     "ParseError",
     "SemanticError",
     "MissingChannelError",
@@ -73,3 +82,39 @@ def check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+# True inside `ignoring_overflow`, whose np.errstate then already holds.
+_overflow_ignored = contextvars.ContextVar("overflow_ignored", default=False)
+
+
+@contextlib.contextmanager
+def ignoring_overflow():
+    """Float overflow ignored (np.errstate(over="ignore")) inside, and
+    marked so that a `quiet_overflow` function called there enters no
+    errstate of its own. `search.falsify` runs under it, entered once per
+    run: numpy rebuilds its error-state object on every entry, about 1 us,
+    which the scores would otherwise pay on every candidate. As a
+    decorator it is entered anew on every call."""
+    token = _overflow_ignored.set(True)
+    try:
+        with np.errstate(over="ignore"):
+            yield
+    finally:
+        _overflow_ignored.reset(token)
+
+
+def quiet_overflow(fn):
+    """`fn`, run with float overflow ignored: under the caller's
+    `ignoring_overflow`, or else inside its own np.errstate(over="ignore"),
+    so that a direct call warns of nothing either."""
+    # numpy's decorator form, which builds no errstate object per call
+    quiet = np.errstate(over="ignore")(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _overflow_ignored.get():
+            return fn(*args, **kwargs)
+        return quiet(*args, **kwargs)
+
+    return wrapper

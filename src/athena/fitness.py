@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MissingChannelError, ParseError, check_number
+from .errors import MissingChannelError, ParseError, check_number, quiet_overflow
 from .signals import (
     ControlPoints,
     SlopeDirection,
@@ -110,10 +110,11 @@ class WindowStat(ManualFitnessExpr):
     The channel expression is evaluated only over the window's samples,
     whose range the window resolves once per grid it reads: it keeps the
     range of the last grid, which a run passes as the same object on every
-    trace. A window over one channel as it stands (`AtomExpr.bare`) takes
-    the statistic of a read-only view of the channel's samples, with no
-    copy, and adds 0.0 to it, which gives the bits of the statistic of the
-    expression's values.
+    trace. The statistic is taken over the expression's values up to the
+    sign of a zero (`AtomExpr.raw`): a read-only view of the channel's
+    samples, with no copy, for a window over one channel as it stands,
+    and the terms' sum without a pass that adds a zero constant. Plus 0.0
+    it has the bits of the statistic of the expression's values.
     """
 
     channel: AtomExpr
@@ -136,10 +137,8 @@ class WindowStat(ManualFitnessExpr):
             grid = trace.grid
             lo, hi = window_span(self.window, grid)
             object.__setattr__(self, "_span", (grid, lo, hi))
-        name = self.channel.bare
-        if name is not None:
-            return self.stat.of(trace.channel(name)[lo : hi + 1]) + 0.0
-        return self.stat.of(self.channel.values(trace, lo, hi + 1))
+        values, _ = self.channel.raw(trace, lo, hi + 1)
+        return self.stat.of(values) + 0.0
 
     def __str__(self):
         a, b = self.window
@@ -472,7 +471,7 @@ def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:
 
 
 # a window's mean past the float maximum is infinite, with no numpy warning
-@np.errstate(over="ignore")
+@quiet_overflow
 def manual_fitness(
     expr: ManualFitnessExpr | None,
     trace: Trace,

@@ -88,13 +88,16 @@ class PlantModel:
     the product.
 
     A built-in plant class sets the private `_fresh_rows` when its
-    `fast_sim` returns `rows.T`, for rows that are a fresh C-contiguous
-    (outputs, samples) array owning its data, checked finite by `fast_sim`
-    itself, as it must to name the divergence time, and held by nothing
-    else: `simulate` then adopts `rows` (`Trace.from_rows`) without the
-    copy and the second check of `Trace.from_block`. A class that defines
-    its own `fast_sim` does not inherit it, so the output of every
-    user-defined `fast_sim` is copied and checked.
+    `fast_sim` returns `rows.T`, for (outputs, samples) rows, each
+    C-contiguous, of finite values, in memory held by nothing else:
+    `simulate` then adopts `rows` (`Trace.from_rows`) without the copy
+    and the finiteness pass of `Trace.from_block`. `at_lite` returns
+    fresh rows that it checked itself, as it must to name the divergence
+    time. `Passthrough` returns the column of the input block that
+    `simulate` filled for the call, a copy of the input's samples, which
+    were checked when the signal was built. A class that defines its own
+    `fast_sim` does not inherit it, so the output of every user-defined
+    `fast_sim` is copied and checked.
     """
 
     name: str = "plant"
@@ -218,8 +221,8 @@ def simulate(
     K's and Y0's (`_SUPERPOSED_SAFE`), or else checked once, here, and the
     trace adopts them (`Trace.from_rows`).
     Every other call runs `fast_sim`, whose block `Trace.from_block` copies
-    and checks, or, from a built-in plant that checked fresh rows itself
-    (`PlantModel._fresh_rows`), the trace adopts.
+    and checks, or, from a built-in plant whose rows are finite and held
+    by nothing else (`PlantModel._fresh_rows`), the trace adopts.
     """
     spec = model.port_spec
     signals = inputs
@@ -254,7 +257,7 @@ def simulate(
     out = model.fast_sim(u, grid)
     if model._fresh_rows:
         # the rows whose transpose `fast_sim` returned
-        return SimResult(Trace.from_rows(grid, spec.outputs, out.base, signals))
+        return SimResult(Trace.from_rows(grid, spec.outputs, out.T, signals))
     return SimResult(Trace.from_block(grid, spec.outputs, out, signals))
 
 
@@ -413,11 +416,17 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
 
 
 class Passthrough(PlantModel):
-    """Stateless identity plant: output y equals input x sample for sample."""
+    """Stateless identity plant: output y equals input x sample for sample.
+
+    y is the input block's column, which `simulate` filled with a copy of
+    x for this call alone, so the trace adopts it (`_fresh_rows`): the one
+    copy of x is y's, and x was checked finite when it was built.
+    """
 
     name = "passthrough"
     port_spec = PortSpec(inputs=("x",), outputs=("y",))
     default_horizon = None
+    _fresh_rows = True
 
     def fast_sim(self, u, grid):
         return u[:, :1]
@@ -675,6 +684,7 @@ class AutoTransmissionLite(PlantModel):
                 finite = np.isfinite(channel)
                 if not finite.all():
                     raise DivergenceError(int(np.argmin(finite)) * dt)
+        out.setflags(write=False)
         return out.T
 
 

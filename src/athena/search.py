@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonError, PortMismatchError
+from .errors import DivergenceError, HorizonError, PortMismatchError, ignoring_overflow
 from .fitness import FitnessAssessment, assess
 from .models import PlantModel, simulate
 from .signals import (
@@ -368,6 +368,7 @@ class RunResult:
         return self.failure is not None
 
 
+@ignoring_overflow()
 def falsify(
     plant: PlantModel,
     assumption: Assumption,
@@ -417,6 +418,11 @@ def falsify(
     in an output the score does not name, is therefore scored normally,
     not as diverged: no part of the score reads those samples or that
     output.
+
+    The run ignores float overflow, under one `errors.ignoring_overflow`
+    entered per run, so the scores enter no error state of their own per
+    candidate: a score past the float maximum is infinite, as on a
+    direct call, and numpy warns of nothing.
 
     A problem that fails a check of `check_problem` raises before the
     first simulation. An exception raised inside an iteration carries

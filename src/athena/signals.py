@@ -385,6 +385,16 @@ class _HeldPlan:
         return np.eye(self.n_coefficients)[self.held]
 
 
+# Below this bound on |slope| * width + |v| of every segment of a linear
+# plan, with v the segment's first control value, no product or sum of a
+# sample can overflow: a sample is slope * dx + v with 0 <= dx <= width,
+# so it stays under the bound times 1 + 1e-15 with rounding, against a
+# float maximum of 1.797e308. A sample before the first or after the last
+# control time, which the control value overwrites, lies at most TIME_TOL
+# outside its segment, which adds at most 1.8e308 * 1e-9 to its product.
+_LINEAR_SAFE = 1e308
+
+
 class _LinearPlan:
     """Linear kind, in np.interp's arithmetic: slope * (x - t[seg]) + v[seg],
     with the control value itself at a control time, outside the control
@@ -392,30 +402,42 @@ class _LinearPlan:
 
     `seg` never decreases along the grid, so `slope[seg]` and `v[seg]` are
     repeats of the n - 1 segments by `counts`, the number of samples in
-    each: n - 1 runs copied instead of one index gathered per sample."""
+    each: n - 1 runs copied instead of one index gathered per sample.
+    `widths` holds the segments' widths as Python floats."""
 
     def __init__(self, grid, seg, dx, widths, hits, points):
         self.grid = grid
         self.n_coefficients = len(widths) + 1
         self.counts = _read_only(np.bincount(seg, minlength=len(widths)))
         self.dx = _read_only(dx)
-        self.widths = _read_only(widths)
+        self.widths = tuple(widths.tolist())
         self.hits = _read_only(hits)
         self.points = _read_only(points)
 
-    # np.interp never warns: a slope that overflows stays inf, and inf times
-    # the zero offset at a control time is overwritten by the control value
-    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        slope = (values[1:] - values[:-1]) / self.widths
-        out = np.repeat(slope, self.counts)
-        out *= self.dx
-        out += np.repeat(values[:-1], self.counts)
-        out[self.hits] = values[self.points]
-        return _finite(out), values
+        v = values.tolist()
+        # numpy's slopes, on the Python floats, which round as float64 and
+        # overflow to inf silently
+        slopes = [(b - a) / h for a, b, h in zip(v, v[1:], self.widths)]
+        # checked on the Python floats, as in _PchipPlan: an infinite slope
+        # fails the bound, and below it every sample is finite
+        if all(abs(m) * h + abs(a) < _LINEAR_SAFE for m, h, a in zip(slopes, self.widths, v)):
+            return self._sum(slopes, values), values
+        # np.interp never warns: a slope that overflows stays inf, and inf
+        # times the zero offset at a control time is overwritten by the
+        # control value
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self._sum(slopes, values)), values
 
     def basis(self) -> np.ndarray:
         return np.column_stack([self.sample(e)[0] for e in np.eye(self.n_coefficients)])
+
+    def _sum(self, slopes: list[float], values: np.ndarray) -> np.ndarray:
+        out = np.repeat(slopes, self.counts)
+        out *= self.dx
+        out += np.repeat(values[:-1], self.counts)
+        out[self.hits] = values[self.points]
+        return out
 
 
 # Below this bound on sum |v| * (largest value basis) + sum |m| * (largest
@@ -655,17 +677,20 @@ def steepest_slope(
     cp: ControlPoints, direction: SlopeDirection, window: tuple[float, float]
 ) -> float:
     """Steepest rise (or magnitude of steepest fall) between consecutive
-    in-window control points; 0 when no segment goes the requested way."""
+    in-window control points; +0.0 when no segment goes the requested way.
+
+    Computed on the Python floats, which round as numpy's float64 and
+    overflow to inf silently: the bits of the slopes' numpy form."""
     a, b = window
-    inside = (cp.times >= a - TIME_TOL) & (cp.times <= b + TIME_TOL)
-    t = cp.times[inside]
-    v = cp.values[inside]
-    if len(t) < 2:
-        raise ValueError(f"need >= 2 control points inside [{a}, {b}], got {len(t)}")
-    slopes = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+    lo, hi = a - TIME_TOL, b + TIME_TOL
+    points = [(t, v) for t, v in zip(cp.times.tolist(), cp.values.tolist()) if lo <= t <= hi]
+    if len(points) < 2:
+        raise ValueError(f"need >= 2 control points inside [{a}, {b}], got {len(points)}")
+    slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(points, points[1:])]
+    # max keeps its first argument on a tie, so a zero result is +0.0
     if direction is SlopeDirection.POSITIVE:
-        return float(max(0.0, slopes.max()))
-    return float(max(0.0, -slopes.min()))
+        return max(0.0, max(slopes))
+    return max(0.0, -min(slopes))
 
 
 def scale(value: float, range_: tuple[float, float]) -> float:

@@ -48,20 +48,37 @@ class AtomExpr:
     @cached_property
     def bare(self) -> str | None:
         """The channel this expression is, as it stands, or None: one term
-        with coefficient 1, const +0.0 and no abs.
-
-        Its `values` are then the channel's samples plus 0.0, which turns
-        -0.0 into +0.0 and leaves every other value as it is. So min, max,
-        mean and ptp of the raw samples, plus 0.0, are bitwise those of the
-        values (`fitness.WindowStat`, `stl.semantics`): each changes only
-        the sign of a zero result, which the added 0.0 makes +0.0.
-        """
+        with coefficient 1, const +0.0 and no abs. `raw` reads it as a
+        read-only view of the channel's samples."""
         if len(self.terms) != 1 or self.absolute:
             return None
         (name, coeff), = self.terms
         if coeff != 1.0 or self.const != 0.0 or math.copysign(1.0, self.const) < 0.0:
             return None
         return name
+
+    def raw(self, trace: Trace, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, bool]:
+        """The expression at samples start .. stop - 1 of the trace, up to
+        the sign of a zero, and whether the array is fresh, the caller's to
+        write.
+
+        A zero constant is not added when there is no abs: adding +0.0
+        changes only a -0.0 sum to +0.0, and adding -0.0 changes nothing.
+        The result may thus hold -0.0 where `values` holds +0.0, and has
+        the bits of `values` everywhere else. A bare channel (`bare`) is
+        then a read-only view of the channel's samples, not fresh. Any
+        other expression is `values`.
+
+        Min, max, mean and ptp of the result, plus 0.0, are bitwise those
+        of `values`, which hold no -0.0: each differs only in the sign of
+        a zero result, which the added 0.0 makes +0.0.
+        """
+        name = self.bare
+        if name is not None:
+            return trace.channel(name)[start:stop], False
+        if self.absolute or self.const != 0.0:
+            return self.values(trace, start, stop), True
+        return self._sum(trace, start, stop)
 
     def values(self, trace: Trace, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The expression at samples start .. stop - 1 of the trace (every
@@ -78,6 +95,15 @@ class AtomExpr:
         there is one, so the operands and their order are those of the
         plain sum.
         """
+        acc, owned = self._sum(trace, start, stop)
+        acc = np.add(acc, self.const, out=acc if owned else None)
+        if self.absolute:
+            np.abs(acc, out=acc)
+        return acc
+
+    def _sum(self, trace: Trace, start: int, stop: int | None) -> tuple[np.ndarray, bool]:
+        """The terms' sum, from the zero seed where `values` keeps it, and
+        whether this call made the array."""
         acc, owned = None, False
         negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
         if not self.terms or negative_zero:
@@ -95,10 +121,7 @@ class AtomExpr:
             else:
                 out = acc if owned else term if product else None
                 acc, owned = np.add(acc, term, out=out), True
-        acc = np.add(acc, self.const, out=acc if owned else None)
-        if self.absolute:
-            np.abs(acc, out=acc)
-        return acc
+        return acc, owned
 
     def __str__(self) -> str:
         parts = []
@@ -271,9 +294,10 @@ class Trace:
         """A trace of the rows of `rows`, named in order, followed by
         `signals`, with `rows` adopted as it is: no check and no copy.
 
-        `rows` is a fresh (len(names), samples) float array, each row
+        `rows` is a (len(names), samples) float array, each row
         C-contiguous, of finite values that its caller computed and checked
-        itself, and that nothing else writes to; it is made read-only here.
+        itself, or copied from values checked before, in memory that
+        nothing else writes to; it is made read-only here.
 
         A signal that is a `Signal` on `grid` itself (the same object) is
         adopted: the trace holds its values as they are, checked when the

@@ -272,18 +272,18 @@ class TestOnePassChecks:
 PCHIP = InterpolationKind.PCHIP
 
 
-def _pchip_case(times, values, grid):
-    """interpolate's pchip samples, which must come without a warning, and
-    the reference's, computed with warnings off; or the ValueError when
-    the reference is not finite."""
+def _interpolate_case(times, values, grid, kind=PCHIP):
+    """interpolate's samples (pchip by default), which must come without
+    a warning, and the reference's, computed with warnings off; or the
+    ValueError when the reference is not finite."""
     cp = _cp(times, values)
     with np.errstate(all="ignore"):
-        want = interpolate_reference(cp, PCHIP, grid)
+        want = interpolate_reference(cp, kind, grid)
     if not np.isfinite(want).all():
         with pytest.raises(ValueError, match="signal values must be finite"):
-            interpolate(cp, PCHIP, grid)
+            interpolate(cp, kind, grid)
         return None, None
-    return interpolate(cp, PCHIP, grid).values, want
+    return interpolate(cp, kind, grid).values, want
 
 
 class TestPchipOverflowBound:
@@ -312,7 +312,7 @@ class TestPchipOverflowBound:
         # a width below the spacing of floats near the end times rounds away
         assume((np.diff(times) > 0).all())
         unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-        got, want = _pchip_case(times, np.array(unit) * magnitude, grid)
+        got, want = _interpolate_case(times, np.array(unit) * magnitude, grid)
         if got is not None:
             assert np.array_equal(bits(got), bits(want))
 
@@ -327,7 +327,7 @@ class TestPchipOverflowBound:
         ],
     )
     def test_edge_cases_match_reference(self, times, values):
-        got, want = _pchip_case(times, values, TimeGrid(10.0, 0.5))
+        got, want = _interpolate_case(times, values, TimeGrid(10.0, 0.5))
         if got is not None:
             assert np.array_equal(bits(got), bits(want))
 
@@ -357,6 +357,74 @@ class TestPchipOverflowBound:
         assert 0.0 < plan.slope_basis <= 8.0 * 4.0 / 27.0 + 1e-12
 
 
+LINEAR = InterpolationKind.LINEAR
+
+
+class TestLinearOverflowBound:
+    """`_LinearPlan.sample` computes the slopes on the Python floats and
+    enters np.errstate, and checks its samples, only when a segment's
+    slope and value could overflow; either way the samples are the
+    reference's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        magnitude=st.sampled_from([1.0, 1e150, 1e300, 1e307, 5e307, 1.7e308]),
+        close=st.sampled_from([None, 1e-9, 1e-13, 1e-300]),
+        data=st.data(),
+    )
+    def test_matches_reference_without_warning(self, n, magnitude, close, data):
+        grid = TimeGrid(10.0, 0.5)
+        times = np.linspace(0.0, grid.end, n)
+        if close is not None and n > 2:
+            k = data.draw(st.integers(1, n - 1))
+            if k == n - 1:
+                times[k - 1] = times[k] - close
+            else:
+                times[k] = times[k - 1] + close
+        assume((np.diff(times) > 0).all())
+        unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        got, want = _interpolate_case(times, np.array(unit) * magnitude, grid, LINEAR)
+        if got is not None:
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize(
+        "times, values, grid, finite",
+        [
+            # the secant of two opposite huge values overflows
+            ([0.0, 10.0], [1.7e308, -1.7e308], TimeGrid(10.0, 0.5), False),
+            # a slope that overflows to inf over a tiny width, read inside it
+            ([0.0, 1.5e-10, 1e-8], [0.0, 1e300, 0.0], TimeGrid(1e-8, 1e-10), False),
+            # the same slope where no sample lies inside the tiny segment
+            ([0.0, 10.0 - 1e-13, 10.0], [1.0, 2.0, 1e308], TimeGrid(10.0, 0.5), True),
+            # just under the bound: |slope| * reach + |v| below 1e308
+            ([0.0, 5.0, 10.0], [0.0, 9.9e307, 9.9e307], TimeGrid(10.0, 0.5), True),
+            # the same past the last control time, which the grid's end
+            # passes by 5e-10
+            ([0.0, 5.0, 10.0 - 5e-10], [0.0, 0.0, 9.9e307], TimeGrid(10.0, 0.5), True),
+        ],
+    )
+    def test_edge_cases_match_reference(self, times, values, grid, finite):
+        got, want = _interpolate_case(times, values, grid, LINEAR)
+        assert (got is not None) is finite
+        if got is not None:
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_paths(self, monkeypatch):
+        checked = []
+        finite = signals._finite
+        monkeypatch.setattr(signals, "_finite", lambda out: checked.append(1) or finite(out))
+        grid = TimeGrid(10.0, 0.5)
+        moderate = _cp([0.0, 2.5, 5.0, 10.0], [1.0, -3.0, 2e300, 0.0])
+        fast = interpolate(moderate, LINEAR, grid).values
+        assert checked == []
+        # forced down the errstate path, the same arithmetic gives the same bits
+        monkeypatch.setattr(signals, "_LINEAR_SAFE", 0.0)
+        slow = interpolate(moderate, LINEAR, grid).values
+        assert checked == [1]
+        assert np.array_equal(bits(fast), bits(slow))
+
+
 class TestPchipSegmentRuns:
     """A pchip plan copies each segment's four coefficients over its run of
     samples and sums the Hermite terms in the order the per-sample gather
@@ -370,13 +438,13 @@ class TestPchipSegmentRuns:
         assert 0 in _plan(PCHIP, grid, times).counts
         rng = np.random.default_rng(n)
         for _ in range(50):
-            got, want = _pchip_case(times, rng.uniform(-5.0, 5.0, n), grid)
+            got, want = _interpolate_case(times, rng.uniform(-5.0, 5.0, n), grid)
             assert np.array_equal(bits(got), bits(want))
 
     def test_two_points(self):
         grid = TimeGrid(10.0, 0.5)
         for values in ([1.0, -2.0], [-0.0, 0.0], [3.0, 3.0]):
-            got, want = _pchip_case([0.0, 10.0], values, grid)
+            got, want = _interpolate_case([0.0, 10.0], values, grid)
             assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("grid", [TimeGrid(1.0, 0.5), TimeGrid(10.0, 0.5)])
@@ -385,7 +453,7 @@ class TestPchipSegmentRuns:
         finite = signals._finite
         monkeypatch.setattr(signals, "_finite", lambda out: checked.append(1) or finite(out))
         for values in ([1e308, -1e308, 1e308, 0.0, 1.0], [1.7e308, 1.7e308, 0.0, 0.0, 2.0]):
-            got, want = _pchip_case(uniform_control_times(grid, 5), values, grid)
+            got, want = _interpolate_case(uniform_control_times(grid, 5), values, grid)
             if got is not None:
                 assert np.array_equal(bits(got), bits(want))
         assert checked
@@ -709,6 +777,12 @@ class TestRawChannelReads:
     )
     def test_bare_channel(self, expr, bare):
         assert expr.bare == bare
+        # only the channel as it stands is read as a view, never copied
+        trace = Trace(RAW_GRID, {"y": _channel_cases()["mixed zeros"], "x": np.ones(8)})
+        values, fresh = expr.raw(trace)
+        assert fresh is (bare is None)
+        assert np.shares_memory(values, trace.channel("y")) is (bare == "y")
+        assert np.array_equal(bits(values + 0.0), bits(expr.values(trace)))
 
     @pytest.mark.parametrize("cmp", ["<", "<=", ">", ">="])
     @pytest.mark.parametrize(

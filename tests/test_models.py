@@ -79,6 +79,45 @@ class TestPassthrough:
         assert res.trace.grid == grid
 
 
+class PassthroughWithOwnSim(Passthrough):
+    """A user subclass of the identity plant with its own `fast_sim`."""
+
+    def fast_sim(self, u, grid):
+        out = u.copy()
+        out[1, 0] = np.inf
+        return out
+
+
+class TestPassthroughAdoptsItsOutput:
+    """simulate copies x once, into the input block, and the trace adopts
+    that column as y: no second copy and no finiteness pass."""
+
+    def test_no_finiteness_pass(self, monkeypatch):
+        grid = TimeGrid(120.0, 0.01)
+        x = Signal(grid, np.random.default_rng(1).uniform(-2.0, 2.0, grid.n_samples))
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        trace = simulate(builtin("passthrough"), {"x": x}, grid).trace
+        assert calls == []
+        y = trace.channel("y")
+        assert np.array_equal(y, x.values)
+        assert not y.flags.writeable and y.flags.c_contiguous
+        assert not np.shares_memory(y, x.values)
+        assert trace.channel("x") is x.values
+
+    def test_user_subclass_with_own_sim_is_checked(self):
+        assert Passthrough._fresh_rows and not PassthroughWithOwnSim._fresh_rows
+        grid = TimeGrid(2.0, 0.5)
+        with pytest.raises(ValueError, match="channel 'y': signal values must be finite"):
+            simulate(PassthroughWithOwnSim(), {"x": Signal(grid, np.zeros(5))}, grid)
+
+
 class TestPortChecks:
     def test_missing_input(self):
         grid = TimeGrid(5.0, 1.0)

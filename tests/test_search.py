@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from athena.catalog import catalog
-from athena.errors import HorizonError, PortMismatchError
+from athena.errors import HorizonError, PortMismatchError, ignoring_overflow, quiet_overflow
 from athena.fitness import FitnessAssessment, parse_manual
 from athena.models import PlantModel, PortSpec, Passthrough, simulate
 from athena.search import (
@@ -467,6 +467,33 @@ class TestOverflowInTheScore:
         # scale clamps to 1, and the least sample is the box's lower bound
         assert result.history == ((1.0, 1.0, 1.0),) * 5
         assert result.best_robustness == 1e308
+
+    def test_a_run_enters_one_error_state(self, monkeypatch):
+        fitness = FitnessAssessment(
+            formula=parse("G[0,10] (y >= 0)"),
+            auto_scale=2.0,
+            manual=parse_manual("scale(mean(y,[0,10]),[0,1])"),
+        )
+        made = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kw: made.append(kw) or errstate(**kw))
+        falsify(Passthrough(), box(0.0, 1.0, 3, LINEAR), fitness, SearchConfig(max_iterations=5, seed=3), GRID10)
+        # entered once by falsify, around its five candidates
+        assert made == [{"over": "ignore"}]
+
+    def test_a_score_inside_a_run_takes_the_run_state(self):
+        overflow = quiet_overflow(lambda: np.float64(1e308) * 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # outside a run, its own error state
+            assert overflow() == math.inf
+            with ignoring_overflow():
+                assert overflow() == math.inf
+                # inside a run it enters none of its own, so a state set
+                # within the run is the one in effect
+                with np.errstate(over="warn"):
+                    with pytest.raises(RuntimeWarning, match="overflow"):
+                        overflow()
 
     @pytest.mark.parametrize(
         "chunk",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from athena import signals
 from athena.signals import (
     PLAN_CACHE_SIZE,
+    TIME_TOL,
     ControlPoints,
     InterpolationKind,
     Signal,
@@ -532,6 +533,36 @@ class TestSteepestSlope:
         cp = ControlPoints([0.0, 5.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             steepest_slope(cp, SlopeDirection.POSITIVE, (0.0, 2.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308]) | st.floats(-1e3, 1e3),
+            min_size=2,
+            max_size=9,
+        ),
+        window=st.sampled_from([(0.0, 120.0), (15.0, 75.0), (30.0, 30.0 + 1e-10)]),
+        direction=st.sampled_from(list(SlopeDirection)),
+    )
+    def test_matches_the_numpy_form(self, values, window, direction):
+        cp = ControlPoints(np.linspace(0.0, 120.0, len(values)), values)
+        a, b = window
+        inside = (cp.times >= a - TIME_TOL) & (cp.times <= b + TIME_TOL)
+        t, v = cp.times[inside], cp.values[inside]
+        if len(t) < 2:
+            with pytest.raises(ValueError, match="need >= 2 control points"):
+                steepest_slope(cp, direction, window)
+            return
+        # the numpy form; a difference of huge values overflows
+        with np.errstate(over="ignore"):
+            slopes = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+        if direction is SlopeDirection.POSITIVE:
+            want = float(max(0.0, slopes.max()))
+        else:
+            want = float(max(0.0, -slopes.min()))
+        got = steepest_slope(cp, direction, window)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestScale:

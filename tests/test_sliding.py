@@ -11,15 +11,34 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from athena.harness import ExperimentConfig, parse_assumption, resolve
 from athena.models import Passthrough, simulate
 from athena.search import check_problem, encode_inputs
-from athena.stl import robustness, satisfied, semantics
+from athena.signals import TimeGrid
+from athena.stl import (
+    AtomExpr,
+    Eventually,
+    Globally,
+    Not,
+    Or,
+    Predicate,
+    Trace,
+    parse,
+    robustness,
+    satisfied,
+    semantics,
+)
 
-from oracles import robustness_reference, satisfied_reference, sliding_doubling_reference
+from oracles import (
+    ref_margin,
+    robustness_reference,
+    satisfied_reference,
+    sliding_doubling_reference,
+)
 
 PASSTHROUGH = (
     "G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1))) and G[0,100] (F[0,20] (y <= 2))"
@@ -216,3 +235,138 @@ class TestNestedFormulasMatchTheWalk:
                 zeros.add(math.copysign(1.0, rho))
         # both signs of a zero result occur among these candidates
         assert zeros == {1.0, -1.0}
+
+
+# bare, up to a signed zero constant, multiplied, and two-term expressions
+MARGIN_EXPRESSIONS = [
+    AtomExpr((("y", 1.0),)),
+    AtomExpr((("y", 1.0),), -0.0),
+    AtomExpr((("y", -1.0),)),
+    AtomExpr((("y", 2.0),)),
+    AtomExpr((("y", 1.0), ("x", -1.0))),
+    AtomExpr((("y", 1.0), ("x", 1.0)), -0.0),
+    AtomExpr((("y", 0.5), ("x", -0.5)), 0.5),
+    AtomExpr((("y", 1.0),), 0.0, True),
+]
+
+
+def nested(p, shape, a, b):
+    """A formula over predicate p that reads it at one sample, through
+    one window, through two sliding windows, or beside a negated window."""
+    if shape == 0:
+        return p
+    if shape == 1:
+        return Globally(a, a + b, p)
+    if shape == 2:
+        return Globally(0.0, b, Eventually(a, a + b, p))
+    return Eventually(0.0, b, Or(Not(Globally(0.0, a + 1, p)), p))
+
+
+class TestMarginsUpToTheSignOfZero:
+    """A margin reads its expression without adding a zero constant where
+    that cannot change a bit; robustness and satisfaction still equal the
+    whole-trace walk, bitwise, on channels full of signed zeros."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(16, 40),
+        expr=st.sampled_from(MARGIN_EXPRESSIONS),
+        cmp=st.sampled_from(["<", "<=", ">", ">="]),
+        bound=st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+        shape=st.integers(0, 3),
+        a=st.integers(0, 3),
+        b=st.integers(1, 5),
+    )
+    def test_matches_the_walk(self, data, n, expr, cmp, bound, shape, a, b):
+        level = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
+        y, x = (np.array(data.draw(st.lists(level, min_size=n, max_size=n))) for _ in "yx")
+        trace = Trace(TimeGrid(n - 1.0, 1.0), {"y": y, "x": x})
+        f = nested(Predicate(expr, cmp, bound), shape, float(a), float(b))
+        assert same_bits(robustness(f, trace), robustness_reference(f, trace)), str(f)
+        assert satisfied(f, trace) is satisfied_reference(f, trace)
+
+    @given(cmp=st.sampled_from(["<", "<=", ">", ">="]), bound=st.sampled_from([0.0, -0.0, 0.5]))
+    def test_bare_channel_margin_reads_the_view(self, cmp, bound):
+        # a bare channel is subtracted from its read-only view, never copied
+        y = np.array([0.0, -0.0, 1.0, -0.0, 0.5, 0.0])
+        trace = Trace(TimeGrid(5.0, 1.0), {"y": y})
+        pred = Predicate(AtomExpr((("y", 1.0),)), cmp, bound)
+        calls = []
+        values = AtomExpr.values
+
+        def counted(self, *args):
+            calls.append(self)
+            return values(self, *args)
+
+        with mock.patch.object(AtomExpr, "values", counted):
+            margin = semantics._margin(pred, trace, 6)
+        zero_sign_matters = bound == 0.0 and (math.copysign(1.0, bound) < 0.0) == (cmp in ("<", "<="))
+        assert len(calls) == int(zero_sign_matters)
+        assert not trace.channel("y").flags.writeable
+        assert same_bits(margin, ref_margin(pred, y + 0.0))
+
+
+class TestNaNScan:
+    """Only a predicate over two or more terms, or with a number that is
+    not finite, can put a NaN into a margin; only its windows scan for one."""
+
+    def test_overflowing_two_term_atom_takes_the_doubling(self):
+        # 2y and 2x overflow to inf past 0.9e308, and inf - inf is NaN; the
+        # rest of the margin is 1, with no turn
+        grid = TimeGrid(40.0, 0.01)
+        ramp = linear([0.0, 1.5e308], grid.n_samples)
+        trace = Trace(grid, {"y": ramp, "x": ramp.copy()})
+        f = parse("G[0,20] (F[0,20] (2 * y - 2 * x >= -1))")
+        seen = []
+        sliding = semantics._sliding
+
+        def recorded(*args):
+            out = sliding(*args)
+            seen.append((args, out))
+            return out
+
+        with (
+            mock.patch.object(semantics, "_sliding", side_effect=recorded),
+            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold,
+            mock.patch.object(semantics, "_doubling", wraps=semantics._doubling) as doubling,
+            np.errstate(invalid="ignore"),
+        ):
+            rho = robustness(f, trace)
+        (args, out), = seen
+        assert args[5] is True
+        assert (fold.call_count, doubling.call_count) == (0, 1)
+        assert np.isnan(args[0]).any() and math.isnan(rho)
+        assert same_bits(out, sliding_doubling_reference(*args[:5]))
+
+    @pytest.mark.parametrize(
+        "text, scans",
+        [
+            ("G[0,70] (F[0,30] (G[0,20] (y >= -1)))", False),
+            ("G[0,70] (F[0,30] (G[0,20] (not (2 * y <= 3))))", False),
+            ("G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1)))", True),
+        ],
+    )
+    def test_single_term_predicate_never_scans(self, text, scans):
+        problem = passthrough_problem(text)
+        a = problem.assumption
+        trace = scored_trace(problem, np.random.default_rng(3).uniform(a.lower, a.upper))
+        f = problem.fitness.formula
+        with (
+            mock.patch.object(math, "isnan", wraps=math.isnan) as isnan,
+            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold,
+        ):
+            rho = robustness(f, trace)
+        # F[0,30] and G[0,20] slide over a few turns, and fold
+        assert fold.call_count == 2
+        assert isnan.call_count == (2 if scans else 0)
+        assert same_bits(rho, robustness_reference(f, trace))
+
+    def test_flags_follow_the_predicates(self):
+        f = parse("G[0,1] (F[0,1] (y <= 2)) and F[0,1] (not (G[0,1] (y - x >= 0)))")
+        plan = semantics._plan(f, 0.5)
+        assert plan.nan and not plan.left.nan and plan.right.nan
+        assert not plan.left.child.child.nan
+        assert plan.right.child.child.child.nan
+        inf_bound = Globally(0.0, 1.0, Predicate(AtomExpr((("y", 1.0),)), "<", math.inf))
+        assert semantics._plan(inf_bound, 0.5).nan
