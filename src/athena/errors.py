@@ -5,7 +5,8 @@ exist where callers need to tell failure kinds apart (CLI exit codes,
 search-loop divergence handling, parser diagnostics). `check_number` is
 the one rule for a real-valued setting at the config boundaries.
 `ignoring_overflow` and `quiet_overflow` are the one rule for float
-overflow in a score: it gives an infinity, and numpy warns of nothing.
+overflow in a score: it gives an infinity, an infinity less an infinity
+gives a NaN, and numpy warns of neither.
 """
 
 from __future__ import annotations
@@ -90,26 +91,27 @@ _overflow_ignored = contextvars.ContextVar("overflow_ignored", default=False)
 
 @contextlib.contextmanager
 def ignoring_overflow():
-    """Float overflow ignored (np.errstate(over="ignore")) inside, and
-    marked so that a `quiet_overflow` function called there enters no
-    errstate of its own. `search.falsify` runs under it, entered once per
-    run: numpy rebuilds its error-state object on every entry, about 1 us,
-    which the scores would otherwise pay on every candidate. As a
-    decorator it is entered anew on every call."""
+    """Float overflow and invalid operations ignored (np.errstate(over=
+    "ignore", invalid="ignore")) inside, and marked so that a
+    `quiet_overflow` function called there enters no errstate of its own.
+    `search.falsify` runs under it, entered once per run: numpy rebuilds
+    its error-state object on every entry, about 1 us, which the scores
+    would otherwise pay on every candidate. As a decorator it is entered
+    anew on every call."""
     token = _overflow_ignored.set(True)
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             yield
     finally:
         _overflow_ignored.reset(token)
 
 
 def quiet_overflow(fn):
-    """`fn`, run with float overflow ignored: under the caller's
-    `ignoring_overflow`, or else inside its own np.errstate(over="ignore"),
+    """`fn`, run with float overflow and invalid operations ignored: under
+    the caller's `ignoring_overflow`, or else inside its own np.errstate,
     so that a direct call warns of nothing either."""
     # numpy's decorator form, which builds no errstate object per call
-    quiet = np.errstate(over="ignore")(fn)
+    quiet = np.errstate(over="ignore", invalid="ignore")(fn)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

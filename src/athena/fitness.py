@@ -42,6 +42,7 @@ from .stl import (
     Trace,
     formula_channels,
     formula_samples,
+    number_text,
     robustness,
 )
 
@@ -92,7 +93,7 @@ class Const(ManualFitnessExpr):
         return self.value
 
     def __str__(self):
-        return f"{self.value:g}"
+        return number_text(self.value)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class WindowStat(ManualFitnessExpr):
 
     def __str__(self):
         a, b = self.window
-        return f"{self.stat.value}({self.channel},[{a:g},{b:g}])"
+        return f"{self.stat.value}({self.channel},[{number_text(a)},{number_text(b)}])"
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class SteepestSlope(ManualFitnessExpr):
     def __str__(self):
         name = "slope_up" if self.direction is SlopeDirection.POSITIVE else "slope_down"
         a, b = self.window
-        return f"{name}({self.port},[{a:g},{b:g}])"
+        return f"{name}({self.port},[{number_text(a)},{number_text(b)}])"
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class Scale(ManualFitnessExpr):
         return scale_value(self.child.evaluate(trace, controls, inputs), (self.lo, self.hi))
 
     def __str__(self):
-        return f"scale({self.child},[{self.lo:g},{self.hi:g}])"
+        return f"scale({self.child},[{number_text(self.lo)},{number_text(self.hi)}])"
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ class TargetDistance(ManualFitnessExpr):
         return abs(self.child.evaluate(trace, controls, inputs) - self.target)
 
     def __str__(self):
-        return f"dist({self.child},{self.target:g})"
+        return f"dist({self.child},{number_text(self.target)})"
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,9 @@ class Mul(ManualFitnessExpr):
         return left * self.right.evaluate(trace, controls, inputs)
 
     def __str__(self):
-        return f"{_paren(self.left)} * {_paren(self.right)}"
+        # parse reads a * b * c as (a * b) * c
+        right = f"({self.right})" if isinstance(self.right, Mul) else _paren(self.right)
+        return f"{_paren(self.left)} * {right}"
 
 
 _STAT_NAMES = {kind.value: kind for kind in WindowStatKind}
@@ -459,7 +462,8 @@ class FitnessValue:
 
 
 def _clamp_unit(x: float) -> float:
-    return min(1.0, max(-1.0, x))
+    # a NaN fails both comparisons and so takes the worst value, 1.0
+    return max(-1.0, min(1.0, x))
 
 
 def auto_fitness(formula: Formula, trace: Trace, auto_scale: float) -> float:

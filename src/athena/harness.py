@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import catalog, parsed
 from .errors import check_number
 from .fitness import FitnessAssessment
-from .models import PlantModel, builtin, check_affine
+from .models import PlantModel, builtin
 from .search import (
     Assumption,
     PortAssumption,
@@ -33,13 +33,7 @@ from .search import (
     falsify,
     simulation_grid,
 )
-from .signals import (
-    ControlPoints,
-    InterpolationKind,
-    TimeGrid,
-    interpolate,
-    uniform_control_times,
-)
+from .signals import InterpolationKind, TimeGrid
 
 __all__ = [
     "MODES",
@@ -221,12 +215,9 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     process (`catalog.parsed`).
 
     Rejects a problem no run could score, before any simulation, by the
-    checks of `search.check_problem`, the ones `falsify` runs. The grid
-    and plant that call returns, those a run simulates, are not kept:
-    `falsify` derives them again. When that plant declares itself affine,
-    its declaration is checked on one in-box probe, the box midpoint
-    encoded as `falsify` encodes a candidate (`models.check_affine`), which
-    also builds the superposition operator the runs use.
+    checks of `search.check_problem`, the ones `falsify` runs, the affine
+    probe included. The grid and plant that call returns, those a run
+    simulates, are not kept: `falsify` derives them again.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
@@ -246,26 +237,8 @@ def resolve(cfg: ExperimentConfig) -> Problem:
         p_schedule=cfg.p_schedule,
     )
     grid = simulation_grid(plant, formula, step)
-    sim_grid, sim_plant = check_problem(plant, assumption, fitness, grid)
-    if sim_plant.affine:
-        _check_affine(sim_plant, assumption, grid, sim_grid)
+    check_problem(plant, assumption, fitness, grid)
     return Problem(plant, assumption, grid, fitness)
-
-
-def _check_affine(
-    plant: PlantModel, assumption: Assumption, grid: TimeGrid, sim_grid: TimeGrid
-) -> None:
-    # the midpoint's control points, interpolated on the whole grid and
-    # cut to the simulated prefix, as falsify builds a candidate's inputs;
-    # through signals and models directly, so that a probe is not counted
-    # as a search call
-    mid = assumption.lower + 0.5 * assumption.width
-    inputs = {}
-    for port, sl in zip(assumption.ports, assumption.slices()):
-        cp = ControlPoints(uniform_control_times(grid, port.n), mid[sl])
-        signal = interpolate(cp, port.kind, grid)
-        inputs[port.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
-    check_affine(plant, inputs, sim_grid)
 
 
 def json_float(x: float | None) -> float | None:

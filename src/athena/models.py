@@ -82,10 +82,10 @@ class PlantModel:
     product built from `fast_sim`'s responses, instead of calling
     `fast_sim` (see `simulate`). Only a plant whose every output is an
     affine function of the input block, a function of the plant's class
-    and the outputs it computes alone, may set it; `resolve` checks that
-    on one probe (`check_affine`) before any run. An affine plant may
-    leave it unset, as `Passthrough` does, when `fast_sim` costs less than
-    the product.
+    and the outputs it computes alone, may set it; `search.check_problem`
+    checks that on one probe (`check_affine`) before any run. An affine
+    plant may leave it unset, as `Passthrough` does, when `fast_sim` costs
+    less than the product.
 
     A built-in plant class sets the private `_fresh_rows` when its
     `fast_sim` returns `rows.T`, for (outputs, samples) rows, each
@@ -383,9 +383,9 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     `fast_sim`, and raise ValueError naming the plant when they differ by
     more than AFFINE_RTOL. This builds the superposition operator for the
     inputs' plans. A plant that does not declare itself affine passes, as
-    do inputs whose operator is too large to build, which `simulate` does
-    not superpose, and a probe on which `fast_sim` diverges: it cannot be
-    compared.
+    do inputs that `simulate` does not superpose, a plain `Signal` among
+    them or an operator too large to build, and a probe on which
+    `fast_sim` diverges: it cannot be compared.
 
     The operator keeps every probe that passed the comparison, by its
     coefficients, which with the operator's plans and grid fix the input
@@ -395,6 +395,8 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     if not model.affine:
         return
     signals = tuple(inputs[name] for name in model.port_spec.inputs)
+    if not all(isinstance(s, InterpolatedSignal) for s in signals):
+        return
     op = _operator(model, tuple(s.plan for s in signals), grid)
     if op is None:
         return

@@ -19,9 +19,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import signals
 from .errors import DivergenceError, HorizonError, PortMismatchError, ignoring_overflow
 from .fitness import FitnessAssessment, assess
-from .models import PlantModel, simulate
+from .models import PlantModel, check_affine, simulate
 from .signals import (
     TIME_TOL,
     ControlPoints,
@@ -215,7 +216,7 @@ def check_problem(
     fitness_cfg: FitnessAssessment,
     grid: TimeGrid,
 ) -> tuple[TimeGrid, PlantModel]:
-    """Run every static check of a falsification problem and return the
+    """Run every check of a falsification problem and return the
     grid and the plant a run simulates: the leading samples of `grid` and
     `plant.with_outputs` of the outputs that `FitnessAssessment.reads`
     finds the score reads, or `grid` and `plant` themselves when it reads
@@ -224,8 +225,16 @@ def check_problem(
     Raises, before any simulation, what a run would raise: PortMismatchError
     when the assumption's ports are not the plant's inputs in order,
     HorizonError when the requirement needs more trace than `grid` holds,
-    then the errors of `FitnessAssessment.reads`. `resolve` and `falsify`
-    both call it.
+    then the errors of `FitnessAssessment.reads`, then the ValueError of
+    `models.check_affine` when the plant a run simulates declares itself
+    affine and fails that check on one in-box probe: the box midpoint,
+    encoded as `falsify` encodes a candidate. The check also builds the
+    superposition operator the runs use. The probe is interpolated from
+    the control-time arrays a run decodes with, so `interpolate` finds
+    their plans by identity, and the operator keeps the probes that
+    passed: checking the same problem again makes no simulation.
+    `resolve` and `falsify` both call it, so each rejects what the other
+    does.
     """
     spec = plant.port_spec
     names = tuple(p.port for p in assumption.ports)
@@ -244,6 +253,17 @@ def check_problem(
     if n_read < grid.n_samples:
         sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
     sim_plant = plant.with_outputs(outputs) if outputs else plant
+    if sim_plant.affine:
+        # `signals.interpolate`, not this module's name for it, which a
+        # layer timing rebinds to count a run's encodes (perfbench/seams.py)
+        mid = assumption.lower + 0.5 * assumption.width
+        mid.setflags(write=False)
+        probe = {}
+        for p, sl in zip(assumption.ports, assumption.slices()):
+            cp = _adopt_points(control_times[p.port], mid[sl])
+            signal = signals.interpolate(cp, p.kind, grid)
+            probe[p.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
+        check_affine(sim_plant, probe, sim_grid)
     return sim_grid, sim_plant
 
 
@@ -419,10 +439,13 @@ def falsify(
     not as diverged: no part of the score reads those samples or that
     output.
 
-    The run ignores float overflow, under one `errors.ignoring_overflow`
-    entered per run, so the scores enter no error state of their own per
-    candidate: a score past the float maximum is infinite, as on a
-    direct call, and numpy warns of nothing.
+    The run ignores float overflow and invalid operations, under one
+    `errors.ignoring_overflow` entered per run, so the scores enter no
+    error state of their own per candidate: a score past the float
+    maximum is infinite, as on a direct call, and numpy warns of nothing.
+    A robustness that is NaN, from an infinity less an infinity, neither
+    stops the run nor sets its best robustness, and its automatic
+    fitness is the worst, 1.0.
 
     A problem that fails a check of `check_problem` raises before the
     first simulation. An exception raised inside an iteration carries

@@ -11,6 +11,7 @@ from .nodes import (
     Globally,
     Eventually,
     Trace,
+    number_text,
 )
 from .parser import FormulaParser, parse
 from .semantics import (
@@ -32,6 +33,7 @@ __all__ = [
     "Globally",
     "Eventually",
     "Trace",
+    "number_text",
     "FormulaParser",
     "parse",
     "formula_horizon",

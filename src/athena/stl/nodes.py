@@ -1,4 +1,8 @@
-"""Formula AST node types and the trace they are evaluated on."""
+"""Formula AST node types and the trace they are evaluated on.
+
+A node prints as text that `parse` reads back as an equal node, when its
+numbers are finite.
+"""
 
 from __future__ import annotations
 
@@ -25,9 +29,17 @@ __all__ = [
     "Eventually",
     "Trace",
     "COMPARATORS",
+    "number_text",
 ]
 
 COMPARATORS = ("<", "<=", ">", ">=")
+
+
+def number_text(x: float) -> str:
+    """`x` as text that the parsers read back as the same float: its `g`
+    format where that keeps every bit, else its shortest round-trip form."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 @dataclass(frozen=True)
@@ -124,24 +136,16 @@ class AtomExpr:
         return acc, owned
 
     def __str__(self) -> str:
-        parts = []
-        for name, coeff in self.terms:
-            if coeff == 1.0:
-                term = name
-            elif coeff == -1.0:
-                term = f"-1 * {name}" if not parts else name
-            else:
-                term = f"{abs(coeff):g} * {name}" if parts else f"{coeff:g} * {name}"
-            if parts:
-                parts.append("-" if coeff == -1.0 else ("+" if coeff >= 0 else "-"))
-            parts.append(term)
+        parts = [
+            (coeff < 0.0, name if abs(coeff) == 1.0 else f"{number_text(abs(coeff))} * {name}")
+            for name, coeff in self.terms
+        ]
         if self.const != 0.0 or not parts:
-            if parts:
-                parts.append("+" if self.const >= 0 else "-")
-                parts.append(f"{abs(self.const):g}")
-            else:
-                parts.append(f"{self.const:g}")
-        body = " ".join(parts)
+            parts.append((self.const < 0.0, number_text(abs(self.const))))
+        if parts[0][0]:
+            # `parse` reads no leading minus: a positive constant leads, else 0
+            parts.insert(0, parts.pop() if self.terms and self.const > 0.0 else (False, "0"))
+        body = parts[0][1] + "".join(f" {'-' if neg else '+'} {text}" for neg, text in parts[1:])
         return f"abs({body})" if self.absolute else body
 
 
@@ -162,7 +166,7 @@ class Predicate(Formula):
             raise ValueError(f"comparator must be one of {COMPARATORS}, got {self.cmp!r}")
 
     def __str__(self) -> str:
-        return f"{self.expr} {self.cmp} {self.bound:g}"
+        return f"{self.expr} {self.cmp} {number_text(self.bound)}"
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ class Globally(Formula):
         _check_interval(self.a, self.b)
 
     def __str__(self) -> str:
-        return f"G[{self.a:g},{self.b:g}] ({self.child})"
+        return f"G[{number_text(self.a)},{number_text(self.b)}] ({self.child})"
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ class Eventually(Formula):
         _check_interval(self.a, self.b)
 
     def __str__(self) -> str:
-        return f"F[{self.a:g},{self.b:g}] ({self.child})"
+        return f"F[{number_text(self.a)},{number_text(self.b)}] ({self.child})"
 
 
 class Trace:

@@ -4,16 +4,18 @@ Discrete-grid semantics evaluated at time 0. Temporal operators select the
 grid samples u with t+a <= u <= t+b (ends inclusive, TIME_TOL slack); min
 and max over those samples give Globally and Eventually.
 
-A formula is evaluated through its plan, built once per (formula, step) by
-one walk of the tree and cached. The plan holds each temporal node's
-sample offsets (k_lo, k_hi) and the number of leading output samples its
-parent reads, `need`: the root reads 1, and the child of a temporal node
-reads need + k_hi. A predicate evaluates its expression on that prefix
-only. A temporal node read at one sample is a single min or max over
-child[k_lo : k_hi + 1]; any other runs a sliding min or max that yields
-exactly `need` samples. No sample is computed that the value at t=0
-does not read, and every value is one of the trace's margins, so the
-result equals a walk over the whole trace.
+A formula is evaluated through its plan, one per formula object: built
+by one walk of the tree for the step of the traces it reads, and kept on
+the object. A plan node of a predicate or a temporal operator holds its
+formula node, and a temporal node its sample offsets (k_lo, k_hi) and
+the number of leading output samples its parent reads, `need`: the root
+reads 1, and the child of a temporal node reads need + k_hi. A predicate
+evaluates its expression on that prefix only. A temporal node read at
+one sample is a single min or max over child[k_lo : k_hi + 1]; any other
+runs a sliding min or max that yields exactly `need` samples. No sample
+is computed that the value at t=0 does not read, and every value is one
+of the trace's margins, so the result equals a walk over the whole
+trace.
 
 The sliding min or max takes one of two paths, chosen by a cost test on
 the input array alone (`_sliding`). A trace made from control points is
@@ -59,7 +61,6 @@ array path's. Satisfaction keeps the array path.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -86,10 +87,6 @@ __all__ = [
     "formula_samples",
     "formula_channels",
 ]
-
-# Number of plans kept per process, one per (formula, step); a run reads one.
-PLAN_CACHE_SIZE = 32
-
 
 def formula_horizon(f: Formula) -> float:
     """Largest time instant (seconds) the formula can reference from t=0."""
@@ -291,21 +288,22 @@ def _complement(x: np.ndarray) -> np.ndarray:
 
 
 class _Leaf:
-    """A predicate read at samples 0 .. need - 1; `nan` is whether its
+    """A predicate `f` read at samples 0 .. need - 1; `nan` is whether its
     margin can hold a NaN (`_can_give_nan`), and so for every node."""
 
-    __slots__ = ("need", "nan")
+    __slots__ = ("f", "need", "nan")
     reach = 0
 
-    def __init__(self, need: int, nan: bool):
+    def __init__(self, f: Predicate, need: int):
+        self.f = f
         self.need = need
-        self.nan = nan
+        self.nan = _can_give_nan(f)
 
-    def value(self, f: Predicate, trace: Trace, leaf, neg) -> np.ndarray:
-        return leaf(f, trace, self.need)
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        return leaf(self.f, trace, self.need)
 
-    def check(self, f: Predicate, trace: Trace, n: int) -> None:
-        for name in f.expr.channels():
+    def check(self, trace: Trace, n: int) -> None:
+        for name in self.f.expr.channels():
             trace.channel(name)
 
 
@@ -317,11 +315,11 @@ class _Negation:
         self.reach = child.reach
         self.nan = child.nan
 
-    def value(self, f: Not, trace: Trace, leaf, neg) -> np.ndarray:
-        return neg(self.child.value(f.child, trace, leaf, neg))
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        return neg(self.child.value(trace, leaf, neg))
 
-    def check(self, f: Not, trace: Trace, n: int) -> None:
-        self.child.check(f.child, trace, n)
+    def check(self, trace: Trace, n: int) -> None:
+        self.child.check(trace, n)
 
 
 class _Join:
@@ -341,86 +339,93 @@ class _Join:
         self.combine = np.minimum if isinstance(f, And) else np.maximum
         self.negate_left = isinstance(f, Implies)
 
-    def value(self, f, trace: Trace, leaf, neg) -> np.ndarray:
-        left = self.left.value(f.left, trace, leaf, neg)
-        right = self.right.value(f.right, trace, leaf, neg)
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        left = self.left.value(trace, leaf, neg)
+        right = self.right.value(trace, leaf, neg)
         if self.negate_left:
             left = neg(left)
         return self.combine(left, right)
 
-    def check(self, f, trace: Trace, n: int) -> None:
-        self.left.check(f.left, trace, n)
-        self.right.check(f.right, trace, n)
+    def check(self, trace: Trace, n: int) -> None:
+        self.left.check(trace, n)
+        self.right.check(trace, n)
 
 
 class _Window:
-    """Globally or Eventually read at samples 0 .. need - 1.
+    """Globally or Eventually `f` read at samples 0 .. need - 1.
 
     `reach` is the largest sum of window ends, in samples, from this node
     down to a predicate: the node gives no sample on a trace of `reach`
-    samples or fewer.
+    samples or fewer. `over` is the predicate that a node read at one
+    sample applies directly to, else None.
     """
 
-    __slots__ = ("k_lo", "k_hi", "need", "child", "reach", "nan")
+    __slots__ = ("f", "k_lo", "k_hi", "need", "child", "reach", "nan", "take_min", "over")
 
-    def __init__(self, k_lo: int, k_hi: int, need: int, child):
+    def __init__(self, f: Globally | Eventually, k_lo: int, k_hi: int, need: int, child):
+        self.f = f
         self.k_lo = k_lo
         self.k_hi = k_hi
         self.need = need
         self.child = child
         self.reach = k_hi + child.reach
         self.nan = child.nan
+        self.take_min = isinstance(f, Globally)
+        self.over = child.f if need == 1 and isinstance(child, _Leaf) else None
 
-    def value(self, f: Globally | Eventually, trace: Trace, leaf, neg) -> np.ndarray:
-        take_min = isinstance(f, Globally)
-        if self.need == 1 and leaf is _margin and isinstance(self.child, _Leaf):
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        pred = self.over
+        if pred is not None and leaf is _margin:
             # the margin falls as an upper-bounded expression rises, and
             # rises with a lower-bounded one: its min or max over the
             # window is the margin of one extreme of the expression
-            pred = f.child
             upper = pred.cmp in ("<", "<=")
-            e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, take_min == upper)
+            e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, self.take_min == upper)
             # the margin `_margin` takes, on the Python float
             return np.array([pred.bound - e if upper else e - pred.bound])
-        child = self.child.value(f.child, trace, leaf, neg)
+        child = self.child.value(trace, leaf, neg)
         if self.need == 1:
             chunk = child[self.k_lo : self.k_hi + 1]
-            return chunk.min(keepdims=True) if take_min else chunk.max(keepdims=True)
-        return _sliding(child, self.k_lo, self.k_hi, self.need, take_min, self.nan)
+            return chunk.min(keepdims=True) if self.take_min else chunk.max(keepdims=True)
+        return _sliding(child, self.k_lo, self.k_hi, self.need, self.take_min, self.nan)
 
-    def check(self, f: Globally | Eventually, trace: Trace, n: int) -> None:
-        self.child.check(f.child, trace, n)
+    def check(self, trace: Trace, n: int) -> None:
+        self.child.check(trace, n)
         if self.reach >= n:
             raise HorizonError(
-                f"trace end {trace.grid.end:g}s is too short for {f}"
-                f" (needs {formula_horizon(f):g}s)"
+                f"trace end {trace.grid.end:g}s is too short for {self.f}"
+                f" (needs {formula_horizon(self.f):g}s)"
             )
 
 
 def _build(f: Formula, step: float, need: int):
     """The plan node for f when its parent reads `need` samples of it."""
     if isinstance(f, Predicate):
-        return _Leaf(need, _can_give_nan(f))
+        return _Leaf(f, need)
     if isinstance(f, Not):
         return _Negation(_build(f.child, step, need))
     if isinstance(f, (And, Or, Implies)):
         return _Join(f, _build(f.left, step, need), _build(f.right, step, need))
     if isinstance(f, (Globally, Eventually)):
         k_lo, k_hi = _window_offsets(f.a, f.b, step)
-        return _Window(k_lo, k_hi, need, _build(f.child, step, need + k_hi))
+        return _Window(f, k_lo, k_hi, need, _build(f.child, step, need + k_hi))
     raise TypeError(f"not a formula node: {f!r}")
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(f: Formula, step: float):
     """The plan of f on traces at `step`: the root node, read at 1 sample.
 
-    The plan holds no part of f, only offsets and sample counts, and is
-    walked alongside f. A formula equal to f but for the sign of a zero
-    bound or constant shares its plan and is still read with its own
-    numbers.
+    f keeps the (step, plan) it was last read with, outside its fields: a
+    run scores one formula object on every trace, and finds its plan
+    without hashing the frozen tree. A formula equal to f is another
+    object, with a plan of its own, built from its own numbers.
     """
-    return _build(f, step, 1)
+    held = getattr(f, "_plan_at", None)
+    if held is not None and held[0] == step:
+        return held[1]
+    plan = _build(f, step, 1)
+    object.__setattr__(f, "_plan_at", (step, plan))
+    return plan
 
 
 def _value(f: Formula, trace: Trace, leaf, neg):
@@ -428,23 +433,15 @@ def _value(f: Formula, trace: Trace, leaf, neg):
     what a walk of the whole trace raises first: MissingChannelError from
     a predicate reached earlier, else HorizonError naming the deepest
     temporal operator that gives no sample."""
-    step = trace.grid.step
-    # the formula keeps the (step, plan) it was last read with, outside its
-    # fields: a run scores one formula object on every trace, and this
-    # finds the plan without hashing the whole frozen tree, as `_plan` does
-    held = getattr(f, "_plan_at", None)
-    if held is not None and held[0] == step:
-        plan = held[1]
-    else:
-        plan = _plan(f, step)
-        object.__setattr__(f, "_plan_at", (step, plan))
+    plan = _plan(f, trace.grid.step)
     n = trace.grid.n_samples
     if n <= plan.reach:
-        plan.check(f, trace, n)
-    return plan.value(f, trace, leaf, neg)[0]
+        plan.check(trace, n)
+    return plan.value(trace, leaf, neg)[0]
 
 
-# a margin past the float maximum is infinite, with no numpy warning
+# a margin past the float maximum is infinite, and one of inf - inf NaN,
+# with no numpy warning
 @quiet_overflow
 def robustness(f: Formula, trace: Trace) -> float:
     """Space robustness of f on the trace, evaluated at time 0.

@@ -126,19 +126,23 @@ class TestArgHandling:
 
 
 class TestModuleEntryPoint:
-    """`python -m athena.cli` runs the command line, in a fresh interpreter."""
+    """`python -m athena.cli` runs the command line, and `import athena`
+    loads no third-party module but numpy, each in a fresh interpreter."""
 
-    def run(self, cwd, *argv):
+    def python(self, cwd, *args):
         src = Path(athena.cli.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
         return subprocess.run(
-            [sys.executable, "-m", "athena.cli", *argv],
+            [sys.executable, *args],
             cwd=cwd,
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    def run(self, cwd, *argv):
+        return self.python(cwd, "-m", "athena.cli", *argv)
 
     def test_falsify_writes_its_report(self, tmp_path):
         proc = self.run(tmp_path, "falsify", "--catalog", "AT1", "--max-iters", "3", "--out", "tc")
@@ -152,6 +156,26 @@ class TestModuleEntryPoint:
         proc = self.run(tmp_path, "falsify", "--bogus")
         assert proc.returncode == 2
         assert "--bogus" in proc.stderr
+
+    def test_import_loads_only_the_standard_library_and_numpy(self, tmp_path):
+        # numpy is the one runtime dependency; modules that the interpreter
+        # loaded before the import (such as a site hook's) are not counted
+        code = (
+            "import sys; before = set(sys.modules); import athena; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = self.python(tmp_path, "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        top = {name.partition(".")[0] for name in proc.stdout.split()}
+        assert {"athena", "numpy"} <= top
+        foreign = [
+            name
+            for name in sorted(top)
+            if name not in sys.stdlib_module_names
+            and name not in ("athena", "numpy")
+            and not (name.startswith("__") and name.endswith("__"))
+        ]
+        assert foreign == []
 
 
 class TestFalsify:
@@ -287,6 +311,36 @@ class TestRobustness:
                   "--trace", flat_speed_csv])
         assert rc == 2
         capsys.readouterr()
+
+
+class TestRejections:
+    """Each malformed input exits 2 with a message naming its fault."""
+
+    @pytest.mark.parametrize(
+        "file_text, argv, message",
+        [
+            ("t,x\n0,1\n1,2\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "first CSV column must be 'time'"),
+            ("time,x\n0,1,2\n1,2,3\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "header names 2 columns, rows have 3"),
+            ("time,x\n0,1\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "need at least two samples"),
+            ("time,x\n1,1\n2,2\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "time must start at 0"),
+            (None, ["falsify", "--catalog", "AT1", "--p-schedule", "0.5"],
+             "p schedule must look like start,end"),
+            ("[1, 2]", ["bench", "--config"], "config must be a JSON object"),
+        ],
+        ids=["csv-first-column", "csv-widths", "csv-one-sample", "csv-start", "p-schedule",
+             "bench-not-object"],
+    )
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, file_text, argv, message):
+        if file_text is not None:
+            path = tmp_path / "input"
+            path.write_text(file_text)
+            argv = [*argv, str(path)]
+        assert cli(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulate:

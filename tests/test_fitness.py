@@ -31,7 +31,9 @@ from athena.signals import (
     TimeGrid,
     WindowStatKind,
 )
-from athena.stl import Trace, parse, satisfied
+from athena.stl import Trace, parse, robustness, satisfied
+
+from test_stl_parser import NAMES, NUMBERS, SIGNED, expr_texts, intervals
 
 
 def const_trace(grid, **channels):
@@ -45,7 +47,57 @@ GRID20 = TimeGrid(20.0, 0.1)
 AT1_STYLE = "scale(mean(Brake,[0,50]),[0,325]) - scale(mean(Throttle,[0,50]),[0,100])"
 
 
+# Manual-fitness texts with finite numbers, for the round-trip property.
+WINDOWS = intervals(signed=True)
+MANUAL_LEAVES = st.one_of(
+    NUMBERS,
+    st.tuples(st.sampled_from(["min", "max", "mean", "ptp"]), expr_texts(), WINDOWS).map(
+        lambda t: f"{t[0]}({t[1]},{t[2]})"
+    ),
+    st.tuples(st.sampled_from(["slope_up", "slope_down"]), NAMES, WINDOWS).map(
+        lambda t: f"{t[0]}({t[1]},{t[2]})"
+    ),
+)
+MANUALS = st.recursive(
+    MANUAL_LEAVES,
+    lambda inner: st.one_of(
+        inner.map(lambda m: f"-{m}"),
+        inner.map(lambda m: f"({m})"),
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(" ".join),
+        st.tuples(inner, WINDOWS).map(lambda t: f"scale({t[0]},{t[1]})"),
+        st.tuples(inner, SIGNED).map(lambda t: f"dist({t[0]},{t[1]})"),
+    ),
+    max_leaves=6,
+)
+
+
 class TestManualParser:
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("max(2 - x,[0,1])", "max(2 - x,[0,1])"),
+            ("mean(x,[0,1]) * (min(y,[0,2]) * 2)", "mean(x,[0,1]) * (min(y,[0,2]) * 2)"),
+            ("scale(ptp(x,[0,1.0000001]),[0,1234567])",
+             "scale(ptp(x,[0,1.0000001]),[0,1234567.0])"),
+            ("dist(slope_up(x,[0,10]),-0.123456789)", "dist(slope_up(x,[0,10]),-0.123456789)"),
+        ],
+    )
+    def test_str_reparses_to_same_tree(self, text, printed):
+        m = parse_manual(text)
+        assert str(m) == printed
+        assert parse_manual(printed) == m
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=MANUALS)
+    def test_every_parsed_expression_reparses(self, text):
+        m = parse_manual(text)
+        assert parse_manual(str(m)) == m
+
+    def test_missing_argument_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_manual("scale(,[0,1])")
+        assert str(info.value) == "expected a fitness term, found ',' (at offset 6)"
+
     def test_sub_of_scales_structure(self):
         expr = parse_manual(AT1_STYLE)
         assert isinstance(expr, Sub)
@@ -247,6 +299,13 @@ class TestAutoFitness:
             trace = const_trace(GRID20, Speed=speed)
             got = auto_fitness(f, trace, 0.1)
             assert got == expected_sign
+
+    def test_nan_robustness_is_the_worst_fitness(self):
+        # 2 * y - 2 * x is inf - inf, a NaN, and numpy warns of nothing
+        f = parse("G[0,0.5] (F[0,0.5] (2 * y - 2 * x >= -1))")
+        trace = const_trace(GRID20, x=1.7e308, y=1.7e308)
+        assert math.isnan(robustness(f, trace))
+        assert auto_fitness(f, trace, 1.0) == 1.0
 
     def test_bad_scale_rejected(self):
         f = parse("G[0,20] (Speed < 120)")

@@ -884,3 +884,21 @@ class TestConfigFromDict:
     def test_schedule_parsed(self):
         cfg = config_from_dict({"entry": "CC1", "p_schedule": [1.0, 0.0]})
         assert cfg.p_schedule == (1.0, 0.0)
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ExperimentConfig(entry="AT1", p=1.5), "p must lie in [0, 1]"),
+            (
+                lambda: config_from_dict({"entry": "AT1", "search": [300]}),
+                "search must be a mapping of SearchConfig fields",
+            ),
+        ],
+        ids=["athena-p-outside-unit", "search-not-mapping"],
+    )
+    def test_bad_config_names_its_fault(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

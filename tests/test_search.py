@@ -100,6 +100,22 @@ class TestAssumption:
         assert got.dtype == float
 
 
+class TestRejections:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PortAssumption("", CONST, 0.0, 1.0, 1), "port name must be non-empty"),
+            (lambda: SearchConfig(t0=0.0), "t0 must be positive, got 0.0"),
+            (lambda: SearchConfig(t0=-1.0), "t0 must be positive, got -1.0"),
+        ],
+        ids=["empty-port-name", "t0-zero", "t0-negative"],
+    )
+    def test_names_its_fault(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestEncodeInputs:
     def test_two_port_slicing(self):
         grid = TimeGrid(100.0, 0.5)
@@ -468,6 +484,18 @@ class TestOverflowInTheScore:
         assert result.history == ((1.0, 1.0, 1.0),) * 5
         assert result.best_robustness == 1e308
 
+    def test_nan_robustness_neither_stops_nor_sets_the_best(self):
+        # on y = x from 1.7e308 up, 2 * y - 2 * x is inf - inf: every
+        # candidate's robustness is NaN, which is no violation
+        fitness = FitnessAssessment(formula=parse("G[0,0.5] (F[0,0.5] (2 * y - 2 * x >= -1))"), p=1.0)
+        a = box(1.7e308, 1.75e308, 1, CONST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = falsify(Passthrough(), a, fitness, SearchConfig(max_iterations=5, seed=3), GRID10)
+        assert not result.found and result.iterations_used == 5
+        assert result.history == ((1.0, 0.0, 1.0),) * 5
+        assert result.best_combined == 1.0 and result.best_robustness == math.inf
+
     def test_a_run_enters_one_error_state(self, monkeypatch):
         fitness = FitnessAssessment(
             formula=parse("G[0,10] (y >= 0)"),
@@ -479,7 +507,7 @@ class TestOverflowInTheScore:
         monkeypatch.setattr(np, "errstate", lambda **kw: made.append(kw) or errstate(**kw))
         falsify(Passthrough(), box(0.0, 1.0, 3, LINEAR), fitness, SearchConfig(max_iterations=5, seed=3), GRID10)
         # entered once by falsify, around its five candidates
-        assert made == [{"over": "ignore"}]
+        assert made == [{"over": "ignore", "invalid": "ignore"}]
 
     def test_a_score_inside_a_run_takes_the_run_state(self):
         overflow = quiet_overflow(lambda: np.float64(1e308) * 10.0)

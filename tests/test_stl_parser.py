@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from athena.errors import ParseError, SemanticError
 from athena.stl import (
@@ -11,6 +13,53 @@ from athena.stl import (
     Or,
     Predicate,
     parse,
+)
+
+
+# Texts of the grammar with finite numbers, for the round-trip property.
+# A number is written in the forms a user may write: an integer, a
+# fixed-point decimal, or Python's round-trip form of any finite float.
+NAMES = st.sampled_from(["x", "y", "Speed", "y5"])
+NUMBERS = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.floats(0.0, 1e4).map(lambda v: f"{v:.9f}"),
+    st.floats(0.0, 1e300).map(repr),
+)
+SIGNED = st.tuples(st.sampled_from(["", "-"]), NUMBERS).map("".join)
+TERMS = st.one_of(NAMES, NUMBERS, st.tuples(NUMBERS, NAMES).map(" * ".join))
+
+
+@st.composite
+def expr_texts(draw):
+    """A channel expression: terms joined by + and -, maybe in abs()."""
+    parts = draw(st.lists(TERMS, min_size=1, max_size=4))
+    body = parts[0] + "".join(
+        f" {draw(st.sampled_from('+-'))} {part}" for part in parts[1:]
+    )
+    return f"abs({body})" if draw(st.booleans()) else body
+
+
+@st.composite
+def intervals(draw, signed=False):
+    a = draw(st.floats(-1e6 if signed else 0.0, 1e6))
+    b = a + draw(st.floats(0.0, 1e6))
+    return f"[{a!r},{b!r}]"
+
+
+ATOMS = st.tuples(expr_texts(), st.sampled_from(["<", "<=", ">", ">="]), SIGNED).map(" ".join)
+FORMULAS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        inner.map(lambda f: f"not ({f})"),
+        st.tuples(inner, st.sampled_from(["and", "or", "->"]), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(["and", "or", "->"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+        ),
+        st.tuples(st.sampled_from("GF"), intervals(), inner).map(
+            lambda t: f"{t[0]}{t[1]} ({t[2]})"
+        ),
+    ),
+    max_leaves=6,
 )
 
 
@@ -178,6 +227,26 @@ class TestErrors:
             parse("G[0 20] (x < 1)")
 
 
+class TestRejections:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x < 1 $", "unexpected character '$' (at offset 6)"),
+            ("G[0,1] (x + < 1)", "expected a term, found '<' (at offset 12)"),
+        ],
+        ids=["unexpected-character", "missing-term"],
+    )
+    def test_parser_names_its_fault(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cmp", ["==", "=<", ""])
+    def test_bad_comparator(self, cmp):
+        with pytest.raises(ValueError, match="comparator must be one of"):
+            Predicate(AtomExpr((("x", 1.0),)), cmp, 1.0)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",
@@ -193,6 +262,28 @@ class TestRoundTrip:
         ],
     )
     def test_str_reparses_to_same_tree(self, text):
+        f = parse(text)
+        assert parse(str(f)) == f
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("2 - x < 1", "2 - x < 1"),
+            ("0 - 2 * x - 3 > 1", "0 - 2 * x - 3 > 1"),
+            ("0 - 3 < 1", "0 - 3 < 1"),
+            ("x < 1234567", "x < 1234567.0"),
+            ("G[0,1.0000001] (x < 1)", "G[0,1.0000001] (x < 1)"),
+            ("F[0.5,2] (abs(1 - y) >= 0.25)", "F[0.5,2] (abs(1 - y) >= 0.25)"),
+        ],
+    )
+    def test_leading_negative_term_and_every_digit(self, text, printed):
+        f = parse(text)
+        assert str(f) == printed
+        assert parse(printed) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=FORMULAS)
+    def test_every_parsed_formula_reparses(self, text):
         f = parse(text)
         assert parse(str(f)) == f
 

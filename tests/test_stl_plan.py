@@ -163,7 +163,7 @@ class TestPlanMatchesWalk:
         assert_plan_matches_walk(f, trace)
 
     def test_same_plan_for_zero_signs_keeps_each_bound(self):
-        # equal formulas share a plan; each is still read with its own bound
+        # equal formulas are two objects, each read by its own plan with its own bound
         grid = TimeGrid(2.0, 0.5)
         trace = Trace(grid, {"x": np.zeros(grid.n_samples)})
         pos = Globally(0.0, 1.0, Predicate(AtomExpr((("x", 1.0),)), "<=", 0.0))

@@ -5,12 +5,13 @@ Y0 + K x over the inputs' interpolation coefficients x, instead of calling
 `fast_sim`. The outputs must agree with `fast_sim`'s within the stated
 bound (`AFFINE_RTOL`), replay bit for bit from a test case's inputs, and
 raise DivergenceError where they overflow, checked only when a bound does
-not rule that out. A false `affine` declaration is rejected at every
-resolve; a probe that passed is kept with its operator, so resolving the
-same problem again makes no simulation. Every other plant and input keeps
-`fast_sim`.
+not rule that out. A false `affine` declaration is rejected by every
+`check_problem`, so at every resolve and by a direct `falsify`; a probe
+that passed is kept with its operator, so checking the same problem again
+makes no simulation. Every other plant and input keeps `fast_sim`.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -22,7 +23,14 @@ from athena import models
 from athena.catalog import catalog
 from athena.cli import cli
 from athena.errors import DivergenceError
-from athena.harness import ExperimentConfig, parse_assumption, resolve, run_experiment
+from athena import signals
+from athena.harness import (
+    ExperimentConfig,
+    _run_one,
+    parse_assumption,
+    resolve,
+    run_experiment,
+)
 from athena.models import (
     AFFINE_RTOL,
     AutoTransmissionLite,
@@ -290,6 +298,19 @@ class TestDivergence:
         assert (row.error, row.found, row.iterations) == (None, False, 5)
         assert row.best_combined == 1.0
 
+    def test_midpoint_too_large_to_superpose_passes_the_probe(self):
+        # the box midpoint's pchip coefficients sum past the float maximum,
+        # so its signal is plain and `simulate` would not superpose it
+        cfg = ExperimentConfig(
+            plant=ChasingCars(),
+            formula_text="G[0,100] (y5 - y4 <= 40)",
+            assumption=parse_assumption("throttle:pchip:1e308,1.7e308:7;brake:pchip:0,1:3"),
+            repetitions=1,
+            search=SearchConfig(max_iterations=5),
+        )
+        row = run_experiment(cfg).rows[0]
+        assert (row.error, row.found, row.iterations) == (None, False, 5)
+
 
 class TestDeclaration:
     def test_only_chasing_cars_declares_affine(self):
@@ -322,6 +343,32 @@ class TestDeclaration:
         assert rc == 2
         assert "declares outputs affine" in capsys.readouterr().err
         assert not (tmp_path / "tc.json").exists()
+
+    def test_false_declaration_rejected_by_falsify(self, monkeypatch):
+        # a problem built without resolve is rejected as resolve rejects it,
+        # before the first simulation
+        class AffineAT(AutoTransmissionLite):
+            affine = True
+
+        e = catalog("AT1")
+        cfg = ExperimentConfig(
+            plant=AffineAT(),
+            formula_text=e.formula_text,
+            assumption=e.assumption,
+            step=e.step,
+            repetitions=1,
+        )
+        with pytest.raises(ValueError, match="at_lite: declares outputs affine") as by_resolve:
+            resolve(cfg)
+        problem = dataclasses.replace(resolve(ExperimentConfig(entry="AT1")), plant=AffineAT())
+        monkeypatch.setattr("athena.search.simulate", lambda *a: pytest.fail("simulated"))
+        search = SearchConfig(seed=0, max_iterations=50)
+        with pytest.raises(ValueError) as by_falsify:
+            falsify(problem.plant, problem.assumption, problem.fitness, search, problem.grid)
+        assert str(by_falsify.value) == str(by_resolve.value)
+        assert getattr(by_falsify.value, "simulations", 0) == 0
+        row = _run_one((problem, search, 0))
+        assert (row.error, row.iterations) == (f"ValueError: {by_resolve.value}", 0)
 
     def test_check_affine_passes_chasing_cars_and_other_plants(self):
         grid = TimeGrid(20.0, 0.05)
@@ -465,6 +512,21 @@ class TestResolveOnce:
         # only probes that passed are kept
         (op,) = [op for key, op in models._operators.items() if key[0] is AffineAT]
         assert op.probes == set()
+
+    def test_repeated_check_makes_no_simulation_and_builds_no_plan(self, monkeypatch):
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        args = (problem.plant, problem.assumption, problem.fitness, problem.grid)
+        models._operators.clear()
+        check_problem(*args)
+        (op,) = models._operators.values()
+        assert len(op.probes) == 1
+        # the probe interpolates from the control-time arrays a run decodes
+        # with, so `interpolate` finds each plan by identity
+        monkeypatch.setattr(signals, "_checked_plan", lambda *a: pytest.fail("plan looked up"))
+        monkeypatch.setattr(ChasingCars, "fast_sim", lambda *a: pytest.fail("simulated"))
+        for _ in range(2):
+            check_problem(*args)
+        assert len(op.probes) == 1
 
     def test_one_passed_probe_kept_per_problem(self):
         models._operators.clear()
