@@ -25,9 +25,11 @@ AT2, of CC1 and of the passthrough workload, and for a 9-point pchip port
 on the passthrough workload's 12001-sample grid. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
-candidate. The passthrough robustness case has two inputs: `[encoded]`, a
-9-point linear candidate encoded as the workload encodes it, whose few
-turns let the sliding windows fold them, and `[noise]`, uniform noise,
+candidate. The passthrough robustness case has three inputs:
+`[encoded]`, a 9-point linear candidate encoded as the workload encodes
+it, whose few turns let the sliding windows fold them, `[plateau]`, the
+same candidate piecewise constant, whose long plateaus of tied samples
+the folds must resolve to the rightmost, and `[noise]`, uniform noise,
 on which they fall back to the doubling. The
 search cases time, on the AT2 box and on the CC1 box (10 coordinates
 each, over different ranges), one restart draw plus one proposal, one
@@ -148,12 +150,14 @@ def test_superposition_build(benchmark, entry):
     assert op.K.shape[:2] == (2, 20) and op.K.shape[2] >= grid.n_samples
 
 
-@pytest.mark.parametrize("case", ["encoded", "noise"])
+@pytest.mark.parametrize("case", ["encoded", "plateau", "noise"])
 def test_robustness_passthrough_spec(benchmark, case):
-    if case == "encoded":
-        # one 9-point linear candidate, as the workload encodes it: its
-        # trace has few turns, so the windows fold them
-        fitness, trace, _, _ = _scored_trace(_passthrough_problem())
+    if case in ("encoded", "plateau"):
+        # one 9-point candidate, linear as the workload encodes it, or
+        # piecewise constant: long plateaus of tied samples. Either trace
+        # has few turns, so the windows fold them
+        kind = "linear" if case == "encoded" else "pconst"
+        fitness, trace, _, _ = _scored_trace(_passthrough_problem(kind))
         formula = fitness.formula
     else:
         # uniform noise: the windows fall back to the doubling
@@ -166,13 +170,13 @@ def test_robustness_passthrough_spec(benchmark, case):
     assert np.isfinite(rho)
 
 
-def _passthrough_problem():
+def _passthrough_problem(kind="linear"):
     return resolve(
         ExperimentConfig(
             plant=Passthrough(),
             formula_text=PASSTHROUGH_FORMULA,
             manual_text=PASSTHROUGH_MANUAL,
-            assumption=parse_assumption("x:linear:0,1:9"),
+            assumption=parse_assumption(f"x:{kind}:0,1:9"),
             auto_scale=2.0,
             step=0.01,
         )

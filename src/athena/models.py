@@ -417,6 +417,17 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     op.probes.add(probe)
 
 
+def passed_affine_probe(
+    model: PlantModel, plans: tuple, grid: TimeGrid, coefficients: list[np.ndarray]
+) -> bool:
+    """Whether `check_affine` has passed `model` on the inputs that `plans`
+    sample on `grid` from `coefficients`, one array per input in port
+    order: then checking them again makes no simulation, and they need
+    not be sampled to tell. Builds no operator."""
+    op = _operators.get((type(model), model.port_spec.outputs, plans, grid))
+    return op is not None and np.concatenate(coefficients).tobytes() in op.probes
+
+
 class Passthrough(PlantModel):
     """Stateless identity plant: output y equals input x sample for sample.
 

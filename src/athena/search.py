@@ -22,7 +22,7 @@ import numpy as np
 from . import signals
 from .errors import DivergenceError, HorizonError, PortMismatchError, ignoring_overflow
 from .fitness import FitnessAssessment, assess
-from .models import PlantModel, check_affine, simulate
+from .models import PlantModel, check_affine, passed_affine_probe, simulate
 from .signals import (
     TIME_TOL,
     ControlPoints,
@@ -232,7 +232,9 @@ def check_problem(
     superposition operator the runs use. The probe is interpolated from
     the control-time arrays a run decodes with, so `interpolate` finds
     their plans by identity, and the operator keeps the probes that
-    passed: checking the same problem again makes no simulation.
+    passed: checking the same problem again looks the probe's
+    coefficients up there first (`models.passed_affine_probe`), and
+    neither samples nor simulates it.
     `resolve` and `falsify` both call it, so each rejects what the other
     does.
     """
@@ -254,16 +256,24 @@ def check_problem(
         sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
     sim_plant = plant.with_outputs(outputs) if outputs else plant
     if sim_plant.affine:
-        # `signals.interpolate`, not this module's name for it, which a
-        # layer timing rebinds to count a run's encodes (perfbench/seams.py)
         mid = assumption.lower + 0.5 * assumption.width
         mid.setflags(write=False)
-        probe = {}
-        for p, sl in zip(assumption.ports, assumption.slices()):
-            cp = _adopt_points(control_times[p.port], mid[sl])
-            signal = signals.interpolate(cp, p.kind, grid)
-            probe[p.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
-        check_affine(sim_plant, probe, sim_grid)
+        points = [
+            (p, _adopt_points(control_times[p.port], mid[sl]))
+            for p, sl in zip(assumption.ports, assumption.slices())
+        ]
+        # the probe's coefficients fix its samples: a probe that passed
+        # before is found without sampling
+        plans = tuple(signals.interpolation_plan(cp, p.kind, grid) for p, cp in points)
+        coefficients = [plan.coefficients(cp.values) for plan, (_, cp) in zip(plans, points)]
+        if not passed_affine_probe(sim_plant, plans, sim_grid, coefficients):
+            # `signals.interpolate`, not this module's name for it, which a
+            # layer timing rebinds to count a run's encodes (perfbench/seams.py)
+            probe = {}
+            for p, cp in points:
+                signal = signals.interpolate(cp, p.kind, grid)
+                probe[p.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
+            check_affine(sim_plant, probe, sim_grid)
     return sim_grid, sim_plant
 
 

@@ -361,10 +361,16 @@ def _ref_window_offsets(a, b, step):
 
 
 def _ref_sliding(arr, k_lo, k_hi, out_len, take_min):
-    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len)."""
+    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len).
+
+    A window holding a NaN gives NaN, as np.minimum and np.maximum spread
+    it: scipy's filters do not (a window of a NaN and a number can give
+    the number), so an array holding a NaN takes the doubling instead."""
     w = k_hi - k_lo + 1
     if w == 1:
         return arr[k_lo : k_lo + out_len]
+    if np.isnan(arr).any():
+        return sliding_doubling_reference(arr, k_lo, k_hi, out_len, take_min)
     filt = minimum_filter1d if take_min else maximum_filter1d
     full = filt(arr, size=w, mode="nearest")
     start = k_lo + w // 2

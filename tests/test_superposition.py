@@ -524,6 +524,9 @@ class TestResolveOnce:
         # with, so `interpolate` finds each plan by identity
         monkeypatch.setattr(signals, "_checked_plan", lambda *a: pytest.fail("plan looked up"))
         monkeypatch.setattr(ChasingCars, "fast_sim", lambda *a: pytest.fail("simulated"))
+        # nor is the probe sampled: its coefficients find it among the
+        # probes that passed
+        monkeypatch.setattr(signals._PchipPlan, "_sum", lambda *a: pytest.fail("sampled"))
         for _ in range(2):
             check_problem(*args)
         assert len(op.probes) == 1
