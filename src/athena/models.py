@@ -305,11 +305,23 @@ class _Operator:
 _operators: dict[tuple, _Operator] = {}
 
 
+def _operator_key(model: PlantModel, plans: tuple, grid: TimeGrid) -> tuple:
+    """What `_operators` keys an operator by: the plant class, its
+    outputs, the inputs' plans and the grid."""
+    return (type(model), model.port_spec.outputs, plans, grid)
+
+
+def _probe_key(coefficients) -> bytes:
+    """What `_Operator.probes` keeps a probe by: the bytes of its
+    coefficients, one array per input in port order."""
+    return np.concatenate(coefficients).tobytes()
+
+
 def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | None:
     """The `_Operator` of `simulate`'s superposed path for `model`'s
     outputs on inputs sampled by `plans` on `grid`. None when K and Y0
     would take more than SUPERPOSITION_CACHE_BYTES."""
-    key = (type(model), model.port_spec.outputs, plans, grid)
+    key = _operator_key(model, plans, grid)
     op = _operators.get(key)
     if op is None:
         n = grid.n_samples
@@ -400,7 +412,7 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     op = _operator(model, tuple(s.plan for s in signals), grid)
     if op is None:
         return
-    probe = np.concatenate([s.coefficients for s in signals]).tobytes()
+    probe = _probe_key([s.coefficients for s in signals])
     if probe in op.probes:
         return
     try:
@@ -424,8 +436,8 @@ def passed_affine_probe(
     sample on `grid` from `coefficients`, one array per input in port
     order: then checking them again makes no simulation, and they need
     not be sampled to tell. Builds no operator."""
-    op = _operators.get((type(model), model.port_spec.outputs, plans, grid))
-    return op is not None and np.concatenate(coefficients).tobytes() in op.probes
+    op = _operators.get(_operator_key(model, plans, grid))
+    return op is not None and _probe_key(coefficients) in op.probes
 
 
 class Passthrough(PlantModel):

@@ -17,34 +17,27 @@ is computed that the value at t=0 does not read, and every value is one
 of the trace's margins, so the result equals a walk over the whole
 trace.
 
-A node read at more than one sample gives its samples with their turns
-(`_Turns`): the last sample of a valley (crest), one that is smaller
-(larger) than the next and not larger (smaller) than the one before. A
-trace made from control points is piecewise monotone, with few turns,
-and a window's min (max) sits at one of its ends or at a valley (crest)
-inside it. So the sliding min of an input with few valleys is a fold
-(`_fold`): each window's two ends in one pass, then each valley as one
-scalar min over the windows that hold it inside, as in the streaming
-filter of Lemire (2006) and the monitor of Donzé, Ferrère and Maler (CAV
-2013). The turns are carried from node to node rather than found again
-in each: a predicate's margin finds the kind its window needs with one
-mask (`_marks`), the first time it is needed; a fold's output keeps its
-input's valleys, moved by k_lo, since an output is a valley only where
-its window's left end is one; a negation swaps valleys and crests; and
-the minimum of a join keeps both sides' valleys, among which its own
-are. Only a kind not known from below takes a mask of the node's own
-samples, as the crests of a sliding min do where a sliding max reads
-them. A cost test (`_sliding`) prices the fold against `_doubling`,
-about log2 of the window's length passes of elementwise minimum or
-maximum, which a rough input takes, and so does one that may hold a
-NaN, which is never a turn: a trace's samples are finite, so only a
-predicate with a number that is not finite, or over two terms one of
-which has a coefficient above 1 in size (whose sum can be inf - inf),
-can give a NaN, and only its margin is scanned for one, once. On a tie
-np.minimum and np.maximum return their second operand, and both paths
-pass the later sample as the second where the sign of a tied zero could
-tell, so both return the rightmost tied sample: every bit is the same,
-signed zeros included.
+The sliding min or max takes one of two paths, chosen by a cost test on
+the input array alone (`_sliding`). A trace made from control points is
+piecewise monotone, and a window's min (max) sits at one of its ends or
+at a turn inside it: the last sample of a valley (crest), one that is
+smaller (larger) than the next and not larger (smaller) than the one
+before. With few turns, `_fold` combines the windows' two ends, then
+folds in each turn, in ascending order, over the windows that hold it
+inside: about three passes plus one scalar min or max per turn, as in
+the streaming filter of Lemire (2006) and the monitor of Donzé, Ferrère
+and Maler (CAV 2013). A rough array takes `_doubling`, about log2 of
+the window's length passes of elementwise minimum or maximum, and so
+does one holding a NaN, which is never a turn. A trace's samples are
+finite, so only a predicate with a number that is not finite, or over
+two or more terms one of which has a coefficient above 1 in size, whose
+products can overflow to opposite infinities and sum to inf - inf, can
+give a NaN; the plan records, per node, whether one can reach it, and
+only there does the fold scan its run for one. On a tie np.minimum and
+np.maximum return their second operand, and both paths pass each later
+sample as the second where the sign of a tied zero can tell, so both
+return the rightmost tied sample: every bit is the same, signed zeros
+included.
 
 A predicate reads its expression up to the sign of a zero
 (`AtomExpr.raw`): a bare channel is a read-only view of its samples, and
@@ -65,16 +58,12 @@ the sign of a zero, plus 0.0 on the scalar, and applies the margin
 once, to the Python float, which rounds as numpy's float64 arithmetic
 does. The expression's values hold no -0.0 (`AtomExpr.values`), so
 every tied extreme has the same bits and the result is bitwise the
-array path's. A line of windows over one predicate with a finite bound
-does the same at every sample it slides over (`_Window.chain`): its
-windows run on e, min and max swapped for an upper bound, and only its
-top one takes the margin. Satisfaction keeps the array path.
+array path's. Satisfaction keeps the array path.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -150,140 +139,97 @@ def _window_offsets(a: float, b: float, step: float) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-# Costs in samples of one pass, measured on float64 runs of 2001-12001
-# samples (2-vCPU Xeon, numpy 2.4.6): a numpy call costs about as much as
-# _CALL samples; a doubling pass one pass and one call; `_fold` at most two
-# passes and six calls, and two calls and 2 * w samples more per turn of a
-# window of w; the turn mask (`_marks`) and its count one pass and three
-# calls.
+# Costs in samples of one doubling pass, measured on float64 runs of
+# 2001-12001 samples (2-vCPU Xeon, numpy 2.4.6): a numpy call costs about
+# as much as _CALL samples; `_fold` four passes and eight calls, and two
+# calls and 2 * w samples more per turn of a window of w; the turn mask
+# and its count one pass and three calls. The fold's figure is that of
+# a run with a turn at a zero, which folds its ends apart; without one,
+# as on most runs, the fold takes a pass less, and the test prices it
+# high.
 _CALL = 2500
 
 
-class _Turns:
-    """A node's samples as an array, with the sorted indices of their
-    valleys and their crests (`_marks`), each list None until it is
-    needed.
+def _sliding(
+    arr: np.ndarray, k_lo: int, k_hi: int, out_len: int, take_min: bool, nan: bool = True
+) -> np.ndarray:
+    """out[i] = min/max(arr[i+k_lo : i+k_hi+1]) for i in range(out_len).
 
-    A list may hold indices that are no turn, a superset, which neither
-    `_fold` nor a window read can tell apart. No sample is NaN.
-    """
+    `arr` holds at least out_len + k_hi samples; the windows slide over
+    run = arr[k_lo : k_hi + out_len], w samples each. Say a sample beats
+    another when it is smaller (min) or larger (max): j is a turn when
+    run[j] beats run[j + 1] and run[j - 1] does not beat run[j]. A
+    window's rightmost extreme is one of its two ends or a turn inside
+    it, so a run with few turns takes `_fold`, three or four passes plus
+    one scalar min or max over at most w - 2 outputs per turn. A rough
+    run takes `_doubling`, about log2(w) passes.
 
-    __slots__ = ("array", "valleys", "crests")
+    The cost test counts the turns before locating them, in samples of a
+    doubling pass, with one numpy call priced as `_CALL` samples: the
+    doubling costs w.bit_length() * (len(run) + _CALL), the fold four
+    passes and eight calls fixed plus 2 * (w + _CALL) per turn. Where a
+    run with no turn would save less than twice what the mask costs, as
+    for short windows and short runs, no mask is built: there a few
+    turns too many would make the fold lose, and the mask be wasted.
+    The test reads the run alone. A run holding a NaN takes the
+    doubling, which spreads the NaN as np.minimum does: a NaN is never a
+    turn. The run is scanned for one only when `nan` says it may hold
+    one, as the plan knows (`_can_give_nan`).
 
-    def __init__(self, array: np.ndarray, valleys=None, crests=None):
-        self.array = array
-        self.valleys = valleys
-        self.crests = crests
-
-    def marks(self, take_min: bool, most: int) -> list[int] | None:
-        """The valleys (take_min) or crests, from the mask the first time,
-        or None when there are more than `most`."""
-        marks = self.valleys if take_min else self.crests
-        if marks is None:
-            marks = _marks(self.array, take_min, most)
-            if marks is None:
-                return None
-            if take_min:
-                self.valleys = marks
-            else:
-                self.crests = marks
-        return marks if len(marks) <= most else None
-
-
-def _marks(arr: np.ndarray, take_min: bool, most: int) -> list[int] | None:
-    """The valleys (take_min) or crests of the array, or None when it has
-    more than `most`.
-
-    Say a sample beats another when it is smaller (min) or larger (max):
-    j is a valley (crest) when arr[j] beats arr[j + 1] and arr[j - 1]
-    does not beat arr[j], the last sample of a valley (crest), plateaus
-    included. That is where the mask of beating steps, arr[j] beats
-    arr[j + 1], turns from false to true; its changes alternate, so the
-    turns are every other change, from the first when the mask starts
-    false. The changes are counted before they are located: on a rough
-    array an index array costs about 17 us more than the count (uniform
-    noise, 12001 samples, on a 2-vCPU Xeon with numpy 2.4.6)."""
-    beats = arr[:-1] < arr[1:] if take_min else arr[:-1] > arr[1:]
-    changes = beats[1:] ^ beats[:-1]
-    if np.count_nonzero(changes) > 2 * most + 1:
-        return None
-    return (changes.nonzero()[0][int(beats[0]) :: 2] + 1).tolist()
-
-
-def _sliding(x, k_lo: int, k_hi: int, out_len: int, take_min: bool):
-    """out[i] = min/max(x[i+k_lo : i+k_hi+1]) for i in range(out_len).
-
-    x holds at least out_len + k_hi samples, as an array or as `_Turns`;
-    the windows slide over run = x[k_lo : k_hi + out_len], w samples each.
-    A window's rightmost extreme is one of its two ends or a turn inside
-    it (`_marks`: a valley for the min, a crest for the max), so x with
-    few turns takes `_fold`, about two passes plus one scalar min or max
-    over at most w - 2 outputs per turn, and gives `_Turns` whose
-    valleys (min) are x's, moved by k_lo: an output is a valley only
-    where its window's left end is one. A rough x, or an array, which
-    may hold a NaN that is never a turn, takes `_doubling`, about
-    log2(w) passes; it gives `_Turns` of x's kind, with no turns known.
-
-    The cost test prices both paths in samples of a pass, with one numpy
-    call priced as `_CALL` samples: the doubling costs w.bit_length() *
-    (len(run) + _CALL), the fold at most two passes and six calls fixed
-    plus 2 * (w + _CALL) per turn. x's turns come from below where they are known
-    (a margin's are found once, by its mask, and a fold passes its own
-    on), else from the mask, which is built only where a run with no
-    turn would save twice what it costs: for short windows and short
-    runs a few turns too many would make the fold lose, and the mask be
-    wasted.
-
-    Both paths return the rightmost tied sample, so every bit is the
-    same, signed zeros included (`_fold`).
+    On a tie np.minimum and np.maximum return the second operand
+    (np.minimum(0.0, -0.0) is -0.0), and both paths return the rightmost
+    tied sample (`_fold`): every bit is the same, signed zeros included.
     """
     combine = np.minimum if take_min else np.maximum
     w = k_hi - k_lo + 1
-    if isinstance(x, _Turns):
-        n = out_len + w - 1
-        # what the doubling costs beyond the fold's fixed part
-        budget = w.bit_length() * (n + _CALL) - 2 * n - 6 * _CALL
-        known = (x.valleys if take_min else x.crests) is not None
-        if budget > 0 and (known or budget > 2 * (n + 3 * _CALL)):
-            marks = x.marks(take_min, budget // (2 * (w + _CALL)))
-            if marks is not None:
-                out = _fold(x.array, k_lo, k_hi, out_len, take_min, marks)
-                # the marks that are outputs 1 .. out_len - 2 moved by k_lo
-                first, last = bisect_left(marks, k_lo + 1), bisect_right(marks, k_lo + out_len - 2)
-                moved = [j - k_lo for j in marks[first:last]]
-                return _Turns(out, moved, None) if take_min else _Turns(out, None, moved)
-        # smoother than x: a window above may find few turns in it
-        return _Turns(_doubling(x.array[k_lo : k_hi + out_len], w, out_len, combine))
-    return _doubling(x[k_lo : k_hi + out_len], w, out_len, combine)
+    run = arr[k_lo : k_hi + out_len]
+    n = len(run)
+    # what the doubling costs beyond the fold's fixed part
+    budget = w.bit_length() * (n + _CALL) - 4 * n - 8 * _CALL
+    # a run with too many turns wastes the mask: build it only where a
+    # run with no turn would save twice what the mask costs
+    if budget > 2 * (n + 3 * _CALL):
+        turns = _turns(run, take_min)
+        if np.count_nonzero(turns) * 2 * (w + _CALL) < budget and not (
+            nan and math.isnan(run.min())
+        ):
+            return _fold(run, w, out_len, combine, turns)
+    return _doubling(run, w, out_len, combine)
 
 
-def _fold(
-    arr: np.ndarray, k_lo: int, k_hi: int, n: int, take_min: bool, marks: list[int]
-) -> np.ndarray:
-    """The sliding min or max of an array whose valleys (crests) are
-    `marks`: each window's two ends, and each mark, in ascending order,
-    as a scalar over the windows that hold it inside.
+def _turns(run: np.ndarray, take_min: bool) -> np.ndarray:
+    """Mask of the run's turns (`_sliding`): entry j - 1 is set when
+    run[j] is one, the last sample of a valley (min) or a crest (max),
+    plateaus included. `_sliding` counts it, and only the fold indexes
+    it: on a rough run, where the doubling is taken, an index array costs
+    about 17 us more than the count (uniform noise, 12001 samples, on a
+    2-vCPU Xeon with numpy 2.4.6)."""
+    better = (np.less if take_min else np.greater)(run[:-1], run[1:])
+    return better[1:] > better[:-1]
 
-    The exact order is the left ends, the marks, then the right ends,
-    each entering as the second operand: on a tie np.minimum and
-    np.maximum return their second operand, so the rightmost tied sample
-    wins, as in the doubling. Two tied samples have the same bits unless
-    they are zeros of opposite sign, so where no mark is a zero the order
-    does not matter, and the two ends are combined in one pass.
+
+def _fold(run: np.ndarray, w: int, out_len: int, combine, turns: np.ndarray) -> np.ndarray:
+    """The sliding min or max of the run from its window ends and turns.
+
+    Combines the left ends with the right ends, then folds in each turn
+    j, ascending, as a scalar over the windows that hold it inside,
+    out[j - w + 2 : j]. Each value enters as the second operand, and on
+    a tie np.minimum and np.maximum return the second. A right end then
+    loses a tie to a turn left of it, but tied samples have the same
+    bits unless they are zeros of opposite sign, so only where a turn is
+    a zero are the right ends folded in last, after the turns, over a
+    copy of the left ends: so a tie gives the rightmost sample, as the
+    doubling does.
     """
-    combine = np.minimum if take_min else np.maximum
-    inner = marks[bisect_right(marks, k_lo) : bisect_left(marks, k_hi + n - 1)]
-    values = [arr.item(j) for j in inner]
-    if 0.0 in values:
-        out = arr[k_lo : k_lo + n].copy()
-    else:
-        out = combine(arr[k_lo : k_lo + n], arr[k_hi : k_hi + n])
-    for j, v in zip(inner, values):
-        inside = out[max(0, j - k_hi + 1) : min(n, j - k_lo)]
+    # entry k of the mask is turn k + 1
+    turned = [(k, run.item(k + 1)) for k in turns.nonzero()[0].tolist()]
+    right = run[w - 1 : w - 1 + out_len]
+    ordered = any(v == 0.0 for _, v in turned)
+    out = run[:out_len].copy() if ordered else combine(run[:out_len], right)
+    for k, v in turned:
+        inside = out[max(0, k - w + 3) : min(k + 1, out_len)]
         combine(inside, v, out=inside)
-    if 0.0 in values:
-        combine(out, arr[k_hi : k_hi + n], out=out)
-    return out
+    return combine(out, right, out=out) if ordered else out
 
 
 def _doubling(run: np.ndarray, w: int, out_len: int, combine) -> np.ndarray:
@@ -312,20 +258,16 @@ def _margin(f: Predicate, trace: Trace, stop: int) -> np.ndarray:
     it does only for an upper bound of -0.0 or a lower bound of +0.0. The
     margin is written over e when e is fresh, else (a bare channel's
     view) into a new array."""
-    e, fresh = _expression(f, trace, stop)
-    out = e if fresh else None
-    if f.cmp in ("<", "<="):
-        return np.subtract(f.bound, e, out=out)
-    return np.subtract(e, f.bound, out=out)
-
-
-def _expression(f: Predicate, trace: Trace, stop: int) -> tuple[np.ndarray, bool]:
-    """The expression values `_margin` takes, at samples 0 .. stop - 1,
-    and whether the array is fresh (`AtomExpr.raw`)."""
+    upper = f.cmp in ("<", "<=")
     bound = f.bound
-    if bound == 0.0 and (math.copysign(1.0, bound) < 0.0) == (f.cmp in ("<", "<=")):
-        return f.expr.values(trace, 0, stop), True
-    return f.expr.raw(trace, 0, stop)
+    if bound == 0.0 and (math.copysign(1.0, bound) < 0.0) == upper:
+        e, fresh = f.expr.values(trace, 0, stop), True
+    else:
+        e, fresh = f.expr.raw(trace, 0, stop)
+    out = e if fresh else None
+    if upper:
+        return np.subtract(bound, e, out=out)
+    return np.subtract(e, bound, out=out)
 
 
 def _extreme(expr: AtomExpr, trace: Trace, start: int, stop: int, largest: bool) -> float:
@@ -361,23 +303,9 @@ def _complement(x: np.ndarray) -> np.ndarray:
     return 1 - x
 
 
-def _array(x) -> np.ndarray:
-    return x.array if isinstance(x, _Turns) else x
-
-
-def _negated(x, neg):
-    """neg of x, an array or `_Turns`, whose valleys are x's crests: neg
-    reverses the order, as -x and 1 - x do."""
-    if isinstance(x, _Turns):
-        return _Turns(neg(x.array), x.crests, x.valleys)
-    return neg(x)
-
-
 class _Leaf:
     """A predicate `f` read at samples 0 .. need - 1; `nan` is whether its
-    margin can hold a NaN (`_can_give_nan`). Read at more than one
-    sample, its samples come as `_Turns`, unless the margin holds a NaN,
-    which is never a turn: the check is made here, once per predicate."""
+    margin can hold a NaN (`_can_give_nan`), and so for every node."""
 
     __slots__ = ("f", "need", "nan")
     reach = 0
@@ -387,19 +315,8 @@ class _Leaf:
         self.need = need
         self.nan = _can_give_nan(f)
 
-    def value(self, trace: Trace, leaf, neg):
-        samples = leaf(self.f, trace, self.need)
-        if self.need == 1 or (self.nan and leaf is _margin and math.isnan(samples.min())):
-            return samples
-        return _Turns(samples)
-
-    def expression(self, trace: Trace):
-        """The expression values under the margin (`_expression`), as the
-        windows of a chain read them (`_Window`)."""
-        e, _ = _expression(self.f, trace, self.need)
-        if self.need == 1 or (self.nan and math.isnan(e.min())):
-            return e
-        return _Turns(e)
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        return leaf(self.f, trace, self.need)
 
     def check(self, trace: Trace, n: int) -> None:
         for name in self.f.expr.channels():
@@ -407,14 +324,15 @@ class _Leaf:
 
 
 class _Negation:
-    __slots__ = ("child", "reach")
+    __slots__ = ("child", "reach", "nan")
 
     def __init__(self, child):
         self.child = child
         self.reach = child.reach
+        self.nan = child.nan
 
-    def value(self, trace: Trace, leaf, neg):
-        return _negated(self.child.value(trace, leaf, neg), neg)
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
+        return neg(self.child.value(trace, leaf, neg))
 
     def check(self, trace: Trace, n: int) -> None:
         self.child.check(trace, n)
@@ -424,33 +342,25 @@ class _Join:
     """And, Or and Implies: minimum, maximum, and maximum(neg(left), right).
 
     On 0/1 arrays minimum and maximum are boolean and/or, so the same plan
-    gives robustness (margin, -x) and satisfaction (comparison, 1 - x). A
-    valley of the minimum is a valley of one side (a crest of the
-    maximum, a crest), so it keeps both sides' lists where both are
-    known.
+    gives robustness (margin, -x) and satisfaction (comparison, 1 - x).
     """
 
-    __slots__ = ("left", "right", "reach", "take_min", "negate_left")
+    __slots__ = ("left", "right", "reach", "nan", "combine", "negate_left")
 
     def __init__(self, f: And | Or | Implies, left, right):
         self.left = left
         self.right = right
         self.reach = max(left.reach, right.reach)
-        self.take_min = isinstance(f, And)
+        self.nan = left.nan or right.nan
+        self.combine = np.minimum if isinstance(f, And) else np.maximum
         self.negate_left = isinstance(f, Implies)
 
-    def value(self, trace: Trace, leaf, neg):
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
         left = self.left.value(trace, leaf, neg)
         right = self.right.value(trace, leaf, neg)
         if self.negate_left:
-            left = _negated(left, neg)
-        take_min = self.take_min
-        out = (np.minimum if take_min else np.maximum)(_array(left), _array(right))
-        if not (isinstance(left, _Turns) and isinstance(right, _Turns)):
-            return out
-        lists = [(t.valleys if take_min else t.crests) for t in (left, right)]
-        marks = None if None in lists else sorted({*lists[0], *lists[1]})
-        return _Turns(out, marks, None) if take_min else _Turns(out, None, marks)
+            left = neg(left)
+        return self.combine(left, right)
 
     def check(self, trace: Trace, n: int) -> None:
         self.left.check(trace, n)
@@ -464,24 +374,9 @@ class _Window:
     down to a predicate: the node gives no sample on a trace of `reach`
     samples or fewer. `over` is the predicate that a node read at one
     sample applies directly to, else None.
-
-    `chain` is the predicate at the foot of an unbroken line of windows
-    down from this one, when its bound is finite, else None. The margin
-    is monotone in the expression e, falling with it for an upper bound
-    (bound - e) and rising for a lower one (e - bound), so the line's
-    windows take their mins and maxes of e instead, swapped for an upper
-    bound, and the top one, whose parent is no window of the line, takes
-    the margin of its output, once: of one value at one sample, on the
-    Python float, which rounds as numpy's float64 arithmetic does. Each
-    output is then the margin of the e that the windows select, which
-    equals, bit for bit, the margins' own extreme: tied margins are equal
-    and of one sign when zero. No margin array is made below the top; a
-    bare channel is read as its view. `over` is the line of one window.
     """
 
-    __slots__ = (
-        "f", "k_lo", "k_hi", "need", "child", "reach", "take_min", "over", "chain", "top", "upper"
-    )
+    __slots__ = ("f", "k_lo", "k_hi", "need", "child", "reach", "nan", "take_min", "over")
 
     def __init__(self, f: Globally | Eventually, k_lo: int, k_hi: int, need: int, child):
         self.f = f
@@ -490,19 +385,11 @@ class _Window:
         self.need = need
         self.child = child
         self.reach = k_hi + child.reach
+        self.nan = child.nan
         self.take_min = isinstance(f, Globally)
         self.over = child.f if need == 1 and isinstance(child, _Leaf) else None
-        self.chain = None
-        self.top = True
-        if isinstance(child, _Leaf) and math.isfinite(child.f.bound):
-            self.chain = child.f
-        elif isinstance(child, _Window) and child.chain is not None:
-            self.chain = child.chain
-            child.top = False
-        # whether the chain's margin falls as its expression rises
-        self.upper = self.chain is not None and self.chain.cmp in ("<", "<=")
 
-    def value(self, trace: Trace, leaf, neg):
+    def value(self, trace: Trace, leaf, neg) -> np.ndarray:
         pred = self.over
         if pred is not None and leaf is _margin:
             # the margin falls as an upper-bounded expression rises, and
@@ -512,38 +399,11 @@ class _Window:
             e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, self.take_min == upper)
             # the margin `_margin` takes, on the Python float
             return np.array([pred.bound - e if upper else e - pred.bound])
-        if self.chain is not None and leaf is _margin:
-            return self._margins(self._selected(trace))
-        return self._slide(self.child.value(trace, leaf, neg), self.take_min)
-
-    def _slide(self, child, take_min: bool):
+        child = self.child.value(trace, leaf, neg)
         if self.need == 1:
-            chunk = _array(child)[self.k_lo : self.k_hi + 1]
-            return chunk.min(keepdims=True) if take_min else chunk.max(keepdims=True)
-        return _sliding(child, self.k_lo, self.k_hi, self.need, take_min)
-
-    def _selected(self, trace: Trace):
-        """The expression values this window of a chain selects."""
-        child = self.child
-        if isinstance(child, _Leaf):
-            x = child.expression(trace)
-        else:
-            x = child._selected(trace)
-        return self._slide(x, self.take_min != self.upper)
-
-    def _margins(self, e):
-        """The margins of the selected values e at the chain's top, or e
-        itself below it. Turns do not carry over: rounding can make two
-        margins equal where their expression values differ."""
-        if not self.top:
-            return e
-        bound = self.chain.bound
-        if self.need == 1:
-            v = e.item(0)
-            return np.array([bound - v if self.upper else v - bound])
-        values = _array(e)
-        margins = np.subtract(bound, values) if self.upper else np.subtract(values, bound)
-        return _Turns(margins) if isinstance(e, _Turns) else margins
+            chunk = child[self.k_lo : self.k_hi + 1]
+            return chunk.min(keepdims=True) if self.take_min else chunk.max(keepdims=True)
+        return _sliding(child, self.k_lo, self.k_hi, self.need, self.take_min, self.nan)
 
     def check(self, trace: Trace, n: int) -> None:
         self.child.check(trace, n)

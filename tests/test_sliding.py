@@ -104,29 +104,19 @@ def windows(draw):
     return arr, k_lo, k_lo + w - 1, out_len
 
 
-def slide(arr, k_lo, k_hi, out_len, take_min):
-    """`_sliding` over an array given with its turns to find, as a margin
-    comes, and its samples as an array."""
-    got = semantics._sliding(semantics._Turns(arr), k_lo, k_hi, out_len, take_min)
-    return got.array if isinstance(got, semantics._Turns) else got
-
-
-def fold(arr, k_lo, k_hi, out_len, take_min):
-    """The fold forced, over every turn of the array."""
-    marks = semantics._marks(arr, take_min, len(arr))
-    return semantics._fold(arr, k_lo, k_hi, out_len, take_min, marks)
-
-
 class TestSlidingMatchesDoubling:
     @settings(max_examples=400, deadline=None)
     @given(case=windows(), take_min=st.booleans())
     def test_both_paths(self, case, take_min):
         arr, k_lo, k_hi, out_len = case
         want = sliding_doubling_reference(arr, k_lo, k_hi, out_len, take_min)
-        assert same_bits(slide(arr, k_lo, k_hi, out_len, take_min), want)
         assert same_bits(semantics._sliding(arr, k_lo, k_hi, out_len, take_min), want)
         # the turns path forced, on windows of every length
-        assert same_bits(fold(arr, k_lo, k_hi, out_len, take_min), want)
+        run = arr[k_lo : k_hi + out_len]
+        combine = np.minimum if take_min else np.maximum
+        turns = semantics._turns(run, take_min)
+        folded = semantics._fold(run, k_hi - k_lo + 1, out_len, combine, turns)
+        assert same_bits(folded, want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -146,38 +136,28 @@ class TestSlidingMatchesDoubling:
         out_len = len(arr) - k_hi
         want = sliding_doubling_reference(arr, k_lo, k_hi, out_len, take_min)
         before = arr.copy()
-        with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds:
-            got = semantics._sliding(semantics._Turns(arr), k_lo, k_hi, out_len, take_min)
-        assert folds.call_count == 1
-        assert same_bits(got.array, want)
+        with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold:
+            got = semantics._sliding(arr, k_lo, k_hi, out_len, take_min)
+        assert fold.call_count == 1
+        assert same_bits(got, want)
         # the fold writes its own array, not the input
         assert same_bits(arr, before)
-        # the output's valleys (crests) are the input's, moved by k_lo
-        marks = semantics._marks(arr, take_min, len(arr))
-        kept = [j - k_lo for j in marks if k_lo < j < k_lo + out_len - 1]
-        assert (got.valleys if take_min else got.crests) == kept
-        assert set(semantics._marks(got.array, take_min, out_len)) <= set(
-            got.valleys if take_min else got.crests
-        )
 
     def test_noise_takes_the_doubling(self):
         arr = np.random.default_rng(0).uniform(0.0, 1.0, 12001)
-        with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds:
-            got = semantics._sliding(semantics._Turns(arr), 0, 2000, 10001, True)
-        assert folds.call_count == 0
-        assert same_bits(got.array, sliding_doubling_reference(arr, 0, 2000, 10001, True))
-        # the output, far smoother, still has its turns found on demand
-        assert (got.valleys, got.crests) == (None, None)
+        with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold:
+            got = semantics._sliding(arr, 0, 2000, 10001, True)
+        assert fold.call_count == 0
+        assert same_bits(got, sliding_doubling_reference(arr, 0, 2000, 10001, True))
 
     def test_nan_takes_the_doubling(self):
-        # a margin holding a NaN comes as an array, never as turns: a NaN
-        # is never a turn, and the doubling spreads it to every window
+        # a NaN is never a turn; the doubling spreads it to every window
         arr = linear([0.0, 1.0, -1.0, 2.0], 12001)
         arr[5000] = np.nan
         for take_min in (True, False):
-            with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds:
+            with mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold:
                 got = semantics._sliding(arr, 0, 2000, 10001, take_min)
-            assert folds.call_count == 0
+            assert fold.call_count == 0
             want = sliding_doubling_reference(arr, 0, 2000, 10001, take_min)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.isnan(got[3000:5001]).all()
@@ -188,10 +168,12 @@ class TestSlidingMatchesDoubling:
         assert math.copysign(1.0, np.maximum(-0.0, 0.0)) == 1.0
         run = np.array([1.0, 0.0, -0.0, 1.0, 2.0, -0.0, 0.0, 3.0])
         for take_min in (True, False):
+            combine = np.minimum if take_min else np.maximum
             for w in range(1, len(run) + 1):
                 out_len = len(run) - w + 1
                 want = sliding_doubling_reference(run, 0, w - 1, out_len, take_min)
-                assert same_bits(fold(run, 0, w - 1, out_len, take_min), want)
+                turns = semantics._turns(run, take_min)
+                assert same_bits(semantics._fold(run, w, out_len, combine, turns), want)
 
 
 def passthrough_problem(formula):
@@ -313,9 +295,9 @@ def fuzz_channel(kind, n, rng):
 
 
 class TestNestedFormulasFuzz:
-    """Robustness of random nested formulas, through turns and folds or
-    through the doubling, is bitwise the whole-trace walk, and
-    satisfaction is the walk's, on traces of 5-30 s at step 0.01."""
+    """Robustness of random nested formulas, through the folds or the
+    doubling, is bitwise the whole-trace walk, and satisfaction is the
+    walk's, on traces of 5-30 s at step 0.01."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -351,34 +333,6 @@ class TestNestedFormulasFuzz:
             # a NaN is a NaN: its sign bit is no part of the value
             assert same_bits(rho, want) or (math.isnan(rho) and math.isnan(want)), str(f)
             assert holds is satisfied_reference(f, trace), str(f)
-
-
-class TestTurnsCarried:
-    def test_windows_of_one_kind_fold_on_the_margins_turns(self):
-        # G over G folds with the inner fold's valleys, moved by its k_lo:
-        # the margin's mask is the only one built
-        problem = passthrough_problem("G[0,40] (G[2,25] (G[3,30] (y - 0.5 * x >= -1)))")
-        a = problem.assumption
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            trace = scored_trace(problem, rng.uniform(a.lower, a.upper))
-            with (
-                mock.patch.object(semantics, "_marks", wraps=semantics._marks) as masks,
-                mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds,
-            ):
-                rho = robustness(problem.fitness.formula, trace)
-            assert (masks.call_count, folds.call_count) == (1, 2)
-            assert same_bits(rho, robustness_reference(problem.fitness.formula, trace))
-
-    def test_a_join_keeps_both_sides_turns(self):
-        # the valleys of a minimum are among its sides' valleys
-        f = parse("F[0,30] (G[0,20] (y >= 0.5) and G[1,10] (x <= 0.75))")
-        problem = passthrough_problem(f"G[0,10] ({f})")
-        a = problem.assumption
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            trace = scored_trace(problem, rng.uniform(a.lower, a.upper))
-            assert_matches_walk(problem.fitness.formula, trace)
 
 
 # nested formulas whose windows slide over few turns, and fold
@@ -495,7 +449,7 @@ class TestMarginsUpToTheSignOfZero:
 class TestNaNScan:
     """Only a predicate with a number that is not finite, or over two or
     more terms one of which has a coefficient above 1 in size, can put a
-    NaN into a margin; only its margin is scanned for one, once."""
+    NaN into a margin; only its windows scan for one."""
 
     def test_overflowing_two_term_atom_takes_the_doubling(self):
         # 2y and 2x overflow to inf past 0.9e308, and inf - inf is NaN; the
@@ -514,25 +468,24 @@ class TestNaNScan:
 
         with (
             mock.patch.object(semantics, "_sliding", side_effect=recorded),
-            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds,
+            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold,
             mock.patch.object(semantics, "_doubling", wraps=semantics._doubling) as doubling,
             np.errstate(invalid="ignore"),
         ):
             rho = robustness(f, trace)
         (args, out), = seen
-        # the margin comes as an array, not as turns
-        assert type(args[0]) is np.ndarray
-        assert (folds.call_count, doubling.call_count) == (0, 1)
+        assert args[5] is True
+        assert (fold.call_count, doubling.call_count) == (0, 1)
         assert np.isnan(args[0]).any() and math.isnan(rho)
-        assert same_bits(out, sliding_doubling_reference(*args))
+        assert same_bits(out, sliding_doubling_reference(*args[:5]))
 
     @pytest.mark.parametrize(
         "text, scans",
         [
-            ("G[0,70] (F[0,30] (G[0,20] (y >= -1)))", 0),
-            ("G[0,70] (F[0,30] (G[0,20] (not (2 * y <= 3))))", 0),
-            ("G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1)))", 0),
-            ("G[0,70] (F[0,30] (G[0,20] (2 * y - 3 * x >= -1)))", 1),
+            ("G[0,70] (F[0,30] (G[0,20] (y >= -1)))", False),
+            ("G[0,70] (F[0,30] (G[0,20] (not (2 * y <= 3))))", False),
+            ("G[0,70] (F[0,30] (G[0,20] (y - 0.5 * x >= -1)))", False),
+            ("G[0,70] (F[0,30] (G[0,20] (2 * y - 3 * x >= -1)))", True),
         ],
     )
     def test_only_an_overflowing_sum_scans(self, text, scans):
@@ -542,22 +495,22 @@ class TestNaNScan:
         f = problem.fitness.formula
         with (
             mock.patch.object(math, "isnan", wraps=math.isnan) as isnan,
-            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as folds,
+            mock.patch.object(semantics, "_fold", wraps=semantics._fold) as fold,
         ):
             rho = robustness(f, trace)
-        # G[0,20] and F[0,30] slide over a few turns, and fold
-        assert folds.call_count == 2
-        # the margin is scanned once, not once per window above it
-        assert isnan.call_count == scans
+        # F[0,30] and G[0,20] slide over a few turns, and fold
+        assert fold.call_count == 2
+        assert isnan.call_count == (2 if scans else 0)
         assert same_bits(rho, robustness_reference(f, trace))
 
     def test_flags_follow_the_predicates(self):
         f = parse("G[0,1] (F[0,1] (y <= 2)) and F[0,1] (not (G[0,1] (2 * y - 3 * x >= 0)))")
         plan = semantics._plan(f, 0.5)
+        assert plan.nan and not plan.left.nan and plan.right.nan
         assert not plan.left.child.child.nan
         assert plan.right.child.child.child.nan
         # terms with coefficients at most 1 in size sum to an infinity at most
         for text in ("y - x >= 0", "y - 0.5 * x + x >= 0", "0 - y - x <= 1"):
             assert not semantics._plan(parse(text), 0.5).nan, text
         inf_bound = Globally(0.0, 1.0, Predicate(AtomExpr((("y", 1.0),)), "<", math.inf))
-        assert semantics._plan(inf_bound, 0.5).child.nan
+        assert semantics._plan(inf_bound, 0.5).nan
