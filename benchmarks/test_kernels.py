@@ -12,9 +12,13 @@ outputs the score names, as `falsify` does (`check_problem`: y4 and y5
 on CC1); next to it, `chasing_cars-CC1` computes all five. These
 `fast_sim` cases take a sample block; `falsify` instead simulates the
 platoon by superposition (`models.simulate`, Y0 + K x over the inputs'
-interpolation coefficients), which the `superposed-CC1-read` case times:
+interpolation coefficients), which the `superposed-CC1-read` cases time:
 one `simulate` call of the read plant on the interpolated inputs of one
-CC1 candidate, with K built. The `-build` case times, from a cleared
+CC1 candidate, with K built, and that call plus the robustness of CC1's
+formula on its trace. `simulate` forms no output row there; the
+robustness forms y5 - y4 as one product by its composed operator, so the
+second case is what the first cost before rows were formed on read, plus
+the score. The `-build` case times, from a cleared
 cache, building K for CC1's read plant and ports, one `fast_sim` per
 coefficient and one more, the cost `resolve` pays once per problem. The
 `resolve-CC1` case times a warm `resolve` of CC1, every one after the
@@ -135,6 +139,19 @@ def test_superposed_simulate(benchmark, entry):
     simulate(plant, inputs, grid)  # K is built outside the timing
     trace = benchmark(simulate, plant, inputs, grid).trace
     assert list(trace.channels)[:2] == ["y4", "y5"]
+
+
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1-read"])
+def test_superposed_simulate_robustness(benchmark, entry):
+    plant, inputs, grid = _read_inputs(entry)
+    formula = resolve(ExperimentConfig(entry=entry)).fitness.formula
+
+    def score():
+        return robustness(formula, simulate(plant, inputs, grid).trace)
+
+    score()  # K and the operator of y5 - y4 are built outside the timing
+    rho = benchmark(score)
+    assert np.isfinite(rho)
 
 
 @pytest.mark.parametrize("entry", ["CC1"], ids=["superposition-CC1-read-build"])

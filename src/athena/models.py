@@ -11,7 +11,8 @@ inherit the default `fast_sim`, the generic integrator.
 A plant whose outputs are affine in its inputs (`PlantModel.affine`, only
 chasing_cars among the built-ins) is simulated on interpolated inputs by
 superposition: the outputs are Y0 + K x, with x the inputs' interpolation
-coefficients, one matrix-vector product per simulation.
+coefficients, each output one matrix-vector product formed when read, and
+a linear combination of outputs one product by the combined operator.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import copy
 import math
 from collections.abc import Collection
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DivergenceError, PortMismatchError
+from .errors import DivergenceError, MissingChannelError, PortMismatchError
 from .signals import InterpolatedSignal, Signal, TimeGrid
-from .stl import Trace
+from .stl import AtomExpr, Trace
 
 __all__ = [
     "PortSpec",
@@ -217,9 +219,11 @@ def simulate(
     matrix-vector product. On a prefix of a grid they are bitwise the
     prefix of the outputs on the whole grid (`_SAMPLE_BLOCK`). A
     DivergenceError then names the first sample with a non-finite output.
-    The outputs are finite, by a bound on the coefficients' magnitudes and
-    K's and Y0's (`_SUPERPOSED_SAFE`), or else checked once, here, and the
-    trace adopts them (`Trace.from_rows`).
+    The outputs are finite by a bound on the coefficients' magnitudes and
+    K's and Y0's (`_SUPERPOSED_SAFE`), and then each is formed only when
+    read, and a sum of outputs that the score reads is one product by a
+    composed operator (`_SuperposedTrace`); or else they are formed and
+    checked once, here, and the trace adopts them (`Trace.from_rows`).
     Every other call runs `fast_sim`, whose block `Trace.from_block` copies
     and checks, or, from a built-in plant whose rows are finite and held
     by nothing else (`PlantModel._fresh_rows`), the trace adopts.
@@ -249,8 +253,7 @@ def simulate(
     if model.affine and all(isinstance(s, InterpolatedSignal) for s in signals.values()):
         op = _operator(model, tuple(s.plan for s in signals.values()), grid)
         if op is not None:
-            rows = _superposed(op, tuple(signals.values()), grid)
-            return SimResult(Trace.from_rows(grid, spec.outputs, rows, signals))
+            return SimResult(_superposed(op, signals, grid))
     u = np.empty((grid.n_samples, len(signals)))
     for j, signal in enumerate(signals.values()):
         u[:, j] = signal.values
@@ -263,10 +266,12 @@ def simulate(
 
 # Bytes of superposition operators kept per process, one operator per
 # (plant class, outputs, port plans, grid), the oldest dropped first. An
-# operator, K and Y0, holds 8 bytes x padded samples x outputs x
-# (coefficients + 1); K alone is 645 KB for CC1's read plant (2016 x 2 x
-# 20) and 1.6 MB for the whole platoon on the same grid. One larger than
-# the budget is never built.
+# operator, K and Y0 and the sums composed on it, holds 8 bytes x padded
+# samples x rows x (coefficients + 1), a row per output and per sum; K
+# alone is 645 KB for CC1's read plant (2016 x 2 x 20) and 1.6 MB for the
+# whole platoon on the same grid, and the K of CC1's y5 - y4 322 KB. One
+# larger than the budget is never built, nor a sum that would make its
+# operator so.
 SUPERPOSITION_CACHE_BYTES = 16 << 20
 
 # K and Y0 end in zero samples up to a multiple of this many. BLAS forms
@@ -280,29 +285,99 @@ _SAMPLE_BLOCK = 16
 class _Operator:
     """K and Y0 of `simulate`'s superposed path, both read-only: K is
     (outputs, coefficients, padded samples) and Y0 (outputs, padded
-    samples), zero past the grid's samples (`_SAMPLE_BLOCK`). `k_max`
-    and `y0_max` are their largest magnitudes (NaN where they hold one),
-    and `probes` holds the coefficients, as bytes, of every input
-    `check_affine` has passed on this operator."""
+    samples), zero past the grid's samples (`_SAMPLE_BLOCK`). `rows` maps
+    each output's name to its index in both. `k_max` and `y0_max` are their
+    largest magnitudes (NaN where they hold one), and `probes` holds the
+    coefficients, as bytes, of every input `check_affine` has passed on
+    this operator. `sums` holds, by the terms of each expression a trace
+    of this operator has summed (`_SuperposedTrace.composed`), its composed
+    operator, or None where it is not composed.
+    """
 
-    __slots__ = ("K", "y0", "k_max", "y0_max", "probes")
+    __slots__ = ("K", "y0", "rows", "k_max", "y0_max", "probes", "sums", "nbytes")
 
-    def __init__(self, K: np.ndarray, y0: np.ndarray):
+    def __init__(self, K: np.ndarray, y0: np.ndarray, outputs: tuple[str, ...]):
         K.setflags(write=False)
         y0.setflags(write=False)
         self.K = K
         self.y0 = y0
+        self.rows = {name: k for k, name in enumerate(outputs)}
         # max and -min, not max of |K|: no temporary as large as K
         self.k_max = max(float(K.max()), -float(K.min()))
         self.y0_max = max(float(y0.max()), -float(y0.min()))
         self.probes: set[bytes] = set()
+        self.sums: dict[tuple, _Sum | None] = {}
+        self.nbytes = K.nbytes + y0.nbytes
 
-    @property
-    def nbytes(self) -> int:
-        return self.K.nbytes + self.y0.nbytes
+    def composed(self, expr: AtomExpr) -> _Sum | None:
+        """The composed operator of the sum of `expr`'s terms, built on the
+        first call for those terms and kept in `sums`, or None where they
+        are not composed: where a term names no output, where its products
+        or the composed operator could overflow, where the operator is no
+        longer cached or its sums would take it past
+        SUPERPOSITION_CACHE_BYTES.
+
+        Terms equal but for the sign of a zero coefficient share one: the
+        sums start from +0.0, to which a zero product adds nothing."""
+        terms = expr.terms
+        try:
+            return self.sums[terms]
+        except KeyError:
+            summed = self.sums[terms] = self._compose(terms)
+            return summed
+
+    def _compose(self, terms: tuple[tuple[str, float], ...]) -> _Sum | None:
+        rows = [self.rows.get(name) for name, _ in terms]
+        if None in rows:
+            return None
+        # on the Python floats, as `_superposed` bounds the coefficients
+        scale = sum(abs(coeff) for _, coeff in terms)
+        margin = 1.0 + _SUPERPOSED_MARGIN
+        if not scale * (self.k_max * margin + self.y0_max) < _SUPERPOSED_SAFE:
+            return None
+        size = self.K[0].nbytes + self.y0[0].nbytes
+        if self not in _operators.values() or not _reserve(size, self):
+            return None
+        K = np.zeros_like(self.K[0])
+        y0 = np.zeros_like(self.y0[0])
+        for k, (_, coeff) in zip(rows, terms):
+            K += coeff * self.K[k]
+            y0 += coeff * self.y0[k]
+        self.nbytes += size
+        return _Sum(K, y0, scale)
+
+
+class _Sum:
+    """The composed operator of a sum of output channels, sum c_i y_i: K
+    and Y0 the sums of c_i K_i and c_i Y0_i over its terms, read-only, and
+    `scale` the sum of |c_i|."""
+
+    __slots__ = ("K", "y0", "scale")
+
+    def __init__(self, K: np.ndarray, y0: np.ndarray, scale: float):
+        K.setflags(write=False)
+        y0.setflags(write=False)
+        self.K = K
+        self.y0 = y0
+        self.scale = scale
 
 
 _operators: dict[tuple, _Operator] = {}
+
+
+def _reserve(size: int, keep: _Operator | None = None) -> bool:
+    """Make room for `size` bytes more in `_operators`, for a new operator
+    or for a sum on `keep`: drop the oldest operators but `keep` until
+    they fit within SUPERPOSITION_CACHE_BYTES. False, and nothing dropped,
+    when `size` and `keep` alone would not fit."""
+    held = size + (0 if keep is None else keep.nbytes)
+    if held > SUPERPOSITION_CACHE_BYTES:
+        return False
+    kept = sum(op.nbytes for op in _operators.values() if op is not keep)
+    while kept + held > SUPERPOSITION_CACHE_BYTES:
+        oldest = next(key for key, op in _operators.items() if op is not keep)
+        kept -= _operators.pop(oldest).nbytes
+    return True
 
 
 def _operator_key(model: PlantModel, plans: tuple, grid: TimeGrid) -> tuple:
@@ -326,13 +401,10 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | No
     if op is None:
         n = grid.n_samples
         width = -(-n // _SAMPLE_BLOCK) * _SAMPLE_BLOCK
-        shape = (len(model.port_spec.outputs), sum(plan.n_coefficients for plan in plans), width)
-        size = 8 * shape[0] * (shape[1] + 1) * width
-        if size > SUPERPOSITION_CACHE_BYTES:
+        outputs = model.port_spec.outputs
+        shape = (len(outputs), sum(plan.n_coefficients for plan in plans), width)
+        if not _reserve(8 * shape[0] * (shape[1] + 1) * width):
             return None
-        kept = sum(other.nbytes for other in _operators.values())
-        while kept + size > SUPERPOSITION_CACHE_BYTES:
-            kept -= _operators.pop(next(iter(_operators))).nbytes
         bases = [plan.basis()[:n] for plan in plans]
         K = np.zeros(shape)
         u = np.zeros((n, len(bases)))
@@ -345,7 +417,7 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | No
                 np.subtract(model.fast_sim(u, grid).T, y0[:, :n], out=K[:, k, :n])
                 k += 1
             u[:, j] = 0.0
-        op = _operators[key] = _Operator(K, y0)
+        op = _operators[key] = _Operator(K, y0, outputs)
     return op
 
 
@@ -355,32 +427,83 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | No
 # products x_j K_jt, in whatever order the matrix product takes, to Y0_t,
 # and with rounding every partial sum stays under sum |x| * max |K| times
 # 1 + c * 2^-53 for c coefficients, which the margin covers up to c = 9e9,
-# against a float maximum of 1.797e308.
+# against a float maximum of 1.797e308. A sum of outputs with coefficients
+# c_i is composed only below it times sum |c_i|, which bounds both its
+# products and partial sums on the outputs and those of its composed
+# Y0 + K x (`_Operator.composed`).
 _SUPERPOSED_SAFE = 1e300
 _SUPERPOSED_MARGIN = 1e-6
 
 
-def _superposed(op: _Operator, signals: tuple, grid: TimeGrid) -> np.ndarray:
-    """Y0 + K x as fresh (outputs, samples) rows, each C-contiguous,
-    checked finite."""
-    x = np.concatenate([s.coefficients for s in signals])
-    n = grid.n_samples
+def _superposed(op: _Operator, signals: dict[str, Signal], grid: TimeGrid) -> Trace:
+    """The trace of Y0 + K x and the input `signals`, whose coefficients
+    are x: a `_SuperposedTrace` where the bound shows every output finite,
+    else the rows formed and checked finite here, and adopted."""
+    x = np.concatenate([s.coefficients for s in signals.values()])
     # on the Python floats, which overflow to inf silently; a NaN or an
     # infinity fails the bound, and below it every output is finite
     size = sum(map(abs, x.tolist()))
-    if size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max < _SUPERPOSED_SAFE:
-        rows = np.matmul(x, op.K)
-        rows += op.y0
-        return rows[:, :n]
+    bound = size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max
+    if bound < _SUPERPOSED_SAFE:
+        return _SuperposedTrace.adopting(op, x, bound, signals, grid)
     # overflow must surface as DivergenceError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.matmul(x, op.K)
         rows += op.y0
-        rows = rows[:, :n]
+        rows = rows[:, : grid.n_samples]
         if not np.isfinite(rows).all():
             finite = np.isfinite(rows).all(axis=0)
             raise DivergenceError(int(np.argmin(finite)) * grid.step)
-    return rows
+    return Trace.from_rows(grid, tuple(op.rows), rows, signals)
+
+
+class _SuperposedTrace(Trace):
+    """The trace of `simulate`'s superposed path where the bound on x
+    shows every output finite: the inputs, and the outputs Y0 + K x, each
+    row formed when first read, as `x @ K[k] + Y0[k]`, bitwise row k of
+    the whole product, and kept read-only.
+
+    A sum of two or more output channels (`AtomExpr.values`) is one
+    product, x @ K_e + Y0_e, by the composed operator of its expression
+    (`_Operator.composed`), with no row of its channels formed, where its
+    coefficients' magnitudes times the bound keep it under the bound that
+    rules out overflow; it rounds otherwise than the sum of the rows.
+    """
+
+    __slots__ = ("_op", "_x", "_bound")
+
+    @classmethod
+    def adopting(cls, op: _Operator, x: np.ndarray, bound: float, signals, grid) -> Trace:
+        trace = cls.from_rows(grid, (), np.empty((0, grid.n_samples)), signals)
+        trace._op = op
+        trace._x = x
+        trace._bound = bound
+        return trace
+
+    @property
+    def channels(self):
+        names = (*self._op.rows, *self._store)
+        return MappingProxyType({name: self.channel(name) for name in names})
+
+    def channel(self, name: str) -> np.ndarray:
+        values = self._store.get(name)
+        if values is None:
+            k = self._op.rows.get(name)
+            if k is None:
+                raise MissingChannelError(name, tuple(self.channels))
+            row = np.matmul(self._x, self._op.K[k])
+            row += self._op.y0[k]
+            values = self._store[name] = row[: self.grid.n_samples]
+            values.setflags(write=False)
+        return values
+
+    def composed(self, expr: AtomExpr) -> np.ndarray | None:
+        summed = self._op.composed(expr)
+        if summed is None or not summed.scale * self._bound < _SUPERPOSED_SAFE:
+            return None
+        out = np.matmul(self._x, summed.K)
+        out += summed.y0
+        return out[: self.grid.n_samples]
 
 
 # Largest difference `check_affine` accepts between the superposed outputs
@@ -420,7 +543,9 @@ def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -
     except DivergenceError:
         return
     bound = AFFINE_RTOL * max(1.0, float(np.abs(direct).max()))
-    gap = float(np.abs(_superposed(op, signals, grid) - direct).max())
+    trace = _superposed(op, dict(zip(model.port_spec.inputs, signals)), grid)
+    rows = np.array([trace.channel(name) for name in model.port_spec.outputs])
+    gap = float(np.abs(rows - direct).max())
     if not gap <= bound:
         raise ValueError(
             f"{model.name}: declares outputs affine in its inputs, but superposition "

@@ -47,7 +47,9 @@ class AtomExpr:
     """Linear combination of channels plus a constant, optionally |.|-wrapped.
 
     `terms` holds (channel, coefficient) pairs in source order; evaluation
-    sums them in that order so independent evaluators agree bitwise.
+    sums them in that order so independent evaluators agree bitwise. A
+    trace may instead form the sum of two or more terms itself, in one
+    pass (`Trace.composed`), which rounds otherwise.
     """
 
     terms: tuple[tuple[str, float], ...]
@@ -106,6 +108,11 @@ class AtomExpr:
         buffer this call made, the running sum's or a product term's, once
         there is one, so the operands and their order are those of the
         plain sum.
+
+        Where the trace forms the sum of two or more terms itself
+        (`Trace.composed`), that sum replaces the terms' sum, plus +0.0
+        for a -0.0 const as the zero seed would give, and the const and
+        abs follow as above.
         """
         acc, owned = self._sum(trace, start, stop)
         acc = np.add(acc, self.const, out=acc if owned else None)
@@ -114,10 +121,17 @@ class AtomExpr:
         return acc
 
     def _sum(self, trace: Trace, start: int, stop: int | None) -> tuple[np.ndarray, bool]:
-        """The terms' sum, from the zero seed where `values` keeps it, and
-        whether this call made the array."""
+        """The terms' sum, from the zero seed where `values` keeps it, or
+        the trace's own (`Trace.composed`), and whether this call made the
+        array."""
         acc, owned = None, False
         negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
+        if len(self.terms) > 1:
+            composed = trace.composed(self)
+            if composed is not None:
+                acc = composed[start:stop]
+                # from the zero seed, which turns -0.0 into +0.0
+                return (np.add(acc, 0.0, out=acc) if negative_zero else acc), True
         if not self.terms or negative_zero:
             acc, owned = np.zeros(trace.grid.n_samples)[start:stop], True
         for name, coeff in self.terms:
@@ -245,9 +259,13 @@ class Trace:
     the same grid is stored as it is, without a second copy. `from_block`
     checks and copies a plant's whole output block at once instead, and
     `from_rows` adopts rows its caller computed and checked itself.
+
+    `channels` maps each name to its samples, in order. A subclass may
+    form some channels only when `channel` or `channels` first reads them,
+    and sum an expression's terms in one pass of its own (`composed`).
     """
 
-    __slots__ = ("grid", "channels")
+    __slots__ = ("grid", "_store")
 
     def __init__(self, grid: TimeGrid, channels: Mapping[str, np.ndarray | Signal]):
         store: dict[str, np.ndarray] = {}
@@ -261,7 +279,7 @@ class Trace:
                 raise ValueError(f"channel {name!r}: {exc}") from None
             store[name] = values.values
         self.grid = grid
-        self.channels = MappingProxyType(store)
+        self._store = store
 
     @classmethod
     def from_block(
@@ -313,19 +331,31 @@ class Trace:
         store = dict(zip(names, rows))
         for name, signal in signals.items():
             if not (isinstance(signal, Signal) and signal.grid is grid):
-                store.update(cls(grid, signals).channels)
+                store.update(Trace(grid, signals)._store)
                 break
             store[name] = signal.values
         trace = object.__new__(cls)
         trace.grid = grid
-        trace.channels = MappingProxyType(store)
+        trace._store = store
         return trace
+
+    @property
+    def channels(self) -> Mapping[str, np.ndarray]:
+        """Every channel's samples by name, read-only."""
+        return MappingProxyType(self._store)
 
     def channel(self, name: str) -> np.ndarray:
         try:
-            return self.channels[name]
+            return self._store[name]
         except KeyError:
             raise MissingChannelError(name, tuple(self.channels)) from None
+
+    def composed(self, expr: AtomExpr) -> np.ndarray | None:
+        """The sum of the terms of `expr`, an expression of two or more
+        terms, at every sample, formed by this trace in one pass as a fresh
+        array the caller may write, or None. A trace of sampled channels
+        gives None: `AtomExpr.values` sums the channels term by term."""
+        return None
 
     def __repr__(self) -> str:
         names = ", ".join(self.channels)

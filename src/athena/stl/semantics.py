@@ -58,7 +58,12 @@ the sign of a zero, plus 0.0 on the scalar, and applies the margin
 once, to the Python float, which rounds as numpy's float64 arithmetic
 does. The expression's values hold no -0.0 (`AtomExpr.values`), so
 every tied extreme has the same bits and the result is bitwise the
-array path's. Satisfaction keeps the array path.
+array path's. A NaN margin takes the array path instead, whose NaN is
+the walk's. Satisfaction keeps the array path.
+
+A NaN read at one sample is the window's leftmost NaN, the one the
+doubling's np.minimum or np.maximum passes on, and not the NaN of
+numpy's min or max reduction, which may differ from it in its sign bit.
 """
 
 from __future__ import annotations
@@ -397,12 +402,22 @@ class _Window:
             # window is the margin of one extreme of the expression
             upper = pred.cmp in ("<", "<=")
             e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, self.take_min == upper)
-            # the margin `_margin` takes, on the Python float
-            return np.array([pred.bound - e if upper else e - pred.bound])
+            # the margin `_margin` takes, on the Python float; a NaN takes
+            # the array path, whose sign bit is the walk's
+            margin = pred.bound - e if upper else e - pred.bound
+            if margin == margin:
+                return np.array([margin])
         child = self.child.value(trace, leaf, neg)
         if self.need == 1:
             chunk = child[self.k_lo : self.k_hi + 1]
-            return chunk.min(keepdims=True) if self.take_min else chunk.max(keepdims=True)
+            out = chunk.min(keepdims=True) if self.take_min else chunk.max(keepdims=True)
+            if self.nan and out[0] != out[0]:
+                # numpy's reduction gives a NaN of its own, while np.minimum
+                # and np.maximum pass on their first NaN operand, so the
+                # walk's doubling gives the window's leftmost NaN
+                first = int(np.isnan(chunk).argmax())
+                return chunk[first : first + 1]
+            return out
         return _sliding(child, self.k_lo, self.k_hi, self.need, self.take_min, self.nan)
 
     def check(self, trace: Trace, n: int) -> None:

@@ -222,11 +222,16 @@ class TestNestedFormulasMatchTheWalk:
             assert_matches_walk(problem.fitness.formula, trace)
 
     def test_cc2_candidates(self):
+        # on the superposed trace the search scores, y5 - y4 is one composed
+        # product that the walk's per-channel sum rounds otherwise (see
+        # tests/test_superposition.py); a trace of the same channel values
+        # sums them per channel, as the walk does
         problem = resolve(ExperimentConfig(entry="CC2"))
         a = problem.assumption
         rng = np.random.default_rng(2)
         for _ in range(50):
-            assert_matches_walk(problem.fitness.formula, scored_trace(problem, rng.uniform(a.lower, a.upper)))
+            scored = scored_trace(problem, rng.uniform(a.lower, a.upper))
+            assert_matches_walk(problem.fitness.formula, Trace(scored.grid, scored.channels))
 
     def test_not_wrapped_zero_margins(self):
         problem = passthrough_problem(SIGNED_ZEROS)
@@ -330,8 +335,7 @@ class TestNestedFormulasFuzz:
             holds = satisfied(f, trace)
         with np.errstate(over="ignore", invalid="ignore"):
             want = robustness_reference(f, trace)
-            # a NaN is a NaN: its sign bit is no part of the value
-            assert same_bits(rho, want) or (math.isnan(rho) and math.isnan(want)), str(f)
+            assert same_bits(rho, want), str(f)
             assert holds is satisfied_reference(f, trace), str(f)
 
 

@@ -8,7 +8,11 @@ raise DivergenceError where they overflow, checked only when a bound does
 not rule that out. A false `affine` declaration is rejected by every
 `check_problem`, so at every resolve and by a direct `falsify`; a probe
 that passed is kept with its operator, so checking the same problem again
-makes no simulation. Every other plant and input keeps `fast_sim`.
+makes no simulation. Every other plant and input keeps `fast_sim`. Each
+output row is formed only when read, bitwise as a row of the whole
+product, and a sum of outputs is one product by its composed operator,
+within the same bound of the per-channel sum, where no product can
+overflow, and within the operators' byte budget.
 """
 
 import dataclasses
@@ -55,7 +59,8 @@ from athena.signals import (
     interpolate,
     uniform_control_times,
 )
-from athena.stl import robustness
+from athena.fitness import WindowStat, _leaves
+from athena.stl import Eventually, Globally, Not, Predicate, Trace, parse, robustness
 
 CC_ENTRIES = ["CC1", "CC2", "CC3", "CC4", "CC5", "CCx"]
 
@@ -559,3 +564,152 @@ class TestCsvRoundTrip:
         # robustness of y5 - y4 moves by at most the bound on each output
         assert abs(rho - reported) <= 2 * AFFINE_RTOL * max(1.0, np.abs(positions).max())
         assert math.isfinite(rho) and rho < 0
+
+
+def _sums(formula, manual):
+    """The channel expressions of two or more terms that a score reads."""
+
+    def walk(f):
+        if isinstance(f, Predicate):
+            yield f.expr
+        elif isinstance(f, (Not, Globally, Eventually)):
+            yield from walk(f.child)
+        else:
+            yield from walk(f.left)
+            yield from walk(f.right)
+
+    exprs = list(walk(formula))
+    if manual is not None:
+        exprs += [leaf.channel for leaf in _leaves(manual) if isinstance(leaf, WindowStat)]
+    return [e for e in exprs if len(e.terms) > 1]
+
+
+class TestComposition:
+    """A sum of output channels read on a superposed trace is one product
+    by the composed operator; its channels' rows are not formed for it."""
+
+    @pytest.mark.parametrize("entry", CC_ENTRIES)
+    def test_within_bound_of_the_per_channel_sum(self, entry):
+        problem = resolve(ExperimentConfig(entry=entry))
+        a = problem.assumption
+        sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, problem.grid)
+        exprs = _sums(problem.fitness.formula, problem.fitness.manual)
+        assert exprs
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
+            trace = simulate(sim_plant, inputs, sim_grid).trace
+            composed = [expr.values(trace) for expr in exprs]
+            assert not any(name in trace._store for name in sim_plant.port_spec.outputs)
+            # a trace of the same channel values sums them per channel
+            plain = Trace(trace.grid, trace.channels)
+            bound = _bound(_rows(plain, sim_plant.port_spec.outputs))
+            for expr, values in zip(exprs, composed):
+                assert np.abs(values - expr.values(plain)).max() <= bound
+
+    @pytest.mark.parametrize("entry", CC_ENTRIES)
+    def test_channels_are_the_rows_of_the_whole_product(self, entry):
+        problem = resolve(ExperimentConfig(entry=entry))
+        a = problem.assumption
+        sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, problem.grid)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
+            trace = simulate(sim_plant, inputs, sim_grid).trace
+            op = models._operator(sim_plant, tuple(s.plan for s in inputs.values()), sim_grid)
+            x = np.concatenate([s.coefficients for s in inputs.values()])
+            whole = np.matmul(x, op.K)
+            whole += op.y0
+            for k, name in enumerate(sim_plant.port_spec.outputs):
+                assert np.array_equal(trace.channel(name), whole[k, : sim_grid.n_samples])
+
+    def test_a_cc1_iteration_forms_no_output_row(self, monkeypatch):
+        traces = []
+
+        def recorded(*args):
+            sim = simulate(*args)
+            traces.append(sim.trace)
+            return sim
+
+        monkeypatch.setattr("athena.search.simulate", recorded)
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        search = SearchConfig(seed=4, max_iterations=5)
+        falsify(problem.plant, problem.assumption, problem.fitness, search, problem.grid)
+        assert traces
+        for trace in traces:
+            assert isinstance(trace, models._SuperposedTrace)
+            assert "y4" not in trace._store and "y5" not in trace._store
+
+    def test_overflowing_products_keep_the_per_channel_sum(self):
+        # each output is finite, but 1e306 * y5 overflows, and the sum of
+        # the products may be inf - inf: the sum is taken per channel, with
+        # the NaNs a trace of the same channel values gives
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
+        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        inputs = _candidate_inputs(problem, a.upper, grid)
+        trace = simulate(plant, inputs, grid).trace
+        formula = parse("G[0,100] (1e306 * y5 - 1e306 * y4 <= 40)")
+        expr = formula.child.expr
+        assert trace.composed(expr) is None
+        plain = Trace(grid, trace.channels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = expr.values(trace)
+            want = expr.values(plain)
+            assert np.isnan(want).any()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            rho = robustness(formula, trace)
+            assert np.float64(rho).view(np.int64) == np.float64(robustness(formula, plain)).view(np.int64)
+
+    def test_outputs_under_the_bound_but_not_their_sum_keep_the_per_channel_sum(
+        self, monkeypatch
+    ):
+        # the bound on x shows every output finite, and the composed
+        # operator of y5 - y4 finite, but not 2 x the bound: the sum is
+        # taken per channel, bitwise as on a trace of the same values
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
+        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        inputs = _candidate_inputs(problem, a.lower + 0.8 * a.width, grid)
+        op = models._operator(plant, tuple(s.plan for s in inputs.values()), grid)
+        x = np.concatenate([s.coefficients for s in inputs.values()])
+        bound = np.abs(x).sum() * op.k_max * (1.0 + models._SUPERPOSED_MARGIN) + op.y0_max
+        assert 2.0 * (op.k_max * (1.0 + models._SUPERPOSED_MARGIN) + op.y0_max) < 1.5 * bound
+        monkeypatch.setattr(models, "_SUPERPOSED_SAFE", 1.5 * bound)
+        trace = simulate(plant, inputs, grid).trace
+        assert isinstance(trace, models._SuperposedTrace)
+        expr = problem.fitness.formula.child.expr
+        assert trace.composed(expr) is None
+        assert op.sums[expr.terms] is not None
+        got = expr.values(trace)
+        assert np.array_equal(got, expr.values(Trace(grid, trace.channels)))
+
+    def test_sums_count_toward_the_cache_budget(self, monkeypatch):
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
+        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        inputs = _candidate_inputs(problem, a.lower + 0.4 * a.width, grid)
+        expr = problem.fitness.formula.child.expr
+        plans = tuple(s.plan for s in inputs.values())
+        # room for the read plant's operator alone: y5 - y4 is summed per
+        # channel, bitwise as on a trace of the same channel values
+        models._operators.clear()
+        op = models._operator(plant, plans, grid)
+        monkeypatch.setattr(models, "SUPERPOSITION_CACHE_BYTES", op.nbytes + 1000)
+        trace = simulate(plant, inputs, grid).trace
+        assert trace.composed(expr) is None
+        assert op.nbytes == op.K.nbytes + op.y0.nbytes
+        assert np.array_equal(expr.values(trace), expr.values(Trace(grid, trace.channels)))
+        # with room for one row more, the sum is composed, its 322 KB are
+        # counted with its operator, and older operators make room for them
+        models._operators.clear()
+        other = models._operator(models.ChasingCars().with_outputs(["y1"]), plans, grid)
+        op = models._operator(plant, plans, grid)
+        row = op.K[0].nbytes + op.y0[0].nbytes
+        monkeypatch.setattr(models, "SUPERPOSITION_CACHE_BYTES", op.nbytes + row + other.nbytes - 1)
+        trace = simulate(plant, inputs, grid).trace
+        assert trace.composed(expr) is not None
+        assert op.K[0].nbytes == 322_560
+        assert op.nbytes == op.K.nbytes + op.y0.nbytes + row
+        assert list(models._operators.values()) == [op]
+        assert sum(o.nbytes for o in models._operators.values()) <= models.SUPERPOSITION_CACHE_BYTES
