@@ -474,6 +474,8 @@ class _SuperposedTrace(Trace):
 
     @classmethod
     def adopting(cls, op: _Operator, x: np.ndarray, bound: float, signals, grid) -> Trace:
+        """The trace of `op`'s outputs at x, with no row formed yet, and
+        of `signals`, adopted as `Trace.from_rows` adopts them."""
         trace = cls.from_rows(grid, (), np.empty((0, grid.n_samples)), signals)
         trace._op = op
         trace._x = x

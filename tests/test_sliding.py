@@ -518,3 +518,25 @@ class TestNaNScan:
             assert not semantics._plan(parse(text), 0.5).nan, text
         inf_bound = Globally(0.0, 1.0, Predicate(AtomExpr((("y", 1.0),)), "<", math.inf))
         assert semantics._plan(inf_bound, 0.5).nan
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "G[0.01,3.05] (2 * y - 2 * x < 0)",
+            "F[0.01,3.05] (2 * y - 2 * x >= 0)",
+            "G[0,0.5] (F[0.01,3.05] (2 * y - 2 * x < 0))",
+        ],
+    )
+    def test_a_nan_read_at_one_sample_has_the_walks_bits(self, text):
+        # the window's extreme of the expression, and numpy's min or max of
+        # the margin, give a NaN of the other sign than inf - inf's, which
+        # the walk spreads
+        grid = TimeGrid(4.0, 0.01)
+        ramp = linear([0.0, 1.5e308], grid.n_samples)
+        trace = Trace(grid, {"y": ramp, "x": ramp.copy()})
+        f = parse(text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = robustness(f, trace)
+            want = robustness_reference(f, trace)
+        assert math.isnan(want)
+        assert same_bits(rho, want)
