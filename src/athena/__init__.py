@@ -51,6 +51,7 @@ from .harness import (
 from .models import (
     AutoTransmissionLite,
     ChasingCars,
+    LinearPlant,
     Passthrough,
     PlantModel,
     PortSpec,
@@ -101,6 +102,7 @@ __all__ = [
     # models
     "PortSpec",
     "PlantModel",
+    "LinearPlant",
     "SimResult",
     "simulate",
     "builtin",

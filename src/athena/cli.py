@@ -146,7 +146,7 @@ def cmd_falsify(args) -> int:
         controls = problem.assumption.control_points(tc.vector, problem.grid)
         payload["testcase"] = {
             "iteration": tc.iteration,
-            "robustness": tc.robustness,
+            "robustness": json_float(tc.robustness),
             "vector": [float(v) for v in tc.vector],
             "control_points": {
                 port: {

@@ -215,9 +215,9 @@ def resolve(cfg: ExperimentConfig) -> Problem:
     process (`catalog.parsed`).
 
     Rejects a problem no run could score, before any simulation, by the
-    checks of `search.check_problem`, the ones `falsify` runs, the affine
-    probe included. The grid and plant that call returns, those a run
-    simulates, are not kept: `falsify` derives them again.
+    checks of `search.check_problem`, the ones `falsify` runs. The grid
+    and plant that call returns, those a run simulates, are not kept:
+    `falsify` derives them again.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)

@@ -8,17 +8,20 @@ of the two adjacent samples. Each built-in plant writes its dynamics once,
 in `fast_sim`; user-defined plants may instead give a derivative and
 inherit the default `fast_sim`, the generic integrator.
 
-A plant whose outputs are affine in its inputs (`PlantModel.affine`, only
-chasing_cars among the built-ins) is simulated on interpolated inputs by
-superposition: the outputs are Y0 + K x, with x the inputs' interpolation
-coefficients, each output one matrix-vector product formed when read, and
-a linear combination of outputs one product by the combined operator.
+A `LinearPlant` declares linear dynamics as matrices (chasing_cars among
+the built-ins). RK4 on them is an exact affine map, so its outputs are
+affine in its inputs by construction, and on interpolated inputs it is
+simulated by superposition: the outputs are Y0 + K x, with x the inputs'
+interpolation coefficients, each output one matrix-vector product formed
+when read, and a linear combination of outputs one product by the
+combined operator.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from collections.abc import Collection
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -34,8 +37,8 @@ __all__ = [
     "PlantModel",
     "SimResult",
     "simulate",
-    "check_affine",
     "AFFINE_RTOL",
+    "LinearPlant",
     "builtin",
     "ChasingCars",
     "AutoTransmissionLite",
@@ -79,15 +82,11 @@ class PlantModel:
       is for user-defined plants, which `ExperimentConfig(plant=...)`
       accepts.
 
-    A plant class sets `affine` to opt in to superposition: `simulate`
-    then computes the outputs on interpolated inputs as a matrix-vector
-    product built from `fast_sim`'s responses, instead of calling
-    `fast_sim` (see `simulate`). Only a plant whose every output is an
-    affine function of the input block, a function of the plant's class
-    and the outputs it computes alone, may set it; `search.check_problem`
-    checks that on one probe (`check_affine`) before any run. An affine
-    plant may leave it unset, as `Passthrough` does, when `fast_sim` costs
-    less than the product.
+    A plant with linear dynamics may instead subclass `LinearPlant` and
+    declare them as matrices: it inherits a closed-form RK4 `fast_sim`,
+    and `simulate` computes its outputs on interpolated inputs by
+    superposition (see `simulate`). No other plant is superposed, whatever
+    attributes it sets.
 
     A built-in plant class sets the private `_fresh_rows` when its
     `fast_sim` returns `rows.T`, for (outputs, samples) rows, each
@@ -106,7 +105,6 @@ class PlantModel:
     port_spec: PortSpec
     state_dim: int = 0
     default_horizon: float | None = None
-    affine: bool = False
     _fresh_rows: bool = False
 
     def __init_subclass__(cls, **kwargs):
@@ -204,8 +202,9 @@ def simulate(
     Raises DivergenceError naming the first time the state (or, if the
     state stays finite, an output) went non-finite.
 
-    When the plant is `affine` and every input is an `InterpolatedSignal`,
-    the outputs are computed by superposition instead of by `fast_sim`:
+    When the plant runs `LinearPlant.fast_sim`, a subclass that does not
+    override it, and it has inputs, each an `InterpolatedSignal`, the
+    outputs are computed by superposition instead of by `fast_sim`:
     Y0 + K x, where x is the inputs' coefficients in port order, Y0 is
     `fast_sim`'s response to zero inputs and column j of K its response to
     the basis signal of coefficient j (`plan.basis()`), less Y0. K and Y0
@@ -213,12 +212,12 @@ def simulate(
     `fast_sim` call per coefficient and one more, and kept within
     SUPERPOSITION_CACHE_BYTES, the oldest dropped first; a key whose K and
     Y0 alone would exceed it is not superposed. The outputs agree with
-    `fast_sim`'s to rounding (within AFFINE_RTOL, which `check_affine`
-    enforces), and are bitwise the same for the same coefficients, plans
-    and grid, whichever other outputs are computed: each output is its own
-    matrix-vector product. On a prefix of a grid they are bitwise the
-    prefix of the outputs on the whole grid (`_SAMPLE_BLOCK`). A
-    DivergenceError then names the first sample with a non-finite output.
+    `fast_sim`'s to rounding (within AFFINE_RTOL), and are bitwise the
+    same for the same coefficients, plans and grid, whichever other outputs
+    are computed: each output is its own matrix-vector product. On a
+    prefix of a grid they are bitwise the prefix of the outputs on the
+    whole grid (`_SAMPLE_BLOCK`). A DivergenceError then names the first
+    sample with a non-finite output.
     The outputs are finite by a bound on the coefficients' magnitudes and
     K's and Y0's (`_SUPERPOSED_SAFE`), and then each is formed only when
     read, and a sum of outputs that the score reads is one product by a
@@ -250,7 +249,11 @@ def simulate(
             signal = signals[name] = inputs[name]
             if signal.grid is not grid and signal.grid != grid:
                 raise ValueError(f"input {name!r} is not sampled on the simulation grid")
-    if model.affine and all(isinstance(s, InterpolatedSignal) for s in signals.values()):
+    if (
+        type(model).fast_sim is LinearPlant.fast_sim
+        and signals
+        and all(isinstance(s, InterpolatedSignal) for s in signals.values())
+    ):
         op = _operator(model, tuple(s.plan for s in signals.values()), grid)
         if op is not None:
             return SimResult(_superposed(op, signals, grid))
@@ -287,14 +290,13 @@ class _Operator:
     (outputs, coefficients, padded samples) and Y0 (outputs, padded
     samples), zero past the grid's samples (`_SAMPLE_BLOCK`). `rows` maps
     each output's name to its index in both. `k_max` and `y0_max` are their
-    largest magnitudes (NaN where they hold one), and `probes` holds the
-    coefficients, as bytes, of every input `check_affine` has passed on
-    this operator. `sums` holds, by the terms of each expression a trace
-    of this operator has summed (`_SuperposedTrace.composed`), its composed
-    operator, or None where it is not composed.
+    largest magnitudes (NaN where they hold one). `sums` holds, by the
+    terms of each expression a trace of this operator has summed
+    (`_SuperposedTrace.composed`), its composed operator, or None where it
+    is not composed.
     """
 
-    __slots__ = ("K", "y0", "rows", "k_max", "y0_max", "probes", "sums", "nbytes")
+    __slots__ = ("K", "y0", "rows", "k_max", "y0_max", "sums", "nbytes")
 
     def __init__(self, K: np.ndarray, y0: np.ndarray, outputs: tuple[str, ...]):
         K.setflags(write=False)
@@ -305,7 +307,6 @@ class _Operator:
         # max and -min, not max of |K|: no temporary as large as K
         self.k_max = max(float(K.max()), -float(K.min()))
         self.y0_max = max(float(y0.max()), -float(y0.min()))
-        self.probes: set[bytes] = set()
         self.sums: dict[tuple, _Sum | None] = {}
         self.nbytes = K.nbytes + y0.nbytes
 
@@ -380,23 +381,12 @@ def _reserve(size: int, keep: _Operator | None = None) -> bool:
     return True
 
 
-def _operator_key(model: PlantModel, plans: tuple, grid: TimeGrid) -> tuple:
-    """What `_operators` keys an operator by: the plant class, its
-    outputs, the inputs' plans and the grid."""
-    return (type(model), model.port_spec.outputs, plans, grid)
-
-
-def _probe_key(coefficients) -> bytes:
-    """What `_Operator.probes` keeps a probe by: the bytes of its
-    coefficients, one array per input in port order."""
-    return np.concatenate(coefficients).tobytes()
-
-
 def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | None:
     """The `_Operator` of `simulate`'s superposed path for `model`'s
     outputs on inputs sampled by `plans` on `grid`. None when K and Y0
-    would take more than SUPERPOSITION_CACHE_BYTES."""
-    key = _operator_key(model, plans, grid)
+    would take more than SUPERPOSITION_CACHE_BYTES. Keyed by the plant
+    class, its outputs, the inputs' plans and the grid."""
+    key = (type(model), model.port_spec.outputs, plans, grid)
     op = _operators.get(key)
     if op is None:
         n = grid.n_samples
@@ -508,63 +498,11 @@ class _SuperposedTrace(Trace):
         return out[: self.grid.n_samples]
 
 
-# Largest difference `check_affine` accepts between the superposed outputs
-# and `fast_sim`'s, relative to max(1, largest |fast_sim| output). On the
-# chasing_cars grids of the catalog the two differ by about 2e-12.
+# Bound on the difference between the superposed outputs and `fast_sim`'s,
+# relative to max(1, largest |fast_sim| output), that the tests hold
+# superposition to. On the chasing_cars grids of the catalog the two
+# differ by about 2e-12.
 AFFINE_RTOL = 1e-9
-
-
-def check_affine(model: PlantModel, inputs: dict[str, Signal], grid: TimeGrid) -> None:
-    """Check a plant's `affine` declaration on one input: simulate
-    `inputs`, all `InterpolatedSignal`s on `grid`, by superposition and by
-    `fast_sim`, and raise ValueError naming the plant when they differ by
-    more than AFFINE_RTOL. This builds the superposition operator for the
-    inputs' plans. A plant that does not declare itself affine passes, as
-    do inputs that `simulate` does not superpose, a plain `Signal` among
-    them or an operator too large to build, and a probe on which
-    `fast_sim` diverges: it cannot be compared.
-
-    The operator keeps every probe that passed the comparison, by its
-    coefficients, which with the operator's plans and grid fix the input
-    samples: checking it again on the same operator makes no simulation.
-    A probe that failed is compared again on every call.
-    """
-    if not model.affine:
-        return
-    signals = tuple(inputs[name] for name in model.port_spec.inputs)
-    if not all(isinstance(s, InterpolatedSignal) for s in signals):
-        return
-    op = _operator(model, tuple(s.plan for s in signals), grid)
-    if op is None:
-        return
-    probe = _probe_key([s.coefficients for s in signals])
-    if probe in op.probes:
-        return
-    try:
-        direct = model.fast_sim(np.column_stack([s.values for s in signals]), grid).T
-    except DivergenceError:
-        return
-    bound = AFFINE_RTOL * max(1.0, float(np.abs(direct).max()))
-    trace = _superposed(op, dict(zip(model.port_spec.inputs, signals)), grid)
-    rows = np.array([trace.channel(name) for name in model.port_spec.outputs])
-    gap = float(np.abs(rows - direct).max())
-    if not gap <= bound:
-        raise ValueError(
-            f"{model.name}: declares outputs affine in its inputs, but superposition "
-            f"differs from fast_sim by {gap:.3g} on a probe input (bound {bound:.3g})"
-        )
-    op.probes.add(probe)
-
-
-def passed_affine_probe(
-    model: PlantModel, plans: tuple, grid: TimeGrid, coefficients: list[np.ndarray]
-) -> bool:
-    """Whether `check_affine` has passed `model` on the inputs that `plans`
-    sample on `grid` from `coefficients`, one array per input in port
-    order: then checking them again makes no simulation, and they need
-    not be sampled to tell. Builds no operator."""
-    op = _operators.get(_operator_key(model, plans, grid))
-    return op is not None and _probe_key(coefficients) in op.probes
 
 
 class Passthrough(PlantModel):
@@ -584,13 +522,17 @@ class Passthrough(PlantModel):
         return u[:, :1]
 
 
-class ChasingCars(PlantModel):
-    """Five-car platoon: a driven lead car and four spring-damper followers.
+class LinearPlant(PlantModel):
+    """A plant with linear dynamics x' = A x + B u + d from x(0) = x0,
+    whose output k is state `output_states[k]`.
 
-    State is (p1..p5, v1..v5) with car 1 in front, initial positions
-    40, 30, 20, 10, 0 m and zero velocity. Outputs y1..y5 are the positions
-    ordered rear to front (y5 is the lead car), so inter-car gaps are the
-    differences y_{k+1} - y_k, each 10 m at rest.
+    A subclass declares `port_spec` and, as class attributes, the matrices
+    A (states x states) and B (states x input ports), the vectors d and x0
+    (one entry per state) and one state index per output. The class is
+    checked when it is defined: a malformed declaration, a non-finite
+    entry, or an output index out of range or repeated raises ValueError
+    naming the plant and the field. The arrays are kept as read-only
+    float copies.
 
     The RK4 step is the affine map x+ = P x + f_k, with the forcing f_k
     linear in the input samples u_k and u_{k+1}, so state k is the sum over
@@ -599,69 +541,71 @@ class ChasingCars(PlantModel):
     Algorithms", CACM 1986): after the pass for s = 1, 2, 4, ... each row
     holds the sum over its last 2s terms, one matmul by P^s per pass. That
     is the step-by-step recurrence summed in a different order, which is
-    sound because P is stable: its powers stay bounded, so the reordering
-    only moves rounding (about 2e-11 on 10001 samples). Every row is
-    computed by the same operations whatever the sample count, so a shorter
-    run is bitwise the prefix of a longer one on the same step.
+    sound while P is stable: its powers stay bounded, so the reordering
+    only moves rounding (about 2e-11 on 10001 chasing_cars samples). Every
+    row is computed by the same operations whatever the sample count, so
+    a shorter run is bitwise the prefix of a longer one on the same step.
 
-    `with_outputs` gives a platoon that returns only some of y1..y5. All
-    channels come from the same states, so each channel's values are
-    bitwise the same whichever other channels are computed with it: a
-    search may simulate the channels its score reads, and the whole plant
-    replays what it found to the same robustness. A DivergenceError names
-    the first sample whose state has a non-finite entry.
+    `with_outputs` gives a plant that returns only some of the outputs.
+    All outputs come from the same states, so each one's values are
+    bitwise the same whichever others are computed with it: a search may
+    simulate the outputs its score reads, and the whole plant replays what
+    it found to the same robustness. A DivergenceError names the first
+    sample whose state has a non-finite entry.
 
-    The platoon is `affine`: on interpolated inputs `simulate` computes
-    its positions by superposition, from `fast_sim`'s responses.
+    The outputs are affine in the inputs by construction, so on
+    interpolated inputs `simulate` computes them by superposition, from
+    `fast_sim`'s responses. A subclass that overrides `fast_sim` is
+    simulated by its own `fast_sim`.
     """
 
-    name = "chasing_cars"
-    port_spec = PortSpec(inputs=("throttle", "brake"), outputs=("y1", "y2", "y3", "y4", "y5"))
-    default_horizon = 100.0
-    affine = True
+    A: np.ndarray
+    B: np.ndarray
+    d: np.ndarray
+    x0: np.ndarray
+    output_states: tuple[int, ...]
 
-    ACCEL_GAIN = 5.0
-    BRAKE_GAIN = 6.0
-    DRAG = 0.1
-    # follower gains soft enough that a hard-throttle lead can stretch its
-    # gap well past the 40 m requirement bound before the platoon catches up
-    SPRING = 0.08
-    DAMPING = 0.25
-    REST_GAP = 10.0
-
-    _OUT_COLS = (4, 3, 2, 1, 0)
-    _x0 = np.array([40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5)
-    _x0.setflags(write=False)
-    # the output channels `fast_sim` computes, as indices into y1..y5
-    _channels = (0, 1, 2, 3, 4)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for field in ("port_spec", "A", "B", "d", "x0", "output_states"):
+            if not hasattr(cls, field):
+                raise ValueError(f"{cls.name}: {field} is not declared")
+        A = _declared(cls, "A", None)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not len(A):
+            raise ValueError(f"{cls.name}: A must be a square matrix, got shape {A.shape}")
+        n = len(A)
+        cls.A = A
+        cls.B = _declared(cls, "B", (n, len(cls.port_spec.inputs)))
+        cls.d = _declared(cls, "d", (n,))
+        cls.x0 = _declared(cls, "x0", (n,))
+        states = cls.output_states
+        outputs = cls.port_spec.outputs
+        if not (
+            isinstance(states, Collection)
+            and len(states) == len(outputs)
+            and all(isinstance(k, numbers.Integral) for k in states)
+        ):
+            raise ValueError(
+                f"{cls.name}: output_states must hold one state index per output "
+                f"{outputs}, got {states}"
+            )
+        states = tuple(map(int, states))
+        if not all(0 <= k < n for k in states):
+            raise ValueError(f"{cls.name}: output_states {states} must lie in [0, {n})")
+        if len(set(states)) != len(states):
+            raise ValueError(f"{cls.name}: output_states {states} repeats a state")
+        cls.output_states = states
 
     def with_outputs(self, names):
         names = set(names)
         spec = type(self).port_spec
         if not names <= set(spec.outputs):
             raise ValueError(f"{self.name}: {sorted(names - set(spec.outputs))} are not outputs")
+        keep = [k for k, y in enumerate(spec.outputs) if y in names]
         plant = copy.copy(self)
-        plant._channels = tuple(k for k, y in enumerate(spec.outputs) if y in names)
-        plant.port_spec = PortSpec(spec.inputs, [spec.outputs[k] for k in plant._channels])
+        plant.port_spec = PortSpec(spec.inputs, [spec.outputs[k] for k in keep])
+        plant.output_states = tuple(type(self).output_states[k] for k in keep)
         return plant
-
-    @classmethod
-    def _system(cls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Continuous dynamics as x' = A x + B u + d."""
-        A = np.zeros((10, 10))
-        B = np.zeros((10, 2))
-        d = np.zeros(10)
-        A[:5, 5:] = np.eye(5)
-        A[5, 5] = -cls.DRAG
-        B[5, 0] = cls.ACCEL_GAIN
-        B[5, 1] = -cls.BRAKE_GAIN
-        for k in range(1, 5):
-            A[5 + k, k - 1] = cls.SPRING
-            A[5 + k, k] = -cls.SPRING
-            A[5 + k, 5 + k] = -cls.DAMPING
-            A[5 + k, 5 + k - 1] = cls.DAMPING
-            d[5 + k] = -cls.SPRING * cls.REST_GAP
-        return A, B, d
 
     @classmethod
     def _step_ops(cls, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -670,8 +614,8 @@ class ChasingCars(PlantModel):
         Exact for linear dynamics: this is the RK4 step in closed form, not
         an approximation of it.
         """
-        A, B, d = cls._system()
-        I = np.eye(10)
+        A, B, d = cls.A, cls.B, cls.d
+        I = np.eye(len(A))
         A2 = A @ A
         A3 = A2 @ A
         A4 = A3 @ A
@@ -688,18 +632,19 @@ class ChasingCars(PlantModel):
     @np.errstate(over="ignore", invalid="ignore")
     def fast_sim(self, u, grid):
         n = grid.n_samples
+        m = u.shape[1]
         Pt, Q, r = self._step_ops(grid.step)
         # row k + 1 of the input block is step k's [u_k, midpoint, u_{k+1}]
         # and row k + 1 of x step k's forcing; row 0 of x is the initial
         # state
-        block = np.zeros((n, 6))
-        block[1:, :2] = u[:-1]
-        block[1:, 4:] = u[1:]
-        np.add(u[:-1], u[1:], out=block[1:, 2:4])
-        block[1:, 2:4] *= 0.5
+        block = np.zeros((n, 3 * m))
+        block[1:, :m] = u[:-1]
+        block[1:, 2 * m :] = u[1:]
+        np.add(u[:-1], u[1:], out=block[1:, m : 2 * m])
+        block[1:, m : 2 * m] *= 0.5
         x = block @ Q
         x[1:] += r
-        x[0] = self._x0
+        x[0] = self.x0
         # after the pass for s, row k holds the sum over j in (k - 2s, k] of
         # f_j Pt^(k-j); each product reads the rows as they were before it.
         # numpy computes a one-row product by gemv, which rounds otherwise
@@ -712,7 +657,62 @@ class ChasingCars(PlantModel):
         if not np.isfinite(x).all():
             finite = np.isfinite(x).all(axis=1)
             raise DivergenceError(int(np.argmin(finite)) * grid.step)
-        return x[:, [self._OUT_COLS[y] for y in self._channels]]
+        return x[:, list(self.output_states)]
+
+
+def _declared(cls, field: str, shape: tuple | None) -> np.ndarray:
+    """`cls`'s declared `field` as a read-only float array, checked finite
+    and, unless `shape` is None, of that shape."""
+    try:
+        value = np.array(getattr(cls, field), dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{cls.name}: {field} must be an array of numbers") from None
+    if shape is not None and value.shape != shape:
+        raise ValueError(f"{cls.name}: {field} must have shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{cls.name}: {field} has a non-finite entry")
+    value.setflags(write=False)
+    return value
+
+
+class ChasingCars(LinearPlant):
+    """Five-car platoon: a driven lead car and four spring-damper followers.
+
+    State is (p1..p5, v1..v5) with car 1 in front, initial positions
+    40, 30, 20, 10, 0 m and zero velocity. Outputs y1..y5 are the positions
+    ordered rear to front (y5 is the lead car), so inter-car gaps are the
+    differences y_{k+1} - y_k, each 10 m at rest.
+    """
+
+    name = "chasing_cars"
+    port_spec = PortSpec(inputs=("throttle", "brake"), outputs=("y1", "y2", "y3", "y4", "y5"))
+    default_horizon = 100.0
+
+    ACCEL_GAIN = 5.0
+    BRAKE_GAIN = 6.0
+    DRAG = 0.1
+    # follower gains soft enough that a hard-throttle lead can stretch its
+    # gap well past the 40 m requirement bound before the platoon catches up
+    SPRING = 0.08
+    DAMPING = 0.25
+    REST_GAP = 10.0
+
+    # p' = v; the lead car (row 5) is driven and dragged, and follower k
+    # (row 5 + k) is pulled to REST_GAP behind car k - 1 and damped toward
+    # its velocity
+    A = np.zeros((10, 10))
+    A[:5, 5:] = np.eye(5)
+    A[5, 5] = -DRAG
+    np.fill_diagonal(A[6:, :4], SPRING)
+    np.fill_diagonal(A[6:, 1:5], -SPRING)
+    np.fill_diagonal(A[6:, 5:9], DAMPING)
+    np.fill_diagonal(A[6:, 6:], -DAMPING)
+    B = np.zeros((10, 2))
+    B[5] = ACCEL_GAIN, -BRAKE_GAIN
+    d = np.zeros(10)
+    d[6:] = -SPRING * REST_GAP
+    x0 = (40.0, 30.0, 20.0, 10.0, 0.0) + (0.0,) * 5
+    output_states = (4, 3, 2, 1, 0)
 
 
 class AutoTransmissionLite(PlantModel):

@@ -19,10 +19,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import signals
 from .errors import DivergenceError, HorizonError, PortMismatchError, ignoring_overflow
 from .fitness import FitnessAssessment, assess
-from .models import PlantModel, check_affine, passed_affine_probe, simulate
+from .models import PlantModel, simulate
 from .signals import (
     TIME_TOL,
     ControlPoints,
@@ -225,18 +224,9 @@ def check_problem(
     Raises, before any simulation, what a run would raise: PortMismatchError
     when the assumption's ports are not the plant's inputs in order,
     HorizonError when the requirement needs more trace than `grid` holds,
-    then the errors of `FitnessAssessment.reads`, then the ValueError of
-    `models.check_affine` when the plant a run simulates declares itself
-    affine and fails that check on one in-box probe: the box midpoint,
-    encoded as `falsify` encodes a candidate. The check also builds the
-    superposition operator the runs use. The probe is interpolated from
-    the control-time arrays a run decodes with, so `interpolate` finds
-    their plans by identity, and the operator keeps the probes that
-    passed: checking the same problem again looks the probe's
-    coefficients up there first (`models.passed_affine_probe`), and
-    neither samples nor simulates it.
-    `resolve` and `falsify` both call it, so each rejects what the other
-    does.
+    then the errors of `FitnessAssessment.reads`. It neither interpolates
+    nor simulates. `resolve` and `falsify` both call it, so each rejects
+    what the other does.
     """
     spec = plant.port_spec
     names = tuple(p.port for p in assumption.ports)
@@ -255,25 +245,6 @@ def check_problem(
     if n_read < grid.n_samples:
         sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
     sim_plant = plant.with_outputs(outputs) if outputs else plant
-    if sim_plant.affine:
-        mid = assumption.lower + 0.5 * assumption.width
-        mid.setflags(write=False)
-        points = [
-            (p, _adopt_points(control_times[p.port], mid[sl]))
-            for p, sl in zip(assumption.ports, assumption.slices())
-        ]
-        # the probe's coefficients fix its samples: a probe that passed
-        # before is found without sampling
-        plans = tuple(signals.interpolation_plan(cp, p.kind, grid) for p, cp in points)
-        coefficients = [plan.coefficients(cp.values) for plan, (_, cp) in zip(plans, points)]
-        if not passed_affine_probe(sim_plant, plans, sim_grid, coefficients):
-            # `signals.interpolate`, not this module's name for it, which a
-            # layer timing rebinds to count a run's encodes (perfbench/seams.py)
-            probe = {}
-            for p, cp in points:
-                signal = signals.interpolate(cp, p.kind, grid)
-                probe[p.port] = signal if sim_grid is grid else signal.prefix(sim_grid)
-            check_affine(sim_plant, probe, sim_grid)
     return sim_grid, sim_plant
 
 
@@ -438,7 +409,7 @@ def falsify(
     `grid` pass as they are. A manual window whose channels are all plant
     inputs then reads the encoded inputs on the whole grid instead of the
     simulated trace (`WindowStat`), so it does not lengthen the prefix.
-    Each input is an `InterpolatedSignal`, so an affine plant is simulated
+    Each input is an `InterpolatedSignal`, so a `LinearPlant` is simulated
     by superposition over the inputs' coefficients (`models.simulate`).
     The plant computes only the outputs the score names, each as the
     whole plant computes it (`PlantModel.with_outputs`); a score that

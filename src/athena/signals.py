@@ -29,7 +29,6 @@ __all__ = [
     "SlopeDirection",
     "uniform_control_times",
     "interpolate",
-    "interpolation_plan",
     "window_samples",
     "window_span",
     "window_stat",
@@ -146,9 +145,9 @@ class InterpolatedSignal(Signal):
     the port's control values and, for pchip, the Fritsch-Carlson slopes
     after them. `plan` is the plan that sampled them on its grid,
     `plan.grid`: `plan.basis()[i] @ coefficients` is sample i, up to
-    rounding. A plant whose outputs are affine in its inputs
-    (`PlantModel.affine`) can then simulate the signal as a matrix-vector
-    product over the coefficients (`models.simulate`).
+    rounding. A plant whose outputs are affine in its inputs by
+    construction (`models.LinearPlant`) then simulates the signal as a
+    matrix-vector product over the coefficients (`models.simulate`).
 
     Only `interpolate` and `Signal.prefix` make one, and both store
     references, not copies. The `Signal` constructor makes a plain signal,
@@ -364,9 +363,9 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
 # Every plan samples the grid it was built for, `grid`, from the values at
 # its control times. `sample(values)` returns the samples and the
 # `n_coefficients` coefficients they are linear in (None when those are
-# not all finite); `coefficients(values)` the coefficients alone, without
-# sampling; `basis()` is the (samples, coefficients) matrix whose product
-# with the coefficients gives the samples, exact in exact arithmetic.
+# not all finite); `basis()` is the (samples, coefficients) matrix whose
+# product with the coefficients gives the samples, exact in exact
+# arithmetic.
 
 
 class _HeldPlan:
@@ -384,9 +383,6 @@ class _HeldPlan:
 
     def basis(self) -> np.ndarray:
         return np.eye(self.n_coefficients)[self.held]
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return values
 
 
 # Below this bound on |slope| * width + |v| of every segment of a linear
@@ -435,9 +431,6 @@ class _LinearPlan:
 
     def basis(self) -> np.ndarray:
         return np.column_stack([self.sample(e)[0] for e in np.eye(self.n_coefficients)])
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return values
 
     def _sum(self, slopes: list[float], values: np.ndarray) -> np.ndarray:
         out = np.repeat(slopes, self.counts)
@@ -503,11 +496,6 @@ class _PchipPlan:
 
     def basis(self) -> np.ndarray:
         return np.column_stack([self._sum(e) for e in np.eye(self.n_coefficients)])
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """The control values and their slopes, as `sample` makes them."""
-        v = values.tolist()
-        return np.array(v + _pchip_slopes(self.widths, v))
 
     def _sum(self, coefficients: np.ndarray) -> np.ndarray:
         # h00 * v[k] + h10h * m[k] + h01 * v[k + 1] + h11h * m[k + 1],
@@ -611,26 +599,19 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     sum of coefficient magnitudes is not finite, the result is a plain
     `Signal`.
     """
-    plan = interpolation_plan(cp, kind, grid)
+    held = _plans_by_times.get(id(cp.times))
+    if held is not None and held[1] is kind and held[2] is grid:
+        plan = held[3]
+    else:
+        plan = _checked_plan(cp, kind, grid)
+        _plans_by_times.pop(id(cp.times), None)
+        if len(_plans_by_times) >= PLAN_CACHE_SIZE:
+            del _plans_by_times[next(iter(_plans_by_times))]
+        _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
     out, coefficients = plan.sample(cp.values)
     if coefficients is None:
         return _adopt(grid, _read_only(out))
     return _adopt(grid, _read_only(out), plan, coefficients)
-
-
-def interpolation_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):
-    """The plan `interpolate` samples `cp` with, found as it finds it (the
-    memo, then the cache), without sampling: `plan.coefficients(values)`
-    gives the coefficients the samples would be linear in."""
-    held = _plans_by_times.get(id(cp.times))
-    if held is not None and held[1] is kind and held[2] is grid:
-        return held[3]
-    plan = _checked_plan(cp, kind, grid)
-    _plans_by_times.pop(id(cp.times), None)
-    if len(_plans_by_times) >= PLAN_CACHE_SIZE:
-        del _plans_by_times[next(iter(_plans_by_times))]
-    _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
-    return plan
 
 
 def _checked_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):

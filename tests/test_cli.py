@@ -255,6 +255,20 @@ class TestFalsify:
         assert payload["best_robustness"] is None
         assert payload["best_combined"] == 1.0
 
+    def test_minus_infinite_testcase_robustness_is_valid_json(self, tmp_path, capsys):
+        # every sample sits past 1e308, so the margin -1e308 - x overflows
+        # to -inf at the first candidate
+        out = str(tmp_path / "inf")
+        rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,1] (x <= -1e308)",
+                  "--assumption", "x:linear:1.5e308,1.7e308:2", "--step", "0.5",
+                  "--out", out])
+        assert rc == 0
+        assert "robustness -inf" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "inf.json").read_text(), parse_constant=reject_constant)
+        assert payload["testcase"]["iteration"] == 0
+        assert payload["testcase"]["robustness"] is None
+        assert payload["best_robustness"] is None
+
     def test_inline_needs_plant_formula_assumption(self, capsys):
         rc = cli(["falsify", "--plant", "passthrough", "--formula", "G[0,1] (x < 2)"])
         assert rc == 2

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 import athena
 from athena.catalog import catalog
 from athena.errors import DivergenceError, PortMismatchError
+from athena import models
 from athena.models import (
+    AFFINE_RTOL,
     AutoTransmissionLite,
     ChasingCars,
+    LinearPlant,
     Passthrough,
     PlantModel,
     PortSpec,
@@ -23,7 +26,14 @@ from athena.models import (
     simulate,
 )
 from athena.search import encode_inputs
-from athena.signals import ControlPoints, InterpolationKind, Signal, TimeGrid, interpolate
+from athena.signals import (
+    ControlPoints,
+    InterpolationKind,
+    Signal,
+    TimeGrid,
+    interpolate,
+    uniform_control_times,
+)
 
 from oracles import affine_recurrence, at_lite_reference, reference_rk4
 
@@ -366,7 +376,7 @@ class TestChasingCars:
         u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
         Pt, Q, r = cc._step_ops(step)
         forcing = np.hstack([u[:-1], 0.5 * (u[:-1] + u[1:]), u[1:]]) @ Q + r
-        ref = np.array(affine_recurrence(Pt.T.tolist(), forcing.tolist(), cc._x0))
+        ref = np.array(affine_recurrence(Pt.T.tolist(), forcing.tolist(), cc.x0))
         got = cc.fast_sim(u, grid)
         assert got.shape == (n, 5)
         assert np.allclose(got, ref[:, [4, 3, 2, 1, 0]], rtol=0, atol=1e-9)
@@ -462,7 +472,7 @@ class TestChasingCars:
         cc = builtin("chasing_cars")
         cc.with_outputs(["y4"])
         assert cc.port_spec == ChasingCars.port_spec
-        assert not ChasingCars._x0.flags.writeable
+        assert not ChasingCars.x0.flags.writeable
         assert cc.fast_sim(np.zeros((3, 2)), TimeGrid(0.1, 0.05)).shape == (3, 5)
 
     @pytest.mark.parametrize("name", ["at_lite", "passthrough"])
@@ -526,6 +536,215 @@ class TestChasingCars:
         r2 = simulate(cc, sigs_of(g2), g2)
         for name in cc.port_spec.outputs:
             assert np.max(np.abs(r1.trace.channel(name) - r2.trace.channel(name)[::2])) < 1e-3
+
+
+def _platoon_matrices():
+    """A, B and d of the platoon, read off `cc_reference_deriv`: the
+    derivative at zero is d, and its change along each state and each
+    input a column of A and of B."""
+    deriv = cc_reference_deriv(ChasingCars)
+    d = np.array(deriv([0.0] * 10, (0.0, 0.0)))
+    A = np.column_stack([np.array(deriv(list(e), (0.0, 0.0))) - d for e in np.eye(10)])
+    B = np.column_stack([np.array(deriv([0.0] * 10, tuple(e))) - d for e in np.eye(2)])
+    return A, B, d
+
+
+class LinearCars(LinearPlant):
+    """The platoon as a user-defined linear plant: the matrices of the
+    reference derivative, with the `fast_sim` inherited from LinearPlant."""
+
+    name = "linear_cars"
+    port_spec = ChasingCars.port_spec
+    A, B, d = _platoon_matrices()
+    x0 = [40.0, 30.0, 20.0, 10.0, 0.0] + [0.0] * 5
+    output_states = (4, 3, 2, 1, 0)
+
+
+def _interpolated_inputs(plant, grid, rng):
+    """One interpolated input per port of `plant`, of a random kind."""
+    inputs = {}
+    for name in plant.port_spec.inputs:
+        kind = rng.choice(list(InterpolationKind))
+        n = 1 if kind is InterpolationKind.CONSTANT else int(rng.integers(2, 6))
+        cp = ControlPoints(uniform_control_times(grid, n), rng.uniform(-1.0, 1.0, n))
+        inputs[name] = interpolate(cp, kind, grid)
+    return inputs
+
+
+def assert_linear_plant_matches_references(plant, grid, inputs):
+    """`fast_sim` matches the plain RK4 oracle to `assert_matches_cc_reference`'s
+    atol, and the superposed `simulate` matches `fast_sim` to AFFINE_RTOL's
+    bound."""
+    names = plant.port_spec.inputs
+    u = np.column_stack([inputs[name].values for name in names]) if names else np.empty(
+        (grid.n_samples, 0)
+    )
+    A, B, d = plant.A, plant.B, plant.d
+    samples = [tuple(row) for row in u.tolist()]
+    ref = np.array(
+        reference_rk4(
+            lambda y, v: (A @ np.array(y) + B @ np.array(v, dtype=float) + d).tolist(),
+            plant.x0.tolist(),
+            grid.end,
+            grid.step,
+            lambda t: samples[round(t / grid.step)],
+        )
+    )
+    direct = plant.fast_sim(u, grid)
+    assert np.allclose(direct, ref[:, list(plant.output_states)], rtol=0, atol=1e-9)
+    trace = simulate(plant, inputs, grid).trace
+    assert isinstance(trace, models._SuperposedTrace) == bool(names)
+    got = np.column_stack([trace.channel(y) for y in plant.port_spec.outputs])
+    assert np.abs(got - direct).max() <= AFFINE_RTOL * max(1.0, float(np.abs(direct).max()))
+
+
+@st.composite
+def stable_linear_plants(draw):
+    """A LinearPlant subclass of 1-4 states, 0-2 inputs and 1-4 outputs,
+    whose A has every eigenvalue at real part -0.5 or less, with a grid
+    and interpolated inputs."""
+    n = draw(st.integers(1, 4), label="states")
+    m = draw(st.integers(0, 2), label="inputs")
+    k = draw(st.integers(1, n), label="outputs")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    plant = type(
+        "RandomLinear",
+        (LinearPlant,),
+        {
+            "name": "random_linear",
+            "port_spec": PortSpec([f"u{j}" for j in range(m)], [f"y{i}" for i in range(k)]),
+            "A": A,
+            "B": rng.uniform(-1.0, 1.0, (n, m)),
+            "d": rng.uniform(-1.0, 1.0, n),
+            "x0": rng.uniform(-1.0, 1.0, n),
+            "output_states": tuple(rng.permutation(n)[:k].tolist()),
+        },
+    )()
+    step = draw(st.sampled_from([0.05, 0.1]), label="step")
+    grid = TimeGrid(draw(st.integers(1, 200), label="steps") * step, step)
+    return plant, grid, _interpolated_inputs(plant, grid, rng)
+
+
+def _declared(**fields):
+    """A LinearPlant class of a valid declaration with `fields` replaced,
+    and those given as None left out."""
+    declaration = {
+        "name": "bad_plant",
+        "port_spec": PortSpec(("u",), ("y1", "y2")),
+        "A": -np.eye(2),
+        "B": np.ones((2, 1)),
+        "d": np.zeros(2),
+        "x0": np.zeros(2),
+        "output_states": (0, 1),
+    }
+    declaration.update(fields)
+    declared = {key: value for key, value in declaration.items() if value is not None}
+    return type("Declared", (LinearPlant,), declared)
+
+
+class FlaggedAffine(PlantModel):
+    """A plain plant that sets the `affine` attribute of earlier versions."""
+
+    name = "flagged_affine"
+    port_spec = PortSpec(inputs=("u",), outputs=("y",))
+    affine = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def fast_sim(self, u, grid):
+        self.calls += 1
+        return 2.0 * u
+
+
+class OwnSimCars(ChasingCars):
+    """A platoon whose subclass overrides `fast_sim`."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def fast_sim(self, u, grid):
+        self.calls += 1
+        return super().fast_sim(u, grid)
+
+
+class TestLinearPlant:
+    def test_only_chasing_cars_is_a_linear_plant(self):
+        assert isinstance(builtin("chasing_cars"), LinearPlant)
+        assert not isinstance(builtin("at_lite"), LinearPlant)
+        assert not isinstance(builtin("passthrough"), LinearPlant)
+
+    def test_declaration_is_kept_read_only(self):
+        for field in ("A", "B", "d", "x0"):
+            value = getattr(LinearCars, field)
+            assert value.dtype == np.float64 and not value.flags.writeable
+        assert LinearCars.output_states == (4, 3, 2, 1, 0)
+
+    def test_declared_platoon_matches_the_references(self):
+        assert_matches_cc_reference(LinearCars())
+        grid = TimeGrid(20.0, 0.05)
+        plant = LinearCars()
+        rng = np.random.default_rng(5)
+        assert_linear_plant_matches_references(plant, grid, _interpolated_inputs(plant, grid, rng))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stable_linear_plants())
+    def test_random_stable_plants_match_the_references(self, case):
+        assert_linear_plant_matches_references(*case)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"A": np.ones((2, 3))}, "A"),
+            ({"A": np.ones(2)}, "A"),
+            ({"A": "stiff"}, "A"),
+            ({"B": np.ones((2, 2))}, "B"),
+            ({"B": np.ones((3, 1))}, "B"),
+            ({"d": np.zeros(3)}, "d"),
+            ({"x0": np.zeros(1)}, "x0"),
+            ({"A": [[-1.0, 0.0], [0.0, np.nan]]}, "A"),
+            ({"B": [[np.inf], [0.0]]}, "B"),
+            ({"d": [0.0, -np.inf]}, "d"),
+            ({"x0": [np.nan, 0.0]}, "x0"),
+            ({"output_states": (0, 2)}, "output_states"),
+            ({"output_states": (-1, 0)}, "output_states"),
+            ({"output_states": (1, 1)}, "output_states"),
+            ({"output_states": (0,)}, "output_states"),
+            ({"output_states": (0, 0.5)}, "output_states"),
+            ({"output_states": 0}, "output_states"),
+        ],
+    )
+    def test_malformed_declaration_is_rejected(self, fields, field):
+        with pytest.raises(ValueError, match=f"^bad_plant: {field} "):
+            _declared(**fields)
+
+    def test_undeclared_field_is_rejected(self):
+        with pytest.raises(ValueError, match="^bad_plant: x0 is not declared"):
+            _declared(x0=None)
+
+    def test_affine_attribute_of_a_plain_plant_runs_its_fast_sim(self):
+        grid = TimeGrid(10.0, 0.5)
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.2, 0.9, 0.4])
+        x = interpolate(cp, InterpolationKind.PCHIP, grid)
+        plant = FlaggedAffine()
+        keys = list(models._operators)
+        trace = simulate(plant, {"u": x}, grid).trace
+        assert plant.calls == 1
+        assert np.array_equal(trace.channel("y"), 2.0 * x.values)
+        assert list(models._operators) == keys
+
+    def test_subclass_with_its_own_fast_sim_runs_it(self):
+        grid = TimeGrid(10.0, 0.5)
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.2, 0.9, 0.4])
+        x = interpolate(cp, InterpolationKind.PCHIP, grid)
+        plant = OwnSimCars()
+        keys = list(models._operators)
+        trace = simulate(plant, {"throttle": x, "brake": x}, grid).trace
+        assert plant.calls == 1
+        assert not isinstance(trace, models._SuperposedTrace)
+        assert list(models._operators) == keys
 
 
 class TestAutoTransmissionLite:

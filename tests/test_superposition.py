@@ -1,21 +1,19 @@
-"""Tests for simulating an affine plant by superposition.
+"""Tests for simulating a linear plant by superposition.
 
-On interpolated inputs, `simulate` computes an `affine` plant's outputs as
+On interpolated inputs, `simulate` computes a `LinearPlant`'s outputs as
 Y0 + K x over the inputs' interpolation coefficients x, instead of calling
-`fast_sim`. The outputs must agree with `fast_sim`'s within the stated
-bound (`AFFINE_RTOL`), replay bit for bit from a test case's inputs, and
-raise DivergenceError where they overflow, checked only when a bound does
-not rule that out. A false `affine` declaration is rejected by every
-`check_problem`, so at every resolve and by a direct `falsify`; a probe
-that passed is kept with its operator, so checking the same problem again
-makes no simulation. Every other plant and input keeps `fast_sim`. Each
-output row is formed only when read, bitwise as a row of the whole
-product, and a sum of outputs is one product by its composed operator,
-within the same bound of the per-channel sum, where no product can
-overflow, and within the operators' byte budget.
+`fast_sim`. The plant is affine by construction, so no declaration is
+checked. The outputs must agree with `fast_sim`'s within the stated bound
+(`AFFINE_RTOL`), replay bit for bit from a test case's inputs, and raise
+DivergenceError where they overflow, checked only when a bound does not
+rule that out. K is built by the first `simulate` that needs it, not by
+`resolve`. Every other plant and input keeps `fast_sim`. Each output row
+is formed only when read, bitwise as a row of the whole product, and a
+sum of outputs is one product by its composed operator, within the same
+bound of the per-channel sum, where no product can overflow, and within
+the operators' byte budget.
 """
 
-import dataclasses
 import json
 import math
 import warnings
@@ -30,16 +28,13 @@ from athena.errors import DivergenceError
 from athena import signals
 from athena.harness import (
     ExperimentConfig,
-    _run_one,
     parse_assumption,
     resolve,
     run_experiment,
 )
 from athena.models import (
     AFFINE_RTOL,
-    AutoTransmissionLite,
     ChasingCars,
-    check_affine,
     simulate,
 )
 from athena.search import (
@@ -303,85 +298,6 @@ class TestDivergence:
         assert (row.error, row.found, row.iterations) == (None, False, 5)
         assert row.best_combined == 1.0
 
-    def test_midpoint_too_large_to_superpose_passes_the_probe(self):
-        # the box midpoint's pchip coefficients sum past the float maximum,
-        # so its signal is plain and `simulate` would not superpose it
-        cfg = ExperimentConfig(
-            plant=ChasingCars(),
-            formula_text="G[0,100] (y5 - y4 <= 40)",
-            assumption=parse_assumption("throttle:pchip:1e308,1.7e308:7;brake:pchip:0,1:3"),
-            repetitions=1,
-            search=SearchConfig(max_iterations=5),
-        )
-        row = run_experiment(cfg).rows[0]
-        assert (row.error, row.found, row.iterations) == (None, False, 5)
-
-
-class TestDeclaration:
-    def test_only_chasing_cars_declares_affine(self):
-        assert ChasingCars.affine
-        assert not AutoTransmissionLite.affine
-        assert not models.Passthrough.affine
-        assert not models.PlantModel.affine
-
-    def test_false_declaration_rejected_at_resolve(self, monkeypatch):
-        class AffineAT(AutoTransmissionLite):
-            affine = True
-
-        entered = []
-        monkeypatch.setattr("athena.harness.falsify", lambda *a, **k: entered.append(1))
-        cfg = ExperimentConfig(
-            plant=AffineAT(),
-            formula_text=catalog("AT1").formula_text,
-            assumption=catalog("AT1").assumption,
-            step=catalog("AT1").step,
-            repetitions=1,
-        )
-        with pytest.raises(ValueError, match="at_lite: declares outputs affine"):
-            run_experiment(cfg)
-        assert entered == []
-
-    def test_false_declaration_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(AutoTransmissionLite, "affine", True)
-        monkeypatch.setattr("athena.cli.falsify", lambda *a, **k: pytest.fail("searched"))
-        rc = cli(["falsify", "--catalog", "AT1", "--out", str(tmp_path / "tc")])
-        assert rc == 2
-        assert "declares outputs affine" in capsys.readouterr().err
-        assert not (tmp_path / "tc.json").exists()
-
-    def test_false_declaration_rejected_by_falsify(self, monkeypatch):
-        # a problem built without resolve is rejected as resolve rejects it,
-        # before the first simulation
-        class AffineAT(AutoTransmissionLite):
-            affine = True
-
-        e = catalog("AT1")
-        cfg = ExperimentConfig(
-            plant=AffineAT(),
-            formula_text=e.formula_text,
-            assumption=e.assumption,
-            step=e.step,
-            repetitions=1,
-        )
-        with pytest.raises(ValueError, match="at_lite: declares outputs affine") as by_resolve:
-            resolve(cfg)
-        problem = dataclasses.replace(resolve(ExperimentConfig(entry="AT1")), plant=AffineAT())
-        monkeypatch.setattr("athena.search.simulate", lambda *a: pytest.fail("simulated"))
-        search = SearchConfig(seed=0, max_iterations=50)
-        with pytest.raises(ValueError) as by_falsify:
-            falsify(problem.plant, problem.assumption, problem.fitness, search, problem.grid)
-        assert str(by_falsify.value) == str(by_resolve.value)
-        assert getattr(by_falsify.value, "simulations", 0) == 0
-        row = _run_one((problem, search, 0))
-        assert (row.error, row.iterations) == (f"ValueError: {by_resolve.value}", 0)
-
-    def test_check_affine_passes_chasing_cars_and_other_plants(self):
-        grid = TimeGrid(20.0, 0.05)
-        cp = ControlPoints(uniform_control_times(grid, 4), [0.1, 0.8, 0.3, 0.5])
-        signal = interpolate(cp, InterpolationKind.PCHIP, grid)
-        check_affine(ChasingCars(), {"throttle": signal, "brake": signal}, grid)
-        check_affine(AutoTransmissionLite(), {"Throttle": signal, "Brake": signal}, grid)
-
 
 class TestOtherPlants:
     @pytest.mark.parametrize("entry", ["AT1", "AT2"])
@@ -412,8 +328,8 @@ class TestOperatorCache:
     def test_shared_across_runs(self):
         models._operators.clear()
         problem = resolve(ExperimentConfig(entry="CC1"))
-        # resolve's probe built the operator the runs use
-        assert len(models._operators) == 1
+        # the first simulation builds the operator the runs use
+        assert not models._operators
         for seed in range(3):
             falsify(
                 problem.plant,
@@ -458,7 +374,6 @@ class TestOperatorCache:
         cp = ControlPoints(uniform_control_times(grid, 4), [0.2, 0.9, 0.4, 0.7])
         signal = interpolate(cp, InterpolationKind.PCHIP, grid)
         inputs = {"throttle": signal, "brake": signal}
-        check_affine(cc, inputs, grid)
         trace = simulate(cc, inputs, grid).trace
         assert not models._operators
         assert np.array_equal(_rows(trace, cc.port_spec.outputs), _fast(cc, inputs, grid))
@@ -466,8 +381,10 @@ class TestOperatorCache:
 
 class TestOverflowBound:
     def test_largest_magnitudes_of_the_operator(self):
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
         models._operators.clear()
-        resolve(ExperimentConfig(entry="CC1"))
+        simulate(problem.plant, _candidate_inputs(problem, a.lower, grid), grid)
         (op,) = models._operators.values()
         assert op.k_max == np.abs(op.K).max()
         assert op.y0_max == np.abs(op.y0).max()
@@ -492,57 +409,28 @@ class TestOverflowBound:
 
 class TestResolveOnce:
     def test_second_resolve_makes_no_simulation(self, monkeypatch):
-        resolve(ExperimentConfig(entry="CC1"))
+        # nor does the first: K is built by the first simulation
+        models._operators.clear()
         calls = []
         fast_sim = ChasingCars.fast_sim
         monkeypatch.setattr(
             ChasingCars, "fast_sim", lambda self, u, grid: calls.append(1) or fast_sim(self, u, grid)
         )
-        resolve(ExperimentConfig(entry="CC1"))
-        assert calls == []
-
-    def test_false_declaration_rejected_on_every_resolve(self):
-        class AffineAT(AutoTransmissionLite):
-            affine = True
-
-        cfg = ExperimentConfig(
-            plant=AffineAT(),
-            formula_text=catalog("AT1").formula_text,
-            assumption=catalog("AT1").assumption,
-            step=catalog("AT1").step,
-        )
         for _ in range(2):
-            with pytest.raises(ValueError, match="declares outputs affine"):
-                resolve(cfg)
-        # only probes that passed are kept
-        (op,) = [op for key, op in models._operators.items() if key[0] is AffineAT]
-        assert op.probes == set()
+            resolve(ExperimentConfig(entry="CC1"))
+        assert calls == []
+        assert not models._operators
 
     def test_repeated_check_makes_no_simulation_and_builds_no_plan(self, monkeypatch):
         problem = resolve(ExperimentConfig(entry="CC1"))
         args = (problem.plant, problem.assumption, problem.fitness, problem.grid)
         models._operators.clear()
-        check_problem(*args)
-        (op,) = models._operators.values()
-        assert len(op.probes) == 1
-        # the probe interpolates from the control-time arrays a run decodes
-        # with, so `interpolate` finds each plan by identity
         monkeypatch.setattr(signals, "_checked_plan", lambda *a: pytest.fail("plan looked up"))
         monkeypatch.setattr(ChasingCars, "fast_sim", lambda *a: pytest.fail("simulated"))
-        # nor is the probe sampled: its coefficients find it among the
-        # probes that passed
         monkeypatch.setattr(signals._PchipPlan, "_sum", lambda *a: pytest.fail("sampled"))
         for _ in range(2):
             check_problem(*args)
-        assert len(op.probes) == 1
-
-    def test_one_passed_probe_kept_per_problem(self):
-        models._operators.clear()
-        resolve(ExperimentConfig(entry="CC1"))
-        (op,) = models._operators.values()
-        assert len(op.probes) == 1
-        resolve(ExperimentConfig(entry="CC1"))
-        assert len(op.probes) == 1
+        assert not models._operators
 
 
 class TestCsvRoundTrip:
