@@ -25,8 +25,14 @@ pays once per process. The `resolve-CC1` case times a warm `resolve` of
 CC1, every one after the first in a process, which reuses the parsed
 entry; `resolve` builds no K. The interpolation
 cases time one `interpolate` call on a warm plan, for one input port of
-AT2, of CC1 and of the passthrough workload, and for a 9-point pchip port
-on the passthrough workload's 12001-sample grid. The scoring cases time
+AT2, for CC1's 7-point and 3-point ports and for the passthrough
+workload's port, and for a 9-point pchip port on the passthrough
+workload's 12001-sample grid: the coefficients alone, since the samples
+are formed on their first read. The `extreme` cases time the max, min or
+ptp of a window over one such port taken from its control points
+(`InterpolatedSignal.extreme`), with its samples not formed: CC1's
+min(throttle) and max(brake) windows, and a ptp over the passthrough
+port. The scoring cases time
 robustness of the passthrough, CC1 and AT2 formulas and the passthrough
 manual fitness, each on the trace `falsify` scores for one random
 candidate. The passthrough robustness case has three inputs:
@@ -78,8 +84,10 @@ from athena.search import (
 from athena.signals import (
     ControlPoints,
     Signal,
+    WindowStatKind,
     interpolate,
     uniform_control_times,
+    window_span,
 )
 from athena.stl import Trace, parse, robustness
 
@@ -240,7 +248,7 @@ def _port_and_grid(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["AT2-Throttle", "CC1-throttle", "passthrough-x", "passthrough-x-pchip"]
+    "case", ["AT2-Throttle", "CC1-throttle", "CC1-brake", "passthrough-x", "passthrough-x-pchip"]
 )
 def test_interpolate(benchmark, case):
     port, grid = _port_and_grid(case)
@@ -249,6 +257,26 @@ def test_interpolate(benchmark, case):
     interpolate(cp, port.kind, grid)  # builds the plan outside the timing
     signal = benchmark(interpolate, cp, port.kind, grid)
     assert len(signal.values) == grid.n_samples
+
+
+@pytest.mark.parametrize(
+    "case, stat, window",
+    [
+        ("CC1-throttle", WindowStatKind.MIN, (0.0, 100.0)),
+        ("CC1-brake", WindowStatKind.MAX, (0.0, 100.0)),
+        ("passthrough-x", WindowStatKind.PEAK_TO_PEAK, (30.0, 120.0)),
+    ],
+    ids=["CC1-throttle-min", "CC1-brake-max", "passthrough-x-ptp"],
+)
+def test_extreme(benchmark, case, stat, window):
+    port, grid = _port_and_grid(case)
+    values = np.random.default_rng(0).uniform(port.lo, port.hi, port.n)
+    cp = ControlPoints(uniform_control_times(grid, port.n), values)
+    signal = interpolate(cp, port.kind, grid)
+    lo, hi = window_span(window, grid)
+    signal.extreme(stat, lo, hi)  # lays out the window outside the timing
+    got = benchmark(signal.extreme, stat, lo, hi)
+    assert got + 0.0 == stat.of(signal.values[lo : hi + 1]) + 0.0
 
 
 @pytest.mark.parametrize("entry", ["CC1"], ids=["resolve-CC1"])

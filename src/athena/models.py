@@ -20,6 +20,7 @@ combined operator.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 from collections.abc import Collection
@@ -28,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DivergenceError, MissingChannelError, PortMismatchError
+from .errors import DivergenceError, PortMismatchError
 from .signals import InterpolatedSignal, Signal, TimeGrid
 from .stl import AtomExpr, Trace
 
@@ -223,9 +224,13 @@ def simulate(
     read, and a sum of outputs that the score reads is one product by a
     composed operator (`_SuperposedTrace`); or else they are formed and
     checked once, here, and the trace adopts them (`Trace.from_rows`).
-    Every other call runs `fast_sim`, whose block `Trace.from_block` copies
-    and checks, or, from a built-in plant whose rows are finite and held
-    by nothing else (`PlantModel._fresh_rows`), the trace adopts.
+    Every other call runs `fast_sim` on a block of the inputs' samples,
+    which forms those of an `InterpolatedSignal` (`at_lite` reads every
+    one), and its output block `Trace.from_block` copies and checks, or,
+    from a built-in plant whose rows are finite and held by nothing else
+    (`PlantModel._fresh_rows`), the trace adopts. Either way the trace
+    holds the input signals as they are, an interpolated one with its
+    samples formed on read.
     """
     spec = model.port_spec
     signals = inputs
@@ -257,9 +262,12 @@ def simulate(
         op = _operator(model, tuple(s.plan for s in signals.values()), grid)
         if op is not None:
             return SimResult(_superposed(op, signals, grid))
-    u = np.empty((grid.n_samples, len(signals)))
-    for j, signal in enumerate(signals.values()):
-        u[:, j] = signal.values
+    # the samples first, formed here where no one read them before, so
+    # that the block reuses the memory their forming freed
+    columns = [signal.values for signal in signals.values()]
+    u = np.empty((grid.n_samples, len(columns)))
+    for j, column in enumerate(columns):
+        u[:, j] = column
     out = model.fast_sim(u, grid)
     if model._fresh_rows:
         # the rows whose transpose `fast_sim` returned
@@ -457,10 +465,13 @@ class _SuperposedTrace(Trace):
     product, x @ K_e + Y0_e, by the composed operator of its expression
     (`_Operator.composed`), with no row of its channels formed, where its
     coefficients' magnitudes times the bound keep it under the bound that
-    rules out overflow; it rounds otherwise than the sum of the rows.
+    rules out overflow; it rounds otherwise than the sum of the rows. The
+    product is formed once per trace, on the first read, and kept
+    read-only by the terms it sums, so a formula and a manual window over
+    the same sum share it.
     """
 
-    __slots__ = ("_op", "_x", "_bound")
+    __slots__ = ("_op", "_x", "_bound", "_sums")
 
     @classmethod
     def adopting(cls, op: _Operator, x: np.ndarray, bound: float, signals, grid) -> Trace:
@@ -470,32 +481,42 @@ class _SuperposedTrace(Trace):
         trace._op = op
         trace._x = x
         trace._bound = bound
+        trace._sums = {}
         return trace
 
     @property
+    def names(self):
+        return dict.fromkeys((*self._op.rows, *self._store)).keys()
+
+    @property
     def channels(self):
-        names = (*self._op.rows, *self._store)
-        return MappingProxyType({name: self.channel(name) for name in names})
+        return MappingProxyType({name: self.channel(name) for name in self.names})
 
     def channel(self, name: str) -> np.ndarray:
-        values = self._store.get(name)
-        if values is None:
+        if name not in self._store:
             k = self._op.rows.get(name)
-            if k is None:
-                raise MissingChannelError(name, tuple(self.channels))
-            row = np.matmul(self._x, self._op.K[k])
-            row += self._op.y0[k]
-            values = self._store[name] = row[: self.grid.n_samples]
-            values.setflags(write=False)
-        return values
+            if k is not None:
+                row = np.matmul(self._x, self._op.K[k])
+                row += self._op.y0[k]
+                values = self._store[name] = row[: self.grid.n_samples]
+                values.setflags(write=False)
+        return super().channel(name)
 
     def composed(self, expr: AtomExpr) -> np.ndarray | None:
+        terms = expr.terms
+        try:
+            return self._sums[terms]
+        except KeyError:
+            pass
         summed = self._op.composed(expr)
-        if summed is None or not summed.scale * self._bound < _SUPERPOSED_SAFE:
-            return None
-        out = np.matmul(self._x, summed.K)
-        out += summed.y0
-        return out[: self.grid.n_samples]
+        out = None
+        if summed is not None and summed.scale * self._bound < _SUPERPOSED_SAFE:
+            out = np.matmul(self._x, summed.K)
+            out += summed.y0
+            out = out[: self.grid.n_samples]
+            out.setflags(write=False)
+        self._sums[terms] = out
+        return out
 
 
 # Bound on the difference between the superposed outputs and `fast_sim`'s,
@@ -608,11 +629,14 @@ class LinearPlant(PlantModel):
         return plant
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def _step_ops(cls, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RK4 step as an affine map, in row form x+ = x P^T + [u0 um u1] Q + r.
 
         Exact for linear dynamics: this is the RK4 step in closed form, not
-        an approximation of it.
+        an approximation of it. Kept as read-only arrays per (class, step),
+        for the last 32 of them (1.3 KB each for chasing_cars): every
+        `fast_sim` call of a superposition build reads the same ones.
         """
         A, B, d = cls.A, cls.B, cls.d
         I = np.eye(len(A))
@@ -625,7 +649,10 @@ class LinearPlant(PlantModel):
         Sm = (h / 6.0) * (4.0 * I + 2.0 * h * A + (h**2 / 2.0) * A2)
         S1 = (h / 6.0) * I
         Q = np.vstack([(S0 @ B).T, (Sm @ B).T, (S1 @ B).T])
-        return P.T, Q, (S0 + Sm + S1) @ d
+        ops = P.T, Q, (S0 + Sm + S1) @ d
+        for op in ops:
+            op.setflags(write=False)
+        return ops
 
     # Python floats overflow silently and numpy must too, so that an
     # overflow surfaces as DivergenceError and not as a warning

@@ -473,16 +473,20 @@ def falsify(
                     name: signal.prefix(sim_grid) for name, signal in inputs.items()
                 }
                 full_inputs = Trace(grid, inputs)
-            sim = simulate(sim_plant, sim_inputs, sim_grid)
+            trace = simulate(sim_plant, sim_inputs, sim_grid).trace
             simulations += 1
             value = assess(
                 fitness_cfg,
-                sim.trace,
+                trace,
                 iteration=i,
                 max_iterations=search_cfg.max_iterations,
                 controls=controls,
                 inputs=full_inputs,
             )
+            # freed now, not when the next candidate's trace replaces it: a
+            # plant that reads every input sample forms them in `simulate`,
+            # and this keeps the arrays alive then to those of one candidate
+            del trace
             fa, fm, f = value.automatic, value.manual, value.combined
             rho = value.robustness
         except DivergenceError:

@@ -125,29 +125,44 @@ class Signal:
         The values are a read-only view of this signal's: they were checked
         when it was built, so they are neither checked nor copied again. The
         prefix of an `InterpolatedSignal` is one too, with the same plan and
-        coefficients.
+        coefficients, whose samples are formed on first read as a view of
+        the whole signal's.
         """
         if grid.step != self.grid.step or grid.n_samples >= self.grid.n_samples:
             raise ValueError(
                 f"a prefix needs a shorter grid with step {self.grid.step}, got "
                 f"{grid.n_samples} samples at step {grid.step}"
             )
-        values = self.values[: grid.n_samples]
         if isinstance(self, InterpolatedSignal):
-            return _adopt(grid, values, self.plan, self.coefficients)
-        return _adopt(grid, values)
+            return _interpolated(grid, self.plan, self.coefficients, source=self._source or self)
+        return _adopt(grid, self.values[: grid.n_samples])
+
+    def _held(self) -> "np.ndarray | InterpolatedSignal":
+        """What a trace stores of this signal: its samples, or an
+        `InterpolatedSignal` itself while they are not formed, for
+        `Trace.channel` to form on read."""
+        return self.values
 
 
 class InterpolatedSignal(Signal):
-    """A signal that `interpolate` sampled from control values.
+    """A signal that `interpolate` built from control values, whose
+    samples are formed on first read of `values`.
 
     Its samples are linear in `coefficients`, a read-only finite array:
     the port's control values and, for pchip, the Fritsch-Carlson slopes
-    after them. `plan` is the plan that sampled them on its grid,
+    after them. `plan` is the plan that samples them on its grid,
     `plan.grid`: `plan.basis()[i] @ coefficients` is sample i, up to
     rounding. A plant whose outputs are affine in its inputs by
     construction (`models.LinearPlant`) then simulates the signal as a
-    matrix-vector product over the coefficients (`models.simulate`).
+    matrix-vector product over the coefficients (`models.simulate`), and
+    never forms its samples.
+
+    The first read of `values` forms the samples from the coefficients
+    (`plan.samples`), with the same bits as samples formed at once, and
+    keeps them read-only: every later read returns the same array. The prefix of a signal (`Signal.prefix`) reads a view of the
+    whole signal's samples, formed once for both. `extreme` gives the
+    max, min or ptp of a window from the control points, without forming
+    the samples, while they are not formed.
 
     Only `interpolate` and `Signal.prefix` make one, and both store
     references, not copies. The `Signal` constructor makes a plain signal,
@@ -160,22 +175,69 @@ class InterpolatedSignal(Signal):
     def __init__(self, *args, **kwargs):
         raise TypeError("only interpolate and Signal.prefix make an InterpolatedSignal")
 
+    @property
+    def values(self) -> np.ndarray:
+        values = self._values
+        if values is None:
+            if self._source is None:
+                values = _read_only(self.plan.samples(self.coefficients))
+            else:
+                values = self._source.values[: self.grid.n_samples]
+            object.__setattr__(self, "_values", values)
+        return values
 
-def _adopt(grid: TimeGrid, values: np.ndarray, plan=None, coefficients=None) -> Signal:
-    """A Signal that holds `values` as they are, without a check or a copy,
-    or an InterpolatedSignal when a `plan` and its `coefficients` are given.
+    def _held(self) -> "np.ndarray | InterpolatedSignal":
+        return self if self._values is None else self._values
+
+    def extreme(self, stat: "WindowStatKind", lo: int, hi: int) -> float | None:
+        """`stat` of samples lo .. hi, for max, min and ptp, from the plan
+        and the coefficients (`plan.largest`), or None for mean or once the
+        samples are formed, where a pass over them costs less.
+
+        Plus 0.0 it has the bits of `stat.of` over those samples: each
+        extreme is one of the samples, up to the sign of a zero. The min is
+        the negated max of the negated coefficients, whose samples are the
+        negated samples bitwise, since IEEE rounding is symmetric."""
+        if stat is WindowStatKind.MEAN or self._values is not None:
+            return None
+        if self._source is not None and self._source._values is not None:
+            return None
+        c = self.coefficients.tolist()
+        if stat is WindowStatKind.MAX:
+            return self.plan.largest(c, lo, hi)
+        smallest = -self.plan.largest([-x for x in c], lo, hi)
+        if stat is WindowStatKind.MIN:
+            return smallest
+        return self.plan.largest(c, lo, hi) - smallest
+
+
+def _adopt(grid: TimeGrid, values: np.ndarray) -> Signal:
+    """A Signal that holds `values` as they are, without a check or a copy.
 
     The caller has checked `values` against `grid` and made them read-only,
     and nothing else writes to them.
     """
-    if plan is None:
-        signal = object.__new__(Signal)
-    else:
-        signal = object.__new__(InterpolatedSignal)
-        object.__setattr__(signal, "plan", plan)
-        object.__setattr__(signal, "coefficients", coefficients)
+    signal = object.__new__(Signal)
     object.__setattr__(signal, "grid", grid)
     object.__setattr__(signal, "values", values)
+    return signal
+
+
+def _interpolated(
+    grid: TimeGrid, plan, coefficients: np.ndarray, values=None, source=None
+) -> InterpolatedSignal:
+    """An InterpolatedSignal on `grid` of `plan` and its `coefficients`,
+    held as they are: with `values`, samples checked and made read-only by
+    the caller, or else formed on first read, from the coefficients or,
+    for a prefix, as a view of the samples of `source`, the whole signal.
+    """
+    signal = object.__new__(InterpolatedSignal)
+    # the frozen instance's attributes, set as one dict
+    object.__setattr__(
+        signal,
+        "__dict__",
+        {"grid": grid, "plan": plan, "coefficients": coefficients, "_values": values, "_source": source},
+    )
     return signal
 
 
@@ -361,28 +423,74 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
 
 
 # Every plan samples the grid it was built for, `grid`, from the values at
-# its control times. `sample(values)` returns the samples and the
-# `n_coefficients` coefficients they are linear in (None when those are
-# not all finite); `basis()` is the (samples, coefficients) matrix whose
-# product with the coefficients gives the samples, exact in exact
-# arithmetic.
+# its control times, in two steps. `coefficients(values)` returns the
+# `n_coefficients` coefficients the samples are linear in, or None when
+# the plan cannot rule out an overflow in the samples; `samples(
+# coefficients)` then forms the samples, unchecked, and `sample(values)`
+# forms and checks them where `coefficients` returned None, and returns
+# them with the coefficients (None when those are not all finite).
+# `basis()` is the (samples, coefficients) matrix whose product with the
+# coefficients gives the samples, exact in exact arithmetic.
+# `largest(c, lo, hi)` is the largest of samples lo .. hi of the
+# coefficients `c`, as Python floats, up to the sign of a zero, from a
+# few samples per segment (`_Plan.layout`), with no pass over the rest.
 
 
-class _HeldPlan:
+class _Plan:
+    """What every plan shares: its grid, its coefficient count and the
+    layout of each window it was asked for."""
+
+    def __init__(self, grid: TimeGrid, n_coefficients: int):
+        self.grid = grid
+        self.n_coefficients = n_coefficients
+        self._layouts: dict[tuple[int, int], tuple] = {}
+
+    def layout(self, lo: int, hi: int) -> tuple:
+        """`_layout(lo, hi)`, kept for the last PLAN_CACHE_SIZE windows."""
+        found = self._layouts.get((lo, hi))
+        if found is None:
+            if len(self._layouts) >= PLAN_CACHE_SIZE:
+                del self._layouts[next(iter(self._layouts))]
+            found = self._layouts[lo, hi] = self._layout(lo, hi)
+        return found
+
+
+def _runs(counts: np.ndarray, singles: np.ndarray, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The maximal runs (k, a, b), inclusive, of samples lo .. hi of one
+    segment k, where segment k holds the next `counts[k]` samples, and none
+    in `singles`, in grid order."""
+    seg = np.repeat(np.arange(len(counts)), counts)[lo : hi + 1]
+    key = np.where(np.isin(np.arange(lo, hi + 1), singles), -1, seg)
+    bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]
+    return [
+        (int(key[a]), lo + a, lo + b - 1) for a, b in zip(bounds, bounds[1:]) if key[a] >= 0
+    ]
+
+
+class _HeldPlan(_Plan):
     """Constant and piecewise-constant kinds: each sample takes the value of
     one control point, the exact hits included."""
 
     def __init__(self, grid, n_coefficients, held: np.ndarray):
-        self.grid = grid
-        self.n_coefficients = n_coefficients
+        super().__init__(grid, n_coefficients)
         self.held = _read_only(held)
 
-    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # copies of the control values, which are finite
-        return values[self.held], values
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        # the control values, which are finite
+        return values
+
+    def samples(self, coefficients: np.ndarray) -> np.ndarray:
+        return coefficients[self.held]
 
     def basis(self) -> np.ndarray:
         return np.eye(self.n_coefficients)[self.held]
+
+    def _layout(self, lo, hi):
+        # the control points held in the window
+        return tuple(np.unique(self.held[lo : hi + 1]).tolist())
+
+    def largest(self, c: list[float], lo: int, hi: int) -> float:
+        return max([c[j] for j in self.layout(lo, hi)])
 
 
 # Below this bound on |slope| * width + |v| of every segment of a linear
@@ -392,10 +500,14 @@ class _HeldPlan:
 # float maximum of 1.797e308. A sample before the first or after the last
 # control time, which the control value overwrites, lies at most TIME_TOL
 # outside its segment, which adds at most 1.8e308 * 1e-9 to its product.
+# `_LinearPlan.coefficients` checks it through the largest |v|, A: a
+# rounded slope is at most 2 A (1 + u)^2 / width, finite while 2.01 A /
+# width is under the bound, and |slope| * width + |v| is at most
+# 3 A (1 + u)^4, under it while 3.01 A is.
 _LINEAR_SAFE = 1e308
 
 
-class _LinearPlan:
+class _LinearPlan(_Plan):
     """Linear kind, in np.interp's arithmetic: slope * (x - t[seg]) + v[seg],
     with the control value itself at a control time, outside the control
     times and at the exact hits.
@@ -406,38 +518,63 @@ class _LinearPlan:
     `widths` holds the segments' widths as Python floats."""
 
     def __init__(self, grid, seg, dx, widths, hits, points):
-        self.grid = grid
-        self.n_coefficients = len(widths) + 1
+        super().__init__(grid, len(widths) + 1)
         self.counts = _read_only(np.bincount(seg, minlength=len(widths)))
         self.dx = _read_only(dx)
         self.widths = tuple(widths.tolist())
         self.hits = _read_only(hits)
         self.points = _read_only(points)
+        # _LINEAR_SAFE over this, the largest |v| the bound allows
+        self.spread = max(3.01, 2.01 / min(self.widths))
 
-    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def coefficients(self, values: np.ndarray) -> np.ndarray | None:
+        # checked on the Python floats, as in _PchipPlan, with no slope
+        # formed: below the bound every sample is finite
         v = values.tolist()
+        limit = _LINEAR_SAFE / self.spread
+        if max(v) < limit and -min(v) < limit:
+            return values
+        return None
+
+    def samples(self, coefficients: np.ndarray) -> np.ndarray:
+        v = coefficients.tolist()
         # numpy's slopes, on the Python floats, which round as float64 and
         # overflow to inf silently
-        slopes = [(b - a) / h for a, b, h in zip(v, v[1:], self.widths)]
-        # checked on the Python floats, as in _PchipPlan: an infinite slope
-        # fails the bound, and below it every sample is finite
-        if all(abs(m) * h + abs(a) < _LINEAR_SAFE for m, h, a in zip(slopes, self.widths, v)):
-            return self._sum(slopes, values), values
+        out = np.repeat([(b - a) / h for a, b, h in zip(v, v[1:], self.widths)], self.counts)
+        out *= self.dx
+        out += np.repeat(coefficients[:-1], self.counts)
+        out[self.hits] = coefficients[self.points]
+        return out
+
+    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.interp never warns: a slope that overflows stays inf, and inf
         # times the zero offset at a control time is overwritten by the
         # control value
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(self._sum(slopes, values)), values
+            return _finite(self.samples(values)), values
 
     def basis(self) -> np.ndarray:
-        return np.column_stack([self.sample(e)[0] for e in np.eye(self.n_coefficients)])
+        return np.column_stack([self.samples(e) for e in np.eye(self.n_coefficients)])
 
-    def _sum(self, slopes: list[float], values: np.ndarray) -> np.ndarray:
-        out = np.repeat(slopes, self.counts)
-        out *= self.dx
-        out += np.repeat(values[:-1], self.counts)
-        out[self.hits] = values[self.points]
-        return out
+    def _layout(self, lo, hi):
+        # the control points the hits in the window take, and the segment
+        # and offset of the first and the last sample of each run between
+        # them: slope * dx + v rounds monotonically in dx, so a run's
+        # extremes are at its ends
+        inside = (self.hits >= lo) & (self.hits <= hi)
+        points = tuple(np.unique(self.points[inside]).tolist())
+        ends = []
+        for k, a, b in _runs(self.counts, self.hits, lo, hi):
+            ends += [(k, float(self.dx[i])) for i in dict.fromkeys((a, b))]
+        return points, tuple(ends)
+
+    def largest(self, c: list[float], lo: int, hi: int) -> float:
+        points, ends = self.layout(lo, hi)
+        widths = self.widths
+        return max(
+            [c[j] for j in points]
+            + [(c[k + 1] - c[k]) / widths[k] * dx + c[k] for k, dx in ends]
+        )
 
 
 # Below this bound on sum |v| * (largest value basis) + sum |m| * (largest
@@ -447,8 +584,33 @@ class _LinearPlan:
 # with rounding, against a float maximum of 1.797e308.
 _PCHIP_SAFE = 1e308
 
+# The rounding bound behind `_PchipPlan.largest`. Take a segment from
+# value v to w, with slopes m and z and width h, and let M = |v| + |w| +
+# h (|m| + |z|) and u = 2^-53. Its Hermite cubic at an offset s in [0, 1]
+# is P(s) = v p00(s) + w p01(s) + h m p10(s) + h z p11(s).
+# - A sample at the rounded offset s lies within 21 u M of P(s), plus
+#   2^-1073 for products that underflow. The rounded basis values lie
+#   within 16 u of p00 and p01, and within 16 u h of h p10 and h p11:
+#   each sums a few terms in s^3 and s^2, each of size at most 1. The
+#   four-term Hermite sum rounds within 4.01 u of the sum of its terms'
+#   magnitudes, which is at most M (Higham, Accuracy and Stability of
+#   Numerical Algorithms, 2002, (3.5)).
+# - The rounded Fritsch-Carlson slopes lie in [0, 3 (1 + 11 u) D] times
+#   the sign of the exact secant D = (w - v) / h (Fritsch & Carlson,
+#   SIAM J. Numer. Anal. 17(2), 1980). Clipping them to [0, 3 D] moves P
+#   by at most 4/27 * 2 * 33 u |w - v| < 10 u M, and the clipped cubic Q
+#   is monotone on [0, 1], rising from v to w where v <= w and falling
+#   where v > w.
+# So a sample of the segment exceeds max(v, w), and a sample between
+# another one and the segment's larger end exceeds that other sample, by
+# at most 2 (21 + 10) u M plus 2^-1072. Here the slack is 2^9 u times a
+# bound on M over every segment, plus 2^-1070: about 8 times that, which
+# also covers the rounding of the test itself.
+_PCHIP_SLACK = 2.0**-44
+_PCHIP_TINY = 2.0**-1070
 
-class _PchipPlan:
+
+class _PchipPlan(_Plan):
     """Monotone cubic kind: the Hermite basis of every sample, with the
     segment width already multiplied into the two slope terms.
 
@@ -457,12 +619,14 @@ class _PchipPlan:
     of its segment k, are copied over the segments' runs of `counts`
     samples instead of gathered per sample: `terms` holds their indices
     into the coefficients [v, m], one column per segment, and `hermite`
-    the four basis rows they are multiplied by."""
+    the four basis rows they are multiplied by. `loose` holds the samples
+    whose offset into their segment lies outside [0, 1], before the first
+    or after the last control time, each an exact hit on a grid whose
+    control times lie on it."""
 
-    def __init__(self, grid, widths, seg, hermite, hits, points):
+    def __init__(self, grid, widths, seg, hermite, hits, points, loose):
         n = len(widths) + 1
-        self.grid = grid
-        self.n_coefficients = 2 * n
+        super().__init__(grid, 2 * n)
         self.widths = widths
         k = np.arange(n - 1)
         self.terms = _read_only(np.stack([k, n + k, k + 1, n + k + 1]))
@@ -470,34 +634,28 @@ class _PchipPlan:
         self.hermite = _read_only(hermite)
         self.hits = _read_only(hits)
         self.points = _read_only(points)
+        self.loose = _read_only(loose)
+        # times the largest coefficient magnitude, a bound on slack / M
+        # over every segment, as 2 (1 + widest) times that bounds M
+        self.slack = _PCHIP_SLACK * 2.0 * (1.0 + max(widths))
         # at most 1 and 4/27 of the segment width inside the control times;
         # NaN when a basis is, which fails the bound
         self.value_basis = float(np.max(np.abs(hermite[0::2])))
         self.slope_basis = float(np.max(np.abs(hermite[1::2])))
 
-    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def coefficients(self, values: np.ndarray) -> np.ndarray | None:
         v = values.tolist()
         m = _pchip_slopes(self.widths, v)
-        coefficients = _read_only(np.array(v + m))
         # checked on the Python floats: entering np.errstate costs more
         # than the check, and a NaN or infinity fails it; below the bound
         # every sample is finite, and so are both sums of magnitudes
         value_sum = sum(map(abs, v))
         slope_sum = sum(map(abs, m))
         if value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE:
-            return self._sum(coefficients), coefficients
-        # as in _LinearPlan: an infinite slope times the zero basis at a
-        # control time is overwritten by the control value
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _finite(self._sum(coefficients))
-        if not math.isfinite(value_sum + slope_sum):
-            coefficients = None
-        return out, coefficients
+            return _read_only(np.array(v + m))
+        return None
 
-    def basis(self) -> np.ndarray:
-        return np.column_stack([self._sum(e) for e in np.eye(self.n_coefficients)])
-
-    def _sum(self, coefficients: np.ndarray) -> np.ndarray:
+    def samples(self, coefficients: np.ndarray) -> np.ndarray:
         # h00 * v[k] + h10h * m[k] + h01 * v[k + 1] + h11h * m[k + 1],
         # summed left to right into a fresh array
         terms = np.repeat(coefficients[self.terms], self.counts, axis=1)
@@ -507,6 +665,111 @@ class _PchipPlan:
         out += terms[3]
         out[self.hits] = coefficients[self.points]
         return out
+
+    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        v = values.tolist()
+        m = _pchip_slopes(self.widths, v)
+        coefficients = _read_only(np.array(v + m))
+        # as in _LinearPlan: an infinite slope times the zero basis at a
+        # control time is overwritten by the control value
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _finite(self.samples(coefficients))
+        if not math.isfinite(sum(map(abs, v)) + sum(map(abs, m))):
+            coefficients = None
+        return out, coefficients
+
+    def basis(self) -> np.ndarray:
+        return np.column_stack([self.samples(e) for e in np.eye(self.n_coefficients)])
+
+    def _layout(self, lo, hi):
+        # the coefficients the hits in the window take; the segment and
+        # basis of each sample summed alone: the loose ones and every
+        # sample of a run of at most four; and for each longer run from a
+        # to b, its segment, the basis of samples b, b - 1, a and a + 1,
+        # and the ranges a .. b - 2 and a + 2 .. b
+        hits = dict(zip(self.hits.tolist(), self.points.tolist()))
+        points = tuple(sorted({j for i, j in hits.items() if lo <= i <= hi}))
+        loose = [i for i in self.loose.tolist() if lo <= i <= hi and i not in hits]
+        starts = np.cumsum(self.counts) - self.counts
+        single = [(int(np.searchsorted(starts, i, side="right")) - 1, i) for i in loose]
+        runs = []
+        for k, a, b in _runs(self.counts, np.array([*hits, *loose], dtype=int), lo, hi):
+            if b - a < 4:
+                single += [(k, i) for i in range(a, b + 1)]
+            else:
+                bases = map(self._basis, (b, b - 1, a, a + 1))
+                runs.append((k, *bases, (a, b - 1), (a + 2, b + 1)))
+        sums = tuple((k, *self._basis(i)) for k, i in single)
+        return points, sums, tuple(runs)
+
+    def _basis(self, i: int) -> tuple[float, float, float, float]:
+        return tuple(self.hermite[:, i].tolist())
+
+    def largest(self, c: list[float], lo: int, hi: int) -> float:
+        """The largest of samples lo .. hi: of the hits, the samples
+        summed alone, and of each longer run those it cannot rule out.
+
+        A longer run's larger end is the end b where v <= w, else a. By
+        the bound above, no sample of the run exceeds max(v, w) plus the
+        slack, nor the sum at its larger end plus the slack, nor does one
+        before b - 1 (after a + 1) exceed the sum there plus the slack. A
+        run is passed over where the first bound is at most the largest
+        sample found; else its larger end is summed. Once every run has
+        been looked at, a run is passed over where its larger end plus the
+        slack is at most the largest sample found; else the sample next to
+        that end is summed, and the rest of the run is passed over where
+        that sample plus the slack is at most the largest sample found.
+        What is left is summed over the run, from the plan's basis rows,
+        as `samples` sums it. The slack is `slack` times the largest
+        coefficient magnitude, plus _PCHIP_TINY."""
+        points, sums, runs = self.layout(lo, hi)
+        n = self.n_coefficients // 2
+        # explicit loops: a call of max costs more than a few comparisons
+        best = -math.inf
+        for j in points:
+            if c[j] > best:
+                best = c[j]
+        for k, h0, h1, h2, h3 in sums:
+            x = c[k] * h0 + c[n + k] * h1 + c[k + 1] * h2 + c[n + k + 1] * h3
+            if x > best:
+                best = x
+        if not runs:
+            return best
+        largest = max(c)
+        smallest = min(c)
+        slack = self.slack * (largest if largest > -smallest else -smallest) + _PCHIP_TINY
+        ends = []
+        for run in runs:
+            k = run[0]
+            v = c[k]
+            w = c[k + 1]
+            rising = v <= w
+            if (w if rising else v) + slack <= best:
+                continue
+            m = c[n + k]
+            z = c[n + k + 1]
+            h0, h1, h2, h3 = run[1] if rising else run[3]
+            end = v * h0 + m * h1 + w * h2 + z * h3
+            if end > best:
+                best = end
+            ends.append((end, rising, v, m, w, z, run))
+        for end, rising, v, m, w, z, run in ends:
+            if end + slack <= best:
+                continue
+            h0, h1, h2, h3 = run[2] if rising else run[4]
+            end = v * h0 + m * h1 + w * h2 + z * h3
+            if end > best:
+                best = end
+            elif end + slack <= best:
+                continue
+            start, stop = run[5] if rising else run[6]
+            hermite = self.hermite[:, start:stop]
+            out = hermite[0] * v
+            out += hermite[1] * m
+            out += hermite[2] * w
+            out += hermite[3] * z
+            best = max(best, float(out.max()))
+        return best
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -542,8 +805,9 @@ def _plan(
     hermite = np.stack(
         [2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h]
     )
+    loose = np.flatnonzero(~((s >= 0.0) & (s <= 1.0)))
     return _PchipPlan(
-        grid, tuple(np.diff(t).tolist()), seg, hermite, idx[near], np.flatnonzero(near)
+        grid, tuple(np.diff(t).tolist()), seg, hermite, idx[near], np.flatnonzero(near), loose
     )
 
 
@@ -573,9 +837,7 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     basis rows of 8 bytes per sample, plus 8 bytes per segment for its
     run lengths, so the cache holds at most about PLAN_CACHE_SIZE * 32 *
     n_samples bytes (12 MB on a 12001-sample grid); a linear plan holds
-    one array of 8 bytes per sample, a held plan one. Each call computes
-    the samples from `cp.values` into a fresh array, which the returned
-    signal holds read-only, without a copy.
+    one array of 8 bytes per sample, a held plan one.
 
     A memo finds the plan again without the cache's key: for each of the
     last PLAN_CACHE_SIZE control-time arrays it was given, by identity,
@@ -587,17 +849,24 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     nothing else. The memo holds each array it is keyed on and its plan,
     so with it at most twice PLAN_CACHE_SIZE plans are alive.
 
-    The samples are finite, or this raises ValueError. A held plan copies
-    the control values, which are finite. A linear plan checks its
-    samples. A pchip plan checks them only when its control values and
-    slopes are too large to rule out an overflow (`_PCHIP_SAFE`).
+    Each call computes the coefficients the samples are linear in:
+    `cp.values` itself for the held and linear kinds, and for pchip a
+    fresh array of the control values followed by their Fritsch-Carlson
+    slopes. The result is an `InterpolatedSignal` that holds the plan
+    and the coefficients, and forms its samples from them on the first
+    read of its `values`, bitwise as the plan samples them, into a fresh
+    array it keeps read-only. A plant simulated by superposition, and a
+    window that takes the max, min or ptp of the signal
+    (`InterpolatedSignal.extreme`), read only the coefficients, so a run
+    that reads nothing else never forms the samples.
 
-    The result is an `InterpolatedSignal` that also holds the plan and the
-    coefficients the samples are linear in: `cp.values` itself for the
-    held and linear kinds, and for pchip a fresh array of the control
-    values followed by the slopes the plan computed anyway. When a pchip
-    sum of coefficient magnitudes is not finite, the result is a plain
-    `Signal`.
+    The samples are finite, or this raises ValueError. A held plan copies
+    the control values, which are finite. A linear or pchip plan rules
+    out an overflow by a bound on the coefficients (`_LINEAR_SAFE`,
+    `_PCHIP_SAFE`); where the bound fails, this forms the samples at once
+    and checks them, and the signal holds them. When a pchip sum of
+    coefficient magnitudes is not finite, the result is a plain `Signal`
+    of the checked samples.
     """
     held = _plans_by_times.get(id(cp.times))
     if held is not None and held[1] is kind and held[2] is grid:
@@ -608,10 +877,13 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         if len(_plans_by_times) >= PLAN_CACHE_SIZE:
             del _plans_by_times[next(iter(_plans_by_times))]
         _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
+    coefficients = plan.coefficients(cp.values)
+    if coefficients is not None:
+        return _interpolated(grid, plan, coefficients)
     out, coefficients = plan.sample(cp.values)
     if coefficients is None:
         return _adopt(grid, _read_only(out))
-    return _adopt(grid, _read_only(out), plan, coefficients)
+    return _interpolated(grid, plan, coefficients, _read_only(out))
 
 
 def _checked_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):

@@ -10,12 +10,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..errors import MissingChannelError, SemanticError
-from ..signals import Signal, TimeGrid
+from ..signals import InterpolatedSignal, Signal, TimeGrid, WindowStatKind
 
 __all__ = [
     "AtomExpr",
@@ -80,8 +80,10 @@ class AtomExpr:
         changes only a -0.0 sum to +0.0, and adding -0.0 changes nothing.
         The result may thus hold -0.0 where `values` holds +0.0, and has
         the bits of `values` everywhere else. A bare channel (`bare`) is
-        then a read-only view of the channel's samples, not fresh. Any
-        other expression is `values`.
+        then a read-only view of the channel's samples, not fresh, and a
+        sum of terms that the trace composes (`Trace.composed`) a
+        read-only view of the trace's sum. Any other expression is
+        `values`.
 
         Min, max, mean and ptp of the result, plus 0.0, are bitwise those
         of `values`, which hold no -0.0: each differs only in the sign of
@@ -122,8 +124,8 @@ class AtomExpr:
 
     def _sum(self, trace: Trace, start: int, stop: int | None) -> tuple[np.ndarray, bool]:
         """The terms' sum, from the zero seed where `values` keeps it, or
-        the trace's own (`Trace.composed`), and whether this call made the
-        array."""
+        the trace's own (`Trace.composed`), read-only, and whether this
+        call made the array."""
         acc, owned = None, False
         negative_zero = self.const == 0.0 and math.copysign(1.0, self.const) < 0.0
         if len(self.terms) > 1:
@@ -131,7 +133,7 @@ class AtomExpr:
             if composed is not None:
                 acc = composed[start:stop]
                 # from the zero seed, which turns -0.0 into +0.0
-                return (np.add(acc, 0.0, out=acc) if negative_zero else acc), True
+                return (np.add(acc, 0.0), True) if negative_zero else (acc, False)
         if not self.terms or negative_zero:
             acc, owned = np.zeros(trace.grid.n_samples)[start:stop], True
         for name, coeff in self.terms:
@@ -256,13 +258,18 @@ class Trace:
 
     Each channel is checked by building it as a `Signal` on the grid, which
     makes a finite read-only copy. A channel that already is a `Signal` on
-    the same grid is stored as it is, without a second copy. `from_block`
-    checks and copies a plant's whole output block at once instead, and
-    `from_rows` adopts rows its caller computed and checked itself.
+    the same grid is stored as it is, without a second copy, and an
+    `InterpolatedSignal` without its samples: they are formed when
+    `channel` or `channels` first reads them, and until then a window
+    takes its extremes from the signal's control points (`extreme`).
+    `from_block` checks and copies a plant's whole output block at once
+    instead, and `from_rows` adopts rows its caller computed and checked
+    itself.
 
-    `channels` maps each name to its samples, in order. A subclass may
-    form some channels only when `channel` or `channels` first reads them,
-    and sum an expression's terms in one pass of its own (`composed`).
+    `channels` maps each name to its samples, in order, and `names` gives
+    the names alone, forming nothing. A subclass may form some channels
+    only when `channel` or `channels` first reads them, and sum an
+    expression's terms in one pass of its own (`composed`).
     """
 
     __slots__ = ("grid", "_store")
@@ -273,11 +280,11 @@ class Trace:
             try:
                 if not isinstance(values, Signal):
                     values = Signal(grid, values)
-                elif values.grid != grid:
+                elif values.grid is not grid and values.grid != grid:
                     raise ValueError("not sampled on the trace grid")
             except ValueError as exc:
                 raise ValueError(f"channel {name!r}: {exc}") from None
-            store[name] = values.values
+            store[name] = values._held()
         self.grid = grid
         self._store = store
 
@@ -323,7 +330,8 @@ class Trace:
 
         A signal that is a `Signal` on `grid` itself (the same object) is
         adopted: the trace holds its values as they are, checked when the
-        signal was built. Any other signal goes through the constructor,
+        signal was built, or an `InterpolatedSignal` itself, whose samples
+        are formed on read. Any other signal goes through the constructor,
         which checks it and copies what is not a `Signal`. The channels go
         into one mapping, built once.
         """
@@ -333,30 +341,53 @@ class Trace:
             if not (isinstance(signal, Signal) and signal.grid is grid):
                 store.update(Trace(grid, signals)._store)
                 break
-            store[name] = signal.values
+            store[name] = signal._held()
         trace = object.__new__(cls)
         trace.grid = grid
         trace._store = store
         return trace
 
     @property
+    def names(self) -> Iterable[str]:
+        """Every channel's name, in order, with no channel formed."""
+        return self._store.keys()
+
+    @property
     def channels(self) -> Mapping[str, np.ndarray]:
         """Every channel's samples by name, read-only."""
+        for name in [name for name, v in self._store.items() if isinstance(v, InterpolatedSignal)]:
+            self.channel(name)
         return MappingProxyType(self._store)
 
     def channel(self, name: str) -> np.ndarray:
         try:
-            return self._store[name]
+            values = self._store[name]
         except KeyError:
-            raise MissingChannelError(name, tuple(self.channels)) from None
+            raise MissingChannelError(name, tuple(self.names)) from None
+        if isinstance(values, InterpolatedSignal):
+            values = self._store[name] = values.values
+        return values
+
+    def extreme(self, name: str, stat: WindowStatKind, lo: int, hi: int) -> float | None:
+        """`stat` of channel `name` at samples lo .. hi, taken by this
+        trace without the channel's samples, or None. Plus 0.0 it has the
+        bits of `stat.of` over those samples. A trace answers max, min and
+        ptp of an `InterpolatedSignal` whose samples are not formed, from
+        its plan and coefficients (`InterpolatedSignal.extreme`), and gives
+        None for any other channel, and for a name it does not hold."""
+        signal = self._store.get(name)
+        if isinstance(signal, InterpolatedSignal):
+            return signal.extreme(stat, lo, hi)
+        return None
 
     def composed(self, expr: AtomExpr) -> np.ndarray | None:
         """The sum of the terms of `expr`, an expression of two or more
-        terms, at every sample, formed by this trace in one pass as a fresh
-        array the caller may write, or None. A trace of sampled channels
-        gives None: `AtomExpr.values` sums the channels term by term."""
+        terms, at every sample, formed by this trace in one pass as a
+        read-only array it may give again, or None. A trace of sampled
+        channels gives None: `AtomExpr.values` sums the channels term by
+        term."""
         return None
 
     def __repr__(self) -> str:
-        names = ", ".join(self.channels)
+        names = ", ".join(self.names)
         return f"Trace(grid=[0,{self.grid.end}] dt={self.grid.step}, channels=[{names}])"

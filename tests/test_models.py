@@ -382,6 +382,19 @@ class TestChasingCars:
         assert np.allclose(got, ref[:, [4, 3, 2, 1, 0]], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n, step", SCAN_GRIDS)
+    def test_cached_step_ops_keep_every_bit(self, n, step, monkeypatch):
+        cc = ChasingCars()
+        grid = TimeGrid((n - 1) * step, step)
+        u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
+        ops = cc._step_ops(step)
+        assert cc._step_ops(step) is ops
+        assert not any(op.flags.writeable for op in ops)
+        cached = cc.fast_sim(u, grid)
+        build = ChasingCars._step_ops.__func__.__wrapped__
+        monkeypatch.setattr(ChasingCars, "_step_ops", classmethod(build))
+        assert np.array_equal(cc.fast_sim(u, grid), cached)
+
+    @pytest.mark.parametrize("n, step", SCAN_GRIDS)
     def test_each_channel_alone_is_bitwise_the_full_run(self, n, step):
         cc = ChasingCars()
         grid = TimeGrid((n - 1) * step, step)

@@ -427,7 +427,7 @@ class TestResolveOnce:
         models._operators.clear()
         monkeypatch.setattr(signals, "_checked_plan", lambda *a: pytest.fail("plan looked up"))
         monkeypatch.setattr(ChasingCars, "fast_sim", lambda *a: pytest.fail("simulated"))
-        monkeypatch.setattr(signals._PchipPlan, "_sum", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr(signals._PchipPlan, "samples", lambda *a: pytest.fail("sampled"))
         for _ in range(2):
             check_problem(*args)
         assert not models._operators
