@@ -217,13 +217,13 @@ def simulate(
     same for the same coefficients, plans and grid, whichever other outputs
     are computed: each output is its own matrix-vector product. On a
     prefix of a grid they are bitwise the prefix of the outputs on the
-    whole grid (`_SAMPLE_BLOCK`). A DivergenceError then names the first
-    sample with a non-finite output.
-    The outputs are finite by a bound on the coefficients' magnitudes and
-    K's and Y0's (`_SUPERPOSED_SAFE`), and then each is formed only when
-    read, and a sum of outputs that the score reads is one product by a
-    composed operator (`_SuperposedTrace`); or else they are formed and
-    checked once, here, and the trace adopts them (`Trace.from_rows`).
+    whole grid (`_SAMPLE_BLOCK`). This path is taken only where a bound
+    on the coefficients' magnitudes and K's and Y0's (`_SUPERPOSED_SAFE`)
+    shows every output finite; each output is then formed only when read,
+    and a sum of outputs that the score reads is one product by a
+    composed operator (`_SuperposedTrace`). Past the bound the plant runs
+    its own `fast_sim`, so a DivergenceError names its own first
+    non-finite state, and the outputs are its own bit for bit.
     Every other call runs `fast_sim` on a block of the inputs' samples,
     which forms those of an `InterpolatedSignal` (`at_lite` reads every
     one), and its output block `Trace.from_block` copies and checks, or,
@@ -260,8 +260,9 @@ def simulate(
         and all(isinstance(s, InterpolatedSignal) for s in signals.values())
     ):
         op = _operator(model, tuple(s.plan for s in signals.values()), grid)
-        if op is not None:
-            return SimResult(_superposed(op, signals, grid))
+        trace = None if op is None else _superposed(op, signals, grid)
+        if trace is not None:
+            return SimResult(trace)
     # the samples first, formed here where no one read them before, so
     # that the block reuses the memory their forming freed
     columns = [signal.values for signal in signals.values()]
@@ -433,26 +434,18 @@ _SUPERPOSED_SAFE = 1e300
 _SUPERPOSED_MARGIN = 1e-6
 
 
-def _superposed(op: _Operator, signals: dict[str, Signal], grid: TimeGrid) -> Trace:
+def _superposed(op: _Operator, signals: dict[str, Signal], grid: TimeGrid) -> Trace | None:
     """The trace of Y0 + K x and the input `signals`, whose coefficients
-    are x: a `_SuperposedTrace` where the bound shows every output finite,
-    else the rows formed and checked finite here, and adopted."""
+    are x, where the bound shows every output finite, or else None, for
+    `simulate` to run `fast_sim` on the inputs' samples."""
     x = np.concatenate([s.coefficients for s in signals.values()])
     # on the Python floats, which overflow to inf silently; a NaN or an
-    # infinity fails the bound, and below it every output is finite
+    # infinity, as a pchip slope past its input's bound may be, fails the
+    # bound, and below it every output is finite
     size = sum(map(abs, x.tolist()))
     bound = size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max
-    if bound < _SUPERPOSED_SAFE:
-        return _SuperposedTrace.adopting(op, x, bound, signals, grid)
-    # overflow must surface as DivergenceError, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.matmul(x, op.K)
-        rows += op.y0
-        rows = rows[:, : grid.n_samples]
-        if not np.isfinite(rows).all():
-            finite = np.isfinite(rows).all(axis=0)
-            raise DivergenceError(int(np.argmin(finite)) * grid.step)
-    return Trace.from_rows(grid, tuple(op.rows), rows, signals)
+    safe = bound < _SUPERPOSED_SAFE
+    return _SuperposedTrace.adopting(op, x, bound, signals, grid) if safe else None
 
 
 class _SuperposedTrace(Trace):

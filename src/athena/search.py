@@ -405,10 +405,11 @@ def falsify(
     simulates, both from one walk over the score (`FitnessAssessment.reads`).
     The grid is the leading samples the score reads from the plant's
     outputs, simulated on read-only prefix views of the inputs
-    (`Signal.prefix`); when the score reads every sample, the inputs and
-    `grid` pass as they are. A manual window whose channels are all plant
-    inputs then reads the encoded inputs on the whole grid instead of the
-    simulated trace (`WindowStat`), so it does not lengthen the prefix.
+    (`InterpolatedSignal.prefix`); when the score reads every sample, the
+    inputs and `grid` pass as they are. A manual window whose channels are
+    all plant inputs then reads the encoded inputs on the whole grid
+    instead of the simulated trace (`WindowStat`), so it does not lengthen
+    the prefix.
     Each input is an `InterpolatedSignal`, so a `LinearPlant` is simulated
     by superposition over the inputs' coefficients (`models.simulate`).
     The plant computes only the outputs the score names, each as the

@@ -118,25 +118,6 @@ class Signal:
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", _read_only(values))
 
-    def prefix(self, grid: TimeGrid) -> "Signal":
-        """The first `grid.n_samples` samples, as a signal on `grid`, a
-        shorter grid with the same step.
-
-        The values are a read-only view of this signal's: they were checked
-        when it was built, so they are neither checked nor copied again. The
-        prefix of an `InterpolatedSignal` is one too, with the same plan and
-        coefficients, whose samples are formed on first read as a view of
-        the whole signal's.
-        """
-        if grid.step != self.grid.step or grid.n_samples >= self.grid.n_samples:
-            raise ValueError(
-                f"a prefix needs a shorter grid with step {self.grid.step}, got "
-                f"{grid.n_samples} samples at step {grid.step}"
-            )
-        if isinstance(self, InterpolatedSignal):
-            return _interpolated(grid, self.plan, self.coefficients, source=self._source or self)
-        return _adopt(grid, self.values[: grid.n_samples])
-
     def _held(self) -> "np.ndarray | InterpolatedSignal":
         """What a trace stores of this signal: its samples, or an
         `InterpolatedSignal` itself while they are not formed, for
@@ -148,8 +129,8 @@ class InterpolatedSignal(Signal):
     """A signal that `interpolate` built from control values, whose
     samples are formed on first read of `values`.
 
-    Its samples are linear in `coefficients`, a read-only finite array:
-    the port's control values and, for pchip, the Fritsch-Carlson slopes
+    Its samples are linear in `coefficients`, a read-only array: the
+    port's control values and, for pchip, the Fritsch-Carlson slopes
     after them. `plan` is the plan that samples them on its grid,
     `plan.grid`: `plan.basis()[i] @ coefficients` is sample i, up to
     rounding. A plant whose outputs are affine in its inputs by
@@ -157,23 +138,27 @@ class InterpolatedSignal(Signal):
     matrix-vector product over the coefficients (`models.simulate`), and
     never forms its samples.
 
-    The first read of `values` forms the samples from the coefficients
-    (`plan.samples`), with the same bits as samples formed at once, and
-    keeps them read-only: every later read returns the same array. The prefix of a signal (`Signal.prefix`) reads a view of the
-    whole signal's samples, formed once for both. `extreme` gives the
-    max, min or ptp of a window from the control points, without forming
-    the samples, while they are not formed.
+    Below the plan's overflow bound the coefficients are finite, and the
+    first read of `values` forms the samples from them (`plan.samples`),
+    with the same bits as samples formed at once, and keeps them
+    read-only: every later read returns the same array. Past it
+    `interpolate` has formed and checked the samples, and a pchip slope
+    may be infinite; a NaN or infinite coefficient sum fails the
+    superposition bound, so no product reads such coefficients. `prefix`
+    reads a view of the whole signal's samples, formed once for both.
+    `extreme` gives the max, min or ptp of a window from the control
+    points while the samples are not formed.
 
-    Only `interpolate` and `Signal.prefix` make one, and both store
-    references, not copies. The `Signal` constructor makes a plain signal,
-    even from an interpolated signal's values.
+    Only `interpolate` and `prefix` make one, and both store references,
+    not copies. The `Signal` constructor makes a plain signal, even from
+    an interpolated signal's values.
     """
 
     plan: "_HeldPlan | _LinearPlan | _PchipPlan"
     coefficients: np.ndarray
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("only interpolate and Signal.prefix make an InterpolatedSignal")
+        raise TypeError("only interpolate and prefix make an InterpolatedSignal")
 
     @property
     def values(self) -> np.ndarray:
@@ -188,6 +173,19 @@ class InterpolatedSignal(Signal):
 
     def _held(self) -> "np.ndarray | InterpolatedSignal":
         return self if self._values is None else self._values
+
+    def prefix(self, grid: TimeGrid) -> "InterpolatedSignal":
+        """The first `grid.n_samples` samples, as a signal on `grid`, a
+        shorter grid with the same step, with the same plan and
+        coefficients. Its samples are formed on first read, as a
+        read-only view of the whole signal's: they were checked, or need
+        no check, so they are neither checked nor copied again."""
+        if grid.step != self.grid.step or grid.n_samples >= self.grid.n_samples:
+            raise ValueError(
+                f"a prefix needs a shorter grid with step {self.grid.step}, got "
+                f"{grid.n_samples} samples at step {grid.step}"
+            )
+        return _interpolated(grid, self.plan, self.coefficients, source=self._source or self)
 
     def extreme(self, stat: "WindowStatKind", lo: int, hi: int) -> float | None:
         """`stat` of samples lo .. hi, for max, min and ptp, from the plan
@@ -209,18 +207,6 @@ class InterpolatedSignal(Signal):
         if stat is WindowStatKind.MIN:
             return smallest
         return self.plan.largest(c, lo, hi) - smallest
-
-
-def _adopt(grid: TimeGrid, values: np.ndarray) -> Signal:
-    """A Signal that holds `values` as they are, without a check or a copy.
-
-    The caller has checked `values` against `grid` and made them read-only,
-    and nothing else writes to them.
-    """
-    signal = object.__new__(Signal)
-    object.__setattr__(signal, "grid", grid)
-    object.__setattr__(signal, "values", values)
-    return signal
 
 
 def _interpolated(
@@ -424,26 +410,29 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
 
 # Every plan samples the grid it was built for, `grid`, from the values at
 # its control times, in two steps. `coefficients(values)` returns the
-# `n_coefficients` coefficients the samples are linear in, or None when
-# the plan cannot rule out an overflow in the samples; `samples(
-# coefficients)` then forms the samples, unchecked, and `sample(values)`
-# forms and checks them where `coefficients` returned None, and returns
-# them with the coefficients (None when those are not all finite).
+# `n_coefficients` coefficients the samples are linear in, and whether
+# they lie below the plan's bound, where no sample can overflow and every
+# coefficient is finite; `samples(coefficients)` then forms the samples,
+# unchecked. Past the bound `interpolate` forms and checks them at once.
 # `basis()` is the (samples, coefficients) matrix whose product with the
-# coefficients gives the samples, exact in exact arithmetic.
-# `largest(c, lo, hi)` is the largest of samples lo .. hi of the
-# coefficients `c`, as Python floats, up to the sign of a zero, from a
-# few samples per segment (`_Plan.layout`), with no pass over the rest.
+# coefficients gives the samples, exact in exact arithmetic: for the held
+# kinds its columns are 0 and 1. `largest(c, lo, hi)` is the largest of
+# samples lo .. hi of the coefficients `c`, as Python floats, up to the
+# sign of a zero, from a few samples per segment (`_Plan.layout`), with
+# no pass over the rest.
 
 
 class _Plan:
-    """What every plan shares: its grid, its coefficient count and the
-    layout of each window it was asked for."""
+    """What every plan shares: its grid, its coefficient count, its basis
+    and the layout of each window it was asked for."""
 
     def __init__(self, grid: TimeGrid, n_coefficients: int):
         self.grid = grid
         self.n_coefficients = n_coefficients
         self._layouts: dict[tuple[int, int], tuple] = {}
+
+    def basis(self) -> np.ndarray:
+        return np.column_stack([self.samples(e) for e in np.eye(self.n_coefficients)])
 
     def layout(self, lo: int, hi: int) -> tuple:
         """`_layout(lo, hi)`, kept for the last PLAN_CACHE_SIZE windows."""
@@ -475,15 +464,12 @@ class _HeldPlan(_Plan):
         super().__init__(grid, n_coefficients)
         self.held = _read_only(held)
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        # the control values, which are finite
-        return values
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+        # the control values, which are finite, as every sample is
+        return values, True
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         return coefficients[self.held]
-
-    def basis(self) -> np.ndarray:
-        return np.eye(self.n_coefficients)[self.held]
 
     def _layout(self, lo, hi):
         # the control points held in the window
@@ -527,14 +513,12 @@ class _LinearPlan(_Plan):
         # _LINEAR_SAFE over this, the largest |v| the bound allows
         self.spread = max(3.01, 2.01 / min(self.widths))
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray | None:
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
         # checked on the Python floats, as in _PchipPlan, with no slope
         # formed: below the bound every sample is finite
         v = values.tolist()
         limit = _LINEAR_SAFE / self.spread
-        if max(v) < limit and -min(v) < limit:
-            return values
-        return None
+        return values, max(v) < limit and -min(v) < limit
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         v = coefficients.tolist()
@@ -545,16 +529,6 @@ class _LinearPlan(_Plan):
         out += np.repeat(coefficients[:-1], self.counts)
         out[self.hits] = coefficients[self.points]
         return out
-
-    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # np.interp never warns: a slope that overflows stays inf, and inf
-        # times the zero offset at a control time is overwritten by the
-        # control value
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(self.samples(values)), values
-
-    def basis(self) -> np.ndarray:
-        return np.column_stack([self.samples(e) for e in np.eye(self.n_coefficients)])
 
     def _layout(self, lo, hi):
         # the control points the hits in the window take, and the segment
@@ -643,7 +617,7 @@ class _PchipPlan(_Plan):
         self.value_basis = float(np.max(np.abs(hermite[0::2])))
         self.slope_basis = float(np.max(np.abs(hermite[1::2])))
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray | None:
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
         v = values.tolist()
         m = _pchip_slopes(self.widths, v)
         # checked on the Python floats: entering np.errstate costs more
@@ -651,9 +625,8 @@ class _PchipPlan(_Plan):
         # every sample is finite, and so are both sums of magnitudes
         value_sum = sum(map(abs, v))
         slope_sum = sum(map(abs, m))
-        if value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE:
-            return _read_only(np.array(v + m))
-        return None
+        safe = value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE
+        return _read_only(np.array(v + m)), safe
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         # h00 * v[k] + h10h * m[k] + h01 * v[k + 1] + h11h * m[k + 1],
@@ -665,21 +638,6 @@ class _PchipPlan(_Plan):
         out += terms[3]
         out[self.hits] = coefficients[self.points]
         return out
-
-    def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        v = values.tolist()
-        m = _pchip_slopes(self.widths, v)
-        coefficients = _read_only(np.array(v + m))
-        # as in _LinearPlan: an infinite slope times the zero basis at a
-        # control time is overwritten by the control value
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _finite(self.samples(coefficients))
-        if not math.isfinite(sum(map(abs, v)) + sum(map(abs, m))):
-            coefficients = None
-        return out, coefficients
-
-    def basis(self) -> np.ndarray:
-        return np.column_stack([self.samples(e) for e in np.eye(self.n_coefficients)])
 
     def _layout(self, lo, hi):
         # the coefficients the hits in the window take; the segment and
@@ -818,7 +776,7 @@ def _plan(
 _plans_by_times: dict[int, tuple] = {}
 
 
-def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> Signal:
+def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> InterpolatedSignal:
     """Sample the interpolant of `cp` on every grid point.
 
     Control times must start at 0 and (for more than one point) end at
@@ -864,9 +822,7 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
     the control values, which are finite. A linear or pchip plan rules
     out an overflow by a bound on the coefficients (`_LINEAR_SAFE`,
     `_PCHIP_SAFE`); where the bound fails, this forms the samples at once
-    and checks them, and the signal holds them. When a pchip sum of
-    coefficient magnitudes is not finite, the result is a plain `Signal`
-    of the checked samples.
+    and checks them, and the signal holds them.
     """
     held = _plans_by_times.get(id(cp.times))
     if held is not None and held[1] is kind and held[2] is grid:
@@ -877,13 +833,15 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> S
         if len(_plans_by_times) >= PLAN_CACHE_SIZE:
             del _plans_by_times[next(iter(_plans_by_times))]
         _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
-    coefficients = plan.coefficients(cp.values)
-    if coefficients is not None:
+    coefficients, safe = plan.coefficients(cp.values)
+    if safe:
         return _interpolated(grid, plan, coefficients)
-    out, coefficients = plan.sample(cp.values)
-    if coefficients is None:
-        return _adopt(grid, _read_only(out))
-    return _interpolated(grid, plan, coefficients, _read_only(out))
+    # as np.interp, never a warning: a slope that overflows stays inf, and
+    # inf times the zero offset or basis at a control time is overwritten
+    # by the control value
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = plan.samples(coefficients)
+    return _interpolated(grid, plan, coefficients, _read_only(_finite(out)))
 
 
 def _checked_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):

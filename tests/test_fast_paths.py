@@ -287,8 +287,8 @@ def _interpolate_case(times, values, grid, kind=PCHIP):
 
 
 class TestPchipOverflowBound:
-    """`_PchipPlan.sample` enters np.errstate, and checks its samples, only
-    when its values and slopes could overflow; either way the samples are
+    """`interpolate` enters np.errstate, and checks pchip samples, only
+    when their values and slopes could overflow; either way the samples are
     the reference's."""
 
     @settings(max_examples=150, deadline=None)
@@ -361,10 +361,10 @@ LINEAR = InterpolationKind.LINEAR
 
 
 class TestLinearOverflowBound:
-    """`_LinearPlan.sample` computes the slopes on the Python floats and
-    enters np.errstate, and checks its samples, only when a segment's
-    slope and value could overflow; either way the samples are the
-    reference's."""
+    """`_LinearPlan.samples` computes the slopes on the Python floats, and
+    `interpolate` enters np.errstate, and checks the samples, only when a
+    segment's slope and value could overflow; either way the samples are
+    the reference's."""
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -44,6 +44,7 @@ from athena.signals import (
 )
 from athena.stl import Trace
 from oracles import interpolate_reference
+from test_overflow_edge import strict_json
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 KINDS = list(InterpolationKind)
@@ -350,6 +351,10 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
     assert any(name.endswith(".inputs.csv") for name in got)
+    # every JSON output is strict JSON: no NaN or Infinity constant
+    for name in got:
+        if name.endswith(".json"):
+            strict_json((tmp_path / name).read_text())
 
 
 if __name__ == "__main__":

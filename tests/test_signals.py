@@ -139,9 +139,17 @@ class TestControlPoints:
         assert not cp.times.flags.writeable and not cp.values.flags.writeable
 
 
+def linear_signal(end, step, values):
+    """The linear interpolant of `values` at evenly spaced control times,
+    one per grid sample, so its samples are `values`."""
+    grid = TimeGrid(end, step)
+    cp = ControlPoints(uniform_control_times(grid, len(values)), values)
+    return interpolate(cp, InterpolationKind.LINEAR, grid)
+
+
 class TestSignalPrefix:
     def test_read_only_view_of_the_first_samples(self):
-        s = make_signal(1.0, 0.1, np.arange(11.0))
+        s = linear_signal(1.0, 0.1, np.arange(11.0))
         short = TimeGrid(0.5, 0.1)
         p = s.prefix(short)
         assert p.grid == short
@@ -154,7 +162,7 @@ class TestSignalPrefix:
     )
     def test_needs_a_shorter_grid_with_the_same_step(self, grid):
         with pytest.raises(ValueError, match="prefix"):
-            make_signal(1.0, 0.1, np.zeros(11)).prefix(grid)
+            linear_signal(1.0, 0.1, np.zeros(11)).prefix(grid)
 
 
 class TestUniformControlTimes:

@@ -4,19 +4,21 @@ On interpolated inputs, `simulate` computes a `LinearPlant`'s outputs as
 Y0 + K x over the inputs' interpolation coefficients x, instead of calling
 `fast_sim`. The plant is affine by construction, so no declaration is
 checked. The outputs must agree with `fast_sim`'s within the stated bound
-(`AFFINE_RTOL`), replay bit for bit from a test case's inputs, and raise
-DivergenceError where they overflow, checked only when a bound does not
-rule that out. K is built by the first `simulate` that needs it, not by
-`resolve`. Every other plant and input keeps `fast_sim`. Each output row
-is formed only when read, bitwise as a row of the whole product, and a
-sum of outputs is one product by its composed operator, within the same
-bound of the per-channel sum, where no product can overflow, and within
-the operators' byte budget.
+(`AFFINE_RTOL`) and replay bit for bit from a test case's inputs. Where a
+bound does not rule out an overflow, the plant runs its own `fast_sim`,
+whose outcome, a DivergenceError or the outputs, plain copies of the
+inputs give bit for bit. K is built by the first `simulate` that needs
+it, not by `resolve`. Every other plant and input keeps `fast_sim`. Each
+output row is formed only when read, bitwise as a row of the whole
+product, and a sum of outputs is one product by its composed operator,
+within the same bound of the per-channel sum, where no product can
+overflow, and within the operators' byte budget.
 """
 
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,7 +225,6 @@ class TestCoefficients:
         assert isinstance(short, InterpolatedSignal)
         assert short.plan is signal.plan
         assert short.coefficients is signal.coefficients
-        assert type(Signal(grid, np.zeros(grid.n_samples)).prefix(TimeGrid(5.0, 0.5))) is Signal
 
     def test_no_public_constructor(self):
         grid = TimeGrid(1.0, 0.5)
@@ -251,13 +252,23 @@ class TestCoefficients:
         for kind in (InterpolationKind.LINEAR, InterpolationKind.PIECEWISE_CONSTANT):
             assert interpolate(cp, kind, grid).coefficients is cp.values
 
-    def test_non_finite_coefficient_sum_gives_a_plain_signal(self):
+    def test_non_finite_coefficient_sum_runs_fast_sim(self):
         # finite samples, but their coefficients' magnitudes overflow a sum
         grid = TimeGrid(10.0, 0.5)
-        cp = ControlPoints([0.0, 5.0, 10.0], [1e308, 1e308, 1e308])
-        signal = interpolate(cp, InterpolationKind.PCHIP, grid)
-        assert type(signal) is Signal
+        times = [0.0, 5.0, 10.0]
+        signal = interpolate(ControlPoints(times, [1e308] * 3), InterpolationKind.PCHIP, grid)
+        assert isinstance(signal, InterpolatedSignal)
+        # formed at once, past the pchip bound
+        assert signal._values is not None
         assert (signal.values == 1e308).all()
+        cc = ChasingCars()
+        zero = interpolate(ControlPoints(times, [0.0] * 3), InterpolationKind.PCHIP, grid)
+        simulate(cc, {"throttle": zero, "brake": zero}, grid)  # builds the operator
+        inputs = {"throttle": signal, "brake": zero}
+        with _counting_fast_sim() as fast_sim:
+            outcome = _outcome(cc, inputs, grid)
+        assert fast_sim.call_count == 1
+        assert _same_outcome(outcome, _outcome(cc, _plain(inputs, grid), grid))
 
 
 class TestDivergence:
@@ -277,14 +288,11 @@ class TestDivergence:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
                 simulate(cc, inputs, grid)
-            # the first sample at which Y0 + K x is not finite
-            op = models._operator(cc, tuple(s.plan for s in inputs.values()), grid)
-            x = np.concatenate([s.coefficients for s in inputs.values()])
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = x @ op.K + op.y0
-        first = int(np.argmin(np.isfinite(rows).all(axis=0)))
-        assert 0 < first < grid.n_samples
-        assert info.value.time == first * grid.step
+            # the plant's own first non-finite state
+            with pytest.raises(DivergenceError) as own:
+                _fast(cc, inputs, grid)
+        assert 0 < info.value.time < grid.end
+        assert info.value.time == own.value.time
 
     def test_oversized_box_diverges_in_the_search(self):
         cfg = ExperimentConfig(
@@ -389,22 +397,100 @@ class TestOverflowBound:
         assert op.k_max == np.abs(op.K).max()
         assert op.y0_max == np.abs(op.y0).max()
 
-    def test_unchecked_rows_equal_checked_ones(self, monkeypatch):
+    def test_past_the_bound_the_plant_runs_fast_sim(self, monkeypatch):
         problem = resolve(ExperimentConfig(entry="CC1"))
-        a, grid = problem.assumption, problem.grid
+        a, grid, plant = problem.assumption, problem.grid, problem.plant
         inputs = _candidate_inputs(problem, a.lower + 0.7 * a.width, grid)
-        outputs = problem.plant.port_spec.outputs
-        simulate(problem.plant, inputs, grid)  # builds the operator
+        outputs = plant.port_spec.outputs
+        simulate(plant, inputs, grid)  # builds the operator
         checked = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda x: checked.append(1) or isfinite(x))
-        fast = _rows(simulate(problem.plant, inputs, grid).trace, outputs)
+        _rows(simulate(plant, inputs, grid).trace, outputs)
         assert checked == []
-        # forced down the checked path, the same product gives the same bits
+        monkeypatch.undo()
+        # forced past the bound, the plant's own outputs bit for bit
         monkeypatch.setattr(models, "_SUPERPOSED_SAFE", 0.0)
-        slow = _rows(simulate(problem.plant, inputs, grid).trace, outputs)
-        assert checked == [1]
-        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+        with _counting_fast_sim() as fast_sim:
+            got = _rows(simulate(plant, inputs, grid).trace, outputs)
+        assert fast_sim.call_count == 1
+        assert np.array_equal(got.view(np.int64), _fast(plant, inputs, grid).view(np.int64))
+
+
+def _counting_fast_sim():
+    """`LinearPlant.fast_sim`, wrapped to count its calls; a subclass that
+    inherits it still reaches superposition."""
+    fast_sim = models.LinearPlant.fast_sim
+    return mock.patch.object(models.LinearPlant, "fast_sim", autospec=True, side_effect=fast_sim)
+
+
+def _plain(inputs, grid):
+    return {name: Signal(grid, signal.values) for name, signal in inputs.items()}
+
+
+def _outcome(plant, inputs, grid):
+    """Every output row of `simulate`, or the time of its DivergenceError."""
+    try:
+        return _rows(simulate(plant, inputs, grid).trace, plant.port_spec.outputs)
+    except DivergenceError as exc:
+        return exc.time
+
+
+def _same_outcome(a, b):
+    """The same divergence time, or the same outputs bit for bit."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and a == b
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPastTheBound:
+    """Where the inputs' coefficients fail the superposition bound,
+    `simulate` runs the plant's own `fast_sim` on their samples, so its
+    outcome is the one plain copies of the inputs give: the same
+    DivergenceError time, or the same outputs bit for bit."""
+
+    @pytest.mark.parametrize(
+        "box, diverges",
+        [
+            ("throttle:pchip:1e305,1e306:7;brake:pchip:0,1:3", True),
+            ("throttle:linear:-8e307,8e307:4;brake:pchip:0,1:3", True),
+            ("throttle:pchip:0,1:7;brake:pconst:0,1e306:3", True),
+            ("throttle:const:-1e306,1e306:1;brake:linear:0,1:3", True),
+            # past the bound, yet every output finite
+            ("throttle:pchip:1e295,1e297:7;brake:pchip:0,1:3", False),
+            ("throttle:linear:-1e297,1e297:4;brake:pchip:0,1:3", False),
+            ("throttle:pchip:0,1:7;brake:pconst:1e295,1e297:3", False),
+            ("throttle:const:-1e297,1e297:1;brake:linear:0,1:3", False),
+        ],
+    )
+    def test_the_outcome_of_plain_copies(self, box, diverges):
+        a = parse_assumption(box)
+        grid = catalog("CC1").grid()
+        cc = ChasingCars()
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            vector = a.lower + a.width * rng.random(a.dim)
+            inputs = encode_inputs(a, a.control_points(vector, grid), grid)
+            assert all(isinstance(s, InterpolatedSignal) for s in inputs.values())
+            models._operator(cc, tuple(s.plan for s in inputs.values()), grid)
+            with _counting_fast_sim() as fast_sim:
+                got = _outcome(cc, inputs, grid)
+            assert isinstance(got, float) is diverges
+            assert _same_outcome(got, _outcome(cc, _plain(inputs, grid), grid))
+            # past the bound: the plant's own scan, once
+            assert fast_sim.call_count == 1
+
+    def test_below_the_bound_no_fast_sim(self):
+        a = parse_assumption("throttle:pchip:0,1:7;brake:pconst:0,1:3")
+        grid = catalog("CC1").grid()
+        cc = ChasingCars()
+        inputs = encode_inputs(a, a.control_points(a.lower + 0.3 * a.width, grid), grid)
+        simulate(cc, inputs, grid)  # builds the operator
+        with _counting_fast_sim() as fast_sim:
+            trace = simulate(cc, inputs, grid).trace
+            _rows(trace, cc.port_spec.outputs)
+        assert fast_sim.call_count == 0
+        assert isinstance(trace, models._SuperposedTrace)
 
 
 class TestResolveOnce:
