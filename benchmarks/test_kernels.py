@@ -28,7 +28,11 @@ cases time one `interpolate` call on a warm plan, for one input port of
 AT2, for CC1's 7-point and 3-point ports and for the passthrough
 workload's port, and for a 9-point pchip port on the passthrough
 workload's 12001-sample grid: the coefficients alone, since the samples
-are formed on their first read. The `extreme` cases time the max, min or
+are formed on their first read. The `coefficients` cases time the part of
+such a call that depends on the control values, one warm
+`plan.coefficients` call: on CC1's pchip ports and AT2's, the
+Fritsch-Carlson slopes, the overflow bound and the coefficient array.
+The `extreme` cases time the max, min or
 ptp of a window over one such port taken from its control points
 (`InterpolatedSignal.extreme`), with its samples not formed: CC1's
 min(throttle) and max(brake) windows, and a ptp over the passthrough
@@ -257,6 +261,16 @@ def test_interpolate(benchmark, case):
     interpolate(cp, port.kind, grid)  # builds the plan outside the timing
     signal = benchmark(interpolate, cp, port.kind, grid)
     assert len(signal.values) == grid.n_samples
+
+
+@pytest.mark.parametrize("case", ["CC1-throttle", "CC1-brake", "AT2-Throttle"])
+def test_coefficients(benchmark, case):
+    port, grid = _port_and_grid(case)
+    values = np.random.default_rng(0).uniform(port.lo, port.hi, port.n)
+    cp = ControlPoints(uniform_control_times(grid, port.n), values)
+    plan = interpolate(cp, port.kind, grid).plan  # built outside the timing
+    coefficients, _, safe = benchmark(plan.coefficients, cp.values)
+    assert safe and len(coefficients) == plan.n_coefficients
 
 
 @pytest.mark.parametrize(

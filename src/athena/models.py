@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DivergenceError, PortMismatchError
+from .errors import DivergenceError, PortMismatchError, quiet_overflow
 from .signals import InterpolatedSignal, Signal, TimeGrid
 from .stl import AtomExpr, Trace
 
@@ -294,6 +294,11 @@ SUPERPOSITION_CACHE_BYTES = 16 << 20
 _SAMPLE_BLOCK = 16
 
 
+# What a memo of sums gives for terms it has not seen; None is a sum that
+# is not composed, and is kept.
+_UNSEEN = object()
+
+
 class _Operator:
     """K and Y0 of `simulate`'s superposed path, both read-only: K is
     (outputs, coefficients, padded samples) and Y0 (outputs, padded
@@ -330,11 +335,10 @@ class _Operator:
         Terms equal but for the sign of a zero coefficient share one: the
         sums start from +0.0, to which a zero product adds nothing."""
         terms = expr.terms
-        try:
-            return self.sums[terms]
-        except KeyError:
+        summed = self.sums.get(terms, _UNSEEN)
+        if summed is _UNSEEN:
             summed = self.sums[terms] = self._compose(terms)
-            return summed
+        return summed
 
     def _compose(self, terms: tuple[tuple[str, float], ...]) -> _Sum | None:
         rows = [self.rows.get(name) for name, _ in terms]
@@ -434,18 +438,29 @@ _SUPERPOSED_SAFE = 1e300
 _SUPERPOSED_MARGIN = 1e-6
 
 
-def _superposed(op: _Operator, signals: dict[str, Signal], grid: TimeGrid) -> Trace | None:
+def _superposed(
+    op: _Operator, signals: dict[str, InterpolatedSignal], grid: TimeGrid
+) -> Trace | None:
     """The trace of Y0 + K x and the input `signals`, whose coefficients
     are x, where the bound shows every output finite, or else None, for
-    `simulate` to run `fast_sim` on the inputs' samples."""
-    x = np.concatenate([s.coefficients for s in signals.values()])
+    `simulate` to run `fast_sim` on the inputs' samples.
+
+    x and its magnitude sum are formed from the Python floats that
+    `interpolate` made of the coefficients and the signals carry (a held
+    kind's signal carries none, and gives its array's), in port order:
+    the bits of the concatenated arrays and of their left-to-right sum."""
+    floats = []
+    for s in signals.values():
+        c = s._floats
+        floats += s.coefficients.tolist() if c is None else c
     # on the Python floats, which overflow to inf silently; a NaN or an
     # infinity, as a pchip slope past its input's bound may be, fails the
     # bound, and below it every output is finite
-    size = sum(map(abs, x.tolist()))
+    size = sum(map(abs, floats))
     bound = size * op.k_max * (1.0 + _SUPERPOSED_MARGIN) + op.y0_max
-    safe = bound < _SUPERPOSED_SAFE
-    return _SuperposedTrace.adopting(op, x, bound, signals, grid) if safe else None
+    if not bound < _SUPERPOSED_SAFE:
+        return None
+    return _SuperposedTrace.adopting(op, np.array(floats), bound, signals, grid)
 
 
 class _SuperposedTrace(Trace):
@@ -469,8 +484,18 @@ class _SuperposedTrace(Trace):
     @classmethod
     def adopting(cls, op: _Operator, x: np.ndarray, bound: float, signals, grid) -> Trace:
         """The trace of `op`'s outputs at x, with no row formed yet, and
-        of `signals`, adopted as `Trace.from_rows` adopts them."""
-        trace = cls.from_rows(grid, (), np.empty((0, grid.n_samples)), signals)
+        of `signals`, adopted as `Trace.from_rows` adopts them: each signal
+        on `grid` itself as it is, and all of them through the checking
+        constructor where one is on another grid, even an equal one."""
+        store = {}
+        for name, signal in signals.items():
+            if signal.grid is not grid:
+                store = Trace(grid, signals)._store
+                break
+            store[name] = signal._held()
+        trace = object.__new__(cls)
+        trace.grid = grid
+        trace._store = store
         trace._op = op
         trace._x = x
         trace._bound = bound
@@ -497,10 +522,9 @@ class _SuperposedTrace(Trace):
 
     def composed(self, expr: AtomExpr) -> np.ndarray | None:
         terms = expr.terms
-        try:
-            return self._sums[terms]
-        except KeyError:
-            pass
+        out = self._sums.get(terms, _UNSEEN)
+        if out is not _UNSEEN:
+            return out
         summed = self._op.composed(expr)
         out = None
         if summed is not None and summed.scale * self._bound < _SUPERPOSED_SAFE:
@@ -649,7 +673,7 @@ class LinearPlant(PlantModel):
 
     # Python floats overflow silently and numpy must too, so that an
     # overflow surfaces as DivergenceError and not as a warning
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet_overflow
     def fast_sim(self, u, grid):
         n = grid.n_samples
         m = u.shape[1]
@@ -780,7 +804,7 @@ class AutoTransmissionLite(PlantModel):
 
     # Python floats overflow silently and numpy must too, so that an
     # overflow surfaces as DivergenceError and not as a warning
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet_overflow
     def fast_sim(self, u, grid):
         # scalar RK4 on speed; the gear is held through the step
         dt = grid.step

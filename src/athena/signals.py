@@ -131,12 +131,15 @@ class InterpolatedSignal(Signal):
 
     Its samples are linear in `coefficients`, a read-only array: the
     port's control values and, for pchip, the Fritsch-Carlson slopes
-    after them. `plan` is the plan that samples them on its grid,
-    `plan.grid`: `plan.basis()[i] @ coefficients` is sample i, up to
-    rounding. A plant whose outputs are affine in its inputs by
-    construction (`models.LinearPlant`) then simulates the signal as a
-    matrix-vector product over the coefficients (`models.simulate`), and
-    never forms its samples.
+    after them. A linear or pchip signal also keeps them as the list of
+    Python floats its plan made the array from, bitwise the array's,
+    which `models.simulate` and `extreme` read instead of converting the
+    array again; a held kind's signal keeps none. `plan` is the plan that
+    samples them on its grid, `plan.grid`: `plan.basis()[i] @
+    coefficients` is sample i, up to rounding. A plant whose outputs are
+    affine in its inputs by construction (`models.LinearPlant`) then
+    simulates the signal as a matrix-vector product over the coefficients
+    (`models.simulate`), and never forms its samples.
 
     Below the plan's overflow bound the coefficients are finite, and the
     first read of `values` forms the samples from them (`plan.samples`),
@@ -185,7 +188,9 @@ class InterpolatedSignal(Signal):
                 f"a prefix needs a shorter grid with step {self.grid.step}, got "
                 f"{grid.n_samples} samples at step {grid.step}"
             )
-        return _interpolated(grid, self.plan, self.coefficients, source=self._source or self)
+        return _interpolated(
+            grid, self.plan, self.coefficients, self._floats, source=self._source or self
+        )
 
     def extreme(self, stat: "WindowStatKind", lo: int, hi: int) -> float | None:
         """`stat` of samples lo .. hi, for max, min and ptp, from the plan
@@ -200,7 +205,9 @@ class InterpolatedSignal(Signal):
             return None
         if self._source is not None and self._source._values is not None:
             return None
-        c = self.coefficients.tolist()
+        c = self._floats
+        if c is None:
+            c = self.coefficients.tolist()
         if stat is WindowStatKind.MAX:
             return self.plan.largest(c, lo, hi)
         smallest = -self.plan.largest([-x for x in c], lo, hi)
@@ -210,9 +217,10 @@ class InterpolatedSignal(Signal):
 
 
 def _interpolated(
-    grid: TimeGrid, plan, coefficients: np.ndarray, values=None, source=None
+    grid: TimeGrid, plan, coefficients: np.ndarray, floats, values=None, source=None
 ) -> InterpolatedSignal:
     """An InterpolatedSignal on `grid` of `plan` and its `coefficients`,
+    and `floats`, the same coefficients as a list of Python floats or None,
     held as they are: with `values`, samples checked and made read-only by
     the caller, or else formed on first read, from the coefficients or,
     for a prefix, as a view of the samples of `source`, the whole signal.
@@ -222,7 +230,14 @@ def _interpolated(
     object.__setattr__(
         signal,
         "__dict__",
-        {"grid": grid, "plan": plan, "coefficients": coefficients, "_values": values, "_source": source},
+        {
+            "grid": grid,
+            "plan": plan,
+            "coefficients": coefficients,
+            "_floats": floats,
+            "_values": values,
+            "_source": source,
+        },
     )
     return signal
 
@@ -369,36 +384,11 @@ def uniform_control_times(grid: TimeGrid, n: int) -> np.ndarray:
     return _read_only(times)
 
 
-def _pchip_slopes(h: tuple[float, ...], v: list[float]) -> list[float]:
-    """Fritsch-Carlson monotone slopes at each control point.
-
-    Interior slopes are the weighted harmonic mean of adjacent secants
-    (zero on sign change or at local extrema); endpoint slopes use the
-    non-centered three-point formula clamped for monotonicity. Python
-    floats give the same IEEE results as numpy float64, and `/` and `*`
-    overflow silently: a near-zero secant makes w/d infinite, and the
-    infinite denominator gives the correct limit slope of 0.
-    """
-    d = [(v[k + 1] - v[k]) / h[k] for k in range(len(h))]
-    if len(d) == 1:
-        return [d[0], d[0]]
-    m = [0.0] * len(v)
-    for k in range(1, len(v) - 1):
-        d0, d1 = d[k - 1], d[k]
-        if d0 != 0.0 and d1 != 0.0 and (d0 > 0) == (d1 > 0):
-            w1 = 2.0 * h[k] + h[k - 1]
-            w2 = h[k] + 2.0 * h[k - 1]
-            den = w1 / d0 + w2 / d1
-            # two infinite secants give a signed zero, which numpy divides
-            # into a signed infinity where Python raises
-            m[k] = (w1 + w2) / den if den else math.copysign(math.inf, den)
-    m[0] = _edge_slope(h[0], h[1], d[0], d[1])
-    m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
-    return m
-
-
-def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
-    m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+def _edge_slope(w: float, h0: float, s: float, d0: float, d1: float) -> float:
+    """An endpoint slope, from the edge's weights w = 2 h0 + h1 and s = h0 +
+    h1, its own width h0, its secant d0 and the next one d1: the
+    non-centered three-point formula, clamped for monotonicity."""
+    m = (w * d0 - h0 * d1) / s
     # signs as (x > 0) - (x < 0), written out: a NaN has sign 0
     sign0 = (d0 > 0.0) - (d0 < 0.0)
     if (m > 0.0) - (m < 0.0) != sign0:
@@ -410,10 +400,12 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
 
 # Every plan samples the grid it was built for, `grid`, from the values at
 # its control times, in two steps. `coefficients(values)` returns the
-# `n_coefficients` coefficients the samples are linear in, and whether
-# they lie below the plan's bound, where no sample can overflow and every
-# coefficient is finite; `samples(coefficients)` then forms the samples,
-# unchecked. Past the bound `interpolate` forms and checks them at once.
+# `n_coefficients` coefficients the samples are linear in, as a read-only
+# array and, where the plan made them on the way (linear and pchip), as
+# the list of Python floats it made, else None, and whether they lie below
+# the plan's bound, where no sample can overflow and every coefficient is
+# finite; `samples(coefficients)` then forms the samples, unchecked. Past
+# the bound `interpolate` forms and checks them at once.
 # `basis()` is the (samples, coefficients) matrix whose product with the
 # coefficients gives the samples, exact in exact arithmetic: for the held
 # kinds its columns are 0 and 1. `largest(c, lo, hi)` is the largest of
@@ -464,9 +456,9 @@ class _HeldPlan(_Plan):
         super().__init__(grid, n_coefficients)
         self.held = _read_only(held)
 
-    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, None, bool]:
         # the control values, which are finite, as every sample is
-        return values, True
+        return values, None, True
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         return coefficients[self.held]
@@ -513,12 +505,12 @@ class _LinearPlan(_Plan):
         # _LINEAR_SAFE over this, the largest |v| the bound allows
         self.spread = max(3.01, 2.01 / min(self.widths))
 
-    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, list[float], bool]:
         # checked on the Python floats, as in _PchipPlan, with no slope
         # formed: below the bound every sample is finite
         v = values.tolist()
         limit = _LINEAR_SAFE / self.spread
-        return values, max(v) < limit and -min(v) < limit
+        return values, v, max(v) < limit and -min(v) < limit
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         v = coefficients.tolist()
@@ -602,6 +594,19 @@ class _PchipPlan(_Plan):
         n = len(widths) + 1
         super().__init__(grid, 2 * n)
         self.widths = widths
+        # what the Fritsch-Carlson weights take from the widths alone
+        # (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980): w1 = 2 h_k
+        # + h_(k-1), w2 = h_k + 2 h_(k-1) and w1 + w2 at each interior point
+        # k, and at each edge, with h0 its own width and h1 the next, 2 h0 +
+        # h1, h0 and h0 + h1; one segment has no edge weights, as both its
+        # slopes are its secant
+        h = widths
+        weights = [(2.0 * b + a, b + 2.0 * a) for a, b in zip(h, h[1:])]
+        self.interior = tuple((w1, w2, w1 + w2) for w1, w2 in weights)
+        self.first = self.last = None
+        if n > 2:
+            self.first = (2.0 * h[0] + h[1], h[0], h[0] + h[1])
+            self.last = (2.0 * h[-1] + h[-2], h[-1], h[-1] + h[-2])
         k = np.arange(n - 1)
         self.terms = _read_only(np.stack([k, n + k, k + 1, n + k + 1]))
         self.counts = _read_only(np.bincount(seg, minlength=n - 1))
@@ -617,16 +622,49 @@ class _PchipPlan(_Plan):
         self.value_basis = float(np.max(np.abs(hermite[0::2])))
         self.slope_basis = float(np.max(np.abs(hermite[1::2])))
 
-    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+    def slopes(self, v: list[float]) -> list[float]:
+        """Fritsch-Carlson monotone slopes at the control values `v`.
+
+        Interior slopes are the weighted harmonic mean of adjacent secants
+        (zero on sign change or at local extrema); endpoint slopes use the
+        non-centered three-point formula clamped for monotonicity
+        (`_edge_slope`). The weights come from the plan, so a call forms
+        only the secants, the harmonic means and the edge clamps. Python
+        floats give the same IEEE results as numpy float64, and `/` and
+        `*` overflow silently: a near-zero secant makes w/d infinite, and
+        the infinite denominator gives the correct limit slope of 0.
+        """
+        d = [(b - a) / h for a, b, h in zip(v, v[1:], self.widths)]
+        if len(d) == 1:
+            return [d[0], d[0]]
+        m = [0.0] * len(v)
+        k = 1
+        for w1, w2, w12 in self.interior:
+            d0 = d[k - 1]
+            d1 = d[k]
+            if d0 != 0.0 and d1 != 0.0 and (d0 > 0) == (d1 > 0):
+                den = w1 / d0 + w2 / d1
+                # two infinite secants give a signed zero, which numpy
+                # divides into a signed infinity where Python raises
+                m[k] = w12 / den if den else math.copysign(math.inf, den)
+            k += 1
+        w, h0, s = self.first
+        m[0] = _edge_slope(w, h0, s, d[0], d[1])
+        w, h0, s = self.last
+        m[-1] = _edge_slope(w, h0, s, d[-1], d[-2])
+        return m
+
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, list[float], bool]:
         v = values.tolist()
-        m = _pchip_slopes(self.widths, v)
+        m = self.slopes(v)
         # checked on the Python floats: entering np.errstate costs more
         # than the check, and a NaN or infinity fails it; below the bound
         # every sample is finite, and so are both sums of magnitudes
         value_sum = sum(map(abs, v))
         slope_sum = sum(map(abs, m))
         safe = value_sum * self.value_basis + slope_sum * self.slope_basis < _PCHIP_SAFE
-        return _read_only(np.array(v + m)), safe
+        c = v + m
+        return _read_only(np.array(c)), c, safe
 
     def samples(self, coefficients: np.ndarray) -> np.ndarray:
         # h00 * v[k] + h10h * m[k] + h01 * v[k + 1] + h11h * m[k + 1],
@@ -810,13 +848,17 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> I
     Each call computes the coefficients the samples are linear in:
     `cp.values` itself for the held and linear kinds, and for pchip a
     fresh array of the control values followed by their Fritsch-Carlson
-    slopes. The result is an `InterpolatedSignal` that holds the plan
-    and the coefficients, and forms its samples from them on the first
-    read of its `values`, bitwise as the plan samples them, into a fresh
-    array it keeps read-only. A plant simulated by superposition, and a
-    window that takes the max, min or ptp of the signal
-    (`InterpolatedSignal.extreme`), read only the coefficients, so a run
-    that reads nothing else never forms the samples.
+    slopes, of which the plan holds every weight that depends only on the
+    control times, so a call forms only the secants, the harmonic means
+    and the edge clamps. The result is an `InterpolatedSignal` that holds
+    the plan and the coefficients, for the linear and pchip kinds also as
+    the Python floats the plan made on the way, and forms its samples
+    from them on the first read of its `values`, bitwise as the plan
+    samples them, into a fresh array it keeps read-only. A plant
+    simulated by superposition, and a window that takes the max, min or
+    ptp of the signal (`InterpolatedSignal.extreme`), read only the
+    coefficients, so a run that reads nothing else never forms the
+    samples.
 
     The samples are finite, or this raises ValueError. A held plan copies
     the control values, which are finite. A linear or pchip plan rules
@@ -833,15 +875,15 @@ def interpolate(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid) -> I
         if len(_plans_by_times) >= PLAN_CACHE_SIZE:
             del _plans_by_times[next(iter(_plans_by_times))]
         _plans_by_times[id(cp.times)] = (cp.times, kind, grid, plan)
-    coefficients, safe = plan.coefficients(cp.values)
+    coefficients, floats, safe = plan.coefficients(cp.values)
     if safe:
-        return _interpolated(grid, plan, coefficients)
+        return _interpolated(grid, plan, coefficients, floats)
     # as np.interp, never a warning: a slope that overflows stays inf, and
     # inf times the zero offset or basis at a control time is overwritten
     # by the control value
     with np.errstate(over="ignore", invalid="ignore"):
         out = plan.samples(coefficients)
-    return _interpolated(grid, plan, coefficients, _read_only(_finite(out)))
+    return _interpolated(grid, plan, coefficients, floats, _read_only(_finite(out)))
 
 
 def _checked_plan(cp: ControlPoints, kind: InterpolationKind, grid: TimeGrid):
@@ -924,8 +966,15 @@ def steepest_slope(
 
 
 def scale(value: float, range_: tuple[float, float]) -> float:
-    """Affine map of `value` from [lo, hi] onto [0, 1], clamped."""
+    """Affine map of `value` from [lo, hi] onto [0, 1], clamped.
+
+    A NaN stays NaN, so that a score that reads it fails as one that reads
+    the value unscaled does; the clamp alone would make it 0.0, as `max`
+    keeps its first argument against a NaN."""
     lo, hi = range_
     if not lo < hi:
         raise ValueError(f"scale range must have lo < hi, got [{lo}, {hi}]")
-    return min(1.0, max(0.0, (value - lo) / (hi - lo)))
+    x = (value - lo) / (hi - lo)
+    if x != x:
+        return x
+    return min(1.0, max(0.0, x))

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import athena
 from athena.catalog import catalog
-from athena.errors import DivergenceError, PortMismatchError
+from athena.errors import DivergenceError, PortMismatchError, ignoring_overflow
 from athena import models
 from athena.models import (
     AFFINE_RTOL,
@@ -928,3 +929,25 @@ class TestAutoTransmissionLite:
         in_between = (speed < 14.9) & (speed > 12.1)
         assert np.any(in_between & (gear == 2.0))
         assert gear[-1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "name, level, time",
+    [("at_lite", 8.9e307, 34.4), ("chasing_cars", 1e307, 2.85)],
+)
+def test_direct_fast_sim_overflow_is_quiet(name, level, time):
+    # called straight, outside the search's ignoring_overflow, the plant
+    # enters its own error state: no warning, and the DivergenceError time
+    # it gives inside ignoring_overflow
+    grid = TimeGrid(50.0, 0.05)
+    plant = builtin(name)
+    u = np.zeros((grid.n_samples, 2))
+    u[:, 0] = level
+    times = []
+    for context in (contextlib.nullcontext, ignoring_overflow):
+        with warnings.catch_warnings(), context():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                plant.fast_sim(u, grid)
+        times.append(exc.value.time)
+    assert times[0] == times[1] == pytest.approx(time, abs=1e-9)

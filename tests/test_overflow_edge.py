@@ -73,3 +73,27 @@ def test_runs_finish_with_ordinary_rows_and_strict_json(plant, box):
     for row in report.rows:
         assert row.error is None or row.error.startswith("ValueError: ")
     strict_json(json.dumps(report.to_dict(timing=False)))
+
+
+@pytest.mark.parametrize(
+    "manual",
+    ["scale(max(2 * y - 2 * x,[0,1]),[0,1])", "max(2 * y - 2 * x,[0,1])"],
+    ids=["scaled", "unscaled"],
+)
+def test_nan_window_ends_the_run_with_an_error_row(manual):
+    # 2 * y and 2 * x overflow to inf, and their difference is NaN: scaled
+    # or not, the manual fitness is NaN, which ends each run at its first
+    # simulation with the same error, not with a score
+    cfg = ExperimentConfig(
+        plant=builtin("passthrough"),
+        formula_text="G[0,1] (y >= 0)",
+        manual_text=manual,
+        assumption=parse_assumption("x:linear:1.5e308,1.7e308:2"),
+        step=0.5,
+        repetitions=2,
+        search=SearchConfig(max_iterations=5),
+    )
+    for row in run_experiment(cfg).rows:
+        assert row.iterations == 1
+        assert row.best_combined is None
+        assert row.error == "ValueError: fitness parts must be finite, got fa=1.0, fm=nan"

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from athena import signals
@@ -24,11 +24,22 @@ from athena.signals import (
     window_stat,
 )
 
-from oracles import interpolate_reference, pchip_oracle
+from oracles import _ref_pchip_slopes, interpolate_reference, pchip_oracle
 
 
 def make_signal(end, step, values):
     return Signal(TimeGrid(end, step), np.asarray(values, dtype=float))
+
+
+def _pchip_slopes(times, values):
+    """The Fritsch-Carlson slopes at `values` of the pchip plan over the
+    control `times`, built on a grid of one step from 0 to the last."""
+    plan = signals._plan(InterpolationKind.PCHIP, TimeGrid(times[-1], times[-1]), tuple(times))
+    return plan.slopes(list(values))
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
 
 
 class TestTimeGrid:
@@ -374,7 +385,7 @@ class TestInterpolateMatchesReference:
             cp = ControlPoints(uniform_control_times(grid, len(values)), values)
             got = interpolate(cp, kind, grid).values
             assert np.array_equal(got, interpolate_reference(cp, kind, grid))
-        assert signals._pchip_slopes((5.0, 5.0), [0.0, 1e-310, 3e-310])[1] == 0.0
+        assert _pchip_slopes((0.0, 5.0, 10.0), [0.0, 1e-310, 3e-310])[1] == 0.0
 
 
     @pytest.mark.parametrize(
@@ -418,7 +429,7 @@ class TestInterpolateMatchesReference:
             got = interpolate(cp, InterpolationKind.PCHIP, grid).values
             want = interpolate_reference(cp, InterpolationKind.PCHIP, grid)
         assert np.array_equal(got, want)
-        assert signals._pchip_slopes((0.5, 0.5), [-1e308, 0.0, 1e308])[1] == np.inf
+        assert _pchip_slopes((0.0, 0.5, 1.0), [-1e308, 0.0, 1e308])[1] == np.inf
 
     def test_pchip_near_coincident_times_stay_silent(self):
         # the first secant is infinite; its slope times the zero basis at
@@ -429,6 +440,44 @@ class TestInterpolateMatchesReference:
         with np.errstate(all="ignore"):
             want = interpolate_reference(cp, InterpolationKind.PCHIP, grid)
         assert np.array_equal(got, want)
+
+
+# flat runs at non-round values, signed zeros, subnormals and magnitudes
+# near the float maximum, among any finite values
+_SLOPE_VALUES = st.one_of(
+    st.sampled_from([0.1, 7.3, -0.0, 0.0, 5e-324, -2.5e-310, 1.5e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _slope_cases(draw):
+    n = draw(st.integers(2, 8))
+    widths = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-6, 1e3)),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    times = np.concatenate([[0.0], np.cumsum(widths)])
+    assume(np.all(np.diff(times) > 0.0))
+    return times.tolist(), draw(st.lists(_SLOPE_VALUES, min_size=n, max_size=n))
+
+
+class TestPchipSlopes:
+    @settings(max_examples=300, deadline=None)
+    @given(_slope_cases())
+    @example(([0.0, 0.3, 1.0, 1.25, 4.0], [0.1, 0.1, 0.1, 7.3, 7.3]))
+    @example(([0.0, 0.3, 1.0, 1.25, 4.0], [-0.0, 0.0, -0.0, 5e-324, -5e-324]))
+    def test_plan_slopes_bitwise_reference(self, case):
+        # the weights the plan holds give the slopes of the reference, which
+        # forms them per call on numpy scalars, bit for bit, signed zeros
+        # and infinite slopes included
+        times, values = case
+        with np.errstate(all="ignore"):
+            want = _ref_pchip_slopes(np.array(times), np.array(values)).tolist()
+        assert _bits(_pchip_slopes(times, values)) == _bits(want)
 
 
 class TestInterpolationPlans:
@@ -582,6 +631,11 @@ class TestScale:
 
     def test_upper_bound(self):
         assert scale(325.0, (0.0, 325.0)) == 1.0
+
+    def test_nan_passes_through(self):
+        # the clamp would make it 0.0, a score that looks ordinary
+        assert math.isnan(scale(math.nan, (0.0, 1.0)))
+        assert math.isnan(scale(math.nan, (-5.0, 2.0)))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,22 @@ class TestAgainstFastSim:
         direct = _fast(cc, inputs, grid)
         assert np.abs(got - direct).max() <= _bound(direct)
 
+    def test_inputs_adopted_as_from_rows_adopts_them(self):
+        # on the grid itself, and on an equal grid that is another object,
+        # which goes through the checking constructor
+        grid = TimeGrid(30.0, 0.1)
+        cc = ChasingCars()
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.2, 0.9, 0.4])
+        for g in (grid, TimeGrid(30.0, 0.1)):
+            inputs = {
+                name: interpolate(cp, InterpolationKind.PCHIP, g) for name in cc.port_spec.inputs
+            }
+            trace = simulate(cc, inputs, grid).trace
+            assert isinstance(trace, models._SuperposedTrace)
+            want = Trace.from_rows(grid, (), np.empty((0, grid.n_samples)), inputs)._store
+            assert list(trace._store) == list(want) == list(cc.port_spec.inputs)
+            assert all(trace._store[name] is want[name] for name in want)
+
     def test_inputs_stay_in_the_trace_as_given(self):
         problem = resolve(ExperimentConfig(entry="CC1"))
         a, grid = problem.assumption, problem.grid
@@ -251,6 +267,29 @@ class TestCoefficients:
         cp = ControlPoints(uniform_control_times(grid, 4), [1.0, 2.0, 0.0, 5.0])
         for kind in (InterpolationKind.LINEAR, InterpolationKind.PIECEWISE_CONSTANT):
             assert interpolate(cp, kind, grid).coefficients is cp.values
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind), ids=lambda k: k.value)
+    def test_carried_floats_are_the_coefficients(self, kind):
+        # linear and pchip signals carry the coefficients as the Python
+        # floats their plan made, bit for bit with the array, signed zeros
+        # included, and a prefix carries the same list; the held kinds
+        # carry none
+        grid = TimeGrid(10.0, 0.25)
+        n = 1 if kind is InterpolationKind.CONSTANT else 6
+        values = [-0.0, 0.0, 3.3, 3.3, -1e-310, 2.5][:n]
+        signal = interpolate(ControlPoints(uniform_control_times(grid, n), values), kind, grid)
+        floats = signal._floats
+        if kind in (InterpolationKind.CONSTANT, InterpolationKind.PIECEWISE_CONSTANT):
+            assert floats is None
+        else:
+            assert floats == signal.coefficients.tolist()
+            assert [math.copysign(1.0, c) for c in floats] == [
+                math.copysign(1.0, c) for c in signal.coefficients
+            ]
+            assert np.array_equal(
+                np.array(floats).view(np.int64), signal.coefficients.view(np.int64)
+            )
+        assert signal.prefix(TimeGrid(5.0, 0.25))._floats is floats
 
     def test_non_finite_coefficient_sum_runs_fast_sim(self):
         # finite samples, but their coefficients' magnitudes overflow a sum
@@ -596,6 +635,63 @@ class TestComposition:
             whole += op.y0
             for k, name in enumerate(sim_plant.port_spec.outputs):
                 assert np.array_equal(trace.channel(name), whole[k, : sim_grid.n_samples])
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (InterpolationKind.PCHIP, InterpolationKind.PCHIP),
+            (InterpolationKind.LINEAR, InterpolationKind.PIECEWISE_CONSTANT),
+            (InterpolationKind.CONSTANT, InterpolationKind.PCHIP),
+        ],
+        ids=lambda ks: "-".join(k.value for k in ks),
+    )
+    def test_x_and_bound_of_the_concatenated_coefficients(self, kinds):
+        # x and its bound are those of the concatenated coefficient arrays,
+        # summed left to right on their Python floats, bit for bit
+        grid = TimeGrid(30.0, 0.1)
+        cc = ChasingCars()
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            inputs = {}
+            for name, kind in zip(cc.port_spec.inputs, kinds):
+                n = 1 if kind is InterpolationKind.CONSTANT else 5
+                values = rng.uniform(-1.0, 1.0, n)
+                values[0] = -0.0
+                cp = ControlPoints(uniform_control_times(grid, n), values)
+                inputs[name] = interpolate(cp, kind, grid)
+            trace = simulate(cc, inputs, grid).trace
+            assert isinstance(trace, models._SuperposedTrace)
+            op = models._operator(cc, tuple(s.plan for s in inputs.values()), grid)
+            x = np.concatenate([s.coefficients for s in inputs.values()])
+            size = sum(map(abs, x.tolist()))
+            bound = size * op.k_max * (1.0 + models._SUPERPOSED_MARGIN) + op.y0_max
+            assert np.array_equal(trace._x.view(np.int64), x.view(np.int64))
+            assert np.float64(trace._bound).view(np.int64) == np.float64(bound).view(np.int64)
+
+    def test_composed_sums_are_kept_per_trace(self):
+        # a second read of a composed sum gives the same array, and a sum
+        # that is not composed stays None, kept as such
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        a, grid = problem.assumption, problem.grid
+        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        inputs = _candidate_inputs(problem, a.lower + 0.5 * a.width, grid)
+        trace = simulate(plant, inputs, grid).trace
+        expr = problem.fitness.formula.child.expr
+        first = trace.composed(expr)
+        assert first is not None
+        assert trace.composed(expr) is first
+        # a term that names no output of the operator is not composed
+        other = parse("G[0,100] (y5 - throttle <= 40)").child.expr
+        assert trace.composed(other) is None
+        assert other.terms in trace._sums and trace._sums[other.terms] is None
+        op = models._operator(plant, tuple(s.plan for s in inputs.values()), grid)
+        assert other.terms in op.sums and op.sums[other.terms] is None
+        with mock.patch.object(models._Operator, "_compose") as compose:
+            assert trace.composed(other) is None
+            again = simulate(plant, inputs, grid).trace
+            assert again.composed(other) is None
+            assert again.composed(expr) is not None
+        compose.assert_not_called()
 
     def test_a_cc1_iteration_forms_no_output_row(self, monkeypatch):
         traces = []
