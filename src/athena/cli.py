@@ -62,6 +62,11 @@ def _read_csv_columns(path: str) -> tuple[list[str], np.ndarray]:
     names = [cell.strip() for cell in header.split(",")]
     if not names or names[0] != "time":
         raise ValueError(f"{path}: first CSV column must be 'time', got {header!r}")
+    if "" in names:
+        raise ValueError(f"{path}: CSV header has an empty column name: {header!r}")
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        raise ValueError(f"{path}: CSV column {repeated[0]!r} is named more than once")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(

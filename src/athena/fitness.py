@@ -108,17 +108,10 @@ class WindowStat(ManualFitnessExpr):
     so the value is the same. A plant that diverges after that output prefix is
     scored normally, since no window reads those samples of its outputs.
 
-    The channel expression is evaluated only over the window's samples,
-    whose range the window resolves once per grid it reads: it keeps the
-    range of the last grid, which a run passes as the same object on every
-    trace. The max, min or ptp of one channel as it stands (`AtomExpr.bare`)
-    is asked of the trace first (`Trace.extreme`), which takes it from an
-    input's control points without forming its samples. Otherwise the
-    statistic is taken over the expression's values up to the sign of a
-    zero (`AtomExpr.raw`): a read-only view of the channel's samples, with
-    no copy, for a window over one channel as it stands, and the terms'
-    sum without a pass that adds a zero constant. Plus 0.0 either has the
-    bits of the statistic of the expression's values.
+    The statistic is `AtomExpr.statistic` over the window's samples, the
+    reader an STL operator read at one sample shares, with the range the
+    window resolves once per grid it reads: it keeps the range of the last
+    grid, which a run passes as the same object on every trace.
     """
 
     channel: AtomExpr
@@ -132,9 +125,6 @@ class WindowStat(ManualFitnessExpr):
         object.__setattr__(self, "names", frozenset(self.channel.channels()))
         # (grid, lo, hi) of the last grid read, outside the fields
         object.__setattr__(self, "_span", (None, 0, -1))
-        # the channel whose extremes the trace is asked for, or None
-        sparse = self.stat is not WindowStatKind.MEAN
-        object.__setattr__(self, "_bare", self.channel.bare if sparse else None)
 
     def evaluate(self, trace, controls=None, inputs=None):
         if inputs is not None and inputs.names >= self.names:
@@ -144,13 +134,7 @@ class WindowStat(ManualFitnessExpr):
             grid = trace.grid
             lo, hi = window_span(self.window, grid)
             object.__setattr__(self, "_span", (grid, lo, hi))
-        name = self._bare
-        if name is not None:
-            value = trace.extreme(name, self.stat, lo, hi)
-            if value is not None:
-                return value + 0.0
-        values, _ = self.channel.raw(trace, lo, hi + 1)
-        return self.stat.of(values) + 0.0
+        return self.channel.statistic(trace, self.stat, lo, hi)
 
     def __str__(self):
         a, b = self.window

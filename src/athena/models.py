@@ -25,7 +25,6 @@ import math
 import numbers
 from collections.abc import Collection
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -465,9 +464,10 @@ def _superposed(
 
 class _SuperposedTrace(Trace):
     """The trace of `simulate`'s superposed path where the bound on x
-    shows every output finite: the inputs, and the outputs Y0 + K x, each
-    row formed when first read, as `x @ K[k] + Y0[k]`, bitwise row k of
-    the whole product, and kept read-only.
+    shows every output finite: the outputs Y0 + K x, then the inputs.
+    The trace holds each output as its row index in K and Y0 until
+    `channel` first reads it, and then as `x @ K[k] + Y0[k]`, bitwise row
+    k of the whole product, read-only.
 
     A sum of two or more output channels (`AtomExpr.values`) is one
     product, x @ K_e + Y0_e, by the composed operator of its expression
@@ -484,41 +484,23 @@ class _SuperposedTrace(Trace):
     @classmethod
     def adopting(cls, op: _Operator, x: np.ndarray, bound: float, signals, grid) -> Trace:
         """The trace of `op`'s outputs at x, with no row formed yet, and
-        of `signals`, adopted as `Trace.from_rows` adopts them: each signal
-        on `grid` itself as it is, and all of them through the checking
-        constructor where one is on another grid, even an equal one."""
-        store = {}
-        for name, signal in signals.items():
-            if signal.grid is not grid:
-                store = Trace(grid, signals)._store
-                break
-            store[name] = signal._held()
-        trace = object.__new__(cls)
-        trace.grid = grid
-        trace._store = store
+        of `signals`, held as `Trace.from_rows` holds them."""
+        trace = cls._adopting(grid, dict(op.rows), signals)
         trace._op = op
         trace._x = x
         trace._bound = bound
         trace._sums = {}
         return trace
 
-    @property
-    def names(self):
-        return dict.fromkeys((*self._op.rows, *self._store)).keys()
-
-    @property
-    def channels(self):
-        return MappingProxyType({name: self.channel(name) for name in self.names})
-
     def channel(self, name: str) -> np.ndarray:
-        if name not in self._store:
-            k = self._op.rows.get(name)
-            if k is not None:
-                row = np.matmul(self._x, self._op.K[k])
-                row += self._op.y0[k]
-                values = self._store[name] = row[: self.grid.n_samples]
-                values.setflags(write=False)
-        return super().channel(name)
+        k = self._store.get(name)
+        if k.__class__ is not int:
+            return super().channel(name)
+        row = np.matmul(self._x, self._op.K[k])
+        row += self._op.y0[k]
+        values = self._store[name] = row[: self.grid.n_samples]
+        values.setflags(write=False)
+        return values
 
     def composed(self, expr: AtomExpr) -> np.ndarray | None:
         terms = expr.terms

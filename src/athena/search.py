@@ -19,7 +19,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonError, PortMismatchError, ignoring_overflow
+from .errors import (
+    DivergenceError,
+    HorizonError,
+    PortMismatchError,
+    check_number,
+    ignoring_overflow,
+)
 from .fitness import FitnessAssessment, assess
 from .models import PlantModel, simulate
 from .signals import (
@@ -314,11 +320,10 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("t0", "cooling", "sigma", "threshold"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            # the range check below rejects a non-finite cooling
-            if name != "cooling" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            # a real cooling that is not finite fails the range check below
+            if name == "cooling" and isinstance(value, numbers.Real) and not math.isfinite(value):
+                continue
+            check_number(name, value)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "TIME_TOL",
     "TimeGrid",
+    "step_range",
     "Signal",
     "InterpolatedSignal",
     "ControlPoints",
@@ -95,9 +96,15 @@ class TimeGrid:
         Boundaries are matched with TIME_TOL slack; the range may be empty
         (lo > hi). Indices are clipped to the grid.
         """
-        lo = math.ceil((a - TIME_TOL) / self.step)
-        hi = math.floor((b + TIME_TOL) / self.step)
+        lo, hi = step_range(a, b, self.step)
         return max(lo, 0), min(hi, self.n_samples - 1)
+
+
+def step_range(a: float, b: float, step: float) -> tuple[int, int]:
+    """Inclusive range of the indices k whose time k * step is in [a, b],
+    each boundary matched with TIME_TOL slack; empty (lo > hi) where no
+    multiple of `step` is in it, and not clipped to any grid."""
+    return math.ceil((a - TIME_TOL) / step), math.floor((b + TIME_TOL) / step)
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,6 @@ class Signal:
         if not np.isfinite(values).all():
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", _read_only(values))
-
-    def _held(self) -> "np.ndarray | InterpolatedSignal":
-        """What a trace stores of this signal: its samples, or an
-        `InterpolatedSignal` itself while they are not formed, for
-        `Trace.channel` to form on read."""
-        return self.values
 
 
 class InterpolatedSignal(Signal):
@@ -173,9 +174,6 @@ class InterpolatedSignal(Signal):
                 values = self._source.values[: self.grid.n_samples]
             object.__setattr__(self, "_values", values)
         return values
-
-    def _held(self) -> "np.ndarray | InterpolatedSignal":
-        return self if self._values is None else self._values
 
     def prefix(self, grid: TimeGrid) -> "InterpolatedSignal":
         """The first `grid.n_samples` samples, as a signal on `grid`, a

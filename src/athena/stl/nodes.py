@@ -34,6 +34,9 @@ __all__ = [
 
 COMPARATORS = ("<", "<=", ">", ">=")
 
+# a module name reads faster than the Enum class attribute, once per window
+_MEAN = WindowStatKind.MEAN
+
 
 def number_text(x: float) -> str:
     """`x` as text that the parsers read back as the same float: its `g`
@@ -50,6 +53,9 @@ class AtomExpr:
     sums them in that order so independent evaluators agree bitwise. A
     trace may instead form the sum of two or more terms itself, in one
     pass (`Trace.composed`), which rounds otherwise.
+
+    `statistic` reads a window for both the manual `WindowStat` and an STL
+    operator read at one sample directly over a predicate.
     """
 
     terms: tuple[tuple[str, float], ...]
@@ -95,6 +101,23 @@ class AtomExpr:
         if self.absolute or self.const != 0.0:
             return self.values(trace, start, stop), True
         return self._sum(trace, start, stop)
+
+    def statistic(self, trace: Trace, stat: WindowStatKind, lo: int, hi: int) -> float:
+        """`stat` of the expression at samples lo .. hi of the trace, plus
+        0.0: bitwise `stat.of` over `values` there, plus 0.0.
+
+        Max, min or ptp of a bare channel (`bare`) is asked of the trace
+        first (`Trace.extreme`), which takes it from an input's control
+        points without forming its samples. Otherwise `stat` reduces `raw`,
+        which differs from `values` only in the sign of a zero.
+        """
+        name = self.bare
+        if name is not None and stat is not _MEAN:
+            value = trace.extreme(name, stat, lo, hi)
+            if value is not None:
+                return value + 0.0
+        values, _ = self.raw(trace, lo, hi + 1)
+        return stat.of(values) + 0.0
 
     def values(self, trace: Trace, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The expression at samples start .. stop - 1 of the trace (every
@@ -253,40 +276,55 @@ class Eventually(Formula):
         return f"F[{number_text(self.a)},{number_text(self.b)}] ({self.child})"
 
 
+def _hold(store: dict, grid: TimeGrid, channels: Mapping[str, np.ndarray | Signal]) -> dict:
+    """`store`, with each of `channels` added as the `Trace` docstring
+    says a trace on `grid` checks and holds it: a `Signal` on `grid` itself
+    with no check, one on an equal grid once the grids compare equal."""
+    for name, values in channels.items():
+        try:
+            if not isinstance(values, Signal):
+                values = Signal(grid, values)
+            elif values.grid is not grid and values.grid != grid:
+                raise ValueError("not sampled on the trace grid")
+        except ValueError as exc:
+            raise ValueError(f"channel {name!r}: {exc}") from None
+        store[name] = values if isinstance(values, InterpolatedSignal) else values.values
+    return store
+
+
 class Trace:
-    """Named channels sampled on a common grid.
+    """Named channels sampled on a common grid, held in order.
 
     Each channel is checked by building it as a `Signal` on the grid, which
-    makes a finite read-only copy. A channel that already is a `Signal` on
-    the same grid is stored as it is, without a second copy, and an
-    `InterpolatedSignal` without its samples: they are formed when
-    `channel` or `channels` first reads them, and until then a window
-    takes its extremes from the signal's control points (`extreme`).
-    `from_block` checks and copies a plant's whole output block at once
-    instead, and `from_rows` adopts rows its caller computed and checked
-    itself.
+    makes a finite read-only copy. A `Signal` on the same grid is held
+    without a second copy (`_hold`): a plain signal's samples, and an
+    `InterpolatedSignal` itself, whose samples `channel` forms on first
+    read; until then a window takes its extremes from the signal's control
+    points (`extreme`). `from_block` checks and copies a plant's whole
+    output block at once instead, and `from_rows` adopts rows its caller
+    computed and checked itself.
 
-    `channels` maps each name to its samples, in order, and `names` gives
-    the names alone, forming nothing. A subclass may form some channels
-    only when `channel` or `channels` first reads them, and sum an
-    expression's terms in one pass of its own (`composed`).
+    A subclass may hold entries of its own that its `channel` forms on
+    first read, and sum an expression's terms in one pass (`composed`).
+    `channels` forms every entry that is not an array; `names` forms none.
     """
 
     __slots__ = ("grid", "_store")
 
     def __init__(self, grid: TimeGrid, channels: Mapping[str, np.ndarray | Signal]):
-        store: dict[str, np.ndarray] = {}
-        for name, values in channels.items():
-            try:
-                if not isinstance(values, Signal):
-                    values = Signal(grid, values)
-                elif values.grid is not grid and values.grid != grid:
-                    raise ValueError("not sampled on the trace grid")
-            except ValueError as exc:
-                raise ValueError(f"channel {name!r}: {exc}") from None
-            store[name] = values._held()
         self.grid = grid
-        self._store = store
+        self._store = _hold({}, grid, channels)
+
+    @classmethod
+    def _adopting(cls, grid: TimeGrid, store: dict, signals: Mapping[str, Signal]) -> Trace:
+        """A trace of this class on `grid` that keeps `store`, entries its
+        caller made, followed by `signals`, held and checked as the
+        constructor holds and checks them (`_hold`), and no slot of a
+        subclass set."""
+        trace = object.__new__(cls)
+        trace.grid = grid
+        trace._store = _hold(store, grid, signals)
+        return trace
 
     @classmethod
     def from_block(
@@ -321,31 +359,16 @@ class Trace:
         signals: Mapping[str, Signal],
     ) -> Trace:
         """A trace of the rows of `rows`, named in order, followed by
-        `signals`, with `rows` adopted as it is: no check and no copy.
+        `signals`, held as the constructor holds them, with `rows` adopted
+        as it is: no check and no copy.
 
         `rows` is a (len(names), samples) float array, each row
         C-contiguous, of finite values that its caller computed and checked
         itself, or copied from values checked before, in memory that
         nothing else writes to; it is made read-only here.
-
-        A signal that is a `Signal` on `grid` itself (the same object) is
-        adopted: the trace holds its values as they are, checked when the
-        signal was built, or an `InterpolatedSignal` itself, whose samples
-        are formed on read. Any other signal goes through the constructor,
-        which checks it and copies what is not a `Signal`. The channels go
-        into one mapping, built once.
         """
         rows.setflags(write=False)
-        store = dict(zip(names, rows))
-        for name, signal in signals.items():
-            if not (isinstance(signal, Signal) and signal.grid is grid):
-                store.update(Trace(grid, signals)._store)
-                break
-            store[name] = signal._held()
-        trace = object.__new__(cls)
-        trace.grid = grid
-        trace._store = store
-        return trace
+        return cls._adopting(grid, dict(zip(names, rows)), signals)
 
     @property
     def names(self) -> Iterable[str]:
@@ -354,8 +377,9 @@ class Trace:
 
     @property
     def channels(self) -> Mapping[str, np.ndarray]:
-        """Every channel's samples by name, read-only."""
-        for name in [name for name, v in self._store.items() if isinstance(v, InterpolatedSignal)]:
+        """Every channel's samples by name, in order, read-only, each
+        entry formed that was not."""
+        for name in [name for name, v in self._store.items() if not isinstance(v, np.ndarray)]:
             self.channel(name)
         return MappingProxyType(self._store)
 
@@ -369,12 +393,10 @@ class Trace:
         return values
 
     def extreme(self, name: str, stat: WindowStatKind, lo: int, hi: int) -> float | None:
-        """`stat` of channel `name` at samples lo .. hi, taken by this
-        trace without the channel's samples, or None. Plus 0.0 it has the
-        bits of `stat.of` over those samples. A trace answers max, min and
-        ptp of an `InterpolatedSignal` whose samples are not formed, from
-        its plan and coefficients (`InterpolatedSignal.extreme`), and gives
-        None for any other channel, and for a name it does not hold."""
+        """`stat` of channel `name` at samples lo .. hi, taken without the
+        channel's samples, or None; plus 0.0 it has the bits of `stat.of`
+        over them. A trace answers max, min and ptp of an `InterpolatedSignal`
+        whose samples are not formed (`InterpolatedSignal.extreme`)."""
         signal = self._store.get(name)
         if isinstance(signal, InterpolatedSignal):
             return signal.extreme(stat, lo, hi)

@@ -53,13 +53,16 @@ Read at one sample, directly over a predicate, a temporal node's
 robustness is the margin of one value: the predicate's margin, bound - e
 or e - bound, is monotone in its expression e, so its min or max over
 the window is the margin of e's max or min there, rounded the same way.
-The node takes that extreme over the window's samples alone, read up to
-the sign of a zero, plus 0.0 on the scalar, and applies the margin
-once, to the Python float, which rounds as numpy's float64 arithmetic
-does. The expression's values hold no -0.0 (`AtomExpr.values`), so
-every tied extreme has the same bits and the result is bitwise the
-array path's. A NaN margin takes the array path instead, whose NaN is
-the walk's. Satisfaction keeps the array path.
+The node reads that extreme as the manual fitness reads a window's
+(`AtomExpr.statistic`): over the window's samples alone, read up to the
+sign of a zero, or, for a bare input channel whose samples are not
+formed, from its control points (`Trace.extreme`), forming none. It
+adds 0.0 on the scalar and applies the margin once, to the Python
+float, which rounds as numpy's float64 arithmetic does. The
+expression's values hold no -0.0 (`AtomExpr.values`), so every tied
+extreme has the same bits and the result is bitwise the array path's.
+A NaN margin takes the array path instead, whose NaN is the walk's.
+Satisfaction keeps the array path.
 
 A NaN read at one sample is the window's leftmost NaN, the one the
 doubling's np.minimum or np.maximum passes on, and not the NaN of
@@ -73,10 +76,9 @@ import math
 import numpy as np
 
 from ..errors import HorizonError, quiet_overflow
-from ..signals import TIME_TOL
+from ..signals import WindowStatKind, step_range
 from .nodes import (
     And,
-    AtomExpr,
     Eventually,
     Formula,
     Globally,
@@ -135,8 +137,8 @@ def formula_samples(f: Formula, step: float) -> int:
 
 def _window_offsets(a: float, b: float, step: float) -> tuple[int, int]:
     """Sample-index offsets selected by [t+a, t+b] on a uniform grid."""
-    k_lo = max(0, math.ceil((a - TIME_TOL) / step))
-    k_hi = math.floor((b + TIME_TOL) / step)
+    k_lo, k_hi = step_range(a, b, step)
+    k_lo = max(0, k_lo)
     if k_lo > k_hi:
         raise ValueError(
             f"interval [{a:g},{b:g}] selects no grid samples at step {step:g}"
@@ -275,16 +277,6 @@ def _margin(f: Predicate, trace: Trace, stop: int) -> np.ndarray:
     return np.subtract(e, bound, out=out)
 
 
-def _extreme(expr: AtomExpr, trace: Trace, start: int, stop: int, largest: bool) -> float:
-    """The largest (or smallest) of the expression's values at samples
-    start .. stop - 1, from the values up to the sign of a zero
-    (`AtomExpr.raw`, a view for a bare channel): the extreme of those
-    differs from the values' only in the sign of a zero, and plus 0.0 it
-    has their bits, since the values hold no -0.0."""
-    e, _ = expr.raw(trace, start, stop)
-    return float(e.max() if largest else e.min()) + 0.0
-
-
 def _holds(f: Predicate, trace: Trace, stop: int) -> np.ndarray:
     # a comparison does not see the sign of a zero
     e, _ = f.expr.raw(trace, 0, stop)
@@ -378,10 +370,11 @@ class _Window:
     `reach` is the largest sum of window ends, in samples, from this node
     down to a predicate: the node gives no sample on a trace of `reach`
     samples or fewer. `over` is the predicate that a node read at one
-    sample applies directly to, else None.
+    sample applies directly to, else None, and `stat` the statistic of its
+    expression whose margin is the node's value there.
     """
 
-    __slots__ = ("f", "k_lo", "k_hi", "need", "child", "reach", "nan", "take_min", "over")
+    __slots__ = ("f", "k_lo", "k_hi", "need", "child", "reach", "nan", "take_min", "over", "stat")
 
     def __init__(self, f: Globally | Eventually, k_lo: int, k_hi: int, need: int, child):
         self.f = f
@@ -393,18 +386,19 @@ class _Window:
         self.nan = child.nan
         self.take_min = isinstance(f, Globally)
         self.over = child.f if need == 1 and isinstance(child, _Leaf) else None
+        # the margin falls as an upper-bounded expression rises, and rises
+        # with a lower-bounded one: its min or max over the window is the
+        # margin of one extreme of the expression
+        upper = self.over is not None and self.over.cmp in ("<", "<=")
+        self.stat = WindowStatKind.MAX if self.take_min == upper else WindowStatKind.MIN
 
     def value(self, trace: Trace, leaf, neg) -> np.ndarray:
         pred = self.over
         if pred is not None and leaf is _margin:
-            # the margin falls as an upper-bounded expression rises, and
-            # rises with a lower-bounded one: its min or max over the
-            # window is the margin of one extreme of the expression
-            upper = pred.cmp in ("<", "<=")
-            e = _extreme(pred.expr, trace, self.k_lo, self.k_hi + 1, self.take_min == upper)
+            e = pred.expr.statistic(trace, self.stat, self.k_lo, self.k_hi)
             # the margin `_margin` takes, on the Python float; a NaN takes
             # the array path, whose sign bit is the walk's
-            margin = pred.bound - e if upper else e - pred.bound
+            margin = pred.bound - e if pred.cmp in ("<", "<=") else e - pred.bound
             if margin == margin:
                 return np.array([margin])
         child = self.child.value(trace, leaf, neg)

@@ -341,12 +341,24 @@ class TestRejections:
              "need at least two samples"),
             ("time,x\n1,1\n2,2\n", ["robustness", "--formula", "x < 1", "--trace"],
              "time must start at 0"),
+            # a repeated or empty column name is not read as the last column
+            ("time,x,x\n0,0,5\n0.5,0,5\n1,0,5\n",
+             ["robustness", "--formula", "G[0,1] (x <= 1)", "--trace"],
+             "CSV column 'x' is named more than once"),
+            ("time,throttle,brake,throttle\n0,0.5,0,1\n0.5,0.5,0,1\n1,0.5,0,1\n",
+             ["simulate", "--plant", "chasing_cars", "--inputs"],
+             "CSV column 'throttle' is named more than once"),
+            ("time,x,time\n0,0,0\n1,0,1\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "CSV column 'time' is named more than once"),
+            ("time,,x\n0,0,0\n1,0,1\n", ["robustness", "--formula", "x < 1", "--trace"],
+             "CSV header has an empty column name"),
             (None, ["falsify", "--catalog", "AT1", "--p-schedule", "0.5"],
              "p schedule must look like start,end"),
             ("[1, 2]", ["bench", "--config"], "config must be a JSON object"),
         ],
-        ids=["csv-first-column", "csv-widths", "csv-one-sample", "csv-start", "p-schedule",
-             "bench-not-object"],
+        ids=["csv-first-column", "csv-widths", "csv-one-sample", "csv-start",
+             "csv-repeated-robustness", "csv-repeated-simulate", "csv-repeated-time",
+             "csv-empty-name", "p-schedule", "bench-not-object"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, file_text, argv, message):
         if file_text is not None:

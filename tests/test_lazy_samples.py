@@ -17,6 +17,7 @@ only when a change of the outputs is intended, from the repository root:
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -42,8 +43,8 @@ from athena.signals import (
     interpolate,
     uniform_control_times,
 )
-from athena.stl import Trace
-from oracles import interpolate_reference
+from athena.stl import AtomExpr, Eventually, Globally, Predicate, Trace, robustness
+from oracles import interpolate_reference, robustness_reference
 from test_overflow_edge import strict_json
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
@@ -315,6 +316,36 @@ class TestSparseExtremes:
             for w in windows:
                 lazy = Trace(grid, encode_inputs(a, controls, grid))
                 assert bits(w.evaluate(lazy)) == bits(w.evaluate(plain))
+
+
+class TestOneSampleOperators:
+    """G or F read at one sample directly over a bare input reads its
+    window's extreme as a manual window does (`AtomExpr.statistic`): from
+    the control points, forming no sample, with the bits of a plain trace
+    of the same samples and of the whole-trace walk."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_bitwise_a_plain_trace_and_no_sample_formed(self, kind):
+        grid = TimeGrid(10.0, 0.25)
+        n = 1 if kind is InterpolationKind.CONSTANT else 5
+        rng = np.random.default_rng(13)
+        x = AtomExpr((("x", 1.0),))
+        for _ in range(25):
+            cp = ControlPoints(uniform_control_times(grid, n), rng.uniform(-2.0, 2.0, n))
+            samples = interpolate(cp, kind, grid).values
+            plain = Trace(grid, {"x": Signal(grid, samples)})
+            a = float(rng.uniform(0.0, 9.0))
+            b = float(rng.uniform(a + grid.step, grid.end))
+            # a sample's value makes ties, and each zero has its sign
+            for bound in (float(rng.choice(samples)), 0.0, -0.0, float(rng.uniform(-2.0, 2.0))):
+                for op in (Globally, Eventually):
+                    for cmp in ("<=", ">=", "<", ">"):
+                        f = op(a, b, Predicate(x, cmp, bound))
+                        signal = interpolate(cp, kind, grid)
+                        got = robustness(f, Trace(grid, {"x": signal}))
+                        assert not formed(signal), f
+                        for want in (robustness(f, plain), robustness_reference(f, plain)):
+                            assert struct.pack("<d", got) == struct.pack("<d", want), f
 
 
 # -- CLI outputs -------------------------------------------------------------

@@ -140,8 +140,43 @@ class TestAgainstFastSim:
             trace = simulate(cc, inputs, grid).trace
             assert isinstance(trace, models._SuperposedTrace)
             want = Trace.from_rows(grid, (), np.empty((0, grid.n_samples)), inputs)._store
-            assert list(trace._store) == list(want) == list(cc.port_spec.inputs)
+            assert list(want) == list(cc.port_spec.inputs)
+            # the input entries follow the outputs' and are from_rows' own
+            held = list(trace._store)[len(cc.port_spec.outputs) :]
+            assert held == list(want)
             assert all(trace._store[name] is want[name] for name in want)
+
+    def test_one_adoption_rule_for_every_trace_build(self):
+        # the constructor, from_rows and the superposed trace hold the same
+        # input entries, on the grid itself and on an equal grid, and each
+        # rejects a signal on another grid as the constructor does
+        grid = TimeGrid(30.0, 0.1)
+        cc = ChasingCars()
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.2, 0.9, 0.4])
+        empty = np.empty((0, grid.n_samples))
+        plans = tuple(interpolate(cp, InterpolationKind.PCHIP, grid).plan for _ in range(2))
+        op = models._operator(cc, plans, grid)
+        builds = [
+            lambda inputs: Trace(grid, inputs),
+            lambda inputs: Trace.from_rows(grid, (), empty, inputs),
+            lambda inputs: models._SuperposedTrace.adopting(op, np.zeros(6), 0.0, inputs, grid),
+        ]
+        for g in (grid, TimeGrid(30.0, 0.1), TimeGrid(30.0, 0.05)):
+            inputs = {
+                name: interpolate(cp, InterpolationKind.PCHIP, g) for name in cc.port_spec.inputs
+            }
+            for build in builds:
+                if g != grid:
+                    with pytest.raises(ValueError, match="'throttle': not sampled on the trace"):
+                        build(inputs)
+                    continue
+                store = build(inputs)._store
+                assert list(store)[-len(inputs) :] == list(inputs)
+                assert all(store[name] is signal for name, signal in inputs.items())
+            if g == grid:
+                trace = simulate(cc, inputs, grid).trace
+                assert isinstance(trace, models._SuperposedTrace)
+                assert all(trace._store[name] is signal for name, signal in inputs.items())
 
     def test_inputs_stay_in_the_trace_as_given(self):
         problem = resolve(ExperimentConfig(entry="CC1"))
@@ -613,7 +648,10 @@ class TestComposition:
             inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
             trace = simulate(sim_plant, inputs, sim_grid).trace
             composed = [expr.values(trace) for expr in exprs]
-            assert not any(name in trace._store for name in sim_plant.port_spec.outputs)
+            # no output's entry is an array: no row was formed
+            assert not any(
+                isinstance(trace._store[name], np.ndarray) for name in sim_plant.port_spec.outputs
+            )
             # a trace of the same channel values sums them per channel
             plain = Trace(trace.grid, trace.channels)
             bound = _bound(_rows(plain, sim_plant.port_spec.outputs))
@@ -635,6 +673,24 @@ class TestComposition:
             whole += op.y0
             for k, name in enumerate(sim_plant.port_spec.outputs):
                 assert np.array_equal(trace.channel(name), whole[k, : sim_grid.n_samples])
+
+    def test_channels_forms_every_output_in_order(self):
+        problem = resolve(ExperimentConfig(entry="CC4"))
+        a = problem.assumption
+        plant = problem.plant
+        inputs = _candidate_inputs(problem, a.lower + 0.4 * a.width, problem.grid)
+        trace = simulate(plant, inputs, problem.grid).trace
+        want = [*plant.port_spec.outputs, *plant.port_spec.inputs]
+        assert list(trace.names) == want
+        assert not any(isinstance(trace._store[name], np.ndarray) for name in want)
+        channels = trace.channels
+        assert list(channels) == want
+        assert all(isinstance(trace._store[name], np.ndarray) for name in want)
+        for name in plant.port_spec.outputs:
+            assert channels[name] is trace.channel(name)
+            assert not channels[name].flags.writeable
+        for name, signal in inputs.items():
+            assert channels[name] is signal.values
 
     @pytest.mark.parametrize(
         "kinds",
@@ -708,7 +764,9 @@ class TestComposition:
         assert traces
         for trace in traces:
             assert isinstance(trace, models._SuperposedTrace)
-            assert "y4" not in trace._store and "y5" not in trace._store
+            # neither output's entry is an array: no row was formed
+            assert not isinstance(trace._store["y4"], np.ndarray)
+            assert not isinstance(trace._store["y5"], np.ndarray)
 
     def test_overflowing_products_keep_the_per_channel_sum(self):
         # each output is finite, but 1e306 * y5 overflows, and the sum of
