@@ -7,19 +7,17 @@ Run from the repository root:
 Each kernel case times one call on the grid a catalog entry or the
 passthrough workload uses, with fixed random inputs. The `-prefix` case
 uses the leading samples of the grid that `falsify` simulates, those the
-score reads from the plant's outputs. The `-read` case simulates only the
-outputs the score names, as `falsify` does (`check_problem`: y4 and y5
-on CC1); next to it, `chasing_cars-CC1` computes all five. These
-`fast_sim` cases take a sample block; `falsify` instead simulates the
-platoon by superposition (`models.simulate`, Y0 + K x over the inputs'
-interpolation coefficients), which the `superposed-CC1-read` cases time:
-one `simulate` call of the read plant on the interpolated inputs of one
-CC1 candidate, with K built, and that call plus the robustness of CC1's
+score reads from the plant's outputs (`check_problem`). These `fast_sim`
+cases take a sample block; `falsify` instead simulates the platoon by
+superposition (`models.simulate`, Y0 + K x over the inputs'
+interpolation coefficients), which the `superposed-CC1` cases time: one
+`simulate` call of the platoon on the interpolated inputs of one CC1
+candidate, with K built, and that call plus the robustness of CC1's
 formula on its trace. `simulate` forms no output row there; the
 robustness forms y5 - y4 as one product by its composed operator, so the
 second case is what the first cost before rows were formed on read, plus
 the score. The `-build` case times, from a cleared
-cache, building K for CC1's read plant and ports, one `fast_sim` per
+cache, building K for the platoon on CC1's ports, one `fast_sim` per
 coefficient and one more, the cost the first simulation of a problem
 pays once per process. The `resolve-CC1` case times a warm `resolve` of
 CC1, every one after the first in a process, which reuses the parsed
@@ -54,7 +52,7 @@ times the channel expression of the passthrough predicate over every
 sample. The iteration cases time one CC1, one AT2 and one passthrough
 iteration after the proposal, through the same calls `falsify` makes:
 `Assumption.control_points`, `encode_inputs`, on AT2 the cut to the
-prefix the score reads, `simulate` of the outputs the score names and
+prefix the score reads, `simulate` and
 `assess`, on a warm problem; their time less the kernel cases above (on
 CC1 the superposed `simulate`, on AT2 the prefix `fast_sim`, on
 passthrough the interpolation, robustness and manual fitness) is the
@@ -109,53 +107,47 @@ def random_inputs(grid, lo, hi, seed=0):
 
 
 @pytest.mark.parametrize(
-    "model, entry, hi, prefix, read",
+    "model, entry, hi, prefix",
     [
-        (ChasingCars, "CC1", (1.0, 1.0), False, False),
-        (ChasingCars, "CC1", (1.0, 1.0), False, True),
-        (AutoTransmissionLite, "AT1", (100.0, 325.0), False, False),
-        (AutoTransmissionLite, "AT2", (100.0, 325.0), True, False),
+        (ChasingCars, "CC1", (1.0, 1.0), False),
+        (AutoTransmissionLite, "AT1", (100.0, 325.0), False),
+        (AutoTransmissionLite, "AT2", (100.0, 325.0), True),
     ],
-    ids=["chasing_cars-CC1", "chasing_cars-CC1-read", "at_lite-AT1", "at_lite-AT2-prefix"],
+    ids=["chasing_cars-CC1", "at_lite-AT1", "at_lite-AT2-prefix"],
 )
-def test_fast_sim(benchmark, model, entry, hi, prefix, read):
+def test_fast_sim(benchmark, model, entry, hi, prefix):
     plant = model()
     grid = catalog(entry).grid()
-    problem = resolve(ExperimentConfig(entry=entry))
-    sim_grid, sim_plant = check_problem(plant, problem.assumption, problem.fitness, grid)
     if prefix:
         # the leading samples falsify simulates: those the score reads
-        grid = sim_grid
-    if read:
-        # the outputs falsify simulates: those the score names
-        plant = sim_plant
+        problem = resolve(ExperimentConfig(entry=entry))
+        grid = check_problem(plant, problem.assumption, problem.fitness, grid)
     u = random_inputs(grid, (0.0, 0.0), hi)
     out = benchmark(plant.fast_sim, u, grid)
     assert out.shape == (grid.n_samples, len(plant.port_spec.outputs))
 
 
-def _read_inputs(entry):
+def _run_inputs(entry):
     """The plant and grid an entry's runs simulate, and one candidate's
     interpolated inputs."""
     problem = resolve(ExperimentConfig(entry=entry))
     a, grid = problem.assumption, problem.grid
-    sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, grid)
-    assert sim_grid is grid
+    assert check_problem(problem.plant, a, problem.fitness, grid) is grid
     vector = np.random.default_rng(0).uniform(a.lower, a.upper)
-    return sim_plant, encode_inputs(a, a.control_points(vector, grid), grid), grid
+    return problem.plant, encode_inputs(a, a.control_points(vector, grid), grid), grid
 
 
-@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1-read"])
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1"])
 def test_superposed_simulate(benchmark, entry):
-    plant, inputs, grid = _read_inputs(entry)
+    plant, inputs, grid = _run_inputs(entry)
     simulate(plant, inputs, grid)  # K is built outside the timing
     trace = benchmark(simulate, plant, inputs, grid).trace
-    assert list(trace.channels)[:2] == ["y4", "y5"]
+    assert list(trace.names) == [*plant.port_spec.outputs, *plant.port_spec.inputs]
 
 
-@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1-read"])
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposed-CC1"])
 def test_superposed_simulate_robustness(benchmark, entry):
-    plant, inputs, grid = _read_inputs(entry)
+    plant, inputs, grid = _run_inputs(entry)
     formula = resolve(ExperimentConfig(entry=entry)).fitness.formula
 
     def score():
@@ -166,9 +158,9 @@ def test_superposed_simulate_robustness(benchmark, entry):
     assert np.isfinite(rho)
 
 
-@pytest.mark.parametrize("entry", ["CC1"], ids=["superposition-CC1-read-build"])
+@pytest.mark.parametrize("entry", ["CC1"], ids=["superposition-CC1-build"])
 def test_superposition_build(benchmark, entry):
-    plant, inputs, grid = _read_inputs(entry)
+    plant, inputs, grid = _run_inputs(entry)
     plans = tuple(inputs[name].plan for name in plant.port_spec.inputs)
 
     def cold():
@@ -176,7 +168,7 @@ def test_superposition_build(benchmark, entry):
         return (plant, plans, grid), {}
 
     op = benchmark.pedantic(models._operator, setup=cold, rounds=50)
-    assert op.K.shape[:2] == (2, 20) and op.K.shape[2] >= grid.n_samples
+    assert op.K.shape[:2] == (5, 20) and op.K.shape[2] >= grid.n_samples
 
 
 @pytest.mark.parametrize("case", ["encoded", "plateau", "noise"])
@@ -220,7 +212,7 @@ def _scored_trace(problem, seed=0):
     vector = np.random.default_rng(seed).uniform(a.lower, a.upper)
     controls = a.control_points(vector, grid)
     inputs = encode_inputs(a, controls, grid)
-    short, _ = check_problem(plant, a, problem.fitness, grid)
+    short = check_problem(plant, a, problem.fitness, grid)
     if short is grid:
         return problem.fitness, simulate(plant, inputs, grid).trace, controls, None
     part = {name: signal.prefix(short) for name, signal in inputs.items()}
@@ -334,7 +326,7 @@ def test_control_points(benchmark, entry):
 def test_iteration_cc1(benchmark):
     problem = resolve(ExperimentConfig(entry="CC1"))
     a, grid, fitness = problem.assumption, problem.grid, problem.fitness
-    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    sim_grid = check_problem(problem.plant, a, fitness, grid)
     # CC1 reads every sample, so falsify encodes and simulates one grid
     assert sim_grid is grid
     vector = np.random.default_rng(0).uniform(a.lower, a.upper)
@@ -342,7 +334,7 @@ def test_iteration_cc1(benchmark):
     def iteration():
         controls = a.control_points(vector, grid)
         inputs = encode_inputs(a, controls, grid)
-        trace = simulate(sim_plant, inputs, grid).trace
+        trace = simulate(problem.plant, inputs, grid).trace
         return assess(fitness, trace, 0, 300, controls)
 
     iteration()  # builds the plans and operators outside the timing
@@ -355,7 +347,7 @@ def test_iteration_cc1(benchmark):
 def test_iteration_at2(benchmark):
     problem = resolve(ExperimentConfig(entry="AT2"))
     a, grid, fitness = problem.assumption, problem.grid, problem.fitness
-    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    sim_grid = check_problem(problem.plant, a, fitness, grid)
     # AT2 reads the outputs' leading samples only, so falsify simulates
     # that prefix and scores input windows on the whole grid
     assert sim_grid.n_samples < grid.n_samples
@@ -365,7 +357,7 @@ def test_iteration_at2(benchmark):
         controls = a.control_points(vector, grid)
         inputs = encode_inputs(a, controls, grid)
         part = {name: signal.prefix(sim_grid) for name, signal in inputs.items()}
-        trace = simulate(sim_plant, part, sim_grid).trace
+        trace = simulate(problem.plant, part, sim_grid).trace
         return assess(fitness, trace, 0, 300, controls, Trace(grid, inputs))
 
     iteration()  # builds the plans outside the timing
@@ -376,7 +368,7 @@ def test_iteration_at2(benchmark):
 def test_iteration_passthrough(benchmark):
     problem = _passthrough_problem()
     a, grid, fitness = problem.assumption, problem.grid, problem.fitness
-    sim_grid, sim_plant = check_problem(problem.plant, a, fitness, grid)
+    sim_grid = check_problem(problem.plant, a, fitness, grid)
     # the score reads y up to the grid's end, so falsify encodes and
     # simulates one grid; the trace adopts y, the copy of x
     assert sim_grid is grid
@@ -385,7 +377,7 @@ def test_iteration_passthrough(benchmark):
     def iteration():
         controls = a.control_points(vector, grid)
         inputs = encode_inputs(a, controls, grid)
-        trace = simulate(sim_plant, inputs, grid).trace
+        trace = simulate(problem.plant, inputs, grid).trace
         return assess(fitness, trace, 0, 300, controls)
 
     iteration()  # builds the plans outside the timing
@@ -417,7 +409,7 @@ def test_falsify(benchmark, entry, seed, budget, found, iterations):
     problem = resolve(ExperimentConfig(entry=entry))
     search = SearchConfig(max_iterations=budget, seed=seed)
     if entry == "CC1":
-        simulate(*_read_inputs(entry))  # K is built outside the timing
+        simulate(*_run_inputs(entry))  # K is built outside the timing
     result = benchmark(
         falsify, problem.plant, problem.assumption, problem.fitness, search, problem.grid
     )

@@ -392,11 +392,11 @@ class FitnessAssessment:
         inputs: Sequence[str],
         outputs: Sequence[str],
         control_times: Mapping[str, np.ndarray],
-    ) -> tuple[int, tuple[str, ...]]:
-        """What `assess` reads of a trace on `grid`, for a plant with these
-        `inputs` and `outputs` whose inputs are interpolated from control
-        points at `control_times`: (leading samples, outputs named in plant
-        order). On those, `assess` returns what the whole trace gives.
+    ) -> int:
+        """How many leading samples of a trace on `grid` `assess` reads, for
+        a plant with these `inputs` and `outputs` whose inputs are
+        interpolated from control points at `control_times`. On those,
+        `assess` returns what the whole trace gives.
 
         The samples are the most of what the formula reads
         (`formula_samples`) and what each manual window that names a
@@ -404,7 +404,7 @@ class FitnessAssessment:
         most all of `grid`. A window over inputs only reads the encoded
         inputs on the whole grid instead (`WindowStat`), and a slope term
         reads control points. A manual node of a type defined elsewhere
-        reads every sample and every output.
+        reads every sample.
 
         Raises what scoring would raise, in this order: MissingChannelError
         for the first channel that the formula, then the manual windows,
@@ -434,14 +434,13 @@ class FitnessAssessment:
                 leaf.evaluate(None, controls)
         n = formula_samples(self.formula, grid.step)
         if any(not isinstance(leaf, (WindowStat, SteepestSlope)) for leaf in leaves):
-            # a node type defined elsewhere may read any sample of any output
-            return grid.n_samples, tuple(outputs)
+            # a node type defined elsewhere may read any sample
+            return grid.n_samples
         for window in windows:
             # a window over inputs reads the encoded inputs, not the trace
             if not window.names <= set(inputs):
                 n = max(n, window_samples(window.window, grid))
-        named_outputs = tuple(name for name in outputs if name in named)
-        return min(max(n, 2), grid.n_samples), named_outputs
+        return min(max(n, 2), grid.n_samples)
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class Problem:
     """A resolved falsification problem: what `falsify` needs besides the
-    search constants. `grid` and `plant` are the whole ones; each
-    `falsify` call derives from them the prefix and the outputs it
-    simulates (`search.check_problem`)."""
+    search constants. `grid` is the whole one; each `falsify` call
+    simulates `plant` on the prefix of it that the score reads
+    (`search.check_problem`)."""
 
     plant: PlantModel
     assumption: Assumption
@@ -216,8 +216,8 @@ def resolve(cfg: ExperimentConfig) -> Problem:
 
     Rejects a problem no run could score, before any simulation, by the
     checks of `search.check_problem`, the ones `falsify` runs. The grid
-    and plant that call returns, those a run simulates, are not kept:
-    `falsify` derives them again.
+    that call returns, the one a run simulates, is not kept: `falsify`
+    derives it again.
     """
     if cfg.entry is not None:
         e = catalog(cfg.entry)
@@ -571,11 +571,16 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
     Recognized keys: entry | plant/formula/manual/assumption/auto_scale/step,
     mode, p, p_schedule, repetitions, base_seed, search (mapping of
-    SearchConfig overrides; the seed comes from base_seed), out.
+    SearchConfig overrides; the seed comes from base_seed), out. A value of
+    entry, plant, formula, manual, assumption or out that is not a string
+    is rejected with a ValueError naming the key.
     """
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in ("entry", "plant", "formula", "manual", "assumption", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ValueError(f"{key} must be a string, got {raw[key]!r}")
     search_raw = raw.get("search", {})
     if not isinstance(search_raw, Mapping):
         raise ValueError("search must be a mapping of SearchConfig fields")

@@ -19,7 +19,6 @@ combined operator.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -124,17 +123,6 @@ class PlantModel:
     def post_step(self, state: np.ndarray) -> np.ndarray:
         return state
 
-    def with_outputs(self, names: Collection[str]) -> PlantModel:
-        """A plant that simulates at least the outputs in `names`, a
-        non-empty subset of this plant's outputs, and each of them as this
-        plant does.
-
-        The default returns the plant itself, which simulates every output.
-        A plant that can compute some outputs alone overrides it to return
-        a plant whose `port_spec.outputs` are `names` in plant order.
-        """
-        return self
-
     def fast_sim(self, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
         """Generic RK4 of `derivative`, then `output` at every sample."""
         states = _march(self, u, grid)
@@ -194,11 +182,10 @@ def simulate(
     of their names and their grids' identities, any others diagnosed
     (PortMismatchError, ValueError) and taken in port order. Every sample
     of `grid` and every output of `model` is simulated. `falsify` passes
-    the grid and the plant that `search.check_problem` returns: the prefix
-    of the problem's grid that its score reads from the plant's outputs,
-    and the plant cut to the outputs the score names. A divergence after
-    that prefix, or only in another output, is not seen there; called on
-    the whole grid and plant, as when a test case is replayed, it is.
+    the problem's plant and the grid that `search.check_problem` returns:
+    the prefix of the problem's grid that its score reads from the plant's
+    outputs. A divergence after that prefix is not seen there; called on
+    the whole grid, as when a test case is replayed, it is.
     Raises DivergenceError naming the first time the state (or, if the
     state stays finite, an output) went non-finite.
 
@@ -208,15 +195,14 @@ def simulate(
     Y0 + K x, where x is the inputs' coefficients in port order, Y0 is
     `fast_sim`'s response to zero inputs and column j of K its response to
     the basis signal of coefficient j (`plan.basis()`), less Y0. K and Y0
-    are built once per (plant class, outputs, port plans, grid), by one
+    are built once per (plant class, port plans, grid), by one
     `fast_sim` call per coefficient and one more, and kept within
     SUPERPOSITION_CACHE_BYTES, the oldest dropped first; a key whose K and
     Y0 alone would exceed it is not superposed. The outputs agree with
     `fast_sim`'s to rounding (within AFFINE_RTOL), and are bitwise the
-    same for the same coefficients, plans and grid, whichever other outputs
-    are computed: each output is its own matrix-vector product. On a
-    prefix of a grid they are bitwise the prefix of the outputs on the
-    whole grid (`_SAMPLE_BLOCK`). This path is taken only where a bound
+    same for the same coefficients, plans and grid: each output is its own
+    matrix-vector product. On a prefix of a grid they are bitwise the
+    prefix of the outputs on the whole grid (`_SAMPLE_BLOCK`). This path is taken only where a bound
     on the coefficients' magnitudes and K's and Y0's (`_SUPERPOSED_SAFE`)
     shows every output finite; each output is then formed only when read,
     and a sum of outputs that the score reads is one product by a
@@ -276,13 +262,12 @@ def simulate(
 
 
 # Bytes of superposition operators kept per process, one operator per
-# (plant class, outputs, port plans, grid), the oldest dropped first. An
-# operator, K and Y0 and the sums composed on it, holds 8 bytes x padded
-# samples x rows x (coefficients + 1), a row per output and per sum; K
-# alone is 645 KB for CC1's read plant (2016 x 2 x 20) and 1.6 MB for the
-# whole platoon on the same grid, and the K of CC1's y5 - y4 322 KB. One
-# larger than the budget is never built, nor a sum that would make its
-# operator so.
+# (plant class, port plans, grid), the oldest dropped first. An operator,
+# K and Y0 and the sums composed on it, holds 8 bytes x padded samples x
+# rows x (coefficients + 1), a row per output and per sum; K alone is
+# 1.6 MB for the platoon on CC1's grid (2016 x 5 x 20), and the K of
+# CC1's y5 - y4 322 KB. One larger than the budget is never built, nor a
+# sum that would make its operator so.
 SUPERPOSITION_CACHE_BYTES = 16 << 20
 
 # K and Y0 end in zero samples up to a multiple of this many. BLAS forms
@@ -397,8 +382,8 @@ def _operator(model: PlantModel, plans: tuple, grid: TimeGrid) -> _Operator | No
     """The `_Operator` of `simulate`'s superposed path for `model`'s
     outputs on inputs sampled by `plans` on `grid`. None when K and Y0
     would take more than SUPERPOSITION_CACHE_BYTES. Keyed by the plant
-    class, its outputs, the inputs' plans and the grid."""
-    key = (type(model), model.port_spec.outputs, plans, grid)
+    class, which fixes the outputs, the inputs' plans and the grid."""
+    key = (type(model), plans, grid)
     op = _operators.get(key)
     if op is None:
         n = grid.n_samples
@@ -566,12 +551,8 @@ class LinearPlant(PlantModel):
     row is computed by the same operations whatever the sample count, so
     a shorter run is bitwise the prefix of a longer one on the same step.
 
-    `with_outputs` gives a plant that returns only some of the outputs.
-    All outputs come from the same states, so each one's values are
-    bitwise the same whichever others are computed with it: a search may
-    simulate the outputs its score reads, and the whole plant replays what
-    it found to the same robustness. A DivergenceError names the first
-    sample whose state has a non-finite entry.
+    A DivergenceError names the first sample whose state has a non-finite
+    entry.
 
     The outputs are affine in the inputs by construction, so on
     interpolated inputs `simulate` computes them by superposition, from
@@ -615,17 +596,6 @@ class LinearPlant(PlantModel):
         if len(set(states)) != len(states):
             raise ValueError(f"{cls.name}: output_states {states} repeats a state")
         cls.output_states = states
-
-    def with_outputs(self, names):
-        names = set(names)
-        spec = type(self).port_spec
-        if not names <= set(spec.outputs):
-            raise ValueError(f"{self.name}: {sorted(names - set(spec.outputs))} are not outputs")
-        keep = [k for k, y in enumerate(spec.outputs) if y in names]
-        plant = copy.copy(self)
-        plant.port_spec = PortSpec(spec.inputs, [spec.outputs[k] for k in keep])
-        plant.output_states = tuple(type(self).output_states[k] for k in keep)
-        return plant
 
     @classmethod
     @functools.lru_cache(maxsize=32)

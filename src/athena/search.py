@@ -5,8 +5,8 @@ range, and the number of control points. The search space is the flat
 vector of all control values (control times stay evenly spaced), so a
 candidate is a point in an axis-aligned box. Each iteration decodes the
 vector into input signals, simulates the plant over the part of the grid
-and the outputs the score reads, scores the trace, and stops at the first
-requirement violation.
+the score reads, scores the trace, and stops at the first requirement
+violation.
 """
 
 from __future__ import annotations
@@ -220,12 +220,11 @@ def check_problem(
     assumption: Assumption,
     fitness_cfg: FitnessAssessment,
     grid: TimeGrid,
-) -> tuple[TimeGrid, PlantModel]:
-    """Run every check of a falsification problem and return the
-    grid and the plant a run simulates: the leading samples of `grid` and
-    `plant.with_outputs` of the outputs that `FitnessAssessment.reads`
-    finds the score reads, or `grid` and `plant` themselves when it reads
-    every sample or names no output.
+) -> TimeGrid:
+    """Run every check of a falsification problem and return the grid a
+    run simulates the plant on: the leading samples of `grid` that
+    `FitnessAssessment.reads` finds the score reads, or `grid` itself when
+    it reads every sample.
 
     Raises, before any simulation, what a run would raise: PortMismatchError
     when the assumption's ports are not the plant's inputs in order,
@@ -246,12 +245,10 @@ def check_problem(
             f"requirement needs {horizon} s of trace, grid ends at {grid.end} s"
         )
     control_times = {p.port: uniform_control_times(grid, p.n) for p in assumption.ports}
-    n_read, outputs = fitness_cfg.reads(grid, spec.inputs, spec.outputs, control_times)
-    sim_grid = grid
+    n_read = fitness_cfg.reads(grid, spec.inputs, spec.outputs, control_times)
     if n_read < grid.n_samples:
-        sim_grid = TimeGrid((n_read - 1) * grid.step, grid.step)
-    sim_plant = plant.with_outputs(outputs) if outputs else plant
-    return sim_grid, sim_plant
+        return TimeGrid((n_read - 1) * grid.step, grid.step)
+    return grid
 
 
 def propose(
@@ -406,25 +403,21 @@ def falsify(
     forms give the same numbers from the same generator state.
 
     Each candidate is encoded on the whole `grid`, and a `TestCase` holds
-    those inputs. `check_problem` returns the grid and the plant a run
-    simulates, both from one walk over the score (`FitnessAssessment.reads`).
-    The grid is the leading samples the score reads from the plant's
-    outputs, simulated on read-only prefix views of the inputs
+    those inputs. `check_problem` returns the grid a run simulates `plant`
+    on, from one walk over the score (`FitnessAssessment.reads`): the
+    leading samples the score reads from the plant's outputs, simulated on
+    read-only prefix views of the inputs
     (`InterpolatedSignal.prefix`); when the score reads every sample, the
     inputs and `grid` pass as they are. A manual window whose channels are
     all plant inputs then reads the encoded inputs on the whole grid
     instead of the simulated trace (`WindowStat`), so it does not lengthen
     the prefix.
     Each input is an `InterpolatedSignal`, so a `LinearPlant` is simulated
-    by superposition over the inputs' coefficients (`models.simulate`).
-    The plant computes only the outputs the score names, each as the
-    whole plant computes it (`PlantModel.with_outputs`); a score that
-    names no output, or holds a manual node of a type defined outside
-    `fitness`, simulates them all. The score is the one the whole trace
-    would give. A plant that diverges only after the prefix, or only
-    in an output the score does not name, is therefore scored normally,
-    not as diverged: no part of the score reads those samples or that
-    output.
+    by superposition over the inputs' coefficients (`models.simulate`),
+    whose outputs are formed only where the score reads them. The score
+    is the one the whole trace would give. A plant that diverges only
+    after the prefix is therefore scored normally, not as diverged: no
+    part of the score reads those samples.
 
     The run ignores float overflow and invalid operations, under one
     `errors.ignoring_overflow` entered per run, so the scores enter no
@@ -439,7 +432,7 @@ def falsify(
     `simulations`, the number of simulations run before it, diverged ones
     included.
     """
-    sim_grid, sim_plant = check_problem(plant, assumption, fitness_cfg, grid)
+    sim_grid = check_problem(plant, assumption, fitness_cfg, grid)
 
     rng = np.random.default_rng(search_cfg.seed)
     lower, width, dim = assumption.lower, assumption.width, assumption.dim
@@ -479,7 +472,7 @@ def falsify(
                     name: signal.prefix(sim_grid) for name, signal in inputs.items()
                 }
                 full_inputs = Trace(grid, inputs)
-            trace = simulate(sim_plant, sim_inputs, sim_grid).trace
+            trace = simulate(plant, sim_inputs, sim_grid).trace
             simulations += 1
             value = assess(
                 fitness_cfg,

@@ -554,6 +554,27 @@ class TestBenchAndCompare:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("assumption", 5), ("formula", 5), ("manual", ["x"]), ("plant", ["passthrough"])],
+    )
+    def test_bench_text_field_of_another_type_exits_2(self, tmp_path, capsys, key, value):
+        cfg = {
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "assumption": "x:const:0,1:1",
+            "repetitions": 2,
+            "search": {"max_iterations": 5},
+        }
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli(["bench", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "failure-revealing" not in captured.out
+        assert captured.err == f"error: {key} must be a string, got {value!r}\n"
+
+    @pytest.mark.parametrize(
         "field, text, message",
         [
             ("assumption", "z:const:0,1:1", "do not match plant inputs"),

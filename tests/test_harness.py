@@ -861,6 +861,31 @@ class TestConfigFromDict:
             config_from_dict(raw)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("entry", 5),
+            ("plant", ["passthrough"]),
+            ("formula", 5),
+            ("manual", ["x"]),
+            ("assumption", 5),
+            ("out", 5),
+            ("entry", None),
+        ],
+    )
+    def test_text_fields_must_be_strings(self, key, value):
+        # checked before any field is parsed or any run spends its budget
+        raw = {"entry": "AT1"} if key in ("entry", "out") else {
+            "plant": "passthrough",
+            "formula": "G[0,10] (x < 0.5)",
+            "manual": "max(x,[0,10])",
+            "assumption": "x:const:0,1:1",
+        }
+        raw[key] = value
+        with pytest.raises(ValueError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == f"{key} must be a string, got {value!r}"
+
     def test_integer_step_and_auto_scale_are_kept_as_floats(self):
         cfg = config_from_dict({
             "plant": "passthrough",

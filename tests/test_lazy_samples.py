@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from athena import models, signals
@@ -260,6 +260,20 @@ class TestSparseExtremes:
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(problems())
+    # on the CC1 grid: the sample next to a pchip run's larger end beats
+    # the best sample so far (`_PchipPlan.largest`)
+    @example(
+        (
+            InterpolationKind.PCHIP,
+            TimeGrid(100.0, 0.05),
+            ControlPoints(
+                uniform_control_times(TimeGrid(100.0, 0.05), 7),
+                [0.0, 1 / 3, 0.55, 0.7, 0.0, 0.9, 0.9],
+            ),
+            1693,
+            1747,
+        )
+    )
     def test_bitwise_the_dense_reduction(self, problem):
         kind, grid, cp, lo, hi = problem
         with np.errstate(all="ignore"):

@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import os
 import subprocess
 import sys
@@ -395,23 +394,6 @@ class TestChasingCars:
         monkeypatch.setattr(ChasingCars, "_step_ops", classmethod(build))
         assert np.array_equal(cc.fast_sim(u, grid), cached)
 
-    @pytest.mark.parametrize("n, step", SCAN_GRIDS)
-    def test_each_channel_alone_is_bitwise_the_full_run(self, n, step):
-        cc = ChasingCars()
-        grid = TimeGrid((n - 1) * step, step)
-        u = np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))
-        full = cc.fast_sim(u, grid)
-        names = cc.port_spec.outputs
-        for k in range(1, 6):
-            for subset in itertools.combinations(names, k):
-                # the plant keeps its own channel order
-                plant = cc.with_outputs(subset[::-1])
-                assert plant.port_spec.outputs == subset
-                got = plant.fast_sim(u, grid)
-                assert got.shape == (n, k)
-                for j, name in enumerate(subset):
-                    assert np.array_equal(got[:, j], full[:, names.index(name)])
-
     @settings(max_examples=60, deadline=None)
     @given(grid=st.sampled_from(SCAN_GRIDS), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_a_shorter_run_is_bitwise_the_prefix_of_the_whole_run(self, grid, seed, data):
@@ -443,12 +425,10 @@ class TestChasingCars:
             "    u = np.random.default_rng(g).uniform(0.0, 1.0, (grid.n_samples, 2))\n"
             f"    out = {str(tmp_path)!r} + f'/{{g}}-'\n"
             "    np.save(out + 'full.npy', cc.fast_sim(u, grid))\n"
-            "    np.save(out + 'read.npy', cc.with_outputs(['y4', 'y5']).fast_sim(u, grid))\n"
             "    inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)\n"
-            "    for name, plant in (('sup_full', cc), ('sup_read', cc.with_outputs(['y4', 'y5']))):\n"
-            "        trace = simulate(plant, inputs, grid).trace\n"
-            "        rows = [trace.channel(y) for y in plant.port_spec.outputs]\n"
-            "        np.save(out + name + '.npy', np.array(rows))\n"
+            "    trace = simulate(cc, inputs, grid).trace\n"
+            "    rows = [trace.channel(y) for y in cc.port_spec.outputs]\n"
+            "    np.save(out + 'sup_full.npy', np.array(rows))\n"
         )
         src = str(Path(athena.__file__).parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
@@ -459,40 +439,10 @@ class TestChasingCars:
             u = np.random.default_rng(g).uniform(0.0, 1.0, (grid.n_samples, 2))
             out = tmp_path / f"{g}-"
             assert np.array_equal(np.load(f"{out}full.npy"), cc.fast_sim(u, grid))
-            read = cc.with_outputs(["y4", "y5"]).fast_sim(u, grid)
-            assert np.array_equal(np.load(f"{out}read.npy"), read)
             inputs = encode_inputs(a, a.control_points(u[0, 0] * a.upper, grid), grid)
-            for name, plant in (("sup_full", cc), ("sup_read", cc.with_outputs(["y4", "y5"]))):
-                trace = simulate(plant, inputs, grid).trace
-                rows = np.array([trace.channel(y) for y in plant.port_spec.outputs])
-                assert np.array_equal(np.load(f"{out}{name}.npy"), rows)
-
-    def test_simulate_traces_only_the_selected_outputs(self):
-        grid = TimeGrid(10.0, 0.05)
-        cc = builtin("chasing_cars")
-        sigs = const_inputs(cc, grid, {"throttle": 0.8, "brake": 0.1})
-        full = simulate(cc, sigs, grid).trace
-        part = simulate(cc.with_outputs(["y5", "y2"]), sigs, grid).trace
-        assert list(part.channels) == ["y2", "y5", "throttle", "brake"]
-        for name in part.channels:
-            assert np.array_equal(part.channel(name), full.channel(name))
-
-    @pytest.mark.parametrize("names", [[], ["y6"], ["y1", "throttle"]])
-    def test_with_outputs_needs_some_of_the_outputs(self, names):
-        with pytest.raises(ValueError):
-            builtin("chasing_cars").with_outputs(names)
-
-    def test_with_outputs_leaves_the_plant_unchanged(self):
-        cc = builtin("chasing_cars")
-        cc.with_outputs(["y4"])
-        assert cc.port_spec == ChasingCars.port_spec
-        assert not ChasingCars.x0.flags.writeable
-        assert cc.fast_sim(np.zeros((3, 2)), TimeGrid(0.1, 0.05)).shape == (3, 5)
-
-    @pytest.mark.parametrize("name", ["at_lite", "passthrough"])
-    def test_other_plants_simulate_every_output(self, name):
-        plant = builtin(name)
-        assert plant.with_outputs(plant.port_spec.outputs[:1]) is plant
+            trace = simulate(cc, inputs, grid).trace
+            rows = np.array([trace.channel(y) for y in cc.port_spec.outputs])
+            assert np.array_equal(np.load(f"{out}sup_full.npy"), rows)
 
     @pytest.mark.parametrize("throttle, time", [(1e307, 2.85), (1e305, 45.9)])
     def test_overflow_raises_divergence_without_warning(self, throttle, time):

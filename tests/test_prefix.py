@@ -1,10 +1,9 @@
 """Tests for simulating only the leading samples of the trace the score
-reads, and only the plant outputs it names.
+reads.
 
 `FitnessAssessment.reads` counts the samples robustness at t=0 and the
-manual windows over plant outputs read, and names the outputs the score
-reads; `falsify` simulates that prefix of the grid and those outputs
-(`search.check_problem`). A manual window over plant inputs only reads the
+manual windows over plant outputs read; `falsify` simulates the plant on
+that prefix of the grid (`search.check_problem`). A manual window over plant inputs only reads the
 encoded inputs on the whole grid instead. The score must be the one the
 whole trace gives, and the count must be minimal.
 """
@@ -92,16 +91,12 @@ def control_times(problem):
     return {p.port: uniform_control_times(grid, p.n) for p in problem.assumption.ports}
 
 
-def reads(problem, fitness=None):
-    """What the score of `problem`, or `fitness` on its plant and grid,
-    reads: (leading samples, outputs named)."""
+def samples_read(problem, fitness=None):
+    """The leading samples the score of `problem`, or `fitness` on its
+    plant and grid, reads."""
     spec = problem.plant.port_spec
     fitness = fitness or problem.fitness
     return fitness.reads(problem.grid, spec.inputs, spec.outputs, control_times(problem))
-
-
-def samples_read(problem, fitness=None):
-    return reads(problem, fitness)[0]
 
 
 def samples_read_from_trace(problem):
@@ -109,7 +104,7 @@ def samples_read_from_trace(problem):
     the plant's inputs count as outputs."""
     spec = problem.plant.port_spec
     channels = spec.outputs + spec.inputs
-    return problem.fitness.reads(problem.grid, (), channels, control_times(problem))[0]
+    return problem.fitness.reads(problem.grid, (), channels, control_times(problem))
 
 
 def candidates(problem, count, seed):
@@ -162,47 +157,46 @@ class TestCatalogPrefix:
 
     @pytest.mark.parametrize(
         "entry, outputs",
-        [(e, ("y4", "y5")) for e in ("CC1", "CC2", "CC4")]
-        + [(e, ("y1", "y2", "y4", "y5")) for e in ("CC3", "CC5")]
-        + [("CCx", ("y1", "y2", "y3", "y4", "y5"))]
+        [(e, ("y1", "y2", "y3", "y4", "y5")) for e in ("CC1", "CC2", "CC4", "CC3", "CC5", "CCx")]
         + [(e, ("Speed", "RPM", "Gear")) for e in ("AT1", "AT2", "AT6a", "AT6b", "AT6c")],
     )
     def test_channels_simulated(self, entry, outputs, monkeypatch):
-        # the outputs of the plant falsify simulates, on every iteration
+        # every iteration simulates the problem's own plant, every output of
+        # it, whatever outputs the score names
         seen = []
 
         def spy(plant, inputs, grid):
-            seen.append(plant.port_spec.outputs)
-            return simulate(plant, inputs, grid)
+            sim = simulate(plant, inputs, grid)
+            seen.append((plant, tuple(n for n in outputs if n in sim.trace.names)))
+            return sim
 
         monkeypatch.setattr(search, "simulate", spy)
         p = resolve(ExperimentConfig(entry=entry))
+        assert p.plant.port_spec.outputs == outputs
         search_cfg = SearchConfig(max_iterations=3, seed=1)
         result = falsify(p.plant, p.assumption, p.fitness, search_cfg, p.grid)
-        assert seen == [outputs] * result.iterations_used
-        _, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
-        assert plant.port_spec.outputs == outputs
+        assert result.iterations_used > 0
+        assert seen == [(p.plant, outputs)] * result.iterations_used
 
-    def test_passthrough_simulates_its_output(self):
-        problem = resolve(
+    def test_passthrough_simulates_its_output(self, monkeypatch):
+        # falsify simulates the problem's own plant, every output of it
+        p = resolve(
             ExperimentConfig(
                 plant=Passthrough(),
                 formula_text="G[0,10] (y - x >= 0)",
                 assumption=parse_assumption("x:linear:0,1:3"),
             )
         )
-        _, plant = search.check_problem(
-            problem.plant, problem.assumption, problem.fitness, problem.grid
-        )
-        assert plant is problem.plant
+        seen = []
 
-    def test_score_naming_no_output_simulates_every_output(self):
-        cc = builtin("chasing_cars")
-        fitness = FitnessAssessment(parse("G[0,10] (throttle < 2)"), parse_manual("max(brake,[0,5])"))
-        grid = catalog("CC1").grid()
-        _, plant = search.check_problem(cc, catalog("CC1").assumption, fitness, grid)
-        assert plant is cc
-        assert plant.port_spec.outputs == cc.port_spec.outputs
+        def spy(plant, inputs, grid):
+            seen.append(plant)
+            return simulate(plant, inputs, grid)
+
+        monkeypatch.setattr(search, "simulate", spy)
+        search_cfg = SearchConfig(max_iterations=3, seed=1)
+        result = falsify(p.plant, p.assumption, p.fitness, search_cfg, p.grid)
+        assert seen == [p.plant] * result.iterations_used
 
     @pytest.mark.parametrize("entry", catalog_ids())
     def test_found_failure_replays_on_the_whole_plant(self, entry):
@@ -255,18 +249,18 @@ class TestMinimalCount:
         fit = FitnessAssessment(
             parse("G[0,10] (x < 1)"), manual=parse_manual("mean(x,[0,5])")
         )
-        assert fit.reads(TimeGrid(50.0, 0.05), (), ("x",), {}) == (201, ("x",))
+        assert fit.reads(TimeGrid(50.0, 0.05), (), ("x",), {}) == 201
 
     def test_no_temporal_operator_reads_two_samples(self):
         f = parse("x < 1")
         assert formula_samples(f, 0.05) == 1
-        assert FitnessAssessment(f).reads(TimeGrid(10.0, 0.05), (), ("x",), {})[0] == 2
+        assert FitnessAssessment(f).reads(TimeGrid(10.0, 0.05), (), ("x",), {}) == 2
 
     def test_slope_terms_read_no_samples(self):
         grid = TimeGrid(10.0, 0.05)
         fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("slope_up(x,[0,10])"))
         times = {"x": uniform_control_times(grid, 3)}
-        assert fit.reads(grid, ("x",), (), times) == (2, ())
+        assert fit.reads(grid, ("x",), (), times) == 2
         # a slope term over a name that is not a plant input is rejected
         with pytest.raises(ValueError, match="needs the control points of input 'x'"):
             fit.reads(grid, (), ("x",), {})
@@ -274,7 +268,7 @@ class TestMinimalCount:
     def test_capped_at_the_grid(self):
         grid = TimeGrid(50.0, 0.05)
         fit = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,50])"))
-        assert fit.reads(grid, (), ("x",), {})[0] == 1001
+        assert fit.reads(grid, (), ("x",), {}) == 1001
         # a window past the grid end is rejected, not capped
         past = FitnessAssessment(parse("x < 1"), manual=parse_manual("mean(x,[0,60])"))
         with pytest.raises(ValueError, match="window end 60.0 exceeds grid end 50.0"):
@@ -434,7 +428,6 @@ class TestInputWindows:
         assert calls == []
 
 
-AT_OUTPUTS = ("Speed", "RPM", "Gear")
 CC_OUTPUTS = ("y1", "y2", "y3", "y4", "y5")
 
 # the inline problem of the passthrough benchmark workload
@@ -461,29 +454,21 @@ class PeakY1(ManualFitnessExpr):
 
 class TestReads:
     @pytest.mark.parametrize(
-        "entry, samples, named, simulated",
-        [
-            ("AT1", 401, ("Speed",), AT_OUTPUTS),
-            ("AT2", 201, ("RPM",), AT_OUTPUTS),
-        ]
-        + [(e, 601, ("Speed", "RPM"), AT_OUTPUTS) for e in ("AT6a", "AT6b", "AT6c")]
-        + [("CCx", 1001, CC_OUTPUTS, CC_OUTPUTS)]
-        + [(e, 2001, ("y4", "y5"), ("y4", "y5")) for e in ("CC1", "CC2")]
-        + [(e, 2001, ("y1", "y2", "y4", "y5"), ("y1", "y2", "y4", "y5")) for e in ("CC3", "CC5")]
+        "entry, samples",
+        [("AT1", 401), ("AT2", 201)]
+        + [(e, 601) for e in ("AT6a", "AT6b", "AT6c")]
+        + [("CCx", 1001)]
+        + [(e, 2001) for e in ("CC1", "CC2", "CC3", "CC5")]
         # CC4's requirement spans 115 s, so its grid holds 2301 samples
-        + [("CC4", 2301, ("y4", "y5"), ("y4", "y5"))]
-        + [(None, 12001, ("y",), ("y",))],
+        + [("CC4", 2301), (None, 12001)],
     )
-    def test_catalog_table(self, entry, samples, named, simulated):
-        # named: what the score names; simulated: the outputs of the plant a
-        # run simulates, every output for a plant that computes them all
+    def test_catalog_table(self, entry, samples):
         cfg = ExperimentConfig(entry=entry) if entry else PASSTHROUGH_SPEC
         p = resolve(cfg)
-        assert reads(p) == (samples, named)
-        grid, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
+        assert samples_read(p) == samples
+        grid = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
         assert grid.n_samples == samples and grid.step == p.grid.step
         assert (grid is p.grid) == (samples == p.grid.n_samples)
-        assert plant.port_spec.outputs == simulated
 
     def unknown_node_problem(self, manual):
         p = resolve(ExperimentConfig(entry="CC1"))
@@ -497,10 +482,8 @@ class TestReads:
     def test_unknown_node_reads_every_sample_and_output(self, manual, monkeypatch):
         # CC1's formula names y4 and y5 only; the node reads y1 as well
         p = self.unknown_node_problem(manual)
-        assert reads(p) == (p.grid.n_samples, CC_OUTPUTS)
-        grid, plant = search.check_problem(p.plant, p.assumption, p.fitness, p.grid)
-        assert grid is p.grid
-        assert plant.port_spec.outputs == CC_OUTPUTS
+        assert samples_read(p) == p.grid.n_samples
+        assert search.check_problem(p.plant, p.assumption, p.fitness, p.grid) is p.grid
         seen = []
 
         def spy(plant, inputs, grid):
@@ -515,7 +498,7 @@ class TestReads:
 
     def test_constant_reads_nothing(self):
         p = resolve(ExperimentConfig(entry="CC1"))
-        assert reads(p, replace(p.fitness, manual=Const(1.0))) == (2001, ("y4", "y5"))
+        assert samples_read(p, replace(p.fitness, manual=Const(1.0))) == 2001
 
     @pytest.mark.parametrize(
         "formula, manual, error",
@@ -645,8 +628,7 @@ class TestFalsifyPrefix:
             simulate(plant, {"x": x}, grid)
         fit = FitnessAssessment(parse("G[0,1] (y < 0.5)"), p=1.0)
         assumption = parse_assumption("x:const:0,1:1")
-        sim_grid, sim_plant = search.check_problem(plant, assumption, fit, grid)
-        assert sim_grid.n_samples == 11 and sim_plant is plant
+        assert search.check_problem(plant, assumption, fit, grid).n_samples == 11
         seen = []
         result = falsify(
             plant,

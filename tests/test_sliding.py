@@ -192,10 +192,10 @@ def scored_trace(problem, vector):
     """The trace `falsify` scores for one candidate vector."""
     a, grid, plant = problem.assumption, problem.grid, problem.plant
     inputs = encode_inputs(a, a.control_points(vector, grid), grid)
-    sim_grid, sim_plant = check_problem(plant, a, problem.fitness, grid)
+    sim_grid = check_problem(plant, a, problem.fitness, grid)
     if sim_grid is not grid:
         inputs = {name: signal.prefix(sim_grid) for name, signal in inputs.items()}
-    return simulate(sim_plant, inputs, sim_grid).trace
+    return simulate(plant, inputs, sim_grid).trace
 
 
 def assert_matches_walk(f, trace):

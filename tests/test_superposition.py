@@ -87,20 +87,20 @@ def _bound(direct):
 class TestAgainstFastSim:
     @pytest.mark.parametrize("entry", CC_ENTRIES)
     def test_random_candidates_within_bound(self, entry):
-        # the grid and the outputs falsify simulates: CCx's 1001-sample
-        # prefix of all five positions, y4 and y5 on CC1
+        # the grid falsify simulates: CCx's 1001-sample prefix, and the
+        # whole grid elsewhere
         problem = resolve(ExperimentConfig(entry=entry))
         a = problem.assumption
-        sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, problem.grid)
+        sim_grid = check_problem(problem.plant, a, problem.fitness, problem.grid)
         if entry == "CCx":
             assert sim_grid.n_samples == 1001
         rng = np.random.default_rng(7)
         for _ in range(20):
             inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
             assert all(isinstance(s, InterpolatedSignal) for s in inputs.values())
-            trace = simulate(sim_plant, inputs, sim_grid).trace
-            got = _rows(trace, sim_plant.port_spec.outputs)
-            direct = _fast(sim_plant, inputs, sim_grid)
+            trace = simulate(problem.plant, inputs, sim_grid).trace
+            got = _rows(trace, problem.plant.port_spec.outputs)
+            direct = _fast(problem.plant, inputs, sim_grid)
             assert np.abs(got - direct).max() <= _bound(direct)
 
     @pytest.mark.parametrize(
@@ -191,14 +191,15 @@ class TestAgainstFastSim:
 class TestBitwise:
     @pytest.mark.parametrize("entry", ["CC1", "CC3"])
     def test_each_output_as_the_whole_plant_computes_it(self, entry):
+        # an output read alone, as a score reads it, has the bits it has
+        # when every output is formed
         problem = resolve(ExperimentConfig(entry=entry))
         a, grid = problem.assumption, problem.grid
-        _, read_plant = check_problem(problem.plant, a, problem.fitness, grid)
         inputs = _candidate_inputs(problem, a.lower + 0.6 * a.width, grid)
-        whole = simulate(problem.plant, inputs, grid).trace
-        read = simulate(read_plant, inputs, grid).trace
-        for y in read_plant.port_spec.outputs:
-            assert np.array_equal(read.channel(y), whole.channel(y))
+        whole = simulate(problem.plant, inputs, grid).trace.channels
+        for y in problem.plant.port_spec.outputs:
+            read = simulate(problem.plant, inputs, grid).trace
+            assert np.array_equal(read.channel(y), whole[y])
 
     def test_test_case_replays_exactly(self):
         problem = resolve(ExperimentConfig(entry="CC1"))
@@ -423,11 +424,43 @@ class TestOperatorCache:
         assert len(models._operators) == 1
         (op,) = models._operators.values()
         K, y0 = op.K, op.y0
-        # y4 and y5, 20 coefficients, 2001 samples padded to 2016: 645 KB
-        assert K.shape == (2, 20, 2016) and y0.shape == (2, 2016)
-        assert K.nbytes == 645120
+        # five outputs, 20 coefficients, 2001 samples padded to 2016: 1.6 MB
+        assert K.shape == (5, 20, 2016) and y0.shape == (5, 2016)
+        assert K.nbytes == 1612800
         assert not K[..., 2001:].any() and not y0[:, 2001:].any()
         assert not K.flags.writeable and not y0.flags.writeable
+
+    def test_replay_of_a_found_failure_reuses_the_search_operator(self):
+        # the search and the replay simulate the same plant on the same
+        # grid and plans, so the replay builds no operator of its own
+        models._operators.clear()
+        problem = resolve(ExperimentConfig(entry="CC1"))
+        result = falsify(
+            problem.plant, problem.assumption, problem.fitness, SearchConfig(seed=0), problem.grid
+        )
+        assert result.found
+        keys = list(models._operators)
+        trace = simulate(problem.plant, result.failure.inputs, problem.grid).trace
+        assert list(models._operators) == keys
+        rho = robustness(problem.fitness.formula, trace)
+        assert np.float64(rho).view(np.int64) == np.float64(result.failure.robustness).view(np.int64)
+
+    @pytest.mark.parametrize("entry", ["CC3", "CCx"])
+    def test_one_operator_holds_every_output(self, entry):
+        models._operators.clear()
+        problem = resolve(ExperimentConfig(entry=entry))
+        falsify(
+            problem.plant,
+            problem.assumption,
+            problem.fitness,
+            SearchConfig(seed=0, max_iterations=5),
+            problem.grid,
+        )
+        (op,) = models._operators.values()
+        outputs = problem.plant.port_spec.outputs
+        assert outputs == ("y1", "y2", "y3", "y4", "y5")
+        assert op.rows == {name: k for k, name in enumerate(outputs)}
+        assert op.K.shape[0] == op.y0.shape[0] == 5
 
     def test_bounded_in_bytes_oldest_dropped_first(self, monkeypatch):
         # 21 samples padded to 32, 5 outputs, 2n coefficients: (2n + 1) x
@@ -640,21 +673,21 @@ class TestComposition:
     def test_within_bound_of_the_per_channel_sum(self, entry):
         problem = resolve(ExperimentConfig(entry=entry))
         a = problem.assumption
-        sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, problem.grid)
+        sim_grid = check_problem(problem.plant, a, problem.fitness, problem.grid)
         exprs = _sums(problem.fitness.formula, problem.fitness.manual)
         assert exprs
         rng = np.random.default_rng(11)
         for _ in range(20):
             inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
-            trace = simulate(sim_plant, inputs, sim_grid).trace
+            trace = simulate(problem.plant, inputs, sim_grid).trace
             composed = [expr.values(trace) for expr in exprs]
             # no output's entry is an array: no row was formed
             assert not any(
-                isinstance(trace._store[name], np.ndarray) for name in sim_plant.port_spec.outputs
+                isinstance(trace._store[name], np.ndarray) for name in problem.plant.port_spec.outputs
             )
             # a trace of the same channel values sums them per channel
             plain = Trace(trace.grid, trace.channels)
-            bound = _bound(_rows(plain, sim_plant.port_spec.outputs))
+            bound = _bound(_rows(plain, problem.plant.port_spec.outputs))
             for expr, values in zip(exprs, composed):
                 assert np.abs(values - expr.values(plain)).max() <= bound
 
@@ -662,16 +695,16 @@ class TestComposition:
     def test_channels_are_the_rows_of_the_whole_product(self, entry):
         problem = resolve(ExperimentConfig(entry=entry))
         a = problem.assumption
-        sim_grid, sim_plant = check_problem(problem.plant, a, problem.fitness, problem.grid)
+        sim_grid = check_problem(problem.plant, a, problem.fitness, problem.grid)
         rng = np.random.default_rng(12)
         for _ in range(5):
             inputs = _candidate_inputs(problem, rng.uniform(a.lower, a.upper), sim_grid)
-            trace = simulate(sim_plant, inputs, sim_grid).trace
-            op = models._operator(sim_plant, tuple(s.plan for s in inputs.values()), sim_grid)
+            trace = simulate(problem.plant, inputs, sim_grid).trace
+            op = models._operator(problem.plant, tuple(s.plan for s in inputs.values()), sim_grid)
             x = np.concatenate([s.coefficients for s in inputs.values()])
             whole = np.matmul(x, op.K)
             whole += op.y0
-            for k, name in enumerate(sim_plant.port_spec.outputs):
+            for k, name in enumerate(problem.plant.port_spec.outputs):
                 assert np.array_equal(trace.channel(name), whole[k, : sim_grid.n_samples])
 
     def test_channels_forms_every_output_in_order(self):
@@ -729,7 +762,7 @@ class TestComposition:
         # that is not composed stays None, kept as such
         problem = resolve(ExperimentConfig(entry="CC1"))
         a, grid = problem.assumption, problem.grid
-        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        plant = problem.plant
         inputs = _candidate_inputs(problem, a.lower + 0.5 * a.width, grid)
         trace = simulate(plant, inputs, grid).trace
         expr = problem.fitness.formula.child.expr
@@ -774,7 +807,7 @@ class TestComposition:
         # the NaNs a trace of the same channel values gives
         problem = resolve(ExperimentConfig(entry="CC1"))
         a, grid = problem.assumption, problem.grid
-        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        plant = problem.plant
         inputs = _candidate_inputs(problem, a.upper, grid)
         trace = simulate(plant, inputs, grid).trace
         formula = parse("G[0,100] (1e306 * y5 - 1e306 * y4 <= 40)")
@@ -797,7 +830,7 @@ class TestComposition:
         # taken per channel, bitwise as on a trace of the same values
         problem = resolve(ExperimentConfig(entry="CC1"))
         a, grid = problem.assumption, problem.grid
-        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        plant = problem.plant
         inputs = _candidate_inputs(problem, a.lower + 0.8 * a.width, grid)
         op = models._operator(plant, tuple(s.plan for s in inputs.values()), grid)
         x = np.concatenate([s.coefficients for s in inputs.values()])
@@ -815,11 +848,11 @@ class TestComposition:
     def test_sums_count_toward_the_cache_budget(self, monkeypatch):
         problem = resolve(ExperimentConfig(entry="CC1"))
         a, grid = problem.assumption, problem.grid
-        _, plant = check_problem(problem.plant, a, problem.fitness, grid)
+        plant = problem.plant
         inputs = _candidate_inputs(problem, a.lower + 0.4 * a.width, grid)
         expr = problem.fitness.formula.child.expr
         plans = tuple(s.plan for s in inputs.values())
-        # room for the read plant's operator alone: y5 - y4 is summed per
+        # room for the platoon's operator alone: y5 - y4 is summed per
         # channel, bitwise as on a trace of the same channel values
         models._operators.clear()
         op = models._operator(plant, plans, grid)
@@ -831,7 +864,9 @@ class TestComposition:
         # with room for one row more, the sum is composed, its 322 KB are
         # counted with its operator, and older operators make room for them
         models._operators.clear()
-        other = models._operator(models.ChasingCars().with_outputs(["y1"]), plans, grid)
+        cp = ControlPoints(uniform_control_times(grid, 3), [0.2, 0.9, 0.4])
+        linear = interpolate(cp, InterpolationKind.LINEAR, grid).plan
+        other = models._operator(plant, (linear, linear), grid)
         op = models._operator(plant, plans, grid)
         row = op.K[0].nbytes + op.y0[0].nbytes
         monkeypatch.setattr(models, "SUPERPOSITION_CACHE_BYTES", op.nbytes + row + other.nbytes - 1)
